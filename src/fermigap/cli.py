@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 numerical failure,
 4 conformance-check failure.  All numeric output uses repr round-trip
-precision; CSV always uses '.' as the decimal separator.
+precision; CSV always uses '.' as the decimal separator.  JSON output is
+standard JSON: a NaN or infinity in it is a numerical failure.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _write_manifest(out_dir: Path, command: str, parameters: dict, seed: int,
         "tool_version": __version__,
         "outputs": outputs,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (out_dir / "manifest.json").write_text(_json_text(manifest))
 
 
 def _json_default(obj):
@@ -73,8 +74,16 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _json_text(doc: dict) -> str:
+    """Standard JSON only: a NaN or infinity in the output is a numerical failure."""
+    try:
+        return json.dumps(doc, indent=2, default=_json_default, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"non-finite value in JSON output: {exc}") from exc
+
+
 def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, default=_json_default))
+    sys.stdout.write(_json_text(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +136,21 @@ def cmd_profile(args) -> int:
         "linear": linear_defect <= 1e-10,
         "linear_defect": linear_defect,
     }
+    path_min = profile.path_minimum
+    if path_min is not None:
+        summary.update(path_min_gap=path_min.gap, path_min_gap_s=path_min.s,
+                       closes=path_min.closes)
+    summary_text = _json_text(summary)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "profile.csv").write_text(csv_text)
-        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+        (out_dir / "summary.json").write_text(summary_text)
         _write_manifest(out_dir, "profile",
                         {"input": str(args.input), "grid": args.grid, "tol": args.tol},
                         _default_seed(), ["profile.csv", "summary.json"])
     else:
-        sys.stdout.write(csv_text)
-        _print_json(summary)
+        sys.stdout.write(csv_text + summary_text)
     return EXIT_OK
 
 
@@ -243,11 +256,12 @@ def cmd_ensemble(args) -> int:
                    "seed": args.seed},
         **summary,
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    summary_text = _json_text(summary)
+    (out_dir / "summary.json").write_text(summary_text)
     _write_manifest(out_dir, f"ensemble {args.experiment}",
                     {"kind": args.kind, "n": args.n, "samples": args.samples},
                     args.seed, outputs + ["summary.json"])
-    _print_json(summary)
+    sys.stdout.write(summary_text)
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ W document:           {"n": int, "w": [n*n reals, row-major]}
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -20,9 +21,12 @@ from .spinrep import PauliHamiltonian
 
 
 def _matrix_from_flat(data, n: int, name: str) -> np.ndarray:
+    if n < 1:
+        raise InputError(f"n must be positive, got {n}")
     arr = np.asarray(data, dtype=float)
     if arr.shape != (n * n,):
-        raise InputError(f"{name} must hold {n * n} values, got {arr.size}")
+        raise InputError(f"{name} must hold {n * n} values in a flat list, "
+                         f"got an array of shape {arr.shape}")
     return arr.reshape(n, n)
 
 
@@ -75,7 +79,9 @@ def structured_from_dict(doc: dict) -> StructuredSpec:
         raise InputError(f"unknown structured kind {kind!r}")
     if len(dims) != expected_ndim:
         raise InputError(f"kind {kind!r} needs {expected_ndim} dims, got {dims}")
-    size = int(np.prod(dims))
+    if min(dims) < 1:
+        raise InputError(f"dims must be positive, got {dims}")
+    size = math.prod(dims)
     if a_root.size != size or b_root.size != size:
         raise InputError(f"roots must hold {size} values for dims {dims}")
     # dims are listed (p[, q[, r]]); root arrays are stored slowest-axis first.

@@ -6,6 +6,12 @@ matrices with circulant blocks (2D torus) and the doubly nested 3D variant
 are generated the same way by 2D/3D root arrays.  The eigenvalues of
 G = (A+B)(A-B) are then |DFT(root of A+B)|^2, which makes gaps along an
 adiabatic interpolation an O(n log n) computation instead of a dense SVD.
+
+The interpolated matrix C(s) = (1-s) I + s (A+B) is circulant too, with
+symbol (1-s) + s*sigma where sigma = DFT(root of A+B).  A gap profile
+therefore takes one FFT per spec and O(n) work per grid point, and the
+exact minimum of the lowest mode over all s in [0, 1] follows from sigma
+without a grid: mode k traces the segment from 1 to sigma_k.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .quadform import (
     CoefficientPair,
     GapProfile,
     GapReport,
-    default_zero_tolerance,
+    PathMinimum,
     gap_report_from_singular_values,
 )
 
@@ -266,32 +272,87 @@ def g_eigenvalues_via_g_row(spec: CirculantSpec) -> np.ndarray:
     return _clamp_squared(vals.real)
 
 
+def _check_s(s) -> None:
+    s = np.atleast_1d(s)
+    outside = ~((0.0 <= s) & (s <= 1.0))
+    if outside.any():
+        raise InputError(f"s must lie in [0, 1], got {s[outside][0]}")
+
+
 def interpolated_c_root(spec: StructuredSpec, s: float) -> np.ndarray:
     """Root array of C(s) = (1-s) I + s (A + B); I is circulant, so C(s) is."""
-    if not 0.0 <= s <= 1.0:
-        raise InputError(f"s must lie in [0, 1], got {s}")
+    _check_s(s)
     root = s * (_root_a(spec) + _root_b(spec))
     root[(0,) * root.ndim] += 1.0 - s
     return root
 
 
+def c_symbol(spec: StructuredSpec) -> np.ndarray:
+    """sigma = DFT(root of A + B), flattened; C(s) has symbol (1-s) + s*sigma."""
+    return np.fft.fftn(_root_a(spec) + _root_b(spec)).ravel()
+
+
+def _singular_values_at(symbol: np.ndarray, s: float, work: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+    """|(1-s) + s*sigma| into `out`, unsorted; `work` is complex scratch."""
+    np.multiply(symbol, s, out=work)
+    work += 1.0 - s
+    return np.abs(work, out=out)
+
+
 def structured_gap_report(spec: StructuredSpec, s: float,
                           zero_tolerance: float | None = None) -> GapReport:
     """GapReport at interpolation parameter s via the FFT path."""
-    symbol = np.fft.fftn(interpolated_c_root(spec, s))
-    lam = np.sort(np.abs(symbol).ravel())
+    _check_s(s)
+    symbol = c_symbol(spec)
+    lam = _singular_values_at(symbol, s, np.empty_like(symbol), np.empty(symbol.shape))
     return gap_report_from_singular_values(lam, zero_tolerance)
+
+
+def path_minimum(symbol: np.ndarray) -> PathMinimum:
+    """Exact minimum over s in [0, 1] of twice the least singular value of C(s).
+
+    Mode k of C(s) is 1 + s (sigma_k - 1), a segment from 1 to sigma_k, so
+    its least modulus is the distance from 0 to that segment, reached at
+    s = clip(-Re(sigma_k - 1) / |sigma_k - 1|^2, 0, 1).  The path closes when
+    that distance is within n * eps * max(1, max|sigma|) of zero.
+    """
+    step = symbol - 1.0
+    norm2 = step.real ** 2 + step.imag ** 2
+    # a mode with sigma_k == 1 stays at 1 for every s; take s = 0 for it
+    s = np.clip(-step.real / np.where(norm2 > 0.0, norm2, 1.0), 0.0, 1.0)
+    dist = np.abs(1.0 + s * step)
+    k = int(np.argmin(dist))
+    floor = symbol.size * np.finfo(float).eps * max(1.0, float(np.abs(symbol).max()))
+    # "+ 0.0" turns a -0.0 from the clip into 0.0
+    return PathMinimum(gap=2.0 * float(dist[k]), s=float(s[k]) + 0.0,
+                       closes=bool(dist[k] <= floor))
 
 
 def structured_gap_profile(spec: StructuredSpec, s_grid,
                            zero_tolerance: float | None = None) -> GapProfile:
-    """Gap along the adiabatic interpolation, all through the FFT path."""
+    """Gap along the adiabatic interpolation from a single FFT of the spec.
+
+    sigma = c_symbol(spec) is computed once; each grid point is then the O(n)
+    modulus |(1-s) + s*sigma| in preallocated buffers, reduced by
+    gap_report_from_singular_values without sorting.  Every grid gap equals
+    structured_gap_report(spec, s).gap exactly.  The profile also carries
+    the grid-free path_minimum(sigma).
+    """
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.size == 0:
         raise InputError("s_grid must be nonempty")
+    _check_s(s_grid)
+    symbol = c_symbol(spec)
+    # before the buffers exist, so its temporaries are never live alongside them
+    minimum = path_minimum(symbol)
+    work = np.empty_like(symbol)
+    lam = np.empty(symbol.shape)
     points = tuple(
-        (float(s), structured_gap_report(spec, float(s), zero_tolerance))
+        (float(s), gap_report_from_singular_values(
+            _singular_values_at(symbol, float(s), work, lam), zero_tolerance))
         for s in s_grid
     )
     gaps = [rep.gap for _, rep in points]
-    return GapProfile(points=points, min_gap_index=int(np.argmin(gaps)))
+    return GapProfile(points=points, min_gap_index=int(np.argmin(gaps)),
+                      path_minimum=minimum)

@@ -171,17 +171,20 @@ def default_zero_tolerance(lam: np.ndarray) -> float:
 
 
 def gap_report_from_singular_values(lam, zero_tolerance: float | None = None) -> GapReport:
-    """Build a GapReport from the singular values of A + B."""
+    """Build a GapReport from the singular values of A + B, in any order."""
     lam = np.asarray(lam, dtype=float)
+    if zero_tolerance is not None and not 0.0 <= zero_tolerance < np.inf:
+        raise InputError(f"zero_tolerance must be finite and non-negative, got {zero_tolerance}")
+    total = float(lam.sum())
+    if not np.isfinite(total):
+        raise NumericalError(f"singular values do not sum to a finite value: {total}")
     if zero_tolerance is None:
         zero_tolerance = default_zero_tolerance(lam)
-    if zero_tolerance < 0:
-        raise InputError("zero_tolerance must be non-negative")
     nonzero = lam[lam > zero_tolerance]
     num_zero = int(lam.size - nonzero.size)
     gap = 2.0 * float(nonzero.min()) if nonzero.size else 0.0
     return GapReport(
-        ground_energy=-float(lam.sum()),
+        ground_energy=-total,
         gap=gap,
         degenerate=num_zero > 0,
         zero_tolerance=float(zero_tolerance),
@@ -228,11 +231,29 @@ def interpolate(spec: EvolutionSpec, s: float) -> CoefficientPair:
 
 
 @dataclass(frozen=True)
+class PathMinimum:
+    """Least value over all s in [0, 1] of twice the least singular value.
+
+    Unlike a grid minimum this counts zero modes: closes is True when the
+    gap vanishes, to rounding, somewhere along the path, at parameter s.
+    """
+
+    gap: float
+    s: float
+    closes: bool
+
+
+@dataclass(frozen=True)
 class GapProfile:
-    """Gap reports along an interpolation grid, with the grid argmin."""
+    """Gap reports along an interpolation grid, with the grid argmin.
+
+    path_minimum is the grid-free minimum where a path has one (structured
+    specs), else None.
+    """
 
     points: tuple  # of (s, GapReport)
     min_gap_index: int
+    path_minimum: PathMinimum | None = None
 
     @property
     def min_gap_s(self) -> float:

@@ -58,6 +58,39 @@ class TestGapAndSpectrum:
     def test_missing_file_exit_2(self, capsys):
         assert cli.main(["gap", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("command", ["gap", "profile"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+    def test_bad_tolerance_exit_2(self, identity_pair_file, xy_spec_file, capsys,
+                                  command, tol):
+        for path in (identity_pair_file, xy_spec_file):
+            assert cli.main([command, path, f"--tol={tol}"]) == 2
+            captured = capsys.readouterr()
+            assert "zero_tolerance" in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("n, entry", [(1, 1e308), (3, 1.7e308)])
+    def test_overflow_exit_3_without_json_constants(self, tmp_path, capsys, n, entry):
+        # n = 1: the gap 2e308 overflows; n = 3: the singular values do
+        path = write_json(tmp_path / "big.json",
+                          {"n": n, "a": [entry] * (n * n), "b": [0.0] * (n * n)})
+        assert cli.main(["gap", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical error" in captured.err
+
+    def test_negative_dims_exit_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "spec.json",
+                          {"kind": "bccb", "dims": [-2, -3],
+                           "a_root": [0.0] * 6, "b_root": [0.0] * 6})
+        assert cli.main(["gap", path]) == 2
+        assert "dims must be positive" in capsys.readouterr().err
+
+    def test_nested_matrix_exit_2_names_shape(self, tmp_path, capsys):
+        path = write_json(tmp_path / "nested.json",
+                          {"n": 2, "a": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0] * 4})
+        assert cli.main(["gap", path]) == 2
+        assert "shape (2, 2)" in capsys.readouterr().err
+
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["gap"])
@@ -77,6 +110,25 @@ class TestProfile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "profile"
         assert "profile.csv" in manifest["outputs"]
+
+    def test_structured_summary_reports_path_minimum(self, tmp_path):
+        # sigma_0 = sum(a) = -2: the gap closes at s = 1/3, between grid points
+        spec = lat.CirculantSpec(np.array([-3.0, 0.5, 0.0, 0.0, 0.5]),
+                                 np.array([0.0, 0.25, 0.0, 0.0, -0.25]))
+        path = write_json(tmp_path / "spec.json", fio.structured_to_dict(spec))
+        out = tmp_path / "out"
+        assert cli.main(["profile", path, "--grid", "11", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["closes"] is True
+        assert summary["path_min_gap"] <= summary["min_gap"]
+        assert summary["path_min_gap_s"] == pytest.approx(1.0 / 3.0)
+
+    def test_dense_summary_has_no_path_minimum(self, identity_pair_file, capsys):
+        assert cli.main(["profile", identity_pair_file, "--grid", "3"]) == 0
+        out = capsys.readouterr().out
+        summary = json.loads(out[out.index("{"):])
+        assert summary["min_gap"] == 2.0
+        assert not {"path_min_gap", "path_min_gap_s", "closes"} & summary.keys()
 
     def test_csv_round_trips_floats(self, xy_spec_file, tmp_path):
         out = tmp_path / "out"

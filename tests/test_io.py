@@ -20,6 +20,10 @@ class TestPairDocuments:
         with pytest.raises(InputError, match=r"\(1, 2\)"):
             fio.pair_from_dict(doc)
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(InputError, match="n must be positive"):
+            fio.pair_from_dict({"n": 0, "a": [], "b": []})
+
     def test_wrong_length_rejected(self):
         with pytest.raises(InputError, match="4 values"):
             fio.pair_from_dict({"n": 2, "a": [0.0] * 3, "b": [0.0] * 4})

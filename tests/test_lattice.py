@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermigap import lattice as lat
 from fermigap import quadform as qf
@@ -172,3 +176,75 @@ class TestStructuredInterpolation:
     def test_s_domain_enforced(self):
         with pytest.raises(InputError):
             lat.structured_gap_report(random_circulant(4, seed=10), 1.2)
+
+
+@st.composite
+def structured_specs(draw):
+    """Rank-1/2/3 specs with axis lengths 1..5, odd lengths included."""
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    entries = st.lists(st.floats(-2.0, 2.0), min_size=math.prod(shape),
+                       max_size=math.prod(shape))
+    a = np.array(draw(entries)).reshape(shape)
+    b = np.array(draw(entries)).reshape(shape)
+    a = (a + lat._reflect(a)) / 2.0
+    b = (b - lat._reflect(b)) / 2.0
+    return (lat.CirculantSpec, lat.BccbSpec, lat.Bc2cbSpec)[len(shape) - 1](a, b)
+
+
+def closing_ring():
+    """n = 5 ring with sigma_0 = sum(a) = -2: mode 0 crosses zero at s = 1/3."""
+    a = np.array([-3.0, 0.5, 0.0, 0.0, 0.5])
+    b = np.array([0.0, 0.25, 0.0, 0.0, -0.25])
+    return lat.CirculantSpec(a, b)
+
+
+class TestOneFftProfile:
+    def test_profile_takes_one_fft(self, monkeypatch):
+        calls = []
+        fftn = np.fft.fftn
+
+        def counting_fftn(*args, **kwargs):
+            calls.append(1)
+            return fftn(*args, **kwargs)
+
+        monkeypatch.setattr(lat.np.fft, "fftn", counting_fftn)
+        lat.structured_gap_profile(random_bc2cb(3, 4, 5, seed=11), np.linspace(0, 1, 50))
+        assert len(calls) == 1
+
+    @given(spec=structured_specs(), grid=st.integers(2, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fft_of_interpolated_root(self, spec, grid):
+        profile = lat.structured_gap_profile(spec, np.linspace(0, 1, grid))
+        tol = 1e-12 * (1.0 + np.abs(lat.c_symbol(spec)).max())
+        for s, rep in profile.points:
+            lam = np.abs(np.fft.fftn(lat.interpolated_c_root(spec, s))).ravel()
+            ref = qf.gap_report_from_singular_values(lam)
+            assert rep.num_zero_modes == ref.num_zero_modes
+            assert abs(rep.gap - ref.gap) <= tol
+            # a sum of n singular values, each within tol
+            assert abs(rep.ground_energy - ref.ground_energy) <= spec.n * tol
+
+    def test_report_and_profile_agree_exactly(self):
+        spec = random_bccb(3, 5, seed=12)
+        grid = np.linspace(0, 1, 9)
+        for s, rep in lat.structured_gap_profile(spec, grid).points:
+            assert rep == lat.structured_gap_report(spec, s)
+
+    @pytest.mark.parametrize("grid", [2, 3, 4, 7, 10, 31, 101, 1000])
+    def test_closing_path_found_off_grid(self, grid):
+        profile = lat.structured_gap_profile(closing_ring(), np.linspace(0, 1, grid))
+        minimum = profile.path_minimum
+        assert minimum.closes is True
+        assert minimum.s == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert minimum.gap <= profile.min_gap
+
+    def test_open_path_minimum_is_exact(self):
+        # sigma_k = exp(2 pi i k / 5); the chord to k = 2 passes closest to 0
+        minimum = lat.structured_gap_profile(lat.build_xy_cycle(5), [0.0, 1.0]).path_minimum
+        assert minimum.closes is False
+        assert minimum.gap == pytest.approx(2.0 * math.cos(2.0 * math.pi / 5.0), abs=1e-14)
+        assert minimum.s == pytest.approx(0.5, abs=1e-14)
+
+    def test_grid_outside_unit_interval_rejected(self):
+        with pytest.raises(InputError, match=r"\[0, 1\]"):
+            lat.structured_gap_profile(lat.build_xy_cycle(4), [0.0, 0.5, 1.5])
