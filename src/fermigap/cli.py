@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import _blas
 from .errors import CapacityError, InputError, NumericalError
 from . import ensembles as ens
 from . import io as fio
@@ -162,8 +163,9 @@ def cmd_lattice(args) -> int:
     return EXIT_OK
 
 
-def _ensemble_figure1(args, out_dir: Path) -> tuple[dict, list[str]]:
-    hist = ens.figure1_experiment(n=args.n, samples=args.samples, seed=args.seed)
+def _ensemble_figure1(args, config: ens.EnsembleConfig,
+                      out_dir: Path) -> tuple[dict, list[str]]:
+    hist = ens.figure1_experiment(n=config.n, samples=config.samples, seed=config.seed)
     lines = ["bin_left,bin_right,ground_count,other_count"]
     for i in range(len(hist.ground_gap_counts)):
         lines.append(f"{hist.bin_edges[i]!r},{hist.bin_edges[i + 1]!r},"
@@ -180,8 +182,9 @@ def _ensemble_figure1(args, out_dir: Path) -> tuple[dict, list[str]]:
     return summary, ["figure1.csv"]
 
 
-def _ensemble_figure2(args, out_dir: Path) -> tuple[dict, list[str]]:
-    table = ens.figure2_experiment(n=args.n, seed=args.seed)
+def _ensemble_figure2(args, config: ens.EnsembleConfig,
+                      out_dir: Path) -> tuple[dict, list[str]]:
+    table = ens.figure2_experiment(n=config.n, seed=config.seed)
     lines = ["s,level_index,energy"]
     for i, s in enumerate(table.s_grid):
         for j, e in enumerate(table.levels[i]):
@@ -196,10 +199,9 @@ def _ensemble_figure2(args, out_dir: Path) -> tuple[dict, list[str]]:
     return summary, ["figure2.csv"]
 
 
-def _ensemble_survival(args, out_dir: Path) -> tuple[dict, list[str]]:
-    config = ens.EnsembleConfig(kind="bounded_uniform", n=args.n,
-                                samples=args.samples, seed=args.seed)
-    points = ens.survival_experiment(config, args.x or [0.5, 1.0, 2.0])
+def _ensemble_survival(args, config: ens.EnsembleConfig,
+                       out_dir: Path) -> tuple[dict, list[str]]:
+    points = ens.survival_experiment(config, args.x)
     lines = ["x,threshold,empirical,std_error,limit"]
     for p in points:
         lines.append(f"{p.x!r},{p.threshold!r},{p.empirical!r},{p.std_error!r},{p.limit!r}")
@@ -216,9 +218,8 @@ def _ensemble_survival(args, out_dir: Path) -> tuple[dict, list[str]]:
     return summary, ["survival.csv"]
 
 
-def _ensemble_edelman(args, out_dir: Path) -> tuple[dict, list[str]]:
-    config = ens.EnsembleConfig(kind="gaussian", n=args.n,
-                                samples=args.samples, seed=args.seed)
+def _ensemble_edelman(args, config: ens.EnsembleConfig,
+                      out_dir: Path) -> tuple[dict, list[str]]:
     result = ens.gap_distribution_experiment(config)
     lines = ["sample_index,scaled_gap"]
     lines += [f"{i},{v!r}" for i, v in enumerate(result.scaled_gaps)]
@@ -243,24 +244,37 @@ _EXPERIMENTS = {
     "edelman": _ensemble_edelman,
 }
 
+# Experiments whose samples run through ens.ensemble_gaps, a loop under
+# _blas.small_matrix_threads.
+_THREAD_CAPPED = ("survival", "edelman")
+
+_SURVIVAL_X = [0.5, 1.0, 2.0]
+
 
 def cmd_ensemble(args) -> int:
-    if args.samples < 1:
-        raise SystemExit(EXIT_USAGE)
+    kind = ens.EXPERIMENT_KINDS[args.experiment]
+    if args.kind not in (None, kind):
+        raise InputError(f"experiment {args.experiment!r} draws from the {kind} "
+                         f"ensemble, got --kind {args.kind}")
+    config = ens.EnsembleConfig(kind=kind, n=args.n, samples=args.samples, seed=args.seed)
+    if args.experiment == "survival" and not args.x:
+        args.x = _SURVIVAL_X
+    blas_threads = _blas.thread_counts(
+        config.n if args.experiment in _THREAD_CAPPED else None)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary, outputs = _EXPERIMENTS[args.experiment](args, out_dir)
+    summary, outputs = _EXPERIMENTS[args.experiment](args, config, out_dir)
+    parameters = {"kind": kind, "n": config.n, "samples": config.samples,
+                  "x": args.x, "blas_threads": blas_threads}
     summary = {
         "experiment": args.experiment,
-        "config": {"kind": args.kind, "n": args.n, "samples": args.samples,
-                   "seed": args.seed},
+        "config": {**parameters, "seed": config.seed},
         **summary,
     }
     summary_text = _json_text(summary)
     (out_dir / "summary.json").write_text(summary_text)
-    _write_manifest(out_dir, f"ensemble {args.experiment}",
-                    {"kind": args.kind, "n": args.n, "samples": args.samples},
-                    args.seed, outputs + ["summary.json"])
+    _write_manifest(out_dir, f"ensemble {args.experiment}", parameters,
+                    config.seed, outputs + ["summary.json"])
     sys.stdout.write(summary_text)
     return EXIT_OK
 
@@ -294,8 +308,6 @@ def cmd_ising(args) -> int:
 
 def _verify_checks(n_max: int, trials: int, seed: int, inject_fault: str | None):
     """Yield (check name, max residual, tolerance, replay info)."""
-    rng_seed = np.random.SeedSequence(entropy=seed)
-
     worst = 0.0
     info = None
     for t in range(trials):
@@ -357,8 +369,10 @@ def _verify_checks(n_max: int, trials: int, seed: int, inject_fault: str | None)
 
 
 def cmd_verify(args) -> int:
-    if args.n_max > sr.DENSE_QUBIT_CAP:
-        raise InputError(f"--n-max must be <= {sr.DENSE_QUBIT_CAP}")
+    if not 1 <= args.n_max <= sr.DENSE_QUBIT_CAP:
+        raise InputError(f"--n-max must lie in [1, {sr.DENSE_QUBIT_CAP}], got {args.n_max}")
+    if args.trials < 1:
+        raise InputError(f"--trials must be >= 1, got {args.trials}")
     checks = []
     all_pass = True
     for name, residual, tol, info in _verify_checks(args.n_max, args.trials,
@@ -407,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("ensemble", help="random-ensemble experiments")
-    p.add_argument("--kind", choices=ens.ENSEMBLE_KINDS, default="gaussian")
+    p.add_argument("--kind", choices=ens.ENSEMBLE_KINDS, default=None,
+                   help="ensemble of the experiment (default: the one it draws from)")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=_default_seed())

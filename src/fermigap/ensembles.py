@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
+from ._blas import small_matrix_threads
 from .errors import CapacityError, InputError
 from .quadform import (
     CoefficientPair,
@@ -33,6 +34,14 @@ from .quadform import (
 )
 
 ENSEMBLE_KINDS = ("gaussian", "wishart", "bounded_uniform")
+
+# The ensemble each experiment draws from.
+EXPERIMENT_KINDS = {
+    "survival": "bounded_uniform",
+    "edelman": "gaussian",
+    "figure1": "gaussian",
+    "figure2": "wishart",
+}
 
 # Histogram layout for the two-distribution gap figure: 60 logarithmic bins.
 HIST_RANGE = (1e-12, 10.0)
@@ -140,9 +149,10 @@ def rarity_log_fraction(n: int, epsilon: float) -> float:
 
 def ensemble_gaps(config: EnsembleConfig) -> np.ndarray:
     """Ground-state gaps (2 sigma_min of A+B) for every sample of the run."""
-    return np.array([
-        ground_gap(sample_pair(config, i)).gap for i in range(config.samples)
-    ])
+    with small_matrix_threads(config.n):
+        return np.array([
+            ground_gap(sample_pair(config, i)).gap for i in range(config.samples)
+        ])
 
 
 @dataclass(frozen=True)
@@ -156,7 +166,7 @@ class SurvivalPoint:
 
 def survival_experiment(config: EnsembleConfig, x_values) -> list[SurvivalPoint]:
     """Empirical P(gap > 2x/n) for the bounded-uniform ensemble."""
-    if config.kind != "bounded_uniform":
+    if config.kind != EXPERIMENT_KINDS["survival"]:
         raise InputError("survival experiment is defined for the bounded_uniform ensemble")
     x_values = [float(x) for x in x_values]
     if any(x <= 0.0 for x in x_values):
@@ -182,7 +192,7 @@ class GapDistributionResult:
 
 def gap_distribution_experiment(config: EnsembleConfig) -> GapDistributionResult:
     """Distribution of n*gamma^2/4 for the Gaussian ensemble, KS-tested."""
-    if config.kind != "gaussian":
+    if config.kind != EXPERIMENT_KINDS["edelman"]:
         raise InputError("gap distribution experiment is defined for the gaussian ensemble")
     gaps = ensemble_gaps(config)
     scaled = config.n * gaps ** 2 / 4.0
@@ -220,7 +230,7 @@ def figure1_experiment(n: int = 10, samples: int = 1000, seed: int = 0,
     """
     if n > 12:
         raise CapacityError(f"n={n} too large for full 2^n enumeration here (cap 12)")
-    config = EnsembleConfig(kind="gaussian", n=n, samples=samples, seed=seed)
+    config = EnsembleConfig(kind=EXPERIMENT_KINDS["figure1"], n=n, samples=samples, seed=seed)
     edges = np.logspace(np.log10(hist_range[0]), np.log10(hist_range[1]), bins + 1)
     ground_counts = np.zeros(bins, dtype=int)
     other_counts = np.zeros(bins, dtype=int)
@@ -274,7 +284,7 @@ def figure2_experiment(n: int = 8, seed: int = 0, s_grid=None,
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, 101)
     s_grid = np.asarray(s_grid, dtype=float)
-    config = EnsembleConfig(kind="wishart", n=n, samples=samples, seed=seed,
+    config = EnsembleConfig(kind=EXPERIMENT_KINDS["figure2"], n=n, samples=samples, seed=seed,
                             normalization=1.0 / n)
     spec = EvolutionSpec(target=sample_pair(config, 0), description="scaled wishart evolution")
     levels = np.empty((s_grid.size, 2 ** n))

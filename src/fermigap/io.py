@@ -16,18 +16,25 @@ import numpy as np
 
 from .errors import InputError
 from .lattice import Bc2cbSpec, BccbSpec, CirculantSpec, StructuredSpec
-from .quadform import CoefficientPair, first_symmetry_violation
+from .quadform import CoefficientPair
 from .spinrep import PauliHamiltonian
+
+
+def _flat_floats(data, size: int, name: str) -> np.ndarray:
+    """A flat list of size numbers as a float array; JSON booleans are not numbers."""
+    arr = np.asarray(data, dtype=float)
+    if arr.shape != (size,):
+        raise InputError(f"{name} must hold {size} values in a flat list, "
+                         f"got an array of shape {arr.shape}")
+    if bool in set(map(type, data)):
+        raise InputError(f"{name} holds a boolean; entries must be numbers")
+    return arr
 
 
 def _matrix_from_flat(data, n: int, name: str) -> np.ndarray:
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != (n * n,):
-        raise InputError(f"{name} must hold {n * n} values in a flat list, "
-                         f"got an array of shape {arr.shape}")
-    return arr.reshape(n, n)
+    return _flat_floats(data, n * n, name).reshape(n, n)
 
 
 def pair_to_dict(pair: CoefficientPair) -> dict:
@@ -41,12 +48,6 @@ def pair_from_dict(doc: dict) -> CoefficientPair:
         b = _matrix_from_flat(doc["b"], n, "b")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed pair document: {exc}") from exc
-    viol = first_symmetry_violation(a)
-    if viol is not None:
-        raise InputError(f"a is not symmetric at index pair {viol}")
-    viol = first_symmetry_violation(b, anti=True)
-    if viol is not None:
-        raise InputError(f"b is not anti-symmetric at index pair {viol}")
     return CoefficientPair(a, b)
 
 
@@ -70,8 +71,7 @@ def structured_from_dict(doc: dict) -> StructuredSpec:
     try:
         kind = doc["kind"]
         dims = [int(d) for d in doc["dims"]]
-        a_root = np.asarray(doc["a_root"], dtype=float)
-        b_root = np.asarray(doc["b_root"], dtype=float)
+        a_root, b_root = doc["a_root"], doc["b_root"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed structured document: {exc}") from exc
     expected_ndim = {"circulant": 1, "bccb": 2, "bc2cb": 3}.get(kind)
@@ -82,8 +82,11 @@ def structured_from_dict(doc: dict) -> StructuredSpec:
     if min(dims) < 1:
         raise InputError(f"dims must be positive, got {dims}")
     size = math.prod(dims)
-    if a_root.size != size or b_root.size != size:
-        raise InputError(f"roots must hold {size} values for dims {dims}")
+    try:
+        a_root = _flat_floats(a_root, size, "a_root")
+        b_root = _flat_floats(b_root, size, "b_root")
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed structured document: {exc}") from exc
     # dims are listed (p[, q[, r]]); root arrays are stored slowest-axis first.
     shape = tuple(reversed(dims))
     a_root = a_root.reshape(shape)
@@ -112,7 +115,7 @@ def load_document(path) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON document {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"top level of {path} must be a JSON object")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import small_matrix_threads
 from .errors import CapacityError, InputError, NumericalError
 
 # Enumerating all 2^n subset-sum energies beyond this is pointless on a desk
@@ -194,12 +195,19 @@ def gap_report_from_singular_values(lam, zero_tolerance: float | None = None) ->
 
 def ground_gap(pair: CoefficientPair, zero_tolerance: float | None = None) -> GapReport:
     """Ground energy and gap: twice the least (nonzero) singular value of A+B."""
-    lam = np.linalg.svd(pair.c, compute_uv=False)
+    try:
+        lam = np.linalg.svd(pair.c, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD of A+B failed to converge: {exc}") from exc
     return gap_report_from_singular_values(lam, zero_tolerance)
 
 
 def subset_sum_spectrum(decomp: LiebDecomposition, max_modes: int = SPECTRUM_MODE_CAP) -> np.ndarray:
     """All 2^n energies {-sum(lam) + sum_{j in S} 2 lam_j}, sorted ascending."""
+    if max_modes > SPECTRUM_MODE_CAP:
+        raise CapacityError(
+            f"max_modes={max_modes} exceeds the hard cap of {SPECTRUM_MODE_CAP} modes"
+        )
     n = decomp.n
     if n > max_modes:
         raise CapacityError(
@@ -269,9 +277,10 @@ def gap_profile(spec: EvolutionSpec, s_grid, zero_tolerance: float | None = None
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.size == 0:
         raise InputError("s_grid must be nonempty")
-    points = tuple(
-        (float(s), ground_gap(interpolate(spec, float(s)), zero_tolerance))
-        for s in s_grid
-    )
+    with small_matrix_threads(spec.target.n):
+        points = tuple(
+            (float(s), ground_gap(interpolate(spec, float(s)), zero_tolerance))
+            for s in s_grid
+        )
     gaps = [rep.gap for _, rep in points]
     return GapProfile(points=points, min_gap_index=int(np.argmin(gaps)))

@@ -91,6 +91,23 @@ class TestGapAndSpectrum:
         assert cli.main(["gap", path]) == 2
         assert "shape (2, 2)" in capsys.readouterr().err
 
+    def test_spectrum_mode_cap_exit_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "p.json", pair_doc(qf.CoefficientPair.identity(2)))
+        assert cli.main(["spectrum", path, "--max-modes", "23"]) == 2
+        captured = capsys.readouterr()
+        assert "hard cap of 22" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("doc", [
+        {"n": 2, "a": [1.0, 0.0, 0.0, True], "b": [0.0] * 4},
+        {"kind": "circulant", "dims": [3], "a_root": [0.0, 1.0, 1.0],
+         "b_root": [False, 0.0, 0.0]},
+    ])
+    def test_boolean_entries_exit_2(self, tmp_path, capsys, doc):
+        path = write_json(tmp_path / "bool.json", doc)
+        assert cli.main(["gap", path]) == 2
+        assert "boolean" in capsys.readouterr().err
+
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["gap"])
@@ -200,6 +217,40 @@ class TestEnsembleCommand:
         assert rows[0] == "x,threshold,empirical,std_error,limit"
         assert len(rows) == 2
 
+    def test_zero_samples_exit_2_before_output(self, tmp_path, capsys):
+        out = tmp_path / "none"
+        assert cli.main(["ensemble", "--experiment", "survival", "--samples", "0",
+                         "--out", str(out)]) == 2
+        assert "samples >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mismatching_kind_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "mismatch"
+        assert cli.main(["ensemble", "--experiment", "survival", "--kind", "gaussian",
+                         "--n", "8", "--samples", "5", "--out", str(out)]) == 2
+        assert "bounded_uniform" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_records_resolved_run(self, tmp_path, capsys):
+        out = tmp_path / "surv"
+        assert cli.main(["ensemble", "--experiment", "survival", "--n", "8",
+                         "--samples", "20", "--seed", "3", "--out", str(out)]) == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        parameters = json.loads((out / "manifest.json").read_text())["parameters"]
+        for doc in (config, parameters):
+            assert doc["kind"] == "bounded_uniform"
+            assert doc["x"] == [0.5, 1.0, 2.0]
+            threads = doc["blas_threads"]
+            assert threads is None or all(t["used"] == 1 <= t["found"] for t in threads)
+        out = tmp_path / "fig2"
+        assert cli.main(["ensemble", "--experiment", "figure2", "--n", "3",
+                         "--out", str(out)]) == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert config["kind"] == "wishart"
+        assert config["x"] is None
+        threads = config["blas_threads"]
+        assert threads is None or all(t["used"] == t["found"] for t in threads)
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):
@@ -216,6 +267,13 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         failed = {c["check"] for c in doc["checks"] if not c["passed"]}
         assert failed == {"route-equality"}
+
+    @pytest.mark.parametrize("flag", ["--trials", "--n-max"])
+    def test_zero_count_exit_2(self, capsys, flag):
+        assert cli.main(["verify", flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
 
 
 class TestConsoleScript:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-from fermigap import ensembles as ens
+from fermigap import _blas, ensembles as ens
 from fermigap.errors import InputError
 
 
@@ -145,3 +145,11 @@ class TestExperiments:
         # the s = 0 level table is the free-field ladder -n, -n+2, ..., n
         np.testing.assert_allclose(np.unique(np.round(table.levels[0], 9)),
                                    np.arange(-5.0, 6.0, 2.0), atol=1e-9)
+
+
+class TestSingleThreadLoop:
+    def test_gaps_bit_identical_to_default_threads(self, monkeypatch):
+        config = ens.EnsembleConfig(kind="bounded_uniform", n=128, samples=40, seed=17)
+        capped = ens.ensemble_gaps(config)
+        monkeypatch.setattr(_blas, "loaded_openblas", lambda: [])
+        assert np.array_equal(capped, ens.ensemble_gaps(config))

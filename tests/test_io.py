@@ -73,6 +73,12 @@ class TestLoadDispatch:
         with pytest.raises(InputError, match="cannot read"):
             fio.load_document(path)
 
+    def test_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00 not text")
+        with pytest.raises(InputError, match="cannot read"):
+            fio.load_document(path)
+
     def test_non_object_top_level(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermigap import quadform as qf
-from fermigap.errors import CapacityError, InputError
+from fermigap import _blas, quadform as qf
+from fermigap.errors import CapacityError, InputError, NumericalError
 
 
 def random_pair(n, seed=0):
@@ -166,6 +166,11 @@ class TestSubsetSumSpectrum:
         with pytest.raises(CapacityError, match="5"):
             qf.subset_sum_spectrum(decomp, max_modes=5)
 
+    def test_mode_cap_cannot_be_raised(self):
+        decomp = qf.LiebDecomposition(np.ones(2), np.eye(2), np.eye(2))
+        with pytest.raises(CapacityError, match="hard cap of 22"):
+            qf.subset_sum_spectrum(decomp, max_modes=qf.SPECTRUM_MODE_CAP + 1)
+
 
 class TestInterpolation:
     def test_endpoints(self):
@@ -225,3 +230,61 @@ class TestGapProfile:
         gaps = {s: rep.gap for s, rep in qf.gap_profile(spec, grid).points}
         for s in grid:
             assert gaps[s] == qf.ground_gap(qf.interpolate(spec, s)).gap
+
+
+class TestGroundGapFailure:
+    def test_svd_failure_is_numerical_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            qf.ground_gap(random_pair(3))
+
+
+def thread_counts(libs):
+    return [lib.get() for lib in libs]
+
+
+class TestSingleThreadLoops:
+    @pytest.fixture
+    def libs(self):
+        libs = _blas.loaded_openblas()
+        if not libs:
+            pytest.skip("no OpenBLAS loaded in this process")
+        return libs
+
+    def test_profile_bit_identical_to_default_threads(self, monkeypatch):
+        spec = qf.EvolutionSpec(random_pair(64, seed=21))
+        grid = np.linspace(0.0, 1.0, 21)
+        capped = qf.gap_profile(spec, grid)
+        monkeypatch.setattr(_blas, "loaded_openblas", lambda: [])
+        default = qf.gap_profile(spec, grid)
+        for field in ("gap", "num_zero_modes", "ground_energy"):
+            assert np.array_equal([getattr(rep, field) for _, rep in capped.points],
+                                  [getattr(rep, field) for _, rep in default.points])
+
+    def test_one_thread_inside_and_restored_after(self, libs):
+        before = thread_counts(libs)
+        with _blas.small_matrix_threads(64):
+            assert thread_counts(libs) == [1] * len(libs)
+        assert thread_counts(libs) == before
+
+    def test_restored_when_block_raises(self, libs):
+        before = thread_counts(libs)
+        with pytest.raises(RuntimeError, match="inside"):
+            with _blas.small_matrix_threads(64):
+                raise RuntimeError("raised inside the block")
+        assert thread_counts(libs) == before
+
+    def test_large_matrices_keep_their_threads(self, libs):
+        before = thread_counts(libs)
+        with _blas.small_matrix_threads(_blas.SINGLE_THREAD_MAX_N + 1):
+            assert thread_counts(libs) == before
+
+    def test_no_library_found_is_a_no_op(self, libs, monkeypatch):
+        before = thread_counts(libs)
+        monkeypatch.setattr(_blas, "loaded_openblas", lambda: [])
+        with _blas.small_matrix_threads(64):
+            assert thread_counts(libs) == before
+        assert _blas.thread_counts(64) is None
