@@ -31,6 +31,13 @@ def _flat_floats(data, size: int, name: str) -> np.ndarray:
     return arr
 
 
+def _count(value, name: str) -> int:
+    """A JSON integer; booleans and floats such as 2.0 are not counts."""
+    if type(value) is not int:
+        raise InputError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _matrix_from_flat(data, n: int, name: str) -> np.ndarray:
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
@@ -43,7 +50,7 @@ def pair_to_dict(pair: CoefficientPair) -> dict:
 
 def pair_from_dict(doc: dict) -> CoefficientPair:
     try:
-        n = int(doc["n"])
+        n = _count(doc["n"], "n")
         a = _matrix_from_flat(doc["a"], n, "a")
         b = _matrix_from_flat(doc["b"], n, "b")
     except (KeyError, TypeError, ValueError) as exc:
@@ -70,7 +77,7 @@ def structured_to_dict(spec: StructuredSpec) -> dict:
 def structured_from_dict(doc: dict) -> StructuredSpec:
     try:
         kind = doc["kind"]
-        dims = [int(d) for d in doc["dims"]]
+        dims = [_count(d, "dims entry") for d in doc["dims"]]
         a_root, b_root = doc["a_root"], doc["b_root"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed structured document: {exc}") from exc
@@ -104,7 +111,7 @@ def w_to_dict(h: PauliHamiltonian) -> dict:
 
 def w_from_dict(doc: dict) -> PauliHamiltonian:
     try:
-        n = int(doc["n"])
+        n = _count(doc["n"], "n")
         w = _matrix_from_flat(doc["w"], n, "w")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed W document: {exc}") from exc

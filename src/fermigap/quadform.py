@@ -193,13 +193,16 @@ def gap_report_from_singular_values(lam, zero_tolerance: float | None = None) ->
     )
 
 
-def ground_gap(pair: CoefficientPair, zero_tolerance: float | None = None) -> GapReport:
-    """Ground energy and gap: twice the least (nonzero) singular value of A+B."""
+def _singular_values(c: np.ndarray) -> np.ndarray:
     try:
-        lam = np.linalg.svd(pair.c, compute_uv=False)
+        return np.linalg.svd(c, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of A+B failed to converge: {exc}") from exc
-    return gap_report_from_singular_values(lam, zero_tolerance)
+
+
+def ground_gap(pair: CoefficientPair, zero_tolerance: float | None = None) -> GapReport:
+    """Ground energy and gap: twice the least (nonzero) singular value of A+B."""
+    return gap_report_from_singular_values(_singular_values(pair.c), zero_tolerance)
 
 
 def subset_sum_spectrum(decomp: LiebDecomposition, max_modes: int = SPECTRUM_MODE_CAP) -> np.ndarray:
@@ -273,14 +276,25 @@ class GapProfile:
 
 
 def gap_profile(spec: EvolutionSpec, s_grid, zero_tolerance: float | None = None) -> GapProfile:
-    """Evaluate ground_gap along the interpolation at each grid point."""
+    """Evaluate ground_gap along the interpolation at each grid point.
+
+    C(s) is formed as interpolate and CoefficientPair.c form it, so the
+    reports are bitwise those of ground_gap(interpolate(spec, s)); the
+    target pair is validated once, not once per point.
+    """
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.size == 0:
         raise InputError("s_grid must be nonempty")
+    if not np.all((s_grid >= 0.0) & (s_grid <= 1.0)):
+        raise InputError(f"s must lie in [0, 1], got a grid spanning "
+                         f"[{s_grid.min()}, {s_grid.max()}]")
+    a, b = spec.target.a, spec.target.b
+    eye = np.eye(spec.target.n)
     with small_matrix_threads(spec.target.n):
         points = tuple(
-            (float(s), ground_gap(interpolate(spec, float(s)), zero_tolerance))
-            for s in s_grid
+            (s, gap_report_from_singular_values(
+                _singular_values(((1.0 - s) * eye + s * a) + s * b), zero_tolerance))
+            for s in map(float, s_grid)
         )
     gaps = [rep.gap for _, rep in points]
     return GapProfile(points=points, min_gap_index=int(np.argmin(gaps)))

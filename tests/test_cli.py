@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -108,6 +109,20 @@ class TestGapAndSpectrum:
         assert cli.main(["gap", path]) == 2
         assert "boolean" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", [True, 2.7, 2.0])
+    @pytest.mark.parametrize("command, doc", [
+        ("gap", lambda c: {"n": c, "a": [1.0, 0.0, 0.0, 1.0], "b": [0.0] * 4}),
+        ("gap", lambda c: {"kind": "bccb", "dims": [2, c],
+                           "a_root": [1.0, 0.0, 0.0, 0.0], "b_root": [0.0] * 4}),
+        ("jw", lambda c: {"n": c, "w": [1.0, 0.0, 0.0, 1.0]}),
+    ], ids=["pair", "structured", "w"])
+    def test_non_integer_count_exit_2(self, tmp_path, capsys, command, doc, count):
+        path = write_json(tmp_path / "count.json", doc(count))
+        assert cli.main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert "must be a JSON integer" in captured.err
+        assert captured.out == ""
+
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["gap"])
@@ -139,6 +154,18 @@ class TestProfile:
         assert summary["closes"] is True
         assert summary["path_min_gap"] <= summary["min_gap"]
         assert summary["path_min_gap_s"] == pytest.approx(1.0 / 3.0)
+
+    def test_manifest_records_no_seed_and_blas_threads(self, identity_pair_file,
+                                                        xy_spec_file, tmp_path):
+        # a dense profile loops under the one-thread cap, a structured one does not
+        for path, capped in ((identity_pair_file, True), (xy_spec_file, False)):
+            out = tmp_path / ("dense" if capped else "structured")
+            assert cli.main(["profile", path, "--grid", "3", "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["seed"] is None
+            threads = manifest["parameters"]["blas_threads"]
+            assert threads is None or all(
+                t["used"] == (1 if capped else t["found"]) for t in threads)
 
     def test_dense_summary_has_no_path_minimum(self, identity_pair_file, capsys):
         assert cli.main(["profile", identity_pair_file, "--grid", "3"]) == 0
@@ -248,8 +275,18 @@ class TestEnsembleCommand:
         config = json.loads((out / "summary.json").read_text())["config"]
         assert config["kind"] == "wishart"
         assert config["x"] is None
+        assert config["samples"] == 1
+        assert json.loads((out / "manifest.json").read_text())["parameters"]["samples"] == 1
         threads = config["blas_threads"]
         assert threads is None or all(t["used"] == t["found"] for t in threads)
+
+    @pytest.mark.parametrize("experiment", ["figure1", "figure2"])
+    def test_enumeration_cap_exit_2_before_output(self, tmp_path, capsys, experiment):
+        out = tmp_path / "d"
+        assert cli.main(["ensemble", "--experiment", experiment, "--n", "13",
+                         "--samples", "1", "--out", str(out)]) == 2
+        assert "cap 12" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerify:
@@ -277,6 +314,29 @@ class TestVerify:
 
 
 class TestConsoleScript:
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, fermigap, fermigap.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap only")
+    def test_sample_loop_reuses_freed_heap(self, tmp_path):
+        # without fixed thresholds this run takes about 39k minor page faults
+        code = ("import resource, sys, fermigap.cli as cli; "
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+                "rc = cli.main(sys.argv[1:]); "
+                "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+                "print(rc, after - before, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code, "ensemble", "--experiment",
+                               "survival", "--n", "128", "--samples", "200",
+                               "--out", str(tmp_path / "surv")],
+                              capture_output=True, text=True)
+        rc, faults = map(int, proc.stderr.split())
+        assert rc == 0
+        assert faults < 5000
+
     def test_entry_point_runs(self):
         proc = subprocess.run([sys.executable, "-m", "fermigap.cli", "cluster",
                                "--n", "4"], capture_output=True, text=True)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, stats
 
 from fermigap import _blas, ensembles as ens
 from fermigap.errors import InputError
@@ -73,6 +73,20 @@ class TestLimitLaw:
             ens.edelman_pdf(0.0)
         with pytest.raises(InputError):
             ens.edelman_cdf(-0.5)
+
+
+class TestKsStatistic:
+    @pytest.mark.parametrize("seed,size", [(0, 1), (1, 7), (2, 300), (3, 2000)])
+    def test_equals_scipy_kstest(self, seed, size):
+        rng = np.random.default_rng(seed)
+        x = rng.chisquare(1.0, size=size)  # positive, roughly on the law's scale
+        assert ens.ks_statistic(x, ens.edelman_cdf) == \
+            stats.kstest(x, ens.edelman_cdf).statistic
+
+    def test_experiment_distance_equals_scipy_kstest(self):
+        config = ens.EnsembleConfig(kind="gaussian", n=16, samples=100, seed=9)
+        res = ens.gap_distribution_experiment(config)
+        assert res.ks_distance == stats.kstest(res.scaled_gaps, ens.edelman_cdf).statistic
 
 
 class TestRarity:

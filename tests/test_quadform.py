@@ -231,15 +231,36 @@ class TestGapProfile:
         for s in grid:
             assert gaps[s] == qf.ground_gap(qf.interpolate(spec, s)).gap
 
+    def test_bit_identical_to_interpolated_pairs(self):
+        spec = qf.EvolutionSpec(random_pair(64, seed=22))
+        grid = np.linspace(0.0, 1.0, 41)
+        profile = qf.gap_profile(spec, grid)
+        reference = [qf.ground_gap(qf.interpolate(spec, float(s))) for s in grid]
+        assert [s for s, _ in profile.points] == grid.tolist()
+        for field in ("gap", "ground_energy", "num_zero_modes"):
+            assert [getattr(rep, field) for _, rep in profile.points] == \
+                [getattr(rep, field) for rep in reference]
+
+    @pytest.mark.parametrize("grid", [[0.5, 1.5], [-0.25], [0.0, float("nan")]])
+    def test_grid_outside_unit_interval_rejected(self, grid):
+        with pytest.raises(InputError, match=r"\[0, 1\]"):
+            qf.gap_profile(qf.EvolutionSpec(random_pair(3, seed=1)), grid)
+
+
+def fail_svd(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
 
 class TestGroundGapFailure:
     def test_svd_failure_is_numerical_error(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(np.linalg, "svd", fail)
+        monkeypatch.setattr(np.linalg, "svd", fail_svd)
         with pytest.raises(NumericalError, match="did not converge"):
             qf.ground_gap(random_pair(3))
+
+    def test_svd_failure_in_profile_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", fail_svd)
+        with pytest.raises(NumericalError, match="did not converge"):
+            qf.gap_profile(qf.EvolutionSpec(random_pair(3)), [0.0, 0.5, 1.0])
 
 
 def thread_counts(libs):
