@@ -15,16 +15,12 @@ from .quadform import (
     symmetrize_split,
 )
 from .lattice import (
-    Bc2cbSpec,
-    BccbSpec,
-    CirculantSpec,
-    bc2cb_g_eigenvalues,
-    bccb_g_eigenvalues,
+    TorusSpec,
     build_torus_2d,
     build_torus_3d,
     build_xy_cycle,
-    circulant_g_eigenvalues,
     expand,
+    g_eigenvalues,
     structured_gap_profile,
 )
 from .ensembles import (

@@ -129,6 +129,8 @@ def cmd_gap(args) -> int:
 
 def cmd_spectrum(args) -> int:
     pair = fio.load_pair_or_structured(args.input)
+    # before a structured spec is expanded to n x n
+    qf.check_spectrum_size(pair.n, args.max_modes)
     if not isinstance(pair, qf.CoefficientPair):
         pair = lat.expand(pair)
     energies = qf.subset_sum_spectrum(qf.lieb_decompose(pair), args.max_modes)
@@ -136,26 +138,22 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _profile_rows(source, s_grid, tol):
-    if isinstance(source, qf.CoefficientPair):
-        profile = qf.gap_profile(qf.EvolutionSpec(source), s_grid, tol)
-    else:
-        profile = lat.structured_gap_profile(source, s_grid, tol)
-    return profile
-
-
 def cmd_profile(args) -> int:
     if args.grid < 2:
         raise InputError(f"grid size must be >= 2, got {args.grid}")
     source = fio.load_pair_or_structured(args.input)
     s_grid = np.linspace(0.0, 1.0, args.grid)
-    profile = _profile_rows(source, s_grid, args.tol)
-    gaps = np.array([rep.gap for _, rep in profile.points])
+    if isinstance(source, qf.CoefficientPair):
+        profile = qf.gap_profile(qf.EvolutionSpec(source), s_grid, args.tol)
+    else:
+        profile = lat.structured_gap_profile(source, s_grid, args.tol)
+    gaps = profile.gap
     final_gap = gaps[-1]
     linear_defect = float(np.max(np.abs(gaps - (2.0 * (1.0 - s_grid) + s_grid * final_gap))))
+    # tolist: Python floats, whose repr is the bare round-trip number
     lines = ["s,gap,degenerate"]
-    lines += [f"{s!r},{rep.gap!r},{str(rep.degenerate).lower()}"
-              for s, rep in profile.points]
+    lines += [f"{s!r},{gap!r},{str(zeros > 0).lower()}" for s, gap, zeros in
+              zip(profile.s.tolist(), gaps.tolist(), profile.num_zero_modes.tolist())]
     csv_text = "\n".join(lines) + "\n"
     summary = {
         "min_gap": profile.min_gap,

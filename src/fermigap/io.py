@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .lattice import Bc2cbSpec, BccbSpec, CirculantSpec, StructuredSpec
+from .lattice import TorusSpec
 from .quadform import CoefficientPair
 from .spinrep import PauliHamiltonian
 
@@ -58,34 +58,36 @@ def pair_from_dict(doc: dict) -> CoefficientPair:
     return CoefficientPair(a, b)
 
 
-_KIND_BY_NDIM = {1: "circulant", 2: "bccb", 3: "bc2cb"}
+# The kind of a structured document names the rank of its roots: rank
+# _KINDS.index(kind) + 1.
+_KINDS = ("circulant", "bccb", "bc2cb")
 
 
-def structured_to_dict(spec: StructuredSpec) -> dict:
-    if isinstance(spec, CirculantSpec):
-        a_root, b_root = spec.a_col, spec.b_col
-    else:
-        a_root, b_root = spec.root_a, spec.root_b
+def structured_to_dict(spec: TorusSpec) -> dict:
+    rank = spec.root_a.ndim
+    if rank > len(_KINDS):
+        raise InputError(f"no structured document kind for rank {rank} roots")
     return {
-        "kind": _KIND_BY_NDIM[a_root.ndim],
+        "kind": _KINDS[rank - 1],
         "dims": list(spec.dims),
-        "a_root": a_root.ravel().tolist(),
-        "b_root": b_root.ravel().tolist(),
+        "a_root": spec.root_a.ravel().tolist(),
+        "b_root": spec.root_b.ravel().tolist(),
     }
 
 
-def structured_from_dict(doc: dict) -> StructuredSpec:
+def structured_from_dict(doc: dict) -> TorusSpec:
     try:
         kind = doc["kind"]
         dims = [_count(d, "dims entry") for d in doc["dims"]]
         a_root, b_root = doc["a_root"], doc["b_root"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed structured document: {exc}") from exc
-    expected_ndim = {"circulant": 1, "bccb": 2, "bc2cb": 3}.get(kind)
-    if expected_ndim is None:
+    # a membership test, not a dict lookup: a JSON list or object is unhashable
+    if kind not in _KINDS:
         raise InputError(f"unknown structured kind {kind!r}")
-    if len(dims) != expected_ndim:
-        raise InputError(f"kind {kind!r} needs {expected_ndim} dims, got {dims}")
+    rank = _KINDS.index(kind) + 1
+    if len(dims) != rank:
+        raise InputError(f"kind {kind!r} needs {rank} dims, got {dims}")
     if min(dims) < 1:
         raise InputError(f"dims must be positive, got {dims}")
     size = math.prod(dims)
@@ -96,13 +98,7 @@ def structured_from_dict(doc: dict) -> StructuredSpec:
         raise InputError(f"malformed structured document: {exc}") from exc
     # dims are listed (p[, q[, r]]); root arrays are stored slowest-axis first.
     shape = tuple(reversed(dims))
-    a_root = a_root.reshape(shape)
-    b_root = b_root.reshape(shape)
-    if kind == "circulant":
-        return CirculantSpec(a_root, b_root)
-    if kind == "bccb":
-        return BccbSpec(a_root, b_root)
-    return Bc2cbSpec(a_root, b_root)
+    return TorusSpec(a_root.reshape(shape), b_root.reshape(shape))
 
 
 def w_to_dict(h: PauliHamiltonian) -> dict:
@@ -129,7 +125,7 @@ def load_document(path) -> dict:
     return doc
 
 
-def load_pair_or_structured(path) -> CoefficientPair | StructuredSpec:
+def load_pair_or_structured(path) -> CoefficientPair | TorusSpec:
     """Dispatch on the document shape: structured specs carry a 'kind' key."""
     doc = load_document(path)
     if "kind" in doc:

@@ -205,17 +205,21 @@ def ground_gap(pair: CoefficientPair, zero_tolerance: float | None = None) -> Ga
     return gap_report_from_singular_values(_singular_values(pair.c), zero_tolerance)
 
 
-def subset_sum_spectrum(decomp: LiebDecomposition, max_modes: int = SPECTRUM_MODE_CAP) -> np.ndarray:
-    """All 2^n energies {-sum(lam) + sum_{j in S} 2 lam_j}, sorted ascending."""
+def check_spectrum_size(n: int, max_modes: int = SPECTRUM_MODE_CAP) -> None:
+    """Raise CapacityError unless all 2^n levels of n modes may be listed."""
     if max_modes > SPECTRUM_MODE_CAP:
         raise CapacityError(
             f"max_modes={max_modes} exceeds the hard cap of {SPECTRUM_MODE_CAP} modes"
         )
-    n = decomp.n
     if n > max_modes:
         raise CapacityError(
             f"n={n} exceeds the spectrum enumeration cap of {max_modes} modes"
         )
+
+
+def subset_sum_spectrum(decomp: LiebDecomposition, max_modes: int = SPECTRUM_MODE_CAP) -> np.ndarray:
+    """All 2^n energies {-sum(lam) + sum_{j in S} 2 lam_j}, sorted ascending."""
+    check_spectrum_size(decomp.n, max_modes)
     energies = np.array([-decomp.lam.sum()])
     for lam_j in decomp.lam:
         energies = np.concatenate([energies, energies + 2.0 * lam_j])
@@ -233,8 +237,7 @@ class EvolutionSpec:
 
 def interpolate(spec: EvolutionSpec, s: float) -> CoefficientPair:
     """Pair at interpolation parameter s: ((1-s) I + s A, s B)."""
-    if not 0.0 <= s <= 1.0:
-        raise InputError(f"s must lie in [0, 1], got {s}")
+    check_s(s)
     n = spec.target.n
     a = (1.0 - s) * np.eye(n) + s * spec.target.a
     b = s * spec.target.b
@@ -256,45 +259,67 @@ class PathMinimum:
 
 @dataclass(frozen=True)
 class GapProfile:
-    """Gap reports along an interpolation grid, with the grid argmin.
+    """GapReport fields along an interpolation grid, one entry per point.
 
-    path_minimum is the grid-free minimum where a path has one (structured
-    specs), else None.
+    gap[i], ground_energy[i] and num_zero_modes[i] are those of the report at
+    s[i].  path_minimum is the grid-free minimum where a path has one
+    (structured specs), else None.
     """
 
-    points: tuple  # of (s, GapReport)
-    min_gap_index: int
+    s: np.ndarray
+    gap: np.ndarray
+    ground_energy: np.ndarray
+    num_zero_modes: np.ndarray
     path_minimum: PathMinimum | None = None
 
     @property
+    def min_gap_index(self) -> int:
+        return int(np.argmin(self.gap))
+
+    @property
     def min_gap_s(self) -> float:
-        return self.points[self.min_gap_index][0]
+        return float(self.s[self.min_gap_index])
 
     @property
     def min_gap(self) -> float:
-        return self.points[self.min_gap_index][1].gap
+        return float(self.gap[self.min_gap_index])
+
+
+def check_s(s) -> np.ndarray:
+    """s, a scalar or a nonempty grid, as a float array with entries in [0, 1]."""
+    s = np.asarray(s, dtype=float)
+    if s.size == 0:
+        raise InputError("s_grid must be nonempty")
+    outside = ~((0.0 <= s) & (s <= 1.0))
+    if outside.any():
+        raise InputError(f"s must lie in [0, 1], got {s[outside][0]}")
+    return s
+
+
+def profile_from_singular_values(s_grid: np.ndarray, singular_values,
+                                 zero_tolerance: float | None = None,
+                                 path_minimum: PathMinimum | None = None) -> GapProfile:
+    """GapProfile over a checked grid; singular_values(s) gives those of C(s)."""
+    reports = [gap_report_from_singular_values(singular_values(s), zero_tolerance)
+               for s in s_grid.tolist()]
+    return GapProfile(s=s_grid.copy(),
+                      gap=np.array([rep.gap for rep in reports]),
+                      ground_energy=np.array([rep.ground_energy for rep in reports]),
+                      num_zero_modes=np.array([rep.num_zero_modes for rep in reports]),
+                      path_minimum=path_minimum)
 
 
 def gap_profile(spec: EvolutionSpec, s_grid, zero_tolerance: float | None = None) -> GapProfile:
     """Evaluate ground_gap along the interpolation at each grid point.
 
     C(s) is formed as interpolate and CoefficientPair.c form it, so the
-    reports are bitwise those of ground_gap(interpolate(spec, s)); the
-    target pair is validated once, not once per point.
+    profile is bitwise that of ground_gap(interpolate(spec, s)); the target
+    pair is validated once, not once per point.
     """
-    s_grid = np.asarray(s_grid, dtype=float)
-    if s_grid.size == 0:
-        raise InputError("s_grid must be nonempty")
-    if not np.all((s_grid >= 0.0) & (s_grid <= 1.0)):
-        raise InputError(f"s must lie in [0, 1], got a grid spanning "
-                         f"[{s_grid.min()}, {s_grid.max()}]")
+    s_grid = check_s(s_grid)
     a, b = spec.target.a, spec.target.b
     eye = np.eye(spec.target.n)
     with small_matrix_threads(spec.target.n):
-        points = tuple(
-            (s, gap_report_from_singular_values(
-                _singular_values(((1.0 - s) * eye + s * a) + s * b), zero_tolerance))
-            for s in map(float, s_grid)
-        )
-    gaps = [rep.gap for _, rep in points]
-    return GapProfile(points=points, min_gap_index=int(np.argmin(gaps)))
+        return profile_from_singular_values(
+            s_grid, lambda s: _singular_values(((1.0 - s) * eye + s * a) + s * b),
+            zero_tolerance)

@@ -123,6 +123,25 @@ def _bit_parity(values: np.ndarray, mask: int, n: int) -> np.ndarray:
     return 1.0 - 2.0 * parity.astype(float)
 
 
+def _signed_permutation(word: str, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and phases of a real Pauli word's entries in columns `cols`.
+
+    The word's matrix M has M[rows, cols] = phases and zeros elsewhere.
+    """
+    n = len(word)
+    flip_mask = 0   # X and Y flip the bit
+    sign_mask = 0   # Z and Y read the bit sign
+    for j, ch in enumerate(word):
+        bit = 1 << (n - 1 - j)
+        if ch in "XY":
+            flip_mask |= bit
+        if ch in "ZY":
+            sign_mask |= bit
+    # each Y pair carries i^2 = -1
+    phases = (-1.0) ** (word.count("Y") // 2) * _bit_parity(cols, sign_mask, n)
+    return cols ^ flip_mask, phases
+
+
 def pauli_string_matrix(word: str) -> np.ndarray:
     """Dense real matrix of a Pauli word containing an even number of Y's.
 
@@ -135,22 +154,11 @@ def pauli_string_matrix(word: str) -> np.ndarray:
     _check_qubits(n)
     if any(ch not in "IXYZ" for ch in word):
         raise InputError(f"invalid Pauli word {word!r}")
-    n_y = word.count("Y")
-    if n_y % 2:
+    if word.count("Y") % 2:
         raise InputError(f"odd number of Y factors in {word!r}; matrix would be imaginary")
-    flip_mask = 0   # X and Y flip the bit
-    sign_mask = 0   # Z and Y read the bit sign
-    for j, ch in enumerate(word):
-        bit = 1 << (n - 1 - j)
-        if ch in "XY":
-            flip_mask |= bit
-        if ch in "ZY":
-            sign_mask |= bit
     dim = 1 << n
     cols = np.arange(dim)
-    rows = cols ^ flip_mask
-    # each Y pair carries i^2 = -1
-    phases = (-1.0) ** (n_y // 2) * _bit_parity(cols, sign_mask, n)
+    rows, phases = _signed_permutation(word, cols)
     mat = np.zeros((dim, dim))
     mat[rows, cols] = phases
     return mat
@@ -166,16 +174,7 @@ def dense_hamiltonian(h: PauliHamiltonian) -> np.ndarray:
     for coeff, word in h.terms:
         if coeff == 0.0:
             continue
-        n_y = word.count("Y")
-        flip_mask = sign_mask = 0
-        for j, ch in enumerate(word):
-            bit = 1 << (n - 1 - j)
-            if ch in "XY":
-                flip_mask |= bit
-            if ch in "ZY":
-                sign_mask |= bit
-        rows = cols ^ flip_mask
-        phases = (-1.0) ** (n_y // 2) * _bit_parity(cols, sign_mask, n)
+        rows, phases = _signed_permutation(word, cols)
         out[rows, cols] += coeff * phases
     return out
 

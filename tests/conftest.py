@@ -1,0 +1,19 @@
+import math
+
+import numpy as np
+from hypothesis import strategies as st
+
+from fermigap import lattice as lat
+
+
+@st.composite
+def structured_specs(draw):
+    """Rank-1/2/3 TorusSpecs with axis lengths 1..5, odd lengths included."""
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    entries = st.lists(st.floats(-2.0, 2.0), min_size=math.prod(shape),
+                       max_size=math.prod(shape))
+    a = np.array(draw(entries)).reshape(shape)
+    b = np.array(draw(entries)).reshape(shape)
+    a = (a + lat._reflect(a)) / 2.0
+    b = (b - lat._reflect(b)) / 2.0
+    return lat.TorusSpec(a, b)

@@ -182,11 +182,7 @@ def _random_structured(kind, seed):
     b = rng.standard_normal(shape)
     a = (a + lat._reflect(a)) / 2.0
     b = (b - lat._reflect(b)) / 2.0
-    if kind == "circulant":
-        return lat.CirculantSpec(a, b)
-    if kind == "bccb":
-        return lat.BccbSpec(a, b)
-    return lat.Bc2cbSpec(a, b)
+    return lat.TorusSpec(a, b)
 
 
 def test_c09_structured_vs_dense():
@@ -216,7 +212,7 @@ def _cluster_root_spec(n):
     a[n - 2] += 0.5
     b[2] += 0.5
     b[n - 2] -= 0.5
-    return lat.CirculantSpec(a, b)
+    return lat.TorusSpec(a, b)
 
 
 def _timed_structured_gap(n, runs):
@@ -272,8 +268,7 @@ def test_c11_cluster_state():
     # power-law (not exponential) min gap along the evolution
     ns = 2 ** np.arange(3, 10)
     mins = np.array([
-        min(rep.gap for _, rep in
-            lat.structured_gap_profile(_cluster_root_spec(n), np.linspace(0, 1, 101)).points)
+        lat.structured_gap_profile(_cluster_root_spec(n), np.linspace(0, 1, 101)).gap.min()
         for n in ns
     ])
     slope = float(np.polyfit(np.log(ns.astype(float)), np.log(mins), 1)[0])

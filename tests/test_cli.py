@@ -123,6 +123,43 @@ class TestGapAndSpectrum:
         assert "must be a JSON integer" in captured.err
         assert captured.out == ""
 
+    def test_non_string_kind_exit_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "k.json", {"kind": [1], "dims": [3],
+                                                "a_root": [0, 0, 0], "b_root": [0, 0, 0]})
+        assert cli.main(["gap", path]) == 2
+        captured = capsys.readouterr()
+        assert "unknown structured kind" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gap", "PATH"], "dense-expansion cap of 4096 sites"),
+        (["lattice", "expand", "PATH"], "dense-expansion cap of 4096 sites"),
+        (["spectrum", "PATH"], "n=4097 exceeds the spectrum enumeration cap of 22 modes"),
+        (["spectrum", "PATH", "--max-modes", "5000"], "hard cap of 22"),
+    ], ids=["gap", "lattice-expand", "spectrum", "spectrum-max-modes"])
+    def test_structured_spec_above_caps_exit_2(self, tmp_path, capsys, monkeypatch,
+                                               argv, message):
+        def no_expansion(spec):
+            raise AssertionError("spectrum expanded a spec above its cap")
+
+        n = lat.EXPAND_SITE_CAP + 1
+        path = write_json(tmp_path / "ring.json", {"kind": "circulant", "dims": [n],
+                                                   "a_root": [0.0] * n, "b_root": [0.0] * n})
+        if argv[0] == "spectrum":
+            monkeypatch.setattr(lat, "expand", no_expansion)
+        assert cli.main([path if arg == "PATH" else arg for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_spectrum_accepts_structured_input(self, tmp_path, capsys):
+        path = write_json(tmp_path / "ring.json",
+                          fio.structured_to_dict(lat.build_xy_cycle(4)))
+        assert cli.main(["spectrum", path]) == 0
+        energies = json.loads(capsys.readouterr().out)["energies"]
+        expected = qf.subset_sum_spectrum(qf.lieb_decompose(lat.expand(lat.build_xy_cycle(4))))
+        assert energies == expected.tolist()
+
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["gap"])
@@ -145,8 +182,8 @@ class TestProfile:
 
     def test_structured_summary_reports_path_minimum(self, tmp_path):
         # sigma_0 = sum(a) = -2: the gap closes at s = 1/3, between grid points
-        spec = lat.CirculantSpec(np.array([-3.0, 0.5, 0.0, 0.0, 0.5]),
-                                 np.array([0.0, 0.25, 0.0, 0.0, -0.25]))
+        spec = lat.TorusSpec(np.array([-3.0, 0.5, 0.0, 0.0, 0.5]),
+                             np.array([0.0, 0.25, 0.0, 0.0, -0.25]))
         path = write_json(tmp_path / "spec.json", fio.structured_to_dict(spec))
         out = tmp_path / "out"
         assert cli.main(["profile", path, "--grid", "11", "--out", str(out)]) == 0
@@ -183,6 +220,36 @@ class TestProfile:
             s, gap, _ = row.split(",")
             expected = lat.structured_gap_report(spec, float(s)).gap
             assert float(gap) == expected
+
+
+class TestProfileText:
+    """The CSV rows are f"{s!r},{gap!r},{degenerate}" of Python floats."""
+
+    @staticmethod
+    def rows(tmp_path, doc):
+        path = write_json(tmp_path / "in.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["profile", path, "--grid", "11", "--out", str(out)]) == 0
+        return (out / "profile.csv").read_text().splitlines()[1:]
+
+    @staticmethod
+    def expected(reports):
+        return [f"{s!r},{rep.gap!r},{str(rep.degenerate).lower()}" for s, rep in reports]
+
+    def test_dense_rows(self, tmp_path):
+        pair = qf.symmetrize_split(np.random.default_rng(8).standard_normal((8, 8)))
+        spec = qf.EvolutionSpec(pair)
+        grid = np.linspace(0.0, 1.0, 11).tolist()
+        assert self.rows(tmp_path, pair_doc(pair)) == self.expected(
+            (s, qf.ground_gap(qf.interpolate(spec, s))) for s in grid)
+
+    def test_structured_rows(self, tmp_path):
+        spec = lat.build_xy_cycle(8)
+        grid = np.linspace(0.0, 1.0, 11).tolist()
+        rows = self.rows(tmp_path, fio.structured_to_dict(spec))
+        # sigma_4 = -1 gives a zero mode at s = 1/2
+        assert rows[5].startswith("0.5,") and rows[5].endswith(",true")
+        assert rows == self.expected((s, lat.structured_gap_report(spec, s)) for s in grid)
 
 
 class TestLatticeExpand:

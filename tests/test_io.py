@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fermigap import io as fio, lattice as lat, quadform as qf, spinrep as sr
 from fermigap.errors import InputError
+
+from conftest import structured_specs
 
 
 class TestPairDocuments:
@@ -41,10 +44,29 @@ class TestStructuredDocuments:
         dense_a = lat.expand(spec).a
         assert np.array_equal(lat.expand(again).a, dense_a)
 
+    @given(spec=structured_specs())
+    @settings(max_examples=100, deadline=None)
+    def test_json_roundtrip_is_bit_identical(self, spec):
+        again = fio.structured_from_dict(json.loads(json.dumps(fio.structured_to_dict(spec))))
+        assert again.dims == spec.dims
+        assert again.root_a.tobytes() == spec.root_a.tobytes()
+        assert again.root_b.tobytes() == spec.root_b.tobytes()
+
     def test_unknown_kind(self):
         with pytest.raises(InputError, match="unknown structured kind"):
             fio.structured_from_dict({"kind": "toeplitz", "dims": [4],
                                       "a_root": [0.0] * 4, "b_root": [0.0] * 4})
+
+    @pytest.mark.parametrize("kind", [[1], {"rank": 1}, 1, True, None])
+    def test_non_string_kind(self, kind):
+        with pytest.raises(InputError, match="unknown structured kind"):
+            fio.structured_from_dict({"kind": kind, "dims": [4],
+                                      "a_root": [0.0] * 4, "b_root": [0.0] * 4})
+
+    def test_rank_without_kind_rejected(self):
+        spec = lat.TorusSpec(np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)))
+        with pytest.raises(InputError, match="rank 4"):
+            fio.structured_to_dict(spec)
 
     def test_dims_mismatch(self):
         with pytest.raises(InputError, match="dims"):
@@ -63,7 +85,7 @@ class TestLoadDispatch:
     def test_kind_key_selects_structured(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(fio.structured_to_dict(lat.build_xy_cycle(4))))
-        assert isinstance(fio.load_pair_or_structured(path), lat.CirculantSpec)
+        assert isinstance(fio.load_pair_or_structured(path), lat.TorusSpec)
         path.write_text(json.dumps(fio.pair_to_dict(qf.CoefficientPair.identity(2))))
         assert isinstance(fio.load_pair_or_structured(path), qf.CoefficientPair)
 

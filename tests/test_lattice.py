@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from fermigap import lattice as lat
 from fermigap import quadform as qf
-from fermigap.errors import InputError
+from fermigap.errors import CapacityError, InputError
+
+from conftest import structured_specs
 
 
 def random_circulant(n, seed=0):
@@ -17,7 +19,7 @@ def random_circulant(n, seed=0):
     b = rng.standard_normal(n)
     a = (a + np.roll(a[::-1], 1)) / 2.0
     b = (b - np.roll(b[::-1], 1)) / 2.0
-    return lat.CirculantSpec(a, b)
+    return lat.TorusSpec(a, b)
 
 
 def random_bccb(q, p, seed=0):
@@ -26,7 +28,7 @@ def random_bccb(q, p, seed=0):
     b = rng.standard_normal((q, p))
     a = (a + lat._reflect(a)) / 2.0
     b = (b - lat._reflect(b)) / 2.0
-    return lat.BccbSpec(a, b)
+    return lat.TorusSpec(a, b)
 
 
 def random_bc2cb(r, q, p, seed=0):
@@ -35,22 +37,44 @@ def random_bc2cb(r, q, p, seed=0):
     b = rng.standard_normal((r, q, p))
     a = (a + lat._reflect(a)) / 2.0
     b = (b - lat._reflect(b)) / 2.0
-    return lat.Bc2cbSpec(a, b)
+    return lat.TorusSpec(a, b)
 
 
 class TestSpecs:
     def test_rejects_bad_a_root(self):
         with pytest.raises(InputError, match="reflection-symmetric"):
-            lat.CirculantSpec(np.array([0.0, 1.0, 0.0, 0.0]), np.zeros(4))
+            lat.TorusSpec(np.array([0.0, 1.0, 0.0, 0.0]), np.zeros(4))
 
     def test_rejects_bad_b_root(self):
         with pytest.raises(InputError, match="anti"):
-            lat.CirculantSpec(np.zeros(4), np.array([0.0, 1.0, 0.0, 1.0]))
+            lat.TorusSpec(np.zeros(4), np.array([0.0, 1.0, 0.0, 1.0]))
 
     def test_dims(self):
         assert random_circulant(5).dims == (5,)
         assert random_bccb(4, 3).dims == (3, 4)
         assert random_bc2cb(5, 4, 3).dims == (3, 4, 5)
+
+    @given(spec=structured_specs(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_broken_root_entry_rejected(self, spec, data):
+        index = data.draw(st.integers(0, spec.n - 1))
+        partner = np.ravel_multi_index(
+            tuple(-k % size for k, size in
+                  zip(np.unravel_index(index, spec.root_a.shape), spec.root_a.shape)),
+            spec.root_a.shape)
+        b = spec.root_b.copy()
+        b.flat[index] += 1.0   # self-partnered entries of b must be 0
+        with pytest.raises(InputError, match="anti-symmetric"):
+            lat.TorusSpec(spec.root_a, b)
+        if partner != index:   # a self-partnered entry of a is unconstrained
+            a = spec.root_a.copy()
+            a.flat[index] += 1.0
+            with pytest.raises(InputError, match="reflection-symmetric"):
+                lat.TorusSpec(a, spec.root_b)
+
+    def test_rejects_unequal_shapes(self):
+        with pytest.raises(InputError, match="equal shape"):
+            lat.TorusSpec(np.zeros(4), np.zeros((2, 2)))
 
 
 class TestExpand:
@@ -58,7 +82,7 @@ class TestExpand:
         spec = random_circulant(6, seed=1)
         a = lat.expand(spec).a
         for j in range(6):
-            assert np.array_equal(a[j], np.roll(spec.a_col, j))
+            assert np.array_equal(a[j], np.roll(spec.root_a, j))
 
     def test_xy_cycle_matrices(self):
         # n = 4 ring: A has 1/2 on both neighbours, B is +1/2 right, -1/2 left
@@ -82,44 +106,58 @@ class TestExpand:
         # CoefficientPair validation runs inside expand; no exception = valid
         lat.expand(random_bc2cb(3, 3, 3, seed=3))
 
+    def test_site_cap_raises_before_allocating(self, monkeypatch):
+        def no_expansion(root):
+            raise AssertionError("expanded a spec above the cap")
+
+        monkeypatch.setattr(lat, "_expand_root", no_expansion)
+        ring = lat.TorusSpec(np.zeros(lat.EXPAND_SITE_CAP + 1),
+                             np.zeros(lat.EXPAND_SITE_CAP + 1))
+        with pytest.raises(CapacityError, match="dense-expansion cap of 4096 sites"):
+            lat.expand(ring)
+
 
 class TestGEigenvalues:
     def test_known_autocorrelation_row(self):
         # c = (1, 1, 0, 0): G's first row is (2, 1, 0, 1), eigenvalues 4, 2, 0, 2
-        spec = lat.CirculantSpec(np.array([1.0, 0.5, 0.0, 0.5]),
-                                 np.array([0.0, 0.5, 0.0, -0.5]))
+        spec = lat.TorusSpec(np.array([1.0, 0.5, 0.0, 0.5]),
+                             np.array([0.0, 0.5, 0.0, -0.5]))
         np.testing.assert_allclose(lat.g_first_row(spec), [2.0, 1.0, 0.0, 1.0])
-        np.testing.assert_allclose(np.sort(lat.circulant_g_eigenvalues(spec)),
+        np.testing.assert_allclose(np.sort(lat.g_eigenvalues(spec)),
                                    [0.0, 2.0, 2.0, 4.0], atol=1e-12)
 
     def test_xy_cycle_is_gapless_only_at_multiples_of_four(self):
         # the symbol e^{2 pi i k / n} has modulus 1 for every k
-        vals = lat.circulant_g_eigenvalues(lat.build_xy_cycle(6))
+        vals = lat.g_eigenvalues(lat.build_xy_cycle(6))
         np.testing.assert_allclose(vals, np.ones(6), atol=1e-14)
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_matches_dense_singular_values_circulant(self, n):
         spec = random_circulant(n, seed=n)
-        fft_vals = np.sort(lat.circulant_g_eigenvalues(spec))
+        fft_vals = np.sort(lat.g_eigenvalues(spec))
         dense = np.sort(np.linalg.svd(lat.expand(spec).c, compute_uv=False)) ** 2
         np.testing.assert_allclose(fft_vals, np.sort(dense), atol=1e-10)
 
     def test_matches_dense_bccb(self):
         spec = random_bccb(4, 4, seed=5)
-        fft_vals = np.sort(lat.bccb_g_eigenvalues(spec))
+        fft_vals = np.sort(lat.g_eigenvalues(spec))
         dense = np.sort(np.linalg.svd(lat.expand(spec).c, compute_uv=False)) ** 2
         np.testing.assert_allclose(fft_vals, dense, atol=1e-10)
 
     def test_matches_dense_bc2cb(self):
         spec = random_bc2cb(3, 3, 3, seed=6)
-        fft_vals = np.sort(lat.bc2cb_g_eigenvalues(spec))
+        fft_vals = np.sort(lat.g_eigenvalues(spec))
         dense = np.sort(np.linalg.svd(lat.expand(spec).c, compute_uv=False)) ** 2
         np.testing.assert_allclose(fft_vals, dense, atol=1e-10)
 
     def test_time_domain_route_agrees(self):
         spec = random_circulant(9, seed=7)
         np.testing.assert_allclose(lat.g_eigenvalues_via_g_row(spec),
-                                   lat.circulant_g_eigenvalues(spec), atol=1e-10)
+                                   lat.g_eigenvalues(spec), atol=1e-10)
+
+    def test_time_domain_route_needs_a_ring(self):
+        with pytest.raises(InputError, match="rank-1"):
+            lat.g_first_row(random_bccb(3, 3, seed=7))
 
 
 class TestTorusBuilders:
@@ -156,7 +194,7 @@ class TestStructuredInterpolation:
         start = lat.interpolated_c_root(spec, 0.0)
         np.testing.assert_array_equal(start, np.eye(6)[0])
         end = lat.interpolated_c_root(spec, 1.0)
-        np.testing.assert_array_equal(end, spec.a_col + spec.b_col)
+        np.testing.assert_array_equal(end, spec.root_a + spec.root_b)
 
     def test_structured_gap_matches_dense(self):
         spec = random_circulant(7, seed=9)
@@ -169,33 +207,20 @@ class TestStructuredInterpolation:
     def test_profile_min_tracking(self):
         spec = lat.build_xy_cycle(8)
         profile = lat.structured_gap_profile(spec, np.linspace(0, 1, 11))
-        gaps = [rep.gap for _, rep in profile.points]
+        gaps = profile.gap.tolist()
         assert profile.min_gap == min(gaps)
-        assert profile.points[profile.min_gap_index][0] == profile.min_gap_s
+        assert profile.s[profile.min_gap_index] == profile.min_gap_s
 
     def test_s_domain_enforced(self):
         with pytest.raises(InputError):
             lat.structured_gap_report(random_circulant(4, seed=10), 1.2)
 
 
-@st.composite
-def structured_specs(draw):
-    """Rank-1/2/3 specs with axis lengths 1..5, odd lengths included."""
-    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
-    entries = st.lists(st.floats(-2.0, 2.0), min_size=math.prod(shape),
-                       max_size=math.prod(shape))
-    a = np.array(draw(entries)).reshape(shape)
-    b = np.array(draw(entries)).reshape(shape)
-    a = (a + lat._reflect(a)) / 2.0
-    b = (b - lat._reflect(b)) / 2.0
-    return (lat.CirculantSpec, lat.BccbSpec, lat.Bc2cbSpec)[len(shape) - 1](a, b)
-
-
 def closing_ring():
     """n = 5 ring with sigma_0 = sum(a) = -2: mode 0 crosses zero at s = 1/3."""
     a = np.array([-3.0, 0.5, 0.0, 0.0, 0.5])
     b = np.array([0.0, 0.25, 0.0, 0.0, -0.25])
-    return lat.CirculantSpec(a, b)
+    return lat.TorusSpec(a, b)
 
 
 class TestOneFftProfile:
@@ -216,19 +241,25 @@ class TestOneFftProfile:
     def test_matches_fft_of_interpolated_root(self, spec, grid):
         profile = lat.structured_gap_profile(spec, np.linspace(0, 1, grid))
         tol = 1e-12 * (1.0 + np.abs(lat.c_symbol(spec)).max())
-        for s, rep in profile.points:
+        for s, gap, energy, zeros in zip(profile.s, profile.gap, profile.ground_energy,
+                                         profile.num_zero_modes):
             lam = np.abs(np.fft.fftn(lat.interpolated_c_root(spec, s))).ravel()
             ref = qf.gap_report_from_singular_values(lam)
-            assert rep.num_zero_modes == ref.num_zero_modes
-            assert abs(rep.gap - ref.gap) <= tol
+            assert zeros == ref.num_zero_modes
+            assert abs(gap - ref.gap) <= tol
             # a sum of n singular values, each within tol
-            assert abs(rep.ground_energy - ref.ground_energy) <= spec.n * tol
+            assert abs(energy - ref.ground_energy) <= spec.n * tol
 
     def test_report_and_profile_agree_exactly(self):
         spec = random_bccb(3, 5, seed=12)
         grid = np.linspace(0, 1, 9)
-        for s, rep in lat.structured_gap_profile(spec, grid).points:
-            assert rep == lat.structured_gap_report(spec, s)
+        profile = lat.structured_gap_profile(spec, grid)
+        for i, s in enumerate(grid):
+            rep = lat.structured_gap_report(spec, s)
+            assert profile.s[i] == s
+            assert profile.gap[i] == rep.gap
+            assert profile.ground_energy[i] == rep.ground_energy
+            assert profile.num_zero_modes[i] == rep.num_zero_modes
 
     @pytest.mark.parametrize("grid", [2, 3, 4, 7, 10, 31, 101, 1000])
     def test_closing_path_found_off_grid(self, grid):

@@ -212,12 +212,12 @@ class TestGapProfile:
         pair = qf.CoefficientPair(c @ c.T, np.zeros((6, 6)))
         gamma = qf.ground_gap(pair).gap
         profile = qf.gap_profile(qf.EvolutionSpec(pair), np.linspace(0, 1, 21))
-        for s, rep in profile.points:
-            assert rep.gap == pytest.approx(2 * (1 - s) + s * gamma, abs=1e-10)
+        for s, gap in zip(profile.s, profile.gap):
+            assert gap == pytest.approx(2 * (1 - s) + s * gamma, abs=1e-10)
 
     def test_trivial_grid(self):
         profile = qf.gap_profile(qf.EvolutionSpec(random_pair(3, seed=1)), [0.0])
-        assert profile.points[0][1].gap == 2.0
+        assert profile.gap[0] == 2.0
         assert profile.min_gap_s == 0.0
 
     def test_empty_grid_rejected(self):
@@ -227,7 +227,8 @@ class TestGapProfile:
     def test_grid_independence_of_order(self):
         spec = qf.EvolutionSpec(random_pair(5, seed=15))
         grid = [0.2, 0.8, 0.5]
-        gaps = {s: rep.gap for s, rep in qf.gap_profile(spec, grid).points}
+        profile = qf.gap_profile(spec, grid)
+        gaps = dict(zip(profile.s.tolist(), profile.gap.tolist()))
         for s in grid:
             assert gaps[s] == qf.ground_gap(qf.interpolate(spec, s)).gap
 
@@ -236,9 +237,9 @@ class TestGapProfile:
         grid = np.linspace(0.0, 1.0, 41)
         profile = qf.gap_profile(spec, grid)
         reference = [qf.ground_gap(qf.interpolate(spec, float(s))) for s in grid]
-        assert [s for s, _ in profile.points] == grid.tolist()
+        assert profile.s.tolist() == grid.tolist()
         for field in ("gap", "ground_energy", "num_zero_modes"):
-            assert [getattr(rep, field) for _, rep in profile.points] == \
+            assert getattr(profile, field).tolist() == \
                 [getattr(rep, field) for rep in reference]
 
     @pytest.mark.parametrize("grid", [[0.5, 1.5], [-0.25], [0.0, float("nan")]])
@@ -282,8 +283,7 @@ class TestSingleThreadLoops:
         monkeypatch.setattr(_blas, "loaded_openblas", lambda: [])
         default = qf.gap_profile(spec, grid)
         for field in ("gap", "num_zero_modes", "ground_energy"):
-            assert np.array_equal([getattr(rep, field) for _, rep in capped.points],
-                                  [getattr(rep, field) for _, rep in default.points])
+            assert np.array_equal(getattr(capped, field), getattr(default, field))
 
     def test_one_thread_inside_and_restored_after(self, libs):
         before = thread_counts(libs)
