@@ -3,7 +3,6 @@
 from .errors import CapacityError, FermigapError, InputError, NumericalError
 from .quadform import (
     CoefficientPair,
-    EvolutionSpec,
     GapProfile,
     GapReport,
     LiebDecomposition,

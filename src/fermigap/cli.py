@@ -66,8 +66,17 @@ def _retain_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, -1)    # -1: never trim
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("FERMIGAP_SEED", "0"))
+def _resolve_seed(value: str | None) -> int:
+    """The run's seed: --seed, else FERMIGAP_SEED, else 0; a non-negative integer."""
+    if value is None:
+        value = os.environ.get("FERMIGAP_SEED", "0")
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _gap_report_dict(report: qf.GapReport) -> dict:
@@ -119,32 +128,31 @@ def _print_json(doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gap(args) -> int:
-    pair = fio.load_pair_or_structured(args.input)
-    if not isinstance(pair, qf.CoefficientPair):
-        pair = lat.expand(pair)
-    report = qf.ground_gap(pair, args.tol)
+    report = qf.ground_gap(fio.load_pair_or_structured(args.input), args.tol)
     _print_json(_gap_report_dict(report))
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
-    pair = fio.load_pair_or_structured(args.input)
-    # before a structured spec is expanded to n x n
-    qf.check_spectrum_size(pair.n, args.max_modes)
-    if not isinstance(pair, qf.CoefficientPair):
-        pair = lat.expand(pair)
-    energies = qf.subset_sum_spectrum(qf.lieb_decompose(pair), args.max_modes)
-    _print_json({"n": pair.n, "energies": energies.tolist()})
+    source = fio.load_pair_or_structured(args.input)
+    energies = qf.subset_sum_spectrum(source.singular_values(), args.max_modes)
+    _print_json({"n": source.n, "energies": energies.tolist()})
     return EXIT_OK
 
 
+# The per-point reports, arrays and CSV text take about 250 bytes per grid
+# point: a 2-site profile peaks at 300 MB RSS at this cap, and 10^9 points
+# would need 8 GB for the grid alone.
+PROFILE_GRID_CAP = 10 ** 6
+
+
 def cmd_profile(args) -> int:
-    if args.grid < 2:
-        raise InputError(f"grid size must be >= 2, got {args.grid}")
+    if not 2 <= args.grid <= PROFILE_GRID_CAP:
+        raise InputError(f"grid size must lie in [2, {PROFILE_GRID_CAP}], got {args.grid}")
     source = fio.load_pair_or_structured(args.input)
     s_grid = np.linspace(0.0, 1.0, args.grid)
     if isinstance(source, qf.CoefficientPair):
-        profile = qf.gap_profile(qf.EvolutionSpec(source), s_grid, args.tol)
+        profile = qf.gap_profile(source, s_grid, args.tol)
     else:
         profile = lat.structured_gap_profile(source, s_grid, args.tol)
     gaps = profile.gap
@@ -342,7 +350,7 @@ def _verify_checks(n_max: int, trials: int, seed: int, inject_fault: str | None)
                 entropy=seed, spawn_key=(0, t, n)))
             w = rng.standard_normal((n, n))
             pair = sr.w_to_ab(w)
-            sub = qf.subset_sum_spectrum(qf.lieb_decompose(pair))
+            sub = qf.subset_sum_spectrum(pair.singular_values())
             dense = sr.dense_spectrum_oracle(sr.PauliHamiltonian(w))
             scale = 1.0 + np.linalg.norm(pair.c, 2)
             res = float(np.max(np.abs(sub - dense))) / scale
@@ -415,12 +423,15 @@ def cmd_verify(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+_SEED_HELP = "non-negative integer (default: $FERMIGAP_SEED, else 0)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fermigap",
                      description="Spectral gaps of quadratic fermionic Hamiltonians")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gap", help="ground energy and gap of a pair file")
+    p = sub.add_parser("gap", help="ground energy and gap of a pair or structured file")
     p.add_argument("input")
     p.add_argument("--tol", type=float, default=None,
                    help="zero-singular-value tolerance (default n*eps*sigma_max)")
@@ -452,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--samples", type=int, default=1000,
                    help="samples drawn (figure2 always draws one)")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", default=None, help=_SEED_HELP)
     p.add_argument("--experiment", choices=sorted(_EXPERIMENTS), required=True)
     p.add_argument("--x", type=float, nargs="*", default=None,
                    help="x values for the survival experiment")
@@ -477,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the oracle-equivalence conformance suite")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", default=None, help=_SEED_HELP)
     p.add_argument("--inject-fault", default=None, choices=["route-equality"],
                    help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
@@ -490,6 +501,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _retain_freed_heap()
     try:
+        if "seed" in args:
+            args.seed = _resolve_seed(args.seed)
         return args.func(args)
     except (InputError, CapacityError) as exc:
         print(f"fermigap: input error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ evaluation order.  Normal variates are numpy's ziggurat implementation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +24,10 @@ from ._blas import small_matrix_threads
 from .errors import CapacityError, InputError
 from .quadform import (
     CoefficientPair,
-    EvolutionSpec,
+    check_matrix_size,
+    gap_report_from_singular_values,
     ground_gap,
     interpolate,
-    lieb_decompose,
     subset_sum_spectrum,
     symmetrize_split,
 )
@@ -63,6 +63,7 @@ class EnsembleConfig:
             raise InputError(f"unknown ensemble kind {self.kind!r}; expected one of {ENSEMBLE_KINDS}")
         if self.n < 2:
             raise InputError(f"need n >= 2, got {self.n}")
+        check_matrix_size(self.n, "ensemble matrix")
         if self.samples < 1:
             raise InputError(f"need samples >= 1, got {self.samples}")
 
@@ -245,8 +246,7 @@ def figure1_experiment(n: int = 10, samples: int = 1000, seed: int = 0,
     other_medians = []
     tiny = hist_range[0]
     for i in range(samples):
-        decomp = lieb_decompose(sample_pair(config, i))
-        energies = subset_sum_spectrum(decomp)
+        energies = subset_sum_spectrum(sample_pair(config, i).singular_values())
         diffs = np.diff(energies)
         ground, others = diffs[0], diffs[1:]
         ground_list.append(ground)
@@ -293,15 +293,14 @@ def figure2_experiment(n: int = 8, seed: int = 0, s_grid=None,
     s_grid = np.asarray(s_grid, dtype=float)
     config = EnsembleConfig(kind=EXPERIMENT_KINDS["figure2"], n=n, samples=samples, seed=seed,
                             normalization=1.0 / n)
-    spec = EvolutionSpec(target=sample_pair(config, 0), description="scaled wishart evolution")
+    target = sample_pair(config, 0)
     levels = np.empty((s_grid.size, 2 ** n))
     gaps = np.empty(s_grid.size)
     for i, s in enumerate(s_grid):
-        pair = interpolate(spec, float(s))
-        decomp = lieb_decompose(pair)
-        levels[i] = subset_sum_spectrum(decomp)
-        gaps[i] = ground_gap(pair).gap
-    final_gap = float(gaps[-1]) if s_grid[-1] == 1.0 else ground_gap(interpolate(spec, 1.0)).gap
+        lam = interpolate(target, float(s)).singular_values()
+        levels[i] = subset_sum_spectrum(lam)
+        gaps[i] = gap_report_from_singular_values(lam).gap
+    final_gap = float(gaps[-1]) if s_grid[-1] == 1.0 else ground_gap(interpolate(target, 1.0)).gap
     predicted = 2.0 * (1.0 - s_grid) + s_grid * final_gap
     defect = float(np.max(np.abs(gaps - predicted)))
     return EvolutionTable(s_grid=s_grid, levels=levels, gaps=gaps,

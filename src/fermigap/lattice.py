@@ -14,8 +14,8 @@ with symbol (1-s) + s*sigma where sigma = DFT(root of A+B).  A gap profile
 therefore takes one FFT per spec and O(n) work per grid point, and the
 exact minimum of the lowest mode over all s in [0, 1] follows from sigma
 without a grid: mode k traces the segment from 1 to sigma_k.  The dense
-matrices themselves are built only for cross-checks, up to EXPAND_SITE_CAP
-sites.
+matrices themselves are built only for cross-checks, up to
+quadform.MATRIX_SIZE_CAP sites.
 """
 
 from __future__ import annotations
@@ -24,26 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InputError, NumericalError
+from .errors import InputError
 from .quadform import (
     CoefficientPair,
     GapProfile,
     GapReport,
     PathMinimum,
+    check_matrix_size,
     check_s,
     gap_report_from_singular_values,
     profile_from_singular_values,
 )
-
-# expand builds dense n x n float64 matrices, 128 MiB each at this cap, and
-# CoefficientPair validates and copies both: a 4096-site ring peaks at about
-# 560 MB.  A 60,000-site ring would need 27 GiB per matrix.  The FFT routes
-# never expand and have no cap.
-EXPAND_SITE_CAP = 4096
-
-# |DFT|^2 values are mathematically >= 0; anything below this is treated as
-# a numerical-noise floor, anything more negative as an error.
-NEGATIVE_CLAMP = -1e-12
 
 
 def _reflect(root: np.ndarray) -> np.ndarray:
@@ -94,6 +85,10 @@ class TorusSpec:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.root_a.shape[::-1]
+
+    def singular_values(self) -> np.ndarray:
+        """The singular values of A + B, |DFT(root of A + B)|, flattened and unsorted."""
+        return np.abs(c_symbol(self))
 
 
 def build_xy_cycle(n: int) -> TorusSpec:
@@ -160,45 +155,16 @@ def _expand_root(root: np.ndarray) -> np.ndarray:
 def expand(spec: TorusSpec) -> CoefficientPair:
     """Dense CoefficientPair of a structured spec, for oracle cross-checks.
 
-    Above EXPAND_SITE_CAP sites this raises CapacityError before allocating.
+    Above quadform.MATRIX_SIZE_CAP sites this raises CapacityError before
+    allocating.
     """
-    if spec.n > EXPAND_SITE_CAP:
-        raise CapacityError(f"n={spec.n} exceeds the dense-expansion cap of "
-                            f"{EXPAND_SITE_CAP} sites")
+    check_matrix_size(spec.n, "dense-expansion")
     return CoefficientPair(_expand_root(spec.root_a), _expand_root(spec.root_b))
-
-
-def _clamp_squared(vals: np.ndarray) -> np.ndarray:
-    if vals.min(initial=0.0) < NEGATIVE_CLAMP:
-        raise NumericalError(
-            f"squared eigenvalue below clamp: {vals.min()} < {NEGATIVE_CLAMP}"
-        )
-    return np.maximum(vals, 0.0)
 
 
 def g_eigenvalues(spec: TorusSpec) -> np.ndarray:
     """Eigenvalues of G = (A+B)(A-B) as |DFT(root of A+B)|^2, flattened."""
-    return _clamp_squared(np.abs(c_symbol(spec)) ** 2)
-
-
-def g_first_row(spec: TorusSpec) -> np.ndarray:
-    """First row of G computed in the time domain (circular autocorrelation).
-
-    Independent route for cross-checking g_eigenvalues on a ring: the DFT of
-    this row reproduces the |symbol|^2 eigenvalues.  O(n^2); test-scale only.
-    """
-    if spec.root_a.ndim != 1:
-        raise InputError(f"g_first_row needs a ring (rank-1) spec, got dims {spec.dims}")
-    c = spec.root_a + spec.root_b
-    n = c.shape[0]
-    # G[0, l] = sum_k C[0, k] C[l, k] = sum_k c[k] c[(k - l) mod n]
-    return np.array([np.dot(c, np.roll(c, l)) for l in range(n)])
-
-
-def g_eigenvalues_via_g_row(spec: TorusSpec) -> np.ndarray:
-    """Alternate eigenvalue route: DFT of G's first row."""
-    vals = np.fft.fft(g_first_row(spec))
-    return _clamp_squared(vals.real)
+    return spec.singular_values() ** 2
 
 
 def interpolated_c_root(spec: TorusSpec, s: float) -> np.ndarray:

@@ -13,7 +13,7 @@ values, so all routines here work on n x n matrices, never on the 2^n space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,18 @@ from .errors import CapacityError, InputError, NumericalError
 # Enumerating all 2^n subset-sum energies beyond this is pointless on a desk
 # machine (2^22 ~ 4M float64 energies ~ 34 MB plus the sort).
 SPECTRUM_MODE_CAP = 22
+
+# Largest n for which an n x n float64 matrix is built: 128 MiB at the cap,
+# and a CoefficientPair holds two plus their copies (a 4096-site ring expands
+# with a 557 MB peak).  At n = 100,000 one matrix would take 80 GB.  The
+# singular values of a structured spec come from an FFT and have no cap.
+MATRIX_SIZE_CAP = 4096
+
+
+def check_matrix_size(n: int, what: str) -> None:
+    """Raise CapacityError, before anything is allocated, if n > MATRIX_SIZE_CAP."""
+    if n > MATRIX_SIZE_CAP:
+        raise CapacityError(f"n={n} exceeds the {what} cap of {MATRIX_SIZE_CAP} sites")
 
 
 def _check_square_finite(m, name: str) -> np.ndarray:
@@ -86,6 +98,10 @@ class CoefficientPair:
         """A + B, the matrix whose singular values fix the spectrum."""
         return self.a + self.b
 
+    def singular_values(self) -> np.ndarray:
+        """The singular values Lambda of A + B, descending, by a values-only SVD."""
+        return _singular_values(self.c)
+
     @staticmethod
     def identity(n: int) -> "CoefficientPair":
         return CoefficientPair(np.eye(n), np.zeros((n, n)))
@@ -117,10 +133,6 @@ class LiebDecomposition:
     lam: np.ndarray
     x: np.ndarray
     y: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.lam.shape[0]
 
     def residuals(self, pair: CoefficientPair) -> tuple[float, float]:
         """Norms of the two defining equations, for diagnostics."""
@@ -200,47 +212,42 @@ def _singular_values(c: np.ndarray) -> np.ndarray:
         raise NumericalError(f"SVD of A+B failed to converge: {exc}") from exc
 
 
-def ground_gap(pair: CoefficientPair, zero_tolerance: float | None = None) -> GapReport:
-    """Ground energy and gap: twice the least (nonzero) singular value of A+B."""
-    return gap_report_from_singular_values(_singular_values(pair.c), zero_tolerance)
+def ground_gap(source, zero_tolerance: float | None = None) -> GapReport:
+    """Ground energy and gap: twice the least (nonzero) singular value of A+B.
+
+    source is anything with a singular_values() method: a CoefficientPair
+    (dense SVD) or a lattice.TorusSpec (FFT).
+    """
+    return gap_report_from_singular_values(source.singular_values(), zero_tolerance)
 
 
-def check_spectrum_size(n: int, max_modes: int = SPECTRUM_MODE_CAP) -> None:
-    """Raise CapacityError unless all 2^n levels of n modes may be listed."""
+def subset_sum_spectrum(lam, max_modes: int = SPECTRUM_MODE_CAP) -> np.ndarray:
+    """All 2^n energies {-sum(lam) + sum_{j in S} 2 lam_j}, sorted ascending.
+
+    lam holds the n singular values of A + B, in any order.  Raises
+    CapacityError for n > max_modes, and for max_modes > SPECTRUM_MODE_CAP.
+    """
+    lam = np.asarray(lam, dtype=float)
     if max_modes > SPECTRUM_MODE_CAP:
         raise CapacityError(
             f"max_modes={max_modes} exceeds the hard cap of {SPECTRUM_MODE_CAP} modes"
         )
-    if n > max_modes:
+    if lam.size > max_modes:
         raise CapacityError(
-            f"n={n} exceeds the spectrum enumeration cap of {max_modes} modes"
+            f"n={lam.size} exceeds the spectrum enumeration cap of {max_modes} modes"
         )
-
-
-def subset_sum_spectrum(decomp: LiebDecomposition, max_modes: int = SPECTRUM_MODE_CAP) -> np.ndarray:
-    """All 2^n energies {-sum(lam) + sum_{j in S} 2 lam_j}, sorted ascending."""
-    check_spectrum_size(decomp.n, max_modes)
-    energies = np.array([-decomp.lam.sum()])
-    for lam_j in decomp.lam:
+    energies = np.array([-lam.sum()])
+    for lam_j in lam:
         energies = np.concatenate([energies, energies + 2.0 * lam_j])
     energies.sort()
     return energies
 
 
-@dataclass(frozen=True)
-class EvolutionSpec:
-    """Adiabatic interpolation from the trivial pair (I, 0) to a target pair."""
-
-    target: CoefficientPair
-    description: str = ""
-
-
-def interpolate(spec: EvolutionSpec, s: float) -> CoefficientPair:
-    """Pair at interpolation parameter s: ((1-s) I + s A, s B)."""
+def interpolate(target: CoefficientPair, s: float) -> CoefficientPair:
+    """Pair at parameter s of the path from (I, 0) to target: ((1-s) I + s A, s B)."""
     check_s(s)
-    n = spec.target.n
-    a = (1.0 - s) * np.eye(n) + s * spec.target.a
-    b = s * spec.target.b
+    a = (1.0 - s) * np.eye(target.n) + s * target.a
+    b = s * target.b
     return CoefficientPair(a, b)
 
 
@@ -309,17 +316,18 @@ def profile_from_singular_values(s_grid: np.ndarray, singular_values,
                       path_minimum=path_minimum)
 
 
-def gap_profile(spec: EvolutionSpec, s_grid, zero_tolerance: float | None = None) -> GapProfile:
-    """Evaluate ground_gap along the interpolation at each grid point.
+def gap_profile(target: CoefficientPair, s_grid,
+                zero_tolerance: float | None = None) -> GapProfile:
+    """Evaluate ground_gap along the interpolation to target at each grid point.
 
     C(s) is formed as interpolate and CoefficientPair.c form it, so the
-    profile is bitwise that of ground_gap(interpolate(spec, s)); the target
+    profile is bitwise that of ground_gap(interpolate(target, s)); the target
     pair is validated once, not once per point.
     """
     s_grid = check_s(s_grid)
-    a, b = spec.target.a, spec.target.b
-    eye = np.eye(spec.target.n)
-    with small_matrix_threads(spec.target.n):
+    a, b = target.a, target.b
+    eye = np.eye(target.n)
+    with small_matrix_threads(target.n):
         return profile_from_singular_values(
             s_grid, lambda s: _singular_values(((1.0 - s) * eye + s * a) + s * b),
             zero_tolerance)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError, NumericalError
-from .quadform import CoefficientPair
+from .quadform import CoefficientPair, check_matrix_size
 
 DENSE_QUBIT_CAP = 13     # 2^13 = 8192; one real matrix is 512 MB
 SPIN32_SITE_CAP = 6      # 4^6 = 4096
@@ -188,12 +188,6 @@ def dense_spectrum_oracle(h: PauliHamiltonian) -> np.ndarray:
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
 
 
-def dense_ground_state(h: PauliHamiltonian) -> tuple[float, np.ndarray]:
-    """Lowest eigenvalue and eigenvector of the dense Hamiltonian."""
-    vals, vecs = np.linalg.eigh(dense_hamiltonian(h))
-    return float(vals[0]), vecs[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # Model builders
 # ---------------------------------------------------------------------------
@@ -207,6 +201,7 @@ def build_cluster_w(n: int) -> PauliHamiltonian:
     """
     if n < 4:
         raise InputError(f"cluster chain needs n >= 4, got {n}")
+    check_matrix_size(n, "cluster chain")
     w = np.zeros((n, n))
     for j in range(n - 2):
         w[j, j + 2] = -1.0
@@ -225,6 +220,7 @@ def build_ising_w(n: int, s: float) -> PauliHamiltonian:
         raise InputError(f"Ising chain needs n >= 2, got {n}")
     if not 0.0 <= s <= 1.0:
         raise InputError(f"s must lie in [0, 1], got {s}")
+    check_matrix_size(n, "Ising chain")
     w = (1.0 - s) * np.eye(n)
     for j in range(n - 1):
         w[j, j + 1] = s

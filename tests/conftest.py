@@ -3,7 +3,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from fermigap import lattice as lat
+from fermigap import lattice as lat, spinrep as sr
 
 
 @st.composite
@@ -17,3 +17,9 @@ def structured_specs(draw):
     a = (a + lat._reflect(a)) / 2.0
     b = (b - lat._reflect(b)) / 2.0
     return lat.TorusSpec(a, b)
+
+
+def dense_ground_state(h):
+    """Lowest eigenvalue and eigenvector of the dense Hamiltonian."""
+    vals, vecs = np.linalg.eigh(sr.dense_hamiltonian(h))
+    return float(vals[0]), vecs[:, 0]

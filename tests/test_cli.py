@@ -132,17 +132,16 @@ class TestGapAndSpectrum:
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv, message", [
-        (["gap", "PATH"], "dense-expansion cap of 4096 sites"),
         (["lattice", "expand", "PATH"], "dense-expansion cap of 4096 sites"),
         (["spectrum", "PATH"], "n=4097 exceeds the spectrum enumeration cap of 22 modes"),
         (["spectrum", "PATH", "--max-modes", "5000"], "hard cap of 22"),
-    ], ids=["gap", "lattice-expand", "spectrum", "spectrum-max-modes"])
+    ], ids=["lattice-expand", "spectrum", "spectrum-max-modes"])
     def test_structured_spec_above_caps_exit_2(self, tmp_path, capsys, monkeypatch,
                                                argv, message):
         def no_expansion(spec):
             raise AssertionError("spectrum expanded a spec above its cap")
 
-        n = lat.EXPAND_SITE_CAP + 1
+        n = qf.MATRIX_SIZE_CAP + 1
         path = write_json(tmp_path / "ring.json", {"kind": "circulant", "dims": [n],
                                                    "a_root": [0.0] * n, "b_root": [0.0] * n})
         if argv[0] == "spectrum":
@@ -152,13 +151,35 @@ class TestGapAndSpectrum:
         assert message in captured.err
         assert captured.out == ""
 
+    def test_gap_of_structured_spec_never_expands(self, tmp_path, capsys, monkeypatch):
+        def no_expansion(spec):
+            raise AssertionError("gap expanded a structured spec")
+
+        monkeypatch.setattr(lat, "expand", no_expansion)
+        spec = lat.build_xy_cycle(qf.MATRIX_SIZE_CAP + 1)
+        path = write_json(tmp_path / "ring.json", fio.structured_to_dict(spec))
+        assert cli.main(["gap", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == cli._gap_report_dict(lat.structured_gap_report(spec, 1.0))
+
     def test_spectrum_accepts_structured_input(self, tmp_path, capsys):
-        path = write_json(tmp_path / "ring.json",
-                          fio.structured_to_dict(lat.build_xy_cycle(4)))
+        spec = lat.build_xy_cycle(4)
+        path = write_json(tmp_path / "ring.json", fio.structured_to_dict(spec))
         assert cli.main(["spectrum", path]) == 0
         energies = json.loads(capsys.readouterr().out)["energies"]
-        expected = qf.subset_sum_spectrum(qf.lieb_decompose(lat.expand(lat.build_xy_cycle(4))))
-        assert energies == expected.tolist()
+        assert energies == qf.subset_sum_spectrum(spec.singular_values()).tolist()
+
+    def test_structured_spectrum_matches_dense_oracle(self, tmp_path, capsys):
+        rng = np.random.default_rng(23)
+        a, b = rng.standard_normal(6), rng.standard_normal(6)
+        spec = lat.TorusSpec((a + lat._reflect(a)) / 2.0, (b - lat._reflect(b)) / 2.0)
+        path = write_json(tmp_path / "ring.json", fio.structured_to_dict(spec))
+        assert cli.main(["spectrum", path]) == 0
+        energies = np.array(json.loads(capsys.readouterr().out)["energies"])
+        oracle = sr.dense_spectrum_oracle(sr.PauliHamiltonian(sr.ab_to_w(lat.expand(spec))))
+        # each of the n singular values within 1e-12 (1 + max Lambda)
+        tol = spec.n * 1e-12 * (1.0 + spec.singular_values().max())
+        assert np.max(np.abs(energies - oracle)) <= tol
 
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as exc:
@@ -238,10 +259,9 @@ class TestProfileText:
 
     def test_dense_rows(self, tmp_path):
         pair = qf.symmetrize_split(np.random.default_rng(8).standard_normal((8, 8)))
-        spec = qf.EvolutionSpec(pair)
         grid = np.linspace(0.0, 1.0, 11).tolist()
         assert self.rows(tmp_path, pair_doc(pair)) == self.expected(
-            (s, qf.ground_gap(qf.interpolate(spec, s))) for s in grid)
+            (s, qf.ground_gap(qf.interpolate(pair, s))) for s in grid)
 
     def test_structured_rows(self, tmp_path):
         spec = lat.build_xy_cycle(8)
@@ -378,6 +398,58 @@ class TestVerify:
         captured = capsys.readouterr()
         assert flag in captured.err
         assert captured.out == ""
+
+
+class TestHostileArguments:
+    def test_seed_env_ignored_without_seed_option(self, identity_pair_file, capsys,
+                                                  monkeypatch):
+        monkeypatch.setenv("FERMIGAP_SEED", "abc")
+        assert cli.main(["gap", identity_pair_file]) == 0
+        assert json.loads(capsys.readouterr().out)["gap"] == 2.0
+
+    @pytest.mark.parametrize("argv, env", [
+        (["ensemble", "--experiment", "figure2", "--n", "3", "--out", "OUT"], "abc"),
+        (["verify", "--n-max", "2", "--trials", "1"], "abc"),
+        (["ensemble", "--experiment", "figure2", "--n", "3", "--seed=-1", "--out", "OUT"], None),
+        (["verify", "--n-max", "2", "--trials", "1", "--seed=-1"], None),
+        (["ensemble", "--experiment", "figure2", "--n", "3", "--seed", "1.5", "--out", "OUT"],
+         None),
+    ], ids=["ensemble-env", "verify-env", "ensemble-negative", "verify-negative",
+            "ensemble-non-integer"])
+    def test_bad_seed_exit_2(self, tmp_path, capsys, monkeypatch, argv, env):
+        if env is not None:
+            monkeypatch.setenv("FERMIGAP_SEED", env)
+        out = tmp_path / "out"
+        assert cli.main([str(out) if arg == "OUT" else arg for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert "seed must be a non-negative integer" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    @pytest.mark.parametrize("argv, message", [
+        (["ensemble", "--experiment", "survival", "--n", "100000", "--out", "OUT"],
+         "n=100000 exceeds the ensemble matrix cap of 4096 sites"),
+        (["cluster", "--n", "100000"], "n=100000 exceeds the cluster chain cap of 4096 sites"),
+        (["ising", "--n", "100000"], "n=100000 exceeds the Ising chain cap of 4096 sites"),
+        (["profile", "PAIR", "--grid", "1000000000", "--out", "OUT"],
+         "grid size must lie in [2, 1000000]"),
+    ], ids=["ensemble", "cluster", "ising", "profile-grid"])
+    def test_oversized_request_exit_2_before_allocating(self, identity_pair_file, tmp_path,
+                                                         argv, message):
+        # under a 2 GiB address-space limit an n x n matrix at n = 100,000
+        # (75 GiB) or a 10^9-point grid (7.5 GiB) fails to allocate
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                "import fermigap.cli as cli; sys.exit(cli.main(sys.argv[1:]))")
+        out = tmp_path / "out"
+        argv = [{"OUT": str(out), "PAIR": identity_pair_file}.get(arg, arg) for arg in argv]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
 
 
 class TestConsoleScript:

@@ -40,6 +40,22 @@ def random_bc2cb(r, q, p, seed=0):
     return lat.TorusSpec(a, b)
 
 
+def g_first_row(spec):
+    """First row of G = (A+B)(A-B) of a ring, in the time domain.
+
+    G[0, l] = sum_k c[k] c[(k - l) mod n], the circular autocorrelation of the
+    root c of A + B: an O(n^2) route independent of the FFT symbol.
+    """
+    assert spec.root_a.ndim == 1, "the time-domain route needs a ring"
+    c = spec.root_a + spec.root_b
+    return np.array([np.dot(c, np.roll(c, l)) for l in range(c.shape[0])])
+
+
+def g_eigenvalues_via_g_row(spec):
+    """Eigenvalues of G as the DFT of its first row."""
+    return np.fft.fft(g_first_row(spec)).real
+
+
 class TestSpecs:
     def test_rejects_bad_a_root(self):
         with pytest.raises(InputError, match="reflection-symmetric"):
@@ -111,8 +127,8 @@ class TestExpand:
             raise AssertionError("expanded a spec above the cap")
 
         monkeypatch.setattr(lat, "_expand_root", no_expansion)
-        ring = lat.TorusSpec(np.zeros(lat.EXPAND_SITE_CAP + 1),
-                             np.zeros(lat.EXPAND_SITE_CAP + 1))
+        ring = lat.TorusSpec(np.zeros(qf.MATRIX_SIZE_CAP + 1),
+                             np.zeros(qf.MATRIX_SIZE_CAP + 1))
         with pytest.raises(CapacityError, match="dense-expansion cap of 4096 sites"):
             lat.expand(ring)
 
@@ -122,7 +138,7 @@ class TestGEigenvalues:
         # c = (1, 1, 0, 0): G's first row is (2, 1, 0, 1), eigenvalues 4, 2, 0, 2
         spec = lat.TorusSpec(np.array([1.0, 0.5, 0.0, 0.5]),
                              np.array([0.0, 0.5, 0.0, -0.5]))
-        np.testing.assert_allclose(lat.g_first_row(spec), [2.0, 1.0, 0.0, 1.0])
+        np.testing.assert_allclose(g_first_row(spec), [2.0, 1.0, 0.0, 1.0])
         np.testing.assert_allclose(np.sort(lat.g_eigenvalues(spec)),
                                    [0.0, 2.0, 2.0, 4.0], atol=1e-12)
 
@@ -152,12 +168,26 @@ class TestGEigenvalues:
 
     def test_time_domain_route_agrees(self):
         spec = random_circulant(9, seed=7)
-        np.testing.assert_allclose(lat.g_eigenvalues_via_g_row(spec),
+        np.testing.assert_allclose(g_eigenvalues_via_g_row(spec),
                                    lat.g_eigenvalues(spec), atol=1e-10)
 
-    def test_time_domain_route_needs_a_ring(self):
-        with pytest.raises(InputError, match="rank-1"):
-            lat.g_first_row(random_bccb(3, 3, seed=7))
+
+class TestSingularValues:
+    @given(spec=structured_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_ground_gap_takes_the_fft_route(self, spec):
+        report = qf.ground_gap(spec)
+        assert report == lat.structured_gap_report(spec, 1.0)
+        # the dense SVD agrees within 1e-12 (1 + max Lambda) per singular
+        # value, and n times that for the ground energy, a sum of n of them
+        dense = lat.expand(spec)
+        tol = 1e-12 * (1.0 + spec.singular_values().max())
+        np.testing.assert_allclose(np.sort(spec.singular_values()),
+                                   np.sort(dense.singular_values()), rtol=0.0, atol=tol)
+        dense_report = qf.ground_gap(dense)
+        assert report.num_zero_modes == dense_report.num_zero_modes
+        assert abs(report.gap - dense_report.gap) <= tol
+        assert abs(report.ground_energy - dense_report.ground_energy) <= spec.n * tol
 
 
 class TestTorusBuilders:
@@ -198,10 +228,10 @@ class TestStructuredInterpolation:
 
     def test_structured_gap_matches_dense(self):
         spec = random_circulant(7, seed=9)
-        dense_spec = qf.EvolutionSpec(lat.expand(spec))
+        dense = lat.expand(spec)
         for s in (0.0, 0.3, 0.7, 1.0):
             fft_rep = lat.structured_gap_report(spec, s)
-            dense_rep = qf.ground_gap(qf.interpolate(dense_spec, s))
+            dense_rep = qf.ground_gap(qf.interpolate(dense, s))
             assert fft_rep.gap == pytest.approx(dense_rep.gap, abs=1e-10)
 
     def test_profile_min_tracking(self):

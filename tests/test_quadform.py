@@ -147,61 +147,52 @@ class TestSubsetSumSpectrum:
         return sorted(out)
 
     def test_two_equal_modes(self):
-        decomp = qf.LiebDecomposition(np.array([1.0, 1.0]), np.eye(2), np.eye(2))
-        np.testing.assert_allclose(qf.subset_sum_spectrum(decomp), [-2, 0, 0, 2])
+        np.testing.assert_allclose(qf.subset_sum_spectrum([1.0, 1.0]), [-2, 0, 0, 2])
 
     def test_two_distinct_modes(self):
-        decomp = qf.LiebDecomposition(np.array([1.0, 2.0]), np.eye(2), np.eye(2))
-        np.testing.assert_allclose(qf.subset_sum_spectrum(decomp), [-3, -1, 1, 3])
+        np.testing.assert_allclose(qf.subset_sum_spectrum([1.0, 2.0]), [-3, -1, 1, 3])
 
     def test_matches_subset_enumeration(self):
         rng = np.random.default_rng(9)
         lam = np.sort(rng.uniform(0, 2, size=5))
-        decomp = qf.LiebDecomposition(lam, np.eye(5), np.eye(5))
-        np.testing.assert_allclose(qf.subset_sum_spectrum(decomp), self.brute(lam),
+        np.testing.assert_allclose(qf.subset_sum_spectrum(lam), self.brute(lam),
                                    atol=1e-12)
 
     def test_capacity_guard(self):
-        decomp = qf.LiebDecomposition(np.ones(6), np.eye(6), np.eye(6))
         with pytest.raises(CapacityError, match="5"):
-            qf.subset_sum_spectrum(decomp, max_modes=5)
+            qf.subset_sum_spectrum(np.ones(6), max_modes=5)
 
     def test_mode_cap_cannot_be_raised(self):
-        decomp = qf.LiebDecomposition(np.ones(2), np.eye(2), np.eye(2))
         with pytest.raises(CapacityError, match="hard cap of 22"):
-            qf.subset_sum_spectrum(decomp, max_modes=qf.SPECTRUM_MODE_CAP + 1)
+            qf.subset_sum_spectrum(np.ones(2), max_modes=qf.SPECTRUM_MODE_CAP + 1)
 
 
 class TestInterpolation:
     def test_endpoints(self):
         pair = random_pair(4, seed=11)
-        spec = qf.EvolutionSpec(pair)
-        start = qf.interpolate(spec, 0.0)
+        start = qf.interpolate(pair, 0.0)
         assert np.array_equal(start.a, np.eye(4))
         assert np.array_equal(start.b, np.zeros((4, 4)))
-        end = qf.interpolate(spec, 1.0)
+        end = qf.interpolate(pair, 1.0)
         assert np.array_equal(end.a, pair.a)
         assert np.array_equal(end.b, pair.b)
 
     def test_fixed_point_of_identity(self):
-        spec = qf.EvolutionSpec(qf.CoefficientPair.identity(3))
-        mid = qf.interpolate(spec, 0.5)
+        mid = qf.interpolate(qf.CoefficientPair.identity(3), 0.5)
         assert np.array_equal(mid.a, np.eye(3))
         assert qf.ground_gap(mid).gap == 2.0
 
     def test_domain_error(self):
-        spec = qf.EvolutionSpec(qf.CoefficientPair.identity(2))
         with pytest.raises(InputError):
-            qf.interpolate(spec, 1.5)
+            qf.interpolate(qf.CoefficientPair.identity(2), 1.5)
 
     @given(s=st.floats(0.0, 1.0))
     @settings(max_examples=25, deadline=None)
     def test_affine_in_s(self, s):
         pair = random_pair(4, seed=13)
-        spec = qf.EvolutionSpec(pair)
-        mid = qf.interpolate(spec, s)
+        mid = qf.interpolate(pair, s)
         assert np.array_equal(
-            mid.a, (1.0 - s) * qf.interpolate(spec, 0.0).a + s * pair.a)
+            mid.a, (1.0 - s) * qf.interpolate(pair, 0.0).a + s * pair.a)
         assert np.array_equal(mid.b, s * pair.b)
 
 
@@ -211,32 +202,32 @@ class TestGapProfile:
         c = rng.standard_normal((6, 6))
         pair = qf.CoefficientPair(c @ c.T, np.zeros((6, 6)))
         gamma = qf.ground_gap(pair).gap
-        profile = qf.gap_profile(qf.EvolutionSpec(pair), np.linspace(0, 1, 21))
+        profile = qf.gap_profile(pair, np.linspace(0, 1, 21))
         for s, gap in zip(profile.s, profile.gap):
             assert gap == pytest.approx(2 * (1 - s) + s * gamma, abs=1e-10)
 
     def test_trivial_grid(self):
-        profile = qf.gap_profile(qf.EvolutionSpec(random_pair(3, seed=1)), [0.0])
+        profile = qf.gap_profile(random_pair(3, seed=1), [0.0])
         assert profile.gap[0] == 2.0
         assert profile.min_gap_s == 0.0
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):
-            qf.gap_profile(qf.EvolutionSpec(random_pair(3, seed=1)), [])
+            qf.gap_profile(random_pair(3, seed=1), [])
 
     def test_grid_independence_of_order(self):
-        spec = qf.EvolutionSpec(random_pair(5, seed=15))
+        pair = random_pair(5, seed=15)
         grid = [0.2, 0.8, 0.5]
-        profile = qf.gap_profile(spec, grid)
+        profile = qf.gap_profile(pair, grid)
         gaps = dict(zip(profile.s.tolist(), profile.gap.tolist()))
         for s in grid:
-            assert gaps[s] == qf.ground_gap(qf.interpolate(spec, s)).gap
+            assert gaps[s] == qf.ground_gap(qf.interpolate(pair, s)).gap
 
     def test_bit_identical_to_interpolated_pairs(self):
-        spec = qf.EvolutionSpec(random_pair(64, seed=22))
+        pair = random_pair(64, seed=22)
         grid = np.linspace(0.0, 1.0, 41)
-        profile = qf.gap_profile(spec, grid)
-        reference = [qf.ground_gap(qf.interpolate(spec, float(s))) for s in grid]
+        profile = qf.gap_profile(pair, grid)
+        reference = [qf.ground_gap(qf.interpolate(pair, float(s))) for s in grid]
         assert profile.s.tolist() == grid.tolist()
         for field in ("gap", "ground_energy", "num_zero_modes"):
             assert getattr(profile, field).tolist() == \
@@ -245,7 +236,7 @@ class TestGapProfile:
     @pytest.mark.parametrize("grid", [[0.5, 1.5], [-0.25], [0.0, float("nan")]])
     def test_grid_outside_unit_interval_rejected(self, grid):
         with pytest.raises(InputError, match=r"\[0, 1\]"):
-            qf.gap_profile(qf.EvolutionSpec(random_pair(3, seed=1)), grid)
+            qf.gap_profile(random_pair(3, seed=1), grid)
 
 
 def fail_svd(*args, **kwargs):
@@ -261,7 +252,7 @@ class TestGroundGapFailure:
     def test_svd_failure_in_profile_is_numerical_error(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", fail_svd)
         with pytest.raises(NumericalError, match="did not converge"):
-            qf.gap_profile(qf.EvolutionSpec(random_pair(3)), [0.0, 0.5, 1.0])
+            qf.gap_profile(random_pair(3), [0.0, 0.5, 1.0])
 
 
 def thread_counts(libs):
@@ -277,11 +268,11 @@ class TestSingleThreadLoops:
         return libs
 
     def test_profile_bit_identical_to_default_threads(self, monkeypatch):
-        spec = qf.EvolutionSpec(random_pair(64, seed=21))
+        pair = random_pair(64, seed=21)
         grid = np.linspace(0.0, 1.0, 21)
-        capped = qf.gap_profile(spec, grid)
+        capped = qf.gap_profile(pair, grid)
         monkeypatch.setattr(_blas, "loaded_openblas", lambda: [])
-        default = qf.gap_profile(spec, grid)
+        default = qf.gap_profile(pair, grid)
         for field in ("gap", "num_zero_modes", "ground_energy"):
             assert np.array_equal(getattr(capped, field), getattr(default, field))
 

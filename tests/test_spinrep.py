@@ -5,6 +5,8 @@ from fermigap import quadform as qf
 from fermigap import spinrep as sr
 from fermigap.errors import CapacityError, InputError
 
+from conftest import dense_ground_state
+
 
 def dyadic_w(n, rng, scale=2 ** 20):
     return rng.integers(-scale, scale, size=(n, n)) / scale
@@ -94,7 +96,7 @@ class TestOracleAgreement:
         rng = np.random.default_rng(10 + n)
         h = sr.PauliHamiltonian(rng.standard_normal((n, n)))
         dense = sr.dense_spectrum_oracle(h)
-        fermionic = qf.subset_sum_spectrum(qf.lieb_decompose(h.to_pair()))
+        fermionic = qf.subset_sum_spectrum(h.to_pair().singular_values())
         np.testing.assert_allclose(fermionic, dense, atol=1e-10)
 
     def test_route_equality(self):
@@ -171,12 +173,12 @@ class TestClusterModel:
     def test_ground_energy(self):
         # all n singular values equal 1, so E0 = -n
         h = sr.build_cluster_w(5)
-        e0, _ = sr.dense_ground_state(h)
+        e0, _ = dense_ground_state(h)
         assert e0 == pytest.approx(-5.0, abs=1e-10)
 
     def test_stabilizer_expectations(self):
         n = 4
-        _, psi = sr.dense_ground_state(sr.build_cluster_w(n))
+        _, psi = dense_ground_state(sr.build_cluster_w(n))
         for coeff, word in sr.build_cluster_w(n).terms:
             if coeff == 0.0:
                 continue
