@@ -89,18 +89,6 @@ def _gap_report_dict(report: qf.GapReport) -> dict:
     }
 
 
-def _write_manifest(out_dir: Path, command: str, parameters: dict, seed: int | None,
-                    outputs: list[str]) -> None:
-    manifest = {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
-        "tool_version": __version__,
-        "outputs": outputs,
-    }
-    (out_dir / "manifest.json").write_text(_json_text(manifest))
-
-
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
@@ -121,6 +109,40 @@ def _json_text(doc: dict) -> str:
 
 def _print_json(doc: dict) -> None:
     sys.stdout.write(_json_text(doc))
+
+
+_CSV_BOOL = {True: "true", False: "false"}
+
+
+def _csv_cells(column):
+    """One column's cells: repr of each Python number, or true/false."""
+    column = np.asarray(column)
+    return map(_CSV_BOOL.__getitem__ if column.dtype == bool else repr, column.tolist())
+
+
+def _csv_text(header, columns) -> str:
+    """CSV text of equal-length columns of numbers or booleans."""
+    lines = [",".join(header)]
+    lines.extend(map(",".join, zip(*map(_csv_cells, columns))))
+    lines.append("")    # the final newline, without copying the text
+    return "\n".join(lines)
+
+
+def _write_run(out_dir: str, command: str, parameters: dict, seed: int | None,
+               outputs: dict[str, str]) -> None:
+    """Write each output and a manifest.json listing them into out_dir."""
+    manifest = _json_text({
+        "command": command,
+        "parameters": parameters,
+        "seed": seed,
+        "tool_version": __version__,
+        "outputs": list(outputs),
+    })
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        (out_dir / name).write_text(text)
+    (out_dir / "manifest.json").write_text(manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +180,8 @@ def cmd_profile(args) -> int:
     gaps = profile.gap
     final_gap = gaps[-1]
     linear_defect = float(np.max(np.abs(gaps - (2.0 * (1.0 - s_grid) + s_grid * final_gap))))
-    # tolist: Python floats, whose repr is the bare round-trip number
-    lines = ["s,gap,degenerate"]
-    lines += [f"{s!r},{gap!r},{str(zeros > 0).lower()}" for s, gap, zeros in
-              zip(profile.s.tolist(), gaps.tolist(), profile.num_zero_modes.tolist())]
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = _csv_text(("s", "gap", "degenerate"),
+                         (profile.s, gaps, profile.num_zero_modes > 0))
     summary = {
         "min_gap": profile.min_gap,
         "min_gap_s": profile.min_gap_s,
@@ -176,16 +195,12 @@ def cmd_profile(args) -> int:
                        closes=path_min.closes)
     summary_text = _json_text(summary)
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "profile.csv").write_text(csv_text)
-        (out_dir / "summary.json").write_text(summary_text)
         blas_threads = _blas.thread_counts(
             source.n if isinstance(source, qf.CoefficientPair) else None)
-        _write_manifest(out_dir, "profile",
-                        {"input": str(args.input), "grid": args.grid, "tol": args.tol,
-                         "blas_threads": blas_threads},
-                        None, ["profile.csv", "summary.json"])
+        _write_run(args.out, "profile",
+                   {"input": str(args.input), "grid": args.grid, "tol": args.tol,
+                    "blas_threads": blas_threads},
+                   None, {"profile.csv": csv_text, "summary.json": summary_text})
     else:
         sys.stdout.write(csv_text + summary_text)
     return EXIT_OK
@@ -199,12 +214,11 @@ def cmd_lattice(args) -> int:
     return EXIT_OK
 
 
-def _ensemble_figure1(args, config: ens.EnsembleConfig) -> tuple[dict, dict[str, str]]:
-    hist = ens.figure1_experiment(n=config.n, samples=config.samples, seed=config.seed)
-    lines = ["bin_left,bin_right,ground_count,other_count"]
-    for i in range(len(hist.ground_gap_counts)):
-        lines.append(f"{hist.bin_edges[i]!r},{hist.bin_edges[i + 1]!r},"
-                     f"{hist.ground_gap_counts[i]},{hist.other_gap_counts[i]}")
+def _ensemble_figure1(args) -> tuple[dict, dict[str, str]]:
+    hist = ens.figure1_experiment(args.n, args.samples, args.seed)
+    csv_text = _csv_text(("bin_left", "bin_right", "ground_count", "other_count"),
+                         (hist.bin_edges[:-1], hist.bin_edges[1:],
+                          hist.ground_gap_counts, hist.other_gap_counts))
     ratio = hist.median_ground / hist.median_other
     summary = {
         "median_ground_gap": hist.median_ground,
@@ -213,29 +227,29 @@ def _ensemble_figure1(args, config: ens.EnsembleConfig) -> tuple[dict, dict[str,
         "threshold": {"median_ratio_min": 10.0, "note": "pilot-pinned threshold"},
         "passed": ratio >= 10.0,
     }
-    return summary, {"figure1.csv": "\n".join(lines) + "\n"}
+    return summary, {"figure1.csv": csv_text}
 
 
-def _ensemble_figure2(args, config: ens.EnsembleConfig) -> tuple[dict, dict[str, str]]:
-    table = ens.figure2_experiment(n=config.n, seed=config.seed)
-    lines = ["s,level_index,energy"]
-    for i, s in enumerate(table.s_grid):
-        for j, e in enumerate(table.levels[i]):
-            lines.append(f"{s!r},{j},{e!r}")
+def _ensemble_figure2(args) -> tuple[dict, dict[str, str]]:
+    table = ens.figure2_experiment(args.n, args.seed)
+    points, levels = table.levels.shape
+    csv_text = _csv_text(("s", "level_index", "energy"),
+                         (np.repeat(table.s_grid, levels), np.tile(np.arange(levels), points),
+                          table.levels.ravel()))
     summary = {
         "final_gap": table.final_gap,
         "max_linearity_defect": table.max_linearity_defect,
         "threshold": {"max_linearity_defect": 1e-10},
         "passed": table.max_linearity_defect <= 1e-10,
     }
-    return summary, {"figure2.csv": "\n".join(lines) + "\n"}
+    return summary, {"figure2.csv": csv_text}
 
 
-def _ensemble_survival(args, config: ens.EnsembleConfig) -> tuple[dict, dict[str, str]]:
-    points = ens.survival_experiment(config, args.x)
-    lines = ["x,threshold,empirical,std_error,limit"]
-    for p in points:
-        lines.append(f"{p.x!r},{p.threshold!r},{p.empirical!r},{p.std_error!r},{p.limit!r}")
+def _ensemble_survival(args) -> tuple[dict, dict[str, str]]:
+    points = ens.survival_experiment(args.n, args.samples, args.seed, args.x)
+    csv_text = _csv_text(("x", "threshold", "empirical", "std_error", "limit"),
+                         zip(*((p.x, p.threshold, p.empirical, p.std_error, p.limit)
+                               for p in points)))
     worst = max(abs(p.empirical - p.limit) for p in points)
     summary = {
         "points": [{"x": p.x, "empirical": p.empirical, "limit": p.limit,
@@ -245,13 +259,13 @@ def _ensemble_survival(args, config: ens.EnsembleConfig) -> tuple[dict, dict[str
                       "note": "empirical finite-n tolerance, not an asymptotic bound"},
         "passed": worst <= 0.05,
     }
-    return summary, {"survival.csv": "\n".join(lines) + "\n"}
+    return summary, {"survival.csv": csv_text}
 
 
-def _ensemble_edelman(args, config: ens.EnsembleConfig) -> tuple[dict, dict[str, str]]:
-    result = ens.gap_distribution_experiment(config)
-    lines = ["sample_index,scaled_gap"]
-    lines += [f"{i},{v!r}" for i, v in enumerate(result.scaled_gaps)]
+def _ensemble_edelman(args) -> tuple[dict, dict[str, str]]:
+    result = ens.gap_distribution_experiment(args.n, args.samples, args.seed)
+    scaled = result.scaled_gaps
+    csv_text = _csv_text(("sample_index", "scaled_gap"), (np.arange(scaled.size), scaled))
     median_err = abs(result.median - ens.EDELMAN_MEDIAN)
     summary = {
         "ks_distance": result.ks_distance,
@@ -262,7 +276,7 @@ def _ensemble_edelman(args, config: ens.EnsembleConfig) -> tuple[dict, dict[str,
                       "note": "empirical finite-n tolerances, not asymptotic bounds"},
         "passed": result.ks_distance < 0.06 and median_err <= 0.08,
     }
-    return summary, {"edelman.csv": "\n".join(lines) + "\n"}
+    return summary, {"edelman.csv": csv_text}
 
 
 _EXPERIMENTS = {
@@ -272,10 +286,6 @@ _EXPERIMENTS = {
     "edelman": _ensemble_edelman,
 }
 
-# Experiments whose samples run through ens.ensemble_gaps, a loop under
-# _blas.small_matrix_threads.
-_THREAD_CAPPED = ("survival", "edelman")
-
 _SURVIVAL_X = [0.5, 1.0, 2.0]
 
 
@@ -284,31 +294,23 @@ def cmd_ensemble(args) -> int:
     if args.kind not in (None, kind):
         raise InputError(f"experiment {args.experiment!r} draws from the {kind} "
                          f"ensemble, got --kind {args.kind}")
-    # figure2 draws one evolution, sample 0, whatever --samples says.
-    samples = 1 if args.experiment == "figure2" else args.samples
-    config = ens.EnsembleConfig(kind=kind, n=args.n, samples=samples, seed=args.seed)
     if args.experiment == "survival" and not args.x:
         args.x = _SURVIVAL_X
-    blas_threads = _blas.thread_counts(
-        config.n if args.experiment in _THREAD_CAPPED else None)
-    summary, outputs = _EXPERIMENTS[args.experiment](args, config)
-    parameters = {"kind": kind, "n": config.n, "samples": config.samples,
+    blas_threads = _blas.thread_counts(args.n)
+    summary, outputs = _EXPERIMENTS[args.experiment](args)
+    # figure2 draws one evolution, sample 0, whatever --samples says.
+    samples = 1 if args.experiment == "figure2" else args.samples
+    parameters = {"kind": kind, "n": args.n, "samples": samples,
                   "x": args.x, "blas_threads": blas_threads}
-    summary = {
+    summary_text = _json_text({
         "experiment": args.experiment,
-        "config": {**parameters, "seed": config.seed},
+        "config": {**parameters, "seed": args.seed},
         **summary,
-    }
-    summary_text = _json_text(summary)
+    })
     # Nothing is written until every output is in hand: a run that fails
     # leaves no directory behind.
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in outputs.items():
-        (out_dir / name).write_text(text)
-    (out_dir / "summary.json").write_text(summary_text)
-    _write_manifest(out_dir, f"ensemble {args.experiment}", parameters,
-                    config.seed, [*outputs, "summary.json"])
+    _write_run(args.out, f"ensemble {args.experiment}", parameters, args.seed,
+               {**outputs, "summary.json": summary_text})
     sys.stdout.write(summary_text)
     return EXIT_OK
 

@@ -3,7 +3,7 @@
 Three ensembles over coefficient pairs:
 
 * ``gaussian``       -- C with i.i.d. N(0,1) entries, split into (A, B).
-* ``wishart``        -- A = C C^T (optionally scaled), B = 0.
+* ``wishart``        -- A = C C^T / n, B = 0.
 * ``bounded_uniform``-- C = U diag(Sigma) V^T with Sigma uniform on [0,1]
                         and U, V Haar-orthogonal, so ||C||_2 <= 1.
 
@@ -42,6 +42,9 @@ EXPERIMENT_KINDS = {
     "figure2": "wishart",
 }
 
+# Largest n whose 2^n levels figure1 and figure2 enumerate per sample.
+ENUMERATION_MODE_CAP = 12
+
 # Histogram layout for the two-distribution gap figure: 60 logarithmic bins.
 HIST_RANGE = (1e-12, 10.0)
 HIST_BINS = 60
@@ -56,7 +59,6 @@ class EnsembleConfig:
     n: int
     samples: int
     seed: int
-    normalization: float | None = None
 
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
@@ -88,8 +90,7 @@ def sample_pair(config: EnsembleConfig, index: int) -> CoefficientPair:
         return symmetrize_split(rng.standard_normal((n, n)))
     if config.kind == "wishart":
         c = rng.standard_normal((n, n))
-        scale = 1.0 if config.normalization is None else config.normalization
-        return CoefficientPair(scale * (c @ c.T), np.zeros((n, n)))
+        return CoefficientPair((1.0 / n) * (c @ c.T), np.zeros((n, n)))
     sigma = rng.uniform(0.0, 1.0, size=n)
     u = haar_orthogonal(n, rng)
     v = haar_orthogonal(n, rng)
@@ -173,19 +174,24 @@ class SurvivalPoint:
     limit: float              # e^{-x}
 
 
-def survival_experiment(config: EnsembleConfig, x_values) -> list[SurvivalPoint]:
+def _check_enumeration(n: int) -> None:
+    if n > ENUMERATION_MODE_CAP:
+        raise CapacityError(f"n={n} too large for full 2^n enumeration here "
+                            f"(cap {ENUMERATION_MODE_CAP})")
+
+
+def survival_experiment(n: int, samples: int, seed: int, x_values) -> list[SurvivalPoint]:
     """Empirical P(gap > 2x/n) for the bounded-uniform ensemble."""
-    if config.kind != EXPERIMENT_KINDS["survival"]:
-        raise InputError("survival experiment is defined for the bounded_uniform ensemble")
     x_values = [float(x) for x in x_values]
-    if any(x <= 0.0 for x in x_values):
-        raise InputError("x values must be positive")
+    if not all(0.0 < x < math.inf for x in x_values):
+        raise InputError(f"x values must be positive and finite, got {x_values}")
+    config = EnsembleConfig(EXPERIMENT_KINDS["survival"], n, samples, seed)
     gaps = ensemble_gaps(config)
     out = []
     for x in x_values:
-        threshold = 2.0 * x / config.n
+        threshold = 2.0 * x / n
         p = float(np.mean(gaps > threshold))
-        se = math.sqrt(max(p * (1.0 - p), 1e-300) / config.samples)
+        se = math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
         out.append(SurvivalPoint(x=x, threshold=threshold, empirical=p,
                                  std_error=se, limit=math.exp(-x)))
     return out
@@ -199,12 +205,10 @@ class GapDistributionResult:
     num_degenerate: int
 
 
-def gap_distribution_experiment(config: EnsembleConfig) -> GapDistributionResult:
+def gap_distribution_experiment(n: int, samples: int, seed: int) -> GapDistributionResult:
     """Distribution of n*gamma^2/4 for the Gaussian ensemble, KS-tested."""
-    if config.kind != EXPERIMENT_KINDS["edelman"]:
-        raise InputError("gap distribution experiment is defined for the gaussian ensemble")
-    gaps = ensemble_gaps(config)
-    scaled = config.n * gaps ** 2 / 4.0
+    gaps = ensemble_gaps(EnsembleConfig(EXPERIMENT_KINDS["edelman"], n, samples, seed))
+    scaled = n * gaps ** 2 / 4.0
     return GapDistributionResult(
         scaled_gaps=scaled,
         ks_distance=ks_statistic(scaled, edelman_cdf),
@@ -220,15 +224,11 @@ class GapHistogram:
     bin_edges: np.ndarray
     ground_gap_counts: np.ndarray
     other_gap_counts: np.ndarray
-    n: int
-    samples: int
-    ground_gaps: np.ndarray
     median_ground: float
     median_other: float
 
 
-def figure1_experiment(n: int = 10, samples: int = 1000, seed: int = 0,
-                       bins: int = HIST_BINS, hist_range=HIST_RANGE) -> GapHistogram:
+def figure1_experiment(n: int, samples: int, seed: int) -> GapHistogram:
     """Compare ground gaps against the other 2^n - 2 level gaps.
 
     Per Gaussian sample, all 2^n energies are enumerated; the first
@@ -236,34 +236,29 @@ def figure1_experiment(n: int = 10, samples: int = 1000, seed: int = 0,
     "other" gaps.  Values are clipped into the histogram range so the counts
     always conserve totals.
     """
-    if n > 12:
-        raise CapacityError(f"n={n} too large for full 2^n enumeration here (cap 12)")
-    config = EnsembleConfig(kind=EXPERIMENT_KINDS["figure1"], n=n, samples=samples, seed=seed)
-    edges = np.logspace(np.log10(hist_range[0]), np.log10(hist_range[1]), bins + 1)
-    ground_counts = np.zeros(bins, dtype=int)
-    other_counts = np.zeros(bins, dtype=int)
+    _check_enumeration(n)
+    config = EnsembleConfig(EXPERIMENT_KINDS["figure1"], n, samples, seed)
+    lo, hi = HIST_RANGE
+    top = np.nextafter(hi, 0.0)
+    edges = np.logspace(np.log10(lo), np.log10(hi), HIST_BINS + 1)
+    ground_counts = np.zeros(HIST_BINS, dtype=int)
+    other_counts = np.zeros(HIST_BINS, dtype=int)
     ground_list = []
     other_medians = []
-    tiny = hist_range[0]
-    for i in range(samples):
-        energies = subset_sum_spectrum(sample_pair(config, i).singular_values())
-        diffs = np.diff(energies)
-        ground, others = diffs[0], diffs[1:]
-        ground_list.append(ground)
-        other_medians.append(np.median(others))
-        clipped = np.clip(others, tiny, np.nextafter(hist_range[1], 0.0))
-        other_counts += np.histogram(clipped, bins=edges)[0]
-        g = min(max(ground, tiny), np.nextafter(hist_range[1], 0.0))
-        ground_counts += np.histogram([g], bins=edges)[0]
-    ground_arr = np.array(ground_list)
+    with small_matrix_threads(n):
+        for i in range(samples):
+            energies = subset_sum_spectrum(sample_pair(config, i).singular_values())
+            diffs = np.diff(energies)
+            ground, others = diffs[0], diffs[1:]
+            ground_list.append(ground)
+            other_medians.append(np.median(others))
+            other_counts += np.histogram(np.clip(others, lo, top), bins=edges)[0]
+            ground_counts += np.histogram([min(max(ground, lo), top)], bins=edges)[0]
     return GapHistogram(
         bin_edges=edges,
         ground_gap_counts=ground_counts,
         other_gap_counts=other_counts,
-        n=n,
-        samples=samples,
-        ground_gaps=ground_arr,
-        median_ground=float(np.median(ground_arr)),
+        median_ground=float(np.median(ground_list)),
         median_other=float(np.median(other_medians)),
     )
 
@@ -274,34 +269,28 @@ class EvolutionTable:
 
     s_grid: np.ndarray
     levels: np.ndarray            # shape (len(s_grid), 2^n)
-    gaps: np.ndarray              # ground gap per grid point, from svd path
     final_gap: float
     max_linearity_defect: float   # max |gap(s) - (2(1-s) + s*gap(1))|
 
 
-def figure2_experiment(n: int = 8, seed: int = 0, s_grid=None,
-                       samples: int = 1) -> EvolutionTable:
-    """Level diagram of an evolution to A = C C^T / n, B = 0.
+def figure2_experiment(n: int, seed: int) -> EvolutionTable:
+    """Level diagram of an evolution to A = C C^T / n, B = 0, on 101 points.
 
-    Uses the first sample of a Wishart run with normalization 1/n.  The gap
-    must be exactly affine in s: gap(s) = 2(1-s) + s*gap(1).
+    Uses the first sample of a Wishart run.  The gap must be exactly affine
+    in s: gap(s) = 2(1-s) + s*gap(1).
     """
-    if n > 12:
-        raise CapacityError(f"n={n} too large for full 2^n enumeration here (cap 12)")
-    if s_grid is None:
-        s_grid = np.linspace(0.0, 1.0, 101)
-    s_grid = np.asarray(s_grid, dtype=float)
-    config = EnsembleConfig(kind=EXPERIMENT_KINDS["figure2"], n=n, samples=samples, seed=seed,
-                            normalization=1.0 / n)
-    target = sample_pair(config, 0)
+    _check_enumeration(n)
+    target = sample_pair(EnsembleConfig(EXPERIMENT_KINDS["figure2"], n, 1, seed), 0)
+    s_grid = np.linspace(0.0, 1.0, 101)
     levels = np.empty((s_grid.size, 2 ** n))
     gaps = np.empty(s_grid.size)
-    for i, s in enumerate(s_grid):
-        lam = interpolate(target, float(s)).singular_values()
-        levels[i] = subset_sum_spectrum(lam)
-        gaps[i] = gap_report_from_singular_values(lam).gap
-    final_gap = float(gaps[-1]) if s_grid[-1] == 1.0 else ground_gap(interpolate(target, 1.0)).gap
+    with small_matrix_threads(n):
+        for i, s in enumerate(s_grid):
+            lam = interpolate(target, float(s)).singular_values()
+            levels[i] = subset_sum_spectrum(lam)
+            gaps[i] = gap_report_from_singular_values(lam).gap
+    final_gap = float(gaps[-1])
     predicted = 2.0 * (1.0 - s_grid) + s_grid * final_gap
     defect = float(np.max(np.abs(gaps - predicted)))
-    return EvolutionTable(s_grid=s_grid, levels=levels, gaps=gaps,
-                          final_gap=final_gap, max_linearity_defect=defect)
+    return EvolutionTable(s_grid=s_grid, levels=levels, final_gap=final_gap,
+                          max_linearity_defect=defect)

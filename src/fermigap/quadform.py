@@ -37,7 +37,8 @@ def check_matrix_size(n: int, what: str) -> None:
         raise CapacityError(f"n={n} exceeds the {what} cap of {MATRIX_SIZE_CAP} sites")
 
 
-def _check_square_finite(m, name: str) -> np.ndarray:
+def check_square_finite(m, name: str) -> np.ndarray:
+    """m as a float array; InputError unless it is square with finite entries."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"{name} must be a square matrix, got shape {m.shape}")
@@ -72,8 +73,8 @@ class CoefficientPair:
     b: np.ndarray
 
     def __post_init__(self):
-        a = _check_square_finite(self.a, "a")
-        b = _check_square_finite(self.b, "b")
+        a = check_square_finite(self.a, "a")
+        b = check_square_finite(self.b, "b")
         if a.shape != b.shape:
             raise InputError(f"a and b shapes differ: {a.shape} vs {b.shape}")
         viol = first_symmetry_violation(a)
@@ -114,7 +115,7 @@ def symmetrize_split(c) -> CoefficientPair:
     exactly (anti)symmetric; A + B reproduces C up to one rounding of each
     entry (exactly, whenever C_jk + C_kj is representable).
     """
-    c = _check_square_finite(c, "c")
+    c = check_square_finite(c, "c")
     return CoefficientPair((c + c.T) / 2.0, (c - c.T) / 2.0)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError, NumericalError
-from .quadform import CoefficientPair, check_matrix_size
+from .quadform import CoefficientPair, check_matrix_size, check_square_finite
 
 DENSE_QUBIT_CAP = 13     # 2^13 = 8192; one real matrix is 512 MB
 SPIN32_SITE_CAP = 6      # 4^6 = 4096
@@ -52,11 +52,7 @@ def w_to_ab(w) -> CoefficientPair:
     A[j, j+m] = A[j+m, j] = (-1)^(m+1) (W[j, j+m] + W[j+m, j]) / 2 and
     B[j, j+m] = -B[j+m, j] = (-1)^(m+1) (W[j, j+m] - W[j+m, j]) / 2.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise InputError(f"w must be square, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise InputError("w contains non-finite entries")
+    w = check_square_finite(w, "w")
     signs = _alternating_signs(w.shape[0])
     a = signs * (w + w.T) / 2.0
     np.fill_diagonal(a, np.diag(w))
@@ -76,12 +72,7 @@ class PauliHamiltonian:
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise InputError(f"w must be square, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise InputError("w contains non-finite entries")
-        w = w.copy()
+        w = check_square_finite(self.w, "w").copy()
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
 

@@ -98,8 +98,7 @@ def test_c03_lieb_residuals():
 
 def test_c04_limit_law_of_scaled_gaps():
     start = time.perf_counter()
-    config = ens.EnsembleConfig(kind="gaussian", n=64, samples=2000, seed=20260824)
-    result = ens.gap_distribution_experiment(config)
+    result = ens.gap_distribution_experiment(n=64, samples=2000, seed=20260824)
     elapsed = time.perf_counter() - start
     median_err = abs(result.median - ens.EDELMAN_MEDIAN)
     ok = result.ks_distance < 0.06 and median_err <= 0.08 and elapsed < 120.0
@@ -112,8 +111,7 @@ def test_c04_limit_law_of_scaled_gaps():
 
 
 def test_c05_survival_law():
-    config = ens.EnsembleConfig(kind="bounded_uniform", n=128, samples=2000, seed=7)
-    points = ens.survival_experiment(config, [0.5, 1.0, 2.0])
+    points = ens.survival_experiment(n=128, samples=2000, seed=7, x_values=[0.5, 1.0, 2.0])
     worst = max(abs(p.empirical - p.limit) for p in points)
     ok = worst <= 0.05
     _verdict(5, "survival law P(gap > 2x/n) ~ e^-x", ok,

@@ -365,7 +365,15 @@ class TestEnsembleCommand:
         assert config["samples"] == 1
         assert json.loads((out / "manifest.json").read_text())["parameters"]["samples"] == 1
         threads = config["blas_threads"]
-        assert threads is None or all(t["used"] == t["found"] for t in threads)
+        assert threads is None or all(t["used"] == 1 <= t["found"] for t in threads)
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "0", "-1"])
+    def test_bad_survival_x_exit_2_before_output(self, tmp_path, capsys, x):
+        out = tmp_path / "bad-x"
+        assert cli.main(["ensemble", "--experiment", "survival", "--n", "8",
+                         "--samples", "5", "--x", "1.0", x, "--out", str(out)]) == 2
+        assert "x values must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment", ["figure1", "figure2"])
     def test_enumeration_cap_exit_2_before_output(self, tmp_path, capsys, experiment):
@@ -374,6 +382,29 @@ class TestEnsembleCommand:
                          "--samples", "1", "--out", str(out)]) == 2
         assert "cap 12" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestCsvOutput:
+    @pytest.mark.parametrize("argv, name", [
+        (["ensemble", "--experiment", "figure1", "--n", "4", "--samples", "20"], "figure1.csv"),
+        (["ensemble", "--experiment", "figure2", "--n", "3"], "figure2.csv"),
+        (["ensemble", "--experiment", "edelman", "--n", "8", "--samples", "20"], "edelman.csv"),
+        (["ensemble", "--experiment", "survival", "--n", "8", "--samples", "20"], "survival.csv"),
+        (["profile", "DENSE", "--grid", "5"], "profile.csv"),
+        (["profile", "STRUCTURED", "--grid", "5"], "profile.csv"),
+    ], ids=["figure1", "figure2", "edelman", "survival", "profile-dense",
+            "profile-structured"])
+    def test_every_cell_is_a_number_or_boolean(self, identity_pair_file, xy_spec_file,
+                                               tmp_path, capsys, argv, name):
+        inputs = {"DENSE": identity_pair_file, "STRUCTURED": xy_spec_file}
+        out = tmp_path / "out"
+        assert cli.main([inputs.get(a, a) for a in argv] + ["--out", str(out)]) == 0
+        rows = (out / name).read_text().splitlines()[1:]
+        assert rows
+        for row in rows:
+            for cell in row.split(","):
+                if cell not in ("true", "false"):
+                    float(cell)
 
 
 class TestVerify:

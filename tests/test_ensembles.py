@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,10 @@ class TestSampling:
         pair = ens.sample_pair(config, 0)
         assert np.array_equal(pair.b, np.zeros((6, 6)))
         assert np.linalg.eigvalsh(pair.a).min() >= 0.0
+        # A = C C^T / n from sample 0's stream
+        c = np.random.default_rng(np.random.SeedSequence(entropy=1, spawn_key=(0,))
+                                  ).standard_normal((6, 6))
+        assert np.array_equal(pair.a, (1.0 / 6) * (c @ c.T))
 
     def test_bounded_uniform_norm(self):
         config = ens.EnsembleConfig(kind="bounded_uniform", n=8, samples=5, seed=2)
@@ -84,8 +89,7 @@ class TestKsStatistic:
             stats.kstest(x, ens.edelman_cdf).statistic
 
     def test_experiment_distance_equals_scipy_kstest(self):
-        config = ens.EnsembleConfig(kind="gaussian", n=16, samples=100, seed=9)
-        res = ens.gap_distribution_experiment(config)
+        res = ens.gap_distribution_experiment(n=16, samples=100, seed=9)
         assert res.ks_distance == stats.kstest(res.scaled_gaps, ens.edelman_cdf).statistic
 
 
@@ -124,21 +128,14 @@ class TestRarity:
 
 class TestExperiments:
     def test_gap_distribution_small_run(self):
-        config = ens.EnsembleConfig(kind="gaussian", n=32, samples=200, seed=9)
-        res = ens.gap_distribution_experiment(config)
+        res = ens.gap_distribution_experiment(n=32, samples=200, seed=9)
         assert res.scaled_gaps.shape == (200,)
         assert res.num_degenerate == 0
         assert res.ks_distance < 0.15          # loose: small sample
         assert abs(res.median - ens.EDELMAN_MEDIAN) < 0.15
 
-    def test_gap_distribution_requires_gaussian(self):
-        config = ens.EnsembleConfig(kind="wishart", n=8, samples=2, seed=0)
-        with pytest.raises(InputError):
-            ens.gap_distribution_experiment(config)
-
     def test_survival_small_run(self):
-        config = ens.EnsembleConfig(kind="bounded_uniform", n=32, samples=300, seed=4)
-        points = ens.survival_experiment(config, [0.5, 1.0])
+        points = ens.survival_experiment(n=32, samples=300, seed=4, x_values=[0.5, 1.0])
         for pt in points:
             assert pt.threshold == pytest.approx(2 * pt.x / 32)
             assert 0.0 <= pt.empirical <= 1.0
@@ -153,8 +150,8 @@ class TestExperiments:
         assert hist.median_ground > hist.median_other
 
     def test_figure2_linearity(self):
-        table = ens.figure2_experiment(n=5, seed=5, s_grid=np.linspace(0, 1, 11))
-        assert table.levels.shape == (11, 32)
+        table = ens.figure2_experiment(n=5, seed=5)
+        assert table.levels.shape == (101, 32)
         assert table.max_linearity_defect < 1e-10
         # the s = 0 level table is the free-field ladder -n, -n+2, ..., n
         np.testing.assert_allclose(np.unique(np.round(table.levels[0], 9)),
@@ -167,3 +164,13 @@ class TestSingleThreadLoop:
         capped = ens.ensemble_gaps(config)
         monkeypatch.setattr(_blas, "loaded_openblas", lambda: [])
         assert np.array_equal(capped, ens.ensemble_gaps(config))
+
+    def test_figures_bit_identical_to_default_threads(self, monkeypatch):
+        capped = [ens.figure1_experiment(n=10, samples=60, seed=11),
+                  ens.figure2_experiment(n=8, seed=5)]
+        monkeypatch.setattr(_blas, "loaded_openblas", lambda: [])
+        default = [ens.figure1_experiment(n=10, samples=60, seed=11),
+                   ens.figure2_experiment(n=8, seed=5)]
+        for a, b in zip(capped, default):
+            for field in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
