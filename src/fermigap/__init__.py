@@ -1,6 +1,12 @@
 """Spectral-gap analysis of quadratic fermionic Hamiltonians."""
 
-from .errors import CapacityError, FermigapError, InputError, NumericalError
+from .errors import (
+    CapacityError,
+    ConformanceError,
+    FermigapError,
+    InputError,
+    NumericalError,
+)
 from .quadform import (
     CoefficientPair,
     GapProfile,

@@ -1,8 +1,10 @@
 """One OpenBLAS thread for loops over many small independent matrices.
 
 On small matrices OpenBLAS spends more time handing work to its threads than
-the threads save.  The cap is scoped to a block, not set for the process:
-the dense 2^n ``eigvalsh`` of the spin oracle runs faster on all threads.
+the threads save, and a second thread that has to wait for a busy core makes
+the whole call wait.  The cap is scoped to a block, not set for the process:
+the spin oracle's parity blocks above order 512 (n >= 11) run faster on all
+threads.
 Only OpenBLAS libraries already loaded into the process are touched; with
 none loaded (not Linux, or MKL/Accelerate) a capped block runs unchanged.
 """

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from . import _blas
-from .errors import CapacityError, InputError, NumericalError
+from .errors import CapacityError, ConformanceError, InputError, NumericalError
 from . import ensembles as ens
 from . import io as fio
 from . import lattice as lat
@@ -294,6 +294,9 @@ def cmd_ensemble(args) -> int:
     if args.kind not in (None, kind):
         raise InputError(f"experiment {args.experiment!r} draws from the {kind} "
                          f"ensemble, got --kind {args.kind}")
+    if args.experiment != "survival" and args.x is not None:
+        raise InputError(f"--x applies to the survival experiment only, "
+                         f"not {args.experiment!r}")
     if args.experiment == "survival" and not args.x:
         args.x = _SURVIVAL_X
     blas_threads = _blas.thread_counts(args.n)
@@ -343,9 +346,10 @@ def cmd_ising(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _verify_checks(n_max: int, trials: int, seed: int, inject_fault: str | None):
-    """Yield (check name, max residual, tolerance, replay info)."""
+    """Yield (check name, cases covered, max residual, tolerance, replay info)."""
     worst = 0.0
     info = None
+    cases = 0
     for t in range(trials):
         for n in range(1, n_max + 1):
             rng = np.random.default_rng(np.random.SeedSequence(
@@ -356,9 +360,10 @@ def _verify_checks(n_max: int, trials: int, seed: int, inject_fault: str | None)
             dense = sr.dense_spectrum_oracle(sr.PauliHamiltonian(w))
             scale = 1.0 + np.linalg.norm(pair.c, 2)
             res = float(np.max(np.abs(sub - dense))) / scale
+            cases += 1
             if res > worst:
                 worst, info = res, {"trial": t, "n": n}
-    yield ("subset-sum-vs-dense", worst, 1e-8, info)
+    yield ("subset-sum-vs-dense", cases, worst, 1e-8, info)
 
     worst = 0.0
     info = None
@@ -374,20 +379,18 @@ def _verify_checks(n_max: int, trials: int, seed: int, inject_fault: str | None)
         pair = qf.CoefficientPair(pair.a, b)
     dense = sr.dense_hamiltonian(sr.PauliHamiltonian(w))
     ferm = sr.fermionic_assembly(pair, sr.jw_operators(n))
-    yield ("route-equality", float(np.max(np.abs(dense - ferm))), 1e-12, {"n": n})
+    yield ("route-equality", 1, float(np.max(np.abs(dense - ferm))), 1e-12, {"n": n})
 
-    worst = 0.0
-    for n in range(1, min(n_max, 8) + 1):
-        worst = max(worst, sr.fcr_check(sr.jw_operators(n)).max_residual)
-    worst = max(worst, sr.fcr_check(sr.spin32_operators(2)).max_residual)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
     pair = qf.symmetrize_split(rng.standard_normal((4, 4)))
     decomp = qf.lieb_decompose(pair)
     etas = sr.unitary_fcr_transform(sr.jw_operators(4),
                                     (decomp.x + decomp.y) / 2.0,
                                     (decomp.x - decomp.y) / 2.0)
-    worst = max(worst, sr.fcr_check(etas).max_residual)
-    yield ("fcr-suites", worst, 1e-12, None)
+    op_sets = [*map(sr.jw_operators, range(1, min(n_max, 8) + 1)),
+               sr.spin32_operators(2), etas]
+    worst = max(sr.fcr_check(ops).max_residual for ops in op_sets)
+    yield ("fcr-suites", len(op_sets), worst, 1e-12, None)
 
     worst = 0.0
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
@@ -401,7 +404,7 @@ def _verify_checks(n_max: int, trials: int, seed: int, inject_fault: str | None)
         fast = np.sort(lat.g_eigenvalues(spec))
         scale = 1.0 + np.linalg.norm(g, 2)
         worst = max(worst, float(np.max(np.abs(dense - fast))) / scale)
-    yield ("structured-vs-dense", worst, 1e-8, None)
+    yield ("structured-vs-dense", len(specs), worst, 1e-8, None)
 
 
 def cmd_verify(args) -> int:
@@ -411,12 +414,13 @@ def cmd_verify(args) -> int:
         raise InputError(f"--trials must be >= 1, got {args.trials}")
     checks = []
     all_pass = True
-    for name, residual, tol, info in _verify_checks(args.n_max, args.trials,
-                                                    args.seed, args.inject_fault):
+    for name, cases, residual, tol, info in _verify_checks(args.n_max, args.trials,
+                                                           args.seed, args.inject_fault):
         passed = residual <= tol
         all_pass = all_pass and passed
-        checks.append({"check": name, "max_residual": residual, "tolerance": tol,
-                       "passed": passed, "replay": info, "seed": args.seed})
+        checks.append({"check": name, "cases": cases, "max_residual": residual,
+                       "tolerance": tol, "passed": passed, "replay": info,
+                       "seed": args.seed})
     _print_json({"checks": checks, "passed": all_pass, "seed": args.seed})
     return EXIT_OK if all_pass else EXIT_CONFORMANCE
 
@@ -512,6 +516,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"fermigap: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ConformanceError as exc:
+        print(f"fermigap: conformance error: {exc}", file=sys.stderr)
+        return EXIT_CONFORMANCE
 
 
 if __name__ == "__main__":

@@ -15,3 +15,7 @@ class CapacityError(FermigapError):
 
 class NumericalError(FermigapError):
     """A numerical routine failed or produced out-of-range values."""
+
+
+class ConformanceError(FermigapError):
+    """An independent check found a structural invariant broken."""

@@ -23,3 +23,10 @@ def dense_ground_state(h):
     """Lowest eigenvalue and eigenvector of the dense Hamiltonian."""
     vals, vecs = np.linalg.eigh(sr.dense_hamiltonian(h))
     return float(vals[0]), vecs[:, 0]
+
+
+def with_off_parity_term(dense_hamiltonian):
+    """dense_hamiltonian plus one X_1 term, which flips the fermion parity."""
+    def patched(h):
+        return dense_hamiltonian(h) + sr.pauli_string_matrix("X" + "I" * (h.n - 1))
+    return patched

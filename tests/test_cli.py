@@ -9,6 +9,8 @@ import pytest
 
 from fermigap import cli, io as fio, lattice as lat, quadform as qf, spinrep as sr
 
+from conftest import with_off_parity_term
+
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
@@ -375,6 +377,24 @@ class TestEnsembleCommand:
         assert "x values must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["edelman", "figure1", "figure2"])
+    def test_x_outside_survival_exit_2_before_output(self, tmp_path, capsys, experiment):
+        out = tmp_path / "d"
+        assert cli.main(["ensemble", "--experiment", experiment, "--n", "4",
+                         "--samples", "5", "--x", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "--x applies to the survival experiment only" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["edelman", "figure1"])
+    def test_x_recorded_as_null_without_survival(self, tmp_path, capsys, experiment):
+        out = tmp_path / "d"
+        assert cli.main(["ensemble", "--experiment", experiment, "--n", "4",
+                         "--samples", "5", "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["config"]["x"] is None
+        assert json.loads((out / "manifest.json").read_text())["parameters"]["x"] is None
+
     @pytest.mark.parametrize("experiment", ["figure1", "figure2"])
     def test_enumeration_cap_exit_2_before_output(self, tmp_path, capsys, experiment):
         out = tmp_path / "d"
@@ -415,6 +435,23 @@ class TestVerify:
         names = {c["check"] for c in doc["checks"]}
         assert names == {"subset-sum-vs-dense", "route-equality",
                          "fcr-suites", "structured-vs-dense"}
+
+    def test_case_counts(self, capsys):
+        assert cli.main(["verify", "--n-max", "4", "--trials", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert {c["check"]: c["cases"] for c in doc["checks"]} == {
+            "subset-sum-vs-dense": 4, "route-equality": 1, "fcr-suites": 6,
+            "structured-vs-dense": 3}
+
+    def test_off_parity_oracle_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(sr, "dense_hamiltonian", with_off_parity_term(sr.dense_hamiltonian))
+        assert cli.main(["verify", "--n-max", "3", "--trials", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fermigap: conformance error: dense Hamiltonian "
+                                       "couples the two fermion-parity sectors")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     def test_injected_fault_detected(self, capsys):
         assert cli.main(["verify", "--n-max", "4", "--trials", "1",

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fermigap import quadform as qf
+from fermigap import _blas, quadform as qf
 from fermigap import spinrep as sr
-from fermigap.errors import CapacityError, InputError
+from fermigap.errors import CapacityError, ConformanceError, InputError
 
-from conftest import dense_ground_state
+from conftest import dense_ground_state, with_off_parity_term
 
 
 def dyadic_w(n, rng, scale=2 ** 20):
@@ -90,6 +92,22 @@ class TestPauliAssembly:
             sr.pauli_string_matrix("Z" * (sr.DENSE_QUBIT_CAP + 1))
 
 
+class TestParityBlockOracle:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_full_matrix_eigvalsh(self, n):
+        h = sr.PauliHamiltonian(np.random.default_rng(30 + n).standard_normal((n, n)))
+        mat = sr.dense_hamiltonian(h)
+        np.testing.assert_allclose(sr.dense_spectrum_oracle(h), np.linalg.eigvalsh(mat),
+                                   rtol=0, atol=1e-12 * (1.0 + np.linalg.norm(mat, 2)))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_off_parity_entry_raises(self, monkeypatch, n):
+        monkeypatch.setattr(sr, "dense_hamiltonian", with_off_parity_term(sr.dense_hamiltonian))
+        h = sr.PauliHamiltonian(np.random.default_rng(40).standard_normal((n, n)))
+        with pytest.raises(ConformanceError, match="off-parity entry 1.000e"):
+            sr.dense_spectrum_oracle(h)
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_subset_sum_matches_dense(self, n):
@@ -117,7 +135,89 @@ class TestOracleAgreement:
         np.testing.assert_allclose(quasi, direct, atol=1e-12)
 
 
+def fcr_residual_all_pairs(ops):
+    """fcr_check's residual over the full j, k double loop, the reference."""
+    eye = np.eye(ops.dimension)
+    worst = 0.0
+    for j, cj in enumerate(ops.ops):
+        for k, ck in enumerate(ops.ops):
+            mixed = cj @ ck.conj().T + ck.conj().T @ cj - (j == k) * eye
+            same = cj @ ck + ck @ cj
+            worst = max(worst, np.linalg.norm(mixed, 2), np.linalg.norm(same, 2))
+    return float(worst)
+
+
+@st.composite
+def operator_sets(draw):
+    """Real or complex sets of m = 1..4 operators of dimension 1..8.
+
+    Either Gaussian matrices, or Jordan-Wigner operators with per-operator
+    phases (which keep the FCRs) plus noise of a drawn size, zero included.
+    A Jordan-Wigner set may repeat its first operator last, a defect that
+    only the pair (first, last) shows.
+    """
+    is_complex = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        m, dim = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+        base, noise = np.zeros((m, dim, dim)), 1.0
+    else:
+        sites = draw(st.integers(1, 3))
+        base = np.array(sr.jw_operators(sites).ops[:draw(st.integers(1, sites))])
+        if draw(st.booleans()):
+            base[-1] = base[0]
+        noise = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    shape = base.shape
+    ops = base + noise * rng.standard_normal(shape)
+    if is_complex:
+        phases = np.exp(2j * np.pi * rng.random(shape[0]))[:, None, None]
+        ops = phases * ops + 1j * noise * rng.standard_normal(shape)
+    return sr.FermionOperatorSet(tuple(ops))
+
+
 class TestFcr:
+    @given(ops=operator_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_pairs_j_le_k_match_all_pairs(self, ops):
+        reference = fcr_residual_all_pairs(ops)
+        assert abs(sr.fcr_check(ops).max_residual - reference) <= 1e-14 * (1.0 + reference)
+
+    @pytest.mark.parametrize("phase", [1.0, 1j], ids=["real", "complex"])
+    def test_defect_in_last_operator_fails(self, phase):
+        ops = [phase * op for op in sr.jw_operators(3).ops]
+        ops[-1] = 1.001 * ops[-1]
+        broken = sr.FermionOperatorSet(tuple(ops))
+        report = sr.fcr_check(broken)
+        assert not report.passed
+        assert report.max_residual == pytest.approx(fcr_residual_all_pairs(broken), rel=1e-14)
+
+    def test_defect_between_two_operators_fails(self):
+        c = sr.jw_operators(2).ops[0]
+        report = sr.fcr_check(sr.FermionOperatorSet((c, c)))
+        assert report.max_residual == 1.0
+        assert not report.passed
+
+    def test_operators_are_real(self):
+        for ops in (*map(sr.jw_operators, range(1, 6)), sr.spin32_operators(1),
+                    sr.spin32_operators(2)):
+            assert ops.dtype == np.float64
+            assert all(op.dtype == np.float64 for op in ops.ops)
+        rng = np.random.default_rng(23)
+        d = qf.lieb_decompose(qf.symmetrize_split(rng.standard_normal((3, 3))))
+        ops = sr.jw_operators(3)
+        etas = sr.unitary_fcr_transform(ops, (d.x + d.y) / 2.0, (d.x - d.y) / 2.0)
+        assert etas.dtype == np.float64
+        assert sr.fermionic_assembly(qf.symmetrize_split(d.x), ops).dtype == np.float64
+        assert sr.quasiparticle_assembly(d, ops).dtype == np.float64
+
+    def test_complex_set_stays_complex(self):
+        ops = sr.FermionOperatorSet(tuple(1j * op for op in sr.jw_operators(3).ops))
+        assert ops.dtype == np.complex128
+        assert sr.fcr_check(ops).passed
+        quasi = sr.quasiparticle_assembly(
+            qf.lieb_decompose(qf.symmetrize_split(np.eye(3))), ops)
+        assert quasi.dtype == np.complex128
+
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_jw_operators_pass(self, n):
         report = sr.fcr_check(sr.jw_operators(n))
@@ -149,6 +249,53 @@ class TestFcr:
         with pytest.raises(InputError, match="not orthogonal"):
             sr.unitary_fcr_transform(sr.jw_operators(2),
                                      np.eye(2), 0.1 * np.eye(2))
+
+
+class TestSmallMatrixThreads:
+    """The FCR loop and the oracle's parity blocks run on one OpenBLAS thread."""
+
+    @pytest.fixture
+    def libs(self):
+        libs = _blas.loaded_openblas()
+        if not libs:
+            pytest.skip("no OpenBLAS loaded in this process")
+        return libs
+
+    def spy(self, monkeypatch, libs, name):
+        """Record the thread counts seen by every call of np.linalg.<name>."""
+        seen = []
+        real = getattr(np.linalg, name)
+
+        def spied(*args, **kwargs):
+            seen.append([lib.get() for lib in libs])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spied)
+        return seen
+
+    def test_fcr_check_on_one_thread(self, libs, monkeypatch):
+        before = [lib.get() for lib in libs]
+        seen = self.spy(monkeypatch, libs, "norm")
+        assert sr.fcr_check(sr.jw_operators(3)).passed
+        assert seen and all(counts == [1] * len(libs) for counts in seen)
+        assert [lib.get() for lib in libs] == before
+
+    def test_oracle_blocks_on_one_thread(self, libs, monkeypatch):
+        before = [lib.get() for lib in libs]
+        seen = self.spy(monkeypatch, libs, "eigvalsh")
+        sr.dense_spectrum_oracle(sr.PauliHamiltonian(np.eye(4)))
+        assert seen == [[1] * len(libs)] * 2
+        assert [lib.get() for lib in libs] == before
+
+    def test_fcr_bit_identical_to_default_threads(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        d = qf.lieb_decompose(qf.symmetrize_split(rng.standard_normal((4, 4))))
+        etas = sr.unitary_fcr_transform(sr.jw_operators(4),
+                                        (d.x + d.y) / 2.0, (d.x - d.y) / 2.0)
+        sets = [sr.jw_operators(8), sr.spin32_operators(2), etas]
+        capped = [sr.fcr_check(ops).max_residual for ops in sets]
+        monkeypatch.setattr(_blas, "loaded_openblas", lambda: [])
+        assert capped == [sr.fcr_check(ops).max_residual for ops in sets]
 
 
 class TestClusterModel:
