@@ -129,14 +129,19 @@ def _csv_text(header, columns) -> str:
 
 
 def _write_run(out_dir: str, command: str, parameters: dict, seed: int | None,
-               outputs: dict[str, str]) -> None:
-    """Write each output and a manifest.json listing them into out_dir."""
+               outputs: dict[str, str], **measured) -> None:
+    """Write each output and a manifest.json listing them into out_dir.
+
+    measured holds readings that vary from run to run, such as memory; they
+    go into the manifest only, never into an output.
+    """
     manifest = _json_text({
         "command": command,
         "parameters": parameters,
         "seed": seed,
         "tool_version": __version__,
         "outputs": list(outputs),
+        **measured,
     })
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -303,8 +308,17 @@ def cmd_ensemble(args) -> int:
     summary, outputs = _EXPERIMENTS[args.experiment](args)
     # figure2 draws one evolution, sample 0, whatever --samples says.
     samples = 1 if args.experiment == "figure2" else args.samples
+    workers = (ens.gap_workers(args.n, samples)
+               if args.experiment in ens.POOLED_EXPERIMENTS else 1)
+    measured = {}
+    if workers > 1:
+        import resource
+
+        # the largest peak RSS of this process's finished children: the workers
+        measured["worker_peak_rss_mb"] = (
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0)
     parameters = {"kind": kind, "n": args.n, "samples": samples,
-                  "x": args.x, "blas_threads": blas_threads}
+                  "x": args.x, "blas_threads": blas_threads, "workers": workers}
     summary_text = _json_text({
         "experiment": args.experiment,
         "config": {**parameters, "seed": args.seed},
@@ -313,7 +327,7 @@ def cmd_ensemble(args) -> int:
     # Nothing is written until every output is in hand: a run that fails
     # leaves no directory behind.
     _write_run(args.out, f"ensemble {args.experiment}", parameters, args.seed,
-               {**outputs, "summary.json": summary_text})
+               {**outputs, "summary.json": summary_text}, **measured)
     sys.stdout.write(summary_text)
     return EXIT_OK
 

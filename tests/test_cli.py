@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from fermigap import cli, io as fio, lattice as lat, quadform as qf, spinrep as sr
+from fermigap import _blas, cli, ensembles as ens, io as fio, lattice as lat, quadform as qf, \
+    spinrep as sr
 
 from conftest import with_off_parity_term
 
@@ -404,6 +405,97 @@ class TestEnsembleCommand:
         assert not out.exists()
 
 
+def _ensemble_run(out, experiment, n, samples, seed=4):
+    assert cli.main(["ensemble", "--experiment", experiment, "--n", str(n),
+                     "--samples", str(samples), "--seed", str(seed), "--out", str(out)]) == 0
+    return (json.loads((out / "summary.json").read_text()),
+            json.loads((out / "manifest.json").read_text()))
+
+
+# Runs cli.main in a fresh interpreter whose ensemble_gaps uses two processes
+# and whose sample_pair runs FAULT in the forked worker only.
+_FAULTY_WORKER = """
+import os, sys
+import fermigap.cli as cli, fermigap.ensembles as ens
+from fermigap.errors import NumericalError
+parent, sample_pair = os.getpid(), ens.sample_pair
+def faulty(config, index):
+    if os.getpid() != parent:
+        FAULT
+    return sample_pair(config, index)
+ens.sample_pair = faulty
+ens.gap_workers = lambda n, samples: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestEnsembleWorkers:
+    @pytest.mark.parametrize("experiment", ["survival", "edelman"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_outputs_bit_identical_for_any_worker_count(self, tmp_path, capsys, monkeypatch,
+                                                        experiment, workers):
+        runs = {}
+        for count in (1, workers):
+            monkeypatch.setattr(ens, "gap_workers", lambda n, samples, count=count: count)
+            out = tmp_path / str(count)
+            summary, manifest = _ensemble_run(out, experiment, 16, 61)
+            assert summary["config"]["workers"] == manifest["parameters"]["workers"] == count
+            stdout = json.loads(capsys.readouterr().out)
+            assert stdout == summary
+            del summary["config"]["workers"]
+            runs[count] = (summary, (out / f"{experiment}.csv").read_bytes())
+        assert runs[1] == runs[workers]
+
+    def test_pooled_run_records_workers_and_their_memory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        summary, manifest = _ensemble_run(tmp_path / "d", "edelman", 8,
+                                          2 * ens.MIN_SAMPLES_PER_WORKER)
+        assert summary["config"]["workers"] == manifest["parameters"]["workers"] == 2
+        assert manifest["worker_peak_rss_mb"] > 0.0
+        assert "worker_peak_rss_mb" not in json.dumps(summary)
+
+    @pytest.mark.parametrize("experiment, cpus, samples", [
+        ("survival", {0}, 2 * ens.MIN_SAMPLES_PER_WORKER),              # one usable CPU
+        ("edelman", {0, 1}, 2 * ens.MIN_SAMPLES_PER_WORKER - 1),       # too few samples
+        ("figure1", {0, 1}, 2 * ens.MIN_SAMPLES_PER_WORKER),           # serial loop
+        ("figure2", {0, 1}, 2 * ens.MIN_SAMPLES_PER_WORKER),
+    ])
+    def test_single_process_run_records_one_worker(self, tmp_path, capsys, monkeypatch,
+                                                   experiment, cpus, samples):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        summary, manifest = _ensemble_run(tmp_path / "d", experiment, 4, samples)
+        assert summary["config"]["workers"] == manifest["parameters"]["workers"] == 1
+        assert "worker_peak_rss_mb" not in manifest
+
+    def test_large_n_records_one_worker(self, tmp_path, capsys, monkeypatch):
+        # the loop above SINGLE_THREAD_MAX_N already runs on every BLAS thread
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        calls = []
+        monkeypatch.setattr(ens, "ensemble_gaps", lambda config: calls.append(config)
+                            or np.ones(config.samples))
+        n = _blas.SINGLE_THREAD_MAX_N + 1
+        summary, manifest = _ensemble_run(tmp_path / "d", "survival", n, 10 ** 4)
+        assert [c.n for c in calls] == [n]
+        assert summary["config"]["workers"] == manifest["parameters"]["workers"] == 1
+
+    @pytest.mark.parametrize("fault, message", [
+        ("raise NumericalError('SVD of A+B failed to converge: injected')",
+         "fermigap: numerical error: SVD of A+B failed to converge: injected"),
+        ("os._exit(1)", "fermigap: numerical error: the worker for samples [5, 10) died"),
+    ], ids=["numerical-error", "worker-died"])
+    def test_worker_failure_exit_3_without_output(self, tmp_path, fault, message):
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c", _FAULTY_WORKER.replace("FAULT", fault), "ensemble",
+             "--experiment", "survival", "--n", "8", "--samples", "10", "--out", str(out)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith(message)
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
+        assert not out.exists()
+
+
 class TestCsvOutput:
     @pytest.mark.parametrize("argv, name", [
         (["ensemble", "--experiment", "figure1", "--n", "4", "--samples", "20"], "figure1.csv"),
@@ -530,19 +622,25 @@ class TestConsoleScript:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap only")
     def test_sample_loop_reuses_freed_heap(self, tmp_path):
-        # without fixed thresholds this run takes about 39k minor page faults
+        # without fixed thresholds this run takes about 39k minor page faults;
+        # the faults of the forked workers count too (RUSAGE_CHILDREN), as a
+        # difference because the interpreter may inherit its launcher's children
         code = ("import resource, sys, fermigap.cli as cli; "
-                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+                "faults = lambda: sum(resource.getrusage(who).ru_minflt for who in "
+                "(resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)); "
+                "before = faults(); "
                 "rc = cli.main(sys.argv[1:]); "
-                "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
-                "print(rc, after - before, file=sys.stderr)")
+                "print(rc, faults() - before, file=sys.stderr)")
+        out = tmp_path / "surv"
         proc = subprocess.run([sys.executable, "-c", code, "ensemble", "--experiment",
                                "survival", "--n", "128", "--samples", "200",
-                               "--out", str(tmp_path / "surv")],
+                               "--out", str(out)],
                               capture_output=True, text=True)
         rc, faults = map(int, proc.stderr.split())
         assert rc == 0
         assert faults < 5000
+        workers = json.loads((out / "manifest.json").read_text())["parameters"]["workers"]
+        assert workers == (2 if len(os.sched_getaffinity(0)) >= 2 else 1)
 
     def test_entry_point_runs(self):
         proc = subprocess.run([sys.executable, "-m", "fermigap.cli", "cluster",

@@ -174,3 +174,38 @@ class TestSingleThreadLoop:
         for a, b in zip(capped, default):
             for field in dataclasses.fields(a):
                 assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("kind, samples, workers", [
+        ("bounded_uniform", 7, 3),      # uneven chunks: [0, 2), [2, 4), [4, 7)
+        ("gaussian", 2, 2),             # the caller's chunk is sample 0 alone
+        ("gaussian", 41, 2),
+    ])
+    def test_gaps_bit_identical_for_any_worker_count(self, monkeypatch, kind, samples,
+                                                     workers):
+        config = ens.EnsembleConfig(kind=kind, n=12, samples=samples, seed=23)
+        serial = ens.ensemble_gaps(config)
+        monkeypatch.setattr(ens, "gap_workers", lambda n, s: workers)
+        pooled = ens.ensemble_gaps(config)
+        assert pooled.dtype == serial.dtype and pooled.shape == (samples,)
+        assert np.array_equal(pooled, serial)
+
+    def test_one_worker_per_cpu_with_enough_samples(self, monkeypatch):
+        monkeypatch.setattr(ens.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        per = ens.MIN_SAMPLES_PER_WORKER
+        assert ens.gap_workers(128, 3 * per) == 3
+        assert ens.gap_workers(128, 10 ** 6) == 3
+        assert ens.gap_workers(128, 3 * per - 1) == 2
+        assert ens.gap_workers(2, 2 * per) == 2
+        assert ens.gap_workers(_blas.SINGLE_THREAD_MAX_N, 2 * per) == 2
+
+    @pytest.mark.parametrize("n, samples, cpus", [
+        (_blas.SINGLE_THREAD_MAX_N + 1, 10 ** 6, {0, 1}),    # already on every BLAS thread
+        (128, 10 ** 6, {0}),                                  # one usable CPU
+        (128, 2 * ens.MIN_SAMPLES_PER_WORKER - 1, {0, 1}),  # too few samples
+        (128, 1, {0, 1}),
+    ])
+    def test_single_process(self, monkeypatch, n, samples, cpus):
+        monkeypatch.setattr(ens.os, "sched_getaffinity", lambda pid: cpus)
+        assert ens.gap_workers(n, samples) == 1
