@@ -167,18 +167,38 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-# The per-point reports, arrays and CSV text take about 250 bytes per grid
-# point: a 2-site profile peaks at 300 MB RSS at this cap, and 10^9 points
-# would need 8 GB for the grid alone.
+# The per-point arrays, lists and CSV text take about 220 bytes per grid
+# point: a 2-site profile peaks at about 250 MB RSS at this cap, and 10^9
+# points would need 8 GB for the grid alone.
 PROFILE_GRID_CAP = 10 ** 6
+
+# Work caps, grid points x n for a structured spec and grid points x n^3 for a
+# dense pair, each about 10 minutes of worst-case work.  On a 2-core x86-64
+# VM a full pass over a 2^20-site symbol took 15 ns per mode (a point usually
+# evaluates far fewer modes; see lattice.structured_gap_profile), and a
+# values-only SVD 0.34-0.53 ns per n^3 for n = 256..2048.  The benchmark's
+# 101 x 2^20 and 101 x 256^3 are 1.1e8 and 1.7e9.
+PROFILE_STRUCTURED_WORK_CAP = 4 * 10 ** 10
+PROFILE_DENSE_WORK_CAP = 10 ** 12
+
+
+def _check_profile_work(grid: int, n: int, dense: bool) -> None:
+    """CapacityError if a profile of grid points over n sites exceeds its work cap."""
+    work, cap, unit = ((grid * n ** 3, PROFILE_DENSE_WORK_CAP, "grid x n^3") if dense
+                       else (grid * n, PROFILE_STRUCTURED_WORK_CAP, "grid x n"))
+    if work > cap:
+        raise CapacityError(f"a {grid}-point profile of {n} sites is {work:.3g} {unit}, "
+                            f"above the cap of {cap:.3g}")
 
 
 def cmd_profile(args) -> int:
     if not 2 <= args.grid <= PROFILE_GRID_CAP:
         raise InputError(f"grid size must lie in [2, {PROFILE_GRID_CAP}], got {args.grid}")
     source = fio.load_pair_or_structured(args.input)
+    dense = isinstance(source, qf.CoefficientPair)
+    _check_profile_work(args.grid, source.n, dense)
     s_grid = np.linspace(0.0, 1.0, args.grid)
-    if isinstance(source, qf.CoefficientPair):
+    if dense:
         profile = qf.gap_profile(source, s_grid, args.tol)
     else:
         profile = lat.structured_gap_profile(source, s_grid, args.tol)
@@ -200,8 +220,7 @@ def cmd_profile(args) -> int:
                        closes=path_min.closes)
     summary_text = _json_text(summary)
     if args.out:
-        blas_threads = _blas.thread_counts(
-            source.n if isinstance(source, qf.CoefficientPair) else None)
+        blas_threads = _blas.thread_counts(source.n if dense else None)
         _write_run(args.out, "profile",
                    {"input": str(args.input), "grid": args.grid, "tol": args.tol,
                     "blas_threads": blas_threads},

@@ -173,22 +173,39 @@ def rarity_log_fraction(n: int, epsilon: float) -> float:
 #     64     261 vs 169         158 vs 169
 #     128    1085 vs 659        505 vs 327
 #
-# So two chunks of 100 pay off from n = 64 on; below that the pool costs at
-# most about 80 ms, and breaks even near 1000 samples (n = 8: 298 vs 324 and
-# 148 vs 128; n = 32: 525 vs 321 and 293 vs 250).
+# So two chunks of 100 pay off from n = 64 on.
 MIN_SAMPLES_PER_WORKER = 100
+
+# Smallest n whose samples are spread over processes.  Below it a sample
+# costs too little for a pool to win back its start-up.  The same
+# measurement at 1000 samples, ms (medians of 5; n = 8 from an earlier run):
+#
+#     n      bounded_uniform    gaussian
+#     8      298 vs 324         148 vs 128
+#     24     423 vs 373         246 vs 295
+#     32     472 vs 447         301 vs 320
+#     40     837 vs 582         424 vs 354
+#     48     1104 vs 744        513 vs 462
+#
+# n = 40 is the smallest n at which two processes win for both ensembles,
+# and their gain grows with the samples.  Below it they gain little or lose
+# at 1000 samples, and at 200 they lost up to 78 ms (n = 8, the table
+# above).  At 200 samples they still lose up to 65 ms at n = 40-48
+# (gaussian 102 vs 149 and 135 vs 200).
+MIN_POOLED_N = 40
 
 
 def gap_workers(n: int, samples: int) -> int:
     """Processes ensemble_gaps spreads a run over, the calling one included.
 
-    One per usable CPU, each with at least MIN_SAMPLES_PER_WORKER samples.
-    Above SINGLE_THREAD_MAX_N a single process, whose factorizations already
-    run on every BLAS thread.  Without os.sched_getaffinity (macOS, Windows:
-    no fork, or none that is safe once system frameworks are loaded), also a
-    single process.
+    One per usable CPU, each with at least MIN_SAMPLES_PER_WORKER samples,
+    for MIN_POOLED_N <= n <= SINGLE_THREAD_MAX_N.  Below that range a single
+    process, since the pool costs more than the samples; above it also a
+    single process, whose factorizations already run on every BLAS thread.
+    Without os.sched_getaffinity (macOS, Windows: no fork, or none that is
+    safe once system frameworks are loaded), also a single process.
     """
-    if n > SINGLE_THREAD_MAX_N or not hasattr(os, "sched_getaffinity"):
+    if not MIN_POOLED_N <= n <= SINGLE_THREAD_MAX_N or not hasattr(os, "sched_getaffinity"):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), samples // MIN_SAMPLES_PER_WORKER))
 

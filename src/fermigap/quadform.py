@@ -177,26 +177,55 @@ class GapReport:
     num_zero_modes: int
 
 
-def default_zero_tolerance(lam: np.ndarray) -> float:
-    """Numerical-rank convention: n * eps * sigma_max."""
-    n = lam.shape[0]
-    smax = float(lam.max(initial=0.0))
+def zero_tolerance_for(n: int, smax: float) -> float:
+    """Numerical-rank convention n * eps * smax, for n values whose largest is smax.
+
+    Rounding is monotone, so a bound on smax from either side bounds the
+    tolerance from the same side.
+    """
     return n * np.finfo(float).eps * smax
 
 
-def gap_report_from_singular_values(lam, zero_tolerance: float | None = None) -> GapReport:
-    """Build a GapReport from the singular values of A + B, in any order."""
-    lam = np.asarray(lam, dtype=float)
+def default_zero_tolerance(lam: np.ndarray) -> float:
+    """Numerical-rank convention: n * eps * sigma_max."""
+    return zero_tolerance_for(lam.shape[0], float(lam.max(initial=0.0)))
+
+
+def check_zero_tolerance(zero_tolerance: float | None) -> None:
+    """InputError unless zero_tolerance is None or finite and non-negative."""
     if zero_tolerance is not None and not 0.0 <= zero_tolerance < np.inf:
         raise InputError(f"zero_tolerance must be finite and non-negative, got {zero_tolerance}")
-    total = float(lam.sum())
+
+
+def _finite_total(lam: np.ndarray) -> float:
+    """sum(lam); NumericalError if it is not finite, without a RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(lam.sum())
     if not np.isfinite(total):
         raise NumericalError(f"singular values do not sum to a finite value: {total}")
+    return total
+
+
+def gap_and_zero_modes(lam: np.ndarray, zero_tolerance: float | None = None):
+    """(gap, num_zero_modes, zero_tolerance) of singular values in any order.
+
+    gap is twice the least value above the tolerance (0 if none); the
+    tolerance defaults to default_zero_tolerance(lam).
+    """
     if zero_tolerance is None:
         zero_tolerance = default_zero_tolerance(lam)
     nonzero = lam[lam > zero_tolerance]
     num_zero = int(lam.size - nonzero.size)
     gap = 2.0 * float(nonzero.min()) if nonzero.size else 0.0
+    return gap, num_zero, zero_tolerance
+
+
+def gap_report_from_singular_values(lam, zero_tolerance: float | None = None) -> GapReport:
+    """Build a GapReport from the singular values of A + B, in any order."""
+    lam = np.asarray(lam, dtype=float)
+    check_zero_tolerance(zero_tolerance)
+    total = _finite_total(lam)
+    gap, num_zero, zero_tolerance = gap_and_zero_modes(lam, zero_tolerance)
     return GapReport(
         ground_energy=-total,
         gap=gap,
@@ -267,16 +296,15 @@ class PathMinimum:
 
 @dataclass(frozen=True)
 class GapProfile:
-    """GapReport fields along an interpolation grid, one entry per point.
+    """Gap and zero-mode count along an interpolation grid, one entry per point.
 
-    gap[i], ground_energy[i] and num_zero_modes[i] are those of the report at
-    s[i].  path_minimum is the grid-free minimum where a path has one
-    (structured specs), else None.
+    gap[i] and num_zero_modes[i] are those of the GapReport at s[i].
+    path_minimum is the grid-free minimum where a path has one (structured
+    specs), else None.
     """
 
     s: np.ndarray
     gap: np.ndarray
-    ground_energy: np.ndarray
     num_zero_modes: np.ndarray
     path_minimum: PathMinimum | None = None
 
@@ -304,16 +332,14 @@ def check_s(s) -> np.ndarray:
     return s
 
 
-def profile_from_singular_values(s_grid: np.ndarray, singular_values,
-                                 zero_tolerance: float | None = None,
-                                 path_minimum: PathMinimum | None = None) -> GapProfile:
-    """GapProfile over a checked grid; singular_values(s) gives those of C(s)."""
-    reports = [gap_report_from_singular_values(singular_values(s), zero_tolerance)
-               for s in s_grid.tolist()]
-    return GapProfile(s=s_grid.copy(),
-                      gap=np.array([rep.gap for rep in reports]),
-                      ground_energy=np.array([rep.ground_energy for rep in reports]),
-                      num_zero_modes=np.array([rep.num_zero_modes for rep in reports]),
+def profile_from_points(s_grid: np.ndarray, gap_at,
+                        path_minimum: PathMinimum | None = None) -> GapProfile:
+    """GapProfile over a checked grid; gap_at(s) gives (gap, num_zero_modes) at s."""
+    gap = np.empty(s_grid.size)
+    num_zero_modes = np.empty(s_grid.size, dtype=int)
+    for i, s in enumerate(s_grid.tolist()):
+        gap[i], num_zero_modes[i] = gap_at(s)
+    return GapProfile(s=s_grid.copy(), gap=gap, num_zero_modes=num_zero_modes,
                       path_minimum=path_minimum)
 
 
@@ -326,9 +352,14 @@ def gap_profile(target: CoefficientPair, s_grid,
     pair is validated once, not once per point.
     """
     s_grid = check_s(s_grid)
+    check_zero_tolerance(zero_tolerance)
     a, b = target.a, target.b
     eye = np.eye(target.n)
+
+    def gap_at(s):
+        lam = _singular_values(((1.0 - s) * eye + s * a) + s * b)
+        _finite_total(lam)
+        return gap_and_zero_modes(lam, zero_tolerance)[:2]
+
     with small_matrix_threads(target.n):
-        return profile_from_singular_values(
-            s_grid, lambda s: _singular_values(((1.0 - s) * eye + s * a) + s * b),
-            zero_tolerance)
+        return profile_from_points(s_grid, gap_at)

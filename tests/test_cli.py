@@ -9,6 +9,7 @@ import pytest
 
 from fermigap import _blas, cli, ensembles as ens, io as fio, lattice as lat, quadform as qf, \
     spinrep as sr
+from fermigap.errors import CapacityError
 
 from conftest import with_off_parity_term
 
@@ -246,6 +247,90 @@ class TestProfile:
             assert float(gap) == expected
 
 
+class TestProfileWorkCap:
+    @pytest.mark.parametrize("grid, n, dense", [
+        (101, 2 ** 20, False),      # the benchmark's torus
+        (101, 256, True),           # the benchmark's dense pair
+        (10 ** 6, 2, False),
+        (10 ** 6, 2, True),
+        (10 ** 6, 100, True),
+    ])
+    def test_admitted(self, grid, n, dense):
+        cli._check_profile_work(grid, n, dense)
+
+    @pytest.mark.parametrize("grid, n, dense", [
+        (10 ** 6, 2 ** 20, False),
+        (101, 4096, True),
+        (10 ** 6, 101, True),
+    ])
+    def test_refused(self, grid, n, dense):
+        with pytest.raises(CapacityError, match="above the cap"):
+            cli._check_profile_work(grid, n, dense)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["structured", "dense"])
+    def test_exit_2_before_the_grid_loop(self, tmp_path, capsys, monkeypatch, dense):
+        def no_loop(*args, **kwargs):
+            raise AssertionError("the grid loop started")
+
+        if dense:     # 10^6 x 101^3 > 10^12
+            monkeypatch.setattr(qf, "gap_profile", no_loop)
+            doc = pair_doc(qf.CoefficientPair.identity(101))
+        else:         # 10^6 x 50,000 > 4 x 10^10
+            monkeypatch.setattr(lat, "structured_gap_profile", no_loop)
+            doc = fio.structured_to_dict(lat.build_xy_cycle(50_000))
+        out = tmp_path / "out"
+        path = write_json(tmp_path / "in.json", doc)
+        assert cli.main(["profile", path, "--grid", str(10 ** 6), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "above the cap" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
+def _run_cli(*argv):
+    return subprocess.run([sys.executable, "-m", "fermigap.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestNonFiniteStructured:
+    @pytest.mark.parametrize("root", ["[0, Infinity, 0, Infinity]", "[0, -Infinity, 0, -Infinity]",
+                                      "[0, NaN, 0, NaN]"])
+    @pytest.mark.parametrize("command", ["gap", "spectrum", "profile"])
+    def test_non_finite_root_exit_2(self, tmp_path, root, command):
+        path = tmp_path / "spec.json"
+        path.write_text('{"kind": "circulant", "dims": [4], "a_root": %s, '
+                        '"b_root": [0, 0, 0, 0]}' % root)
+        proc = _run_cli(command, str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == "fermigap: input error: a root contains non-finite entries\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("command", ["gap", "spectrum", "profile"])
+    def test_overflowing_fft_exit_3_with_one_line(self, tmp_path, command):
+        # every entry finite, but sigma_0 = 4e308 overflows
+        path = write_json(tmp_path / "spec.json",
+                          {"kind": "circulant", "dims": [4], "a_root": [1e308] * 4,
+                           "b_root": [0.0] * 4})
+        out = tmp_path / "out"
+        proc = _run_cli(command, path, *(["--out", str(out)] if command == "profile" else []))
+        assert proc.returncode == 3
+        assert proc.stderr == ("fermigap: numerical error: the DFT of the root of A + B "
+                               "is not finite (overflow)\n")
+        assert proc.stdout == ""
+        assert not out.exists()
+
+    def test_symbol_too_large_for_the_path_exit_3(self, tmp_path):
+        path = write_json(tmp_path / "spec.json",
+                          {"kind": "circulant", "dims": [3], "a_root": [1e160, 0.0, 0.0],
+                           "b_root": [0.0] * 3})
+        proc = _run_cli("profile", path)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("fermigap: numerical error: the DFT of the root of "
+                                      "A + B is too large")
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
+
+
 class TestProfileText:
     """The CSV rows are f"{s!r},{gap!r},{degenerate}" of Python floats."""
 
@@ -448,7 +533,7 @@ class TestEnsembleWorkers:
 
     def test_pooled_run_records_workers_and_their_memory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        summary, manifest = _ensemble_run(tmp_path / "d", "edelman", 8,
+        summary, manifest = _ensemble_run(tmp_path / "d", "edelman", ens.MIN_POOLED_N,
                                           2 * ens.MIN_SAMPLES_PER_WORKER)
         assert summary["config"]["workers"] == manifest["parameters"]["workers"] == 2
         assert manifest["worker_peak_rss_mb"] > 0.0
@@ -464,6 +549,13 @@ class TestEnsembleWorkers:
                                                    experiment, cpus, samples):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         summary, manifest = _ensemble_run(tmp_path / "d", experiment, 4, samples)
+        assert summary["config"]["workers"] == manifest["parameters"]["workers"] == 1
+        assert "worker_peak_rss_mb" not in manifest
+
+    def test_small_n_records_one_worker(self, tmp_path, capsys, monkeypatch):
+        # a pool costs more than 2000 samples at n = 8 take
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        summary, manifest = _ensemble_run(tmp_path / "d", "survival", 8, 2000)
         assert summary["config"]["workers"] == manifest["parameters"]["workers"] == 1
         assert "worker_peak_rss_mb" not in manifest
 

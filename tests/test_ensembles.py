@@ -197,14 +197,21 @@ class TestWorkers:
         assert ens.gap_workers(128, 3 * per) == 3
         assert ens.gap_workers(128, 10 ** 6) == 3
         assert ens.gap_workers(128, 3 * per - 1) == 2
-        assert ens.gap_workers(2, 2 * per) == 2
+        assert ens.gap_workers(ens.MIN_POOLED_N, 2 * per) == 2
         assert ens.gap_workers(_blas.SINGLE_THREAD_MAX_N, 2 * per) == 2
+
+    def test_two_workers_on_two_cpus_at_n_128(self, monkeypatch):
+        monkeypatch.setattr(ens.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert ens.gap_workers(128, 2000) == 2
 
     @pytest.mark.parametrize("n, samples, cpus", [
         (_blas.SINGLE_THREAD_MAX_N + 1, 10 ** 6, {0, 1}),    # already on every BLAS thread
         (128, 10 ** 6, {0}),                                  # one usable CPU
         (128, 2 * ens.MIN_SAMPLES_PER_WORKER - 1, {0, 1}),  # too few samples
         (128, 1, {0, 1}),
+        (8, 2000, {0, 1}),                                    # the pool costs more
+        (ens.MIN_POOLED_N - 1, 10 ** 6, {0, 1, 2}),
+        (2, 10 ** 6, {0, 1}),
     ])
     def test_single_process(self, monkeypatch, n, samples, cpus):
         monkeypatch.setattr(ens.os, "sched_getaffinity", lambda pid: cpus)

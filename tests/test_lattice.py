@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fermigap import lattice as lat
 from fermigap import quadform as qf
-from fermigap.errors import CapacityError, InputError
+from fermigap.errors import CapacityError, InputError, NumericalError
 
 from conftest import structured_specs
 
@@ -271,14 +271,11 @@ class TestOneFftProfile:
     def test_matches_fft_of_interpolated_root(self, spec, grid):
         profile = lat.structured_gap_profile(spec, np.linspace(0, 1, grid))
         tol = 1e-12 * (1.0 + np.abs(lat.c_symbol(spec)).max())
-        for s, gap, energy, zeros in zip(profile.s, profile.gap, profile.ground_energy,
-                                         profile.num_zero_modes):
+        for s, gap, zeros in zip(profile.s, profile.gap, profile.num_zero_modes):
             lam = np.abs(np.fft.fftn(lat.interpolated_c_root(spec, s))).ravel()
             ref = qf.gap_report_from_singular_values(lam)
             assert zeros == ref.num_zero_modes
             assert abs(gap - ref.gap) <= tol
-            # a sum of n singular values, each within tol
-            assert abs(energy - ref.ground_energy) <= spec.n * tol
 
     def test_report_and_profile_agree_exactly(self):
         spec = random_bccb(3, 5, seed=12)
@@ -288,7 +285,6 @@ class TestOneFftProfile:
             rep = lat.structured_gap_report(spec, s)
             assert profile.s[i] == s
             assert profile.gap[i] == rep.gap
-            assert profile.ground_energy[i] == rep.ground_energy
             assert profile.num_zero_modes[i] == rep.num_zero_modes
 
     @pytest.mark.parametrize("grid", [2, 3, 4, 7, 10, 31, 101, 1000])
@@ -309,3 +305,196 @@ class TestOneFftProfile:
     def test_grid_outside_unit_interval_rejected(self):
         with pytest.raises(InputError, match=r"\[0, 1\]"):
             lat.structured_gap_profile(lat.build_xy_cycle(4), [0.0, 0.5, 1.5])
+
+
+def full_pass_profile(spec, grid, zero_tolerance=None):
+    """Gaps and zero-mode counts from every mode at every point.
+
+    The O(n) pass the pruned profile replaces, kept here as its reference:
+    |(1-s) + s*sigma| for all n modes, reduced by gap_report_from_singular_values.
+    """
+    symbol = lat.c_symbol(spec)
+    reports = [qf.gap_report_from_singular_values(np.abs(symbol * s + (1.0 - s)),
+                                                  zero_tolerance)
+               for s in grid]
+    return [rep.gap for rep in reports], [rep.num_zero_modes for rep in reports]
+
+
+def assert_equals_full_pass(spec, grid, zero_tolerance=None):
+    grid = [float(s) for s in grid]
+    profile = lat.structured_gap_profile(spec, grid, zero_tolerance)
+    gaps, zeros = full_pass_profile(spec, grid, zero_tolerance)
+    assert profile.s.tolist() == grid
+    assert profile.gap.tobytes() == np.array(gaps).tobytes()
+    assert profile.num_zero_modes.tolist() == zeros
+    return profile
+
+
+def nearest_neighbour_torus(dims, seed):
+    """3D torus with an on-site term and seeded +-t, +-d couplings along each axis."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros(dims[::-1])
+    b = np.zeros(dims[::-1])
+    a[0, 0, 0] = rng.uniform(-1.0, 1.0)
+    for axis in range(3):
+        plus = tuple(1 if i == axis else 0 for i in range(3))
+        minus = tuple(-k for k in plus)
+        t, d = rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0)
+        a[plus] = a[minus] = t
+        b[plus], b[minus] = d, -d
+    return lat.TorusSpec(a, b)
+
+
+def ring_with_symbol(half):
+    """A ring of n = 2 (len(half) - 1) sites whose symbol is, to rounding,
+    half[k] for k <= n/2 and conj(half[n - k]) above; half[0] and half[-1]
+    must be real."""
+    sigma = np.concatenate([half, np.conj(half[-2:0:-1])])
+    root = np.fft.ifft(sigma).real
+    reflected = lat._reflect(root)
+    return lat.TorusSpec((root + reflected) / 2.0, (root - reflected) / 2.0)
+
+
+def counting_full_passes(monkeypatch):
+    """The s of every point that takes the full O(n) pass, as it happens."""
+    calls = []
+    full_pass = lat._CandidateGaps._full_pass
+
+    def counting(self, s):
+        calls.append(s)
+        return full_pass(self, s)
+
+    monkeypatch.setattr(lat._CandidateGaps, "_full_pass", counting)
+    return calls
+
+
+EPS = np.finfo(float).eps
+# 5e-324 once made the radius threshold (1 - B) / s overflow with a RuntimeWarning
+grid_points = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1.0 / 3.0, 5e-324]),
+                        st.floats(0.0, 1.0))
+
+
+class TestCandidateModes:
+    @pytest.fixture(autouse=True, scope="class")
+    def prune_every_size(self):
+        # below lattice._MIN_PRUNED_MODES the profile takes the full pass
+        # only, which would leave the small specs here untested
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lat, "_MIN_PRUNED_MODES", 1)
+            yield
+
+    @given(spec=structured_specs(), points=st.lists(grid_points, min_size=1, max_size=8),
+           tol=st.one_of(st.none(), st.floats(0.0, 2.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_full_pass(self, spec, points, tol):
+        # unsorted, with both ends and a repeated point
+        assert_equals_full_pass(spec, [*points, 1.0, 0.0, points[0]], tol)
+
+    @pytest.mark.parametrize("spec", [
+        random_circulant(4096, seed=31),
+        random_bccb(48, 50, seed=32),
+        random_bc2cb(10, 12, 14, seed=33),
+        nearest_neighbour_torus((16, 12, 10), seed=34),
+        nearest_neighbour_torus((9, 7, 5), seed=35),
+        lat.build_xy_cycle(4095),
+        lat.build_torus_2d(33, 31, lat.build_xy_cycle(33), coupling=0.7),
+    ], ids=["ring", "torus-2d", "torus-3d", "nn-torus", "nn-torus-odd", "xy-odd",
+            "xy-torus-odd"])
+    @pytest.mark.parametrize("tol", [None, 0.0, 1e-3, 0.3])
+    def test_equals_full_pass_on_larger_specs(self, spec, tol):
+        rng = np.random.default_rng(36)
+        grid = [*np.linspace(0.0, 1.0, 101), *rng.uniform(0.0, 1.0, 40), 0.5, 1.0, 0.0,
+                5e-324, 1e-300, 1e-17, np.nextafter(1.0, 0.0)]
+        assert_equals_full_pass(spec, grid, tol)
+
+    @pytest.mark.parametrize("spec", [
+        lat.build_xy_cycle(8),
+        lat.build_xy_cycle(1000),
+        lat.build_xy_cycle(4096),
+        lat.build_torus_2d(64, 64, lat.build_xy_cycle(64)),
+        lat.build_torus_3d(16, 16, 16, lat.build_torus_2d(16, 16, lat.build_xy_cycle(16))),
+    ], ids=["xy-8", "xy-1000", "xy-4096", "xy-torus-2d", "xy-torus-3d"])
+    @pytest.mark.parametrize("tol", [None, 1e-9])
+    def test_xy_zero_modes(self, spec, tol):
+        # an XY ring's symbol is exp(-2 pi i k / n): mode n/2 is -1, and
+        # (1 - s) + s * (-1) vanishes at s = 1/2, row 50 of the grid
+        profile = assert_equals_full_pass(spec, np.linspace(0.0, 1.0, 101), tol)
+        assert profile.num_zero_modes[50] > 0
+        assert profile.gap[0] == 2.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_grid_at_segment_minima(self, seed):
+        # at s_k the lower bound d_k of mode k is tight, and its computed
+        # value can exceed the computed modulus by an ulp: without slack the
+        # least mode then drops out of the candidates
+        spec = random_circulant(4 + 3 * seed, seed=100 + seed)
+        _, s, dist = lat._segments(lat.c_symbol(spec))
+        grid = s[np.argsort(dist)[:8]]
+        assert_equals_full_pass(spec, grid)
+        assert_equals_full_pass(spec, grid, 1e-3)
+
+    @pytest.mark.parametrize("tol", [None, 1e-12])
+    def test_closing_path(self, tol):
+        grid = [0.0, 1.0 / 3.0, np.nextafter(1.0 / 3.0, 0.0), np.nextafter(1.0 / 3.0, 1.0),
+                0.3, 0.34, 1.0, 1.0 / 3.0]
+        profile = assert_equals_full_pass(closing_ring(), grid, tol)
+        assert profile.gap[1] < 1e-15 or profile.num_zero_modes[1] == 1
+
+    def test_nearest_neighbour_torus_prunes_every_point_but_s0(self, monkeypatch):
+        spec = nearest_neighbour_torus((32, 32, 16), seed=1201)
+        calls = counting_full_passes(monkeypatch)
+        assert_equals_full_pass(spec, np.linspace(0.0, 1.0, 101))
+        assert calls == [0.0]
+
+    @pytest.mark.parametrize("top, value_eps, zero", [
+        (2.9, 96, True),     # tol = 64 eps * 1.95: the value is a zero mode
+        (1.9, 110, False),   # tol = 64 eps * 1.45: the value is the gap
+    ])
+    def test_value_inside_tolerance_bracket_takes_full_pass(self, monkeypatch, top,
+                                                            value_eps, zero):
+        # n = 64.  At s = 1/2, mode 0 sits at value_eps * eps, between the
+        # largest value the candidates see (1, of sigma = -3, the widest mode)
+        # times n eps and the bound ((1 - s) + s * 3) n eps = 128 eps: only the
+        # modes 7..57, with sigma in [1.2, top], are larger, and they are no
+        # candidates, so only the full pass can tell the side of n eps max lam.
+        theta = np.arange(4) + 0.5
+        half = np.concatenate([[-1.0 + 2.0 * value_eps * EPS, -2.5 + 0.1j, -2.5 + 0.2j],
+                               0.5 * np.exp(1j * theta),
+                               np.linspace(1.2, top, 25) + 0.01j, [-3.0]])
+        spec = ring_with_symbol(half)
+        calls = counting_full_passes(monkeypatch)
+        profile = assert_equals_full_pass(spec, [0.5])
+        assert calls == [0.5]
+        assert profile.num_zero_modes[0] == int(zero)
+        assert (profile.gap[0] < 1e-13) is not zero
+
+    def test_overflowing_symbol_is_numerical_error(self):
+        spec = lat.TorusSpec(np.full(4, 1e308), np.zeros(4))
+        with pytest.raises(NumericalError, match="not finite"):
+            lat.structured_gap_profile(spec, [0.0, 1.0])
+
+    def test_symbol_too_large_for_segments_is_numerical_error(self):
+        spec = lat.TorusSpec(np.array([1e160, 0.0, 0.0]), np.zeros(3))
+        with pytest.raises(NumericalError, match="overflows"):
+            lat.structured_gap_profile(spec, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("dims, pruned", [((21, 13, 15), False),    # 4095 sites
+                                           ((16, 16, 16), True)])    # 4096 sites
+def test_small_symbols_take_the_full_pass(monkeypatch, dims, pruned):
+    assert (math.prod(dims) >= lat._MIN_PRUNED_MODES) is pruned
+    spec = nearest_neighbour_torus(dims, seed=37)
+    grid = np.linspace(0.0, 1.0, 11)
+    calls = counting_full_passes(monkeypatch)
+    assert_equals_full_pass(spec, grid)
+    assert calls == ([0.0] if pruned else grid.tolist())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_non_finite_root_rejected(bad, which):
+    a = np.array([0.0, 1.0, 0.0, 1.0])
+    b = np.zeros(4)
+    (a if which == "a" else b)[[1, 3]] = bad
+    with pytest.raises(InputError, match=f"{which} root contains non-finite"):
+        lat.TorusSpec(a, b)
