@@ -8,9 +8,9 @@ Three ensembles over coefficient pairs:
                         and U, V Haar-orthogonal, so ||C||_2 <= 1.
 
 Streams: sample ``index`` of a run with seed ``seed`` always draws from
-``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(index,)))``
-(PCG64), so samples are reproducible bit-for-bit and independent of
-evaluation order.  Normal variates are numpy's ziggurat implementation.
+``seeded_rng(seed, index)`` (PCG64), so samples are reproducible bit-for-bit
+and independent of evaluation order.  Normal variates are numpy's ziggurat
+implementation.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from ._blas import SINGLE_THREAD_MAX_N, small_matrix_threads
 from .errors import CapacityError, InputError, NumericalError
 from .quadform import (
     CoefficientPair,
+    _path_singular_values,
     check_matrix_size,
-    gap_report_from_singular_values,
+    gap_and_zero_modes,
     ground_gap,
-    interpolate,
+    linearity_defect,
     subset_sum_spectrum,
     symmetrize_split,
 )
@@ -74,8 +75,9 @@ class EnsembleConfig:
             raise InputError(f"need samples >= 1, got {self.samples}")
 
 
-def _rng_for(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+def seeded_rng(seed: int, *key: int) -> np.random.Generator:
+    """The PCG64 stream of SeedSequence(entropy=seed, spawn_key=key)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -88,7 +90,7 @@ def sample_pair(config: EnsembleConfig, index: int) -> CoefficientPair:
     """Draw the index-th coefficient pair of the configured ensemble."""
     if not 0 <= index < config.samples:
         raise InputError(f"index {index} outside [0, {config.samples})")
-    rng = _rng_for(config.seed, index)
+    rng = seeded_rng(config.seed, index)
     n = config.n
     if config.kind == "gaussian":
         return symmetrize_split(rng.standard_normal((n, n)))
@@ -372,13 +374,11 @@ def figure2_experiment(n: int, seed: int) -> EvolutionTable:
     s_grid = np.linspace(0.0, 1.0, 101)
     levels = np.empty((s_grid.size, 2 ** n))
     gaps = np.empty(s_grid.size)
+    lam_at = _path_singular_values(target)
     with small_matrix_threads(n):
-        for i, s in enumerate(s_grid):
-            lam = interpolate(target, float(s)).singular_values()
+        for i, s in enumerate(s_grid.tolist()):
+            lam = lam_at(s)
             levels[i] = subset_sum_spectrum(lam)
-            gaps[i] = gap_report_from_singular_values(lam).gap
-    final_gap = float(gaps[-1])
-    predicted = 2.0 * (1.0 - s_grid) + s_grid * final_gap
-    defect = float(np.max(np.abs(gaps - predicted)))
-    return EvolutionTable(s_grid=s_grid, levels=levels, final_gap=final_gap,
-                          max_linearity_defect=defect)
+            gaps[i] = gap_and_zero_modes(lam)[0]
+    return EvolutionTable(s_grid=s_grid, levels=levels, final_gap=float(gaps[-1]),
+                          max_linearity_defect=linearity_defect(s_grid, gaps))

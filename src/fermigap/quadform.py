@@ -251,22 +251,21 @@ def ground_gap(source, zero_tolerance: float | None = None) -> GapReport:
     return gap_report_from_singular_values(source.singular_values(), zero_tolerance)
 
 
-def subset_sum_spectrum(lam, max_modes: int = SPECTRUM_MODE_CAP) -> np.ndarray:
+def subset_sum_spectrum(lam) -> np.ndarray:
     """All 2^n energies {-sum(lam) + sum_{j in S} 2 lam_j}, sorted ascending.
 
     lam holds the n singular values of A + B, in any order.  Raises
-    CapacityError for n > max_modes, and for max_modes > SPECTRUM_MODE_CAP.
+    CapacityError for n > SPECTRUM_MODE_CAP, and NumericalError, without a
+    RuntimeWarning, unless 2 sum(lam) is finite: every partial sum then is.
     """
     lam = np.asarray(lam, dtype=float)
-    if max_modes > SPECTRUM_MODE_CAP:
-        raise CapacityError(
-            f"max_modes={max_modes} exceeds the hard cap of {SPECTRUM_MODE_CAP} modes"
-        )
-    if lam.size > max_modes:
-        raise CapacityError(
-            f"n={lam.size} exceeds the spectrum enumeration cap of {max_modes} modes"
-        )
-    energies = np.array([-lam.sum()])
+    if lam.size > SPECTRUM_MODE_CAP:
+        raise CapacityError(f"n={lam.size} exceeds the spectrum enumeration cap "
+                            f"of {SPECTRUM_MODE_CAP} modes")
+    total = _finite_total(lam)
+    if not np.isfinite(2.0 * total):
+        raise NumericalError(f"the levels of singular values summing to {total} overflow")
+    energies = np.array([-total])
     for lam_j in lam:
         energies = np.concatenate([energies, energies + 2.0 * lam_j])
     energies.sort()
@@ -343,23 +342,42 @@ def profile_from_points(s_grid: np.ndarray, gap_at,
                       path_minimum=path_minimum)
 
 
+def _path_singular_values(target: CoefficientPair):
+    """s -> Lambda(s), the singular values of C(s) on the path from (I, 0) to target.
+
+    C(s) is formed as interpolate and CoefficientPair.c form it, so Lambda(s)
+    is bitwise interpolate(target, s).singular_values(), but no pair is built
+    and validated per point.  Callers loop under small_matrix_threads(target.n).
+    """
+    a, b = target.a, target.b
+    eye = np.eye(target.n)
+    return lambda s: _singular_values(((1.0 - s) * eye + s * a) + s * b)
+
+
 def gap_profile(target: CoefficientPair, s_grid,
                 zero_tolerance: float | None = None) -> GapProfile:
     """Evaluate ground_gap along the interpolation to target at each grid point.
 
-    C(s) is formed as interpolate and CoefficientPair.c form it, so the
-    profile is bitwise that of ground_gap(interpolate(target, s)); the target
-    pair is validated once, not once per point.
+    The profile is bitwise that of ground_gap(interpolate(target, s)).
     """
     s_grid = check_s(s_grid)
     check_zero_tolerance(zero_tolerance)
-    a, b = target.a, target.b
-    eye = np.eye(target.n)
+    lam_at = _path_singular_values(target)
 
     def gap_at(s):
-        lam = _singular_values(((1.0 - s) * eye + s * a) + s * b)
+        lam = lam_at(s)
         _finite_total(lam)
         return gap_and_zero_modes(lam, zero_tolerance)[:2]
 
     with small_matrix_threads(target.n):
         return profile_from_points(s_grid, gap_at)
+
+
+def linearity_defect(s_grid: np.ndarray, gap: np.ndarray) -> float:
+    """max |gap(s) - (2(1-s) + s gap(1))| over a grid ending at s = 1.
+
+    Zero, to rounding, where the gap is affine in s, as on a path to B = 0
+    and A positive definite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):    # an infinite gap gives NaN
+        return float(np.max(np.abs(gap - (2.0 * (1.0 - s_grid) + s_grid * gap[-1]))))

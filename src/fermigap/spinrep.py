@@ -304,17 +304,10 @@ class FermionOperatorSet:
         return self.ops[0].dtype
 
 
-@dataclass(frozen=True)
-class FcrReport:
-    max_residual: float
-    passed: bool
-    tol: float
+def fcr_check(ops: FermionOperatorSet) -> float:
+    """Residual of {c_j, c_k+} = delta_jk I and {c_j, c_k} = 0, evaluated numerically.
 
-
-def fcr_check(ops: FermionOperatorSet, tol: float = 1e-12) -> FcrReport:
-    """Verify {c_j, c_k+} = delta_jk I and {c_j, c_k} = 0 numerically.
-
-    Residual is the largest operator 2-norm over all anticommutator defects.
+    The residual is the largest operator 2-norm over all anticommutator defects.
     The pairs j <= k cover them all: {c_k, c_j+} = {c_j, c_k+}+ has the same
     2-norm, and {c_k, c_j} = {c_j, c_k}.  Sets of dimension up to 512 run on
     one OpenBLAS thread.
@@ -332,7 +325,20 @@ def fcr_check(ops: FermionOperatorSet, tol: float = 1e-12) -> FcrReport:
                 worst = max(worst,
                             float(np.linalg.norm(mixed, 2)),
                             float(np.linalg.norm(same, 2)))
-    return FcrReport(max_residual=worst, passed=worst <= tol, tol=tol)
+    return worst
+
+
+def _kron_string(n: int, j: int, string: np.ndarray, site_op: np.ndarray,
+                 coeff: float = 1.0) -> np.ndarray:
+    """coeff times the Kronecker product of string on sites before j, site_op at j, I after.
+
+    The product over the n sites is built left to right from [[coeff]].
+    """
+    eye = np.eye(site_op.shape[0])
+    op = np.array([[coeff]])
+    for k in range(n):
+        op = np.kron(op, string if k < j else site_op if k == j else eye)
+    return op
 
 
 def jw_operators(n: int) -> FermionOperatorSet:
@@ -342,16 +348,9 @@ def jw_operators(n: int) -> FermionOperatorSet:
     """
     _check_qubits(n)
     z = np.array([[1.0, 0.0], [0.0, -1.0]])
-    eye2 = np.eye(2)
     lower = np.array([[0.0, 0.0], [1.0, 0.0]])  # (X - iY)/2, real
-    ops = []
-    for j in range(n):
-        op = np.array([[(-1.0) ** j]])
-        for k in range(n):
-            factor = z if k < j else lower if k == j else eye2
-            op = np.kron(op, factor)
-        ops.append(op)
-    return FermionOperatorSet(tuple(ops))
+    return FermionOperatorSet(tuple(_kron_string(n, j, z, lower, (-1.0) ** j)
+                                    for j in range(n)))
 
 
 def _spin32_matrices() -> tuple[np.ndarray, np.ndarray]:
@@ -381,23 +380,15 @@ def spin32_operators(n: int) -> FermionOperatorSet:
     string = 1.25 * eye4 - sz @ sz
     c1_site = (-1.0 / np.sqrt(3.0)) * sm @ sz @ sm
     c2_site = (1.0 / np.sqrt(3.0)) * (0.5 * eye4 + sz) @ (0.5 * eye4 + sz) @ sm
-    ops = []
-    for j in range(n):
-        for site_op in (c1_site, c2_site):
-            op = np.array([[1.0]])
-            for k in range(n):
-                factor = string if k < j else site_op if k == j else eye4
-                op = np.kron(op, factor)
-            ops.append(op)
-    return FermionOperatorSet(tuple(ops))
+    return FermionOperatorSet(tuple(_kron_string(n, j, string, site_op)
+                                    for j in range(n) for site_op in (c1_site, c2_site)))
 
 
-def unitary_fcr_transform(ops: FermionOperatorSet, u, v,
-                          tol: float = 1e-12) -> FermionOperatorSet:
+def unitary_fcr_transform(ops: FermionOperatorSet, u, v) -> FermionOperatorSet:
     """New mode operators eta_j = sum_k U[j,k] c_k + V[j,k] c_k+.
 
-    Requires the 2n x 2n block matrix T = [[U, V], [V, U]] to be orthogonal;
-    the FCRs are then preserved.
+    Requires the 2n x 2n block matrix T = [[U, V], [V, U]] to be orthogonal,
+    ||T T^t - I|| <= 1e-12; the FCRs are then preserved.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -406,7 +397,7 @@ def unitary_fcr_transform(ops: FermionOperatorSet, u, v,
         raise InputError(f"u and v must be {n}x{n} to match the operator set")
     t = np.block([[u, v], [v, u]])
     defect = float(np.linalg.norm(t @ t.T - np.eye(2 * n), 2))
-    if defect > tol:
+    if defect > 1e-12:
         raise InputError(
             f"T = [[U,V],[V,U]] is not orthogonal: ||T T^t - I|| = {defect:.3e}"
         )

@@ -97,11 +97,28 @@ class TestGapAndSpectrum:
         assert "shape (2, 2)" in capsys.readouterr().err
 
     def test_spectrum_mode_cap_exit_2(self, tmp_path, capsys):
-        path = write_json(tmp_path / "p.json", pair_doc(qf.CoefficientPair.identity(2)))
-        assert cli.main(["spectrum", path, "--max-modes", "23"]) == 2
+        path = write_json(tmp_path / "p.json", pair_doc(qf.CoefficientPair.identity(23)))
+        assert cli.main(["spectrum", path]) == 2
         captured = capsys.readouterr()
-        assert "hard cap of 22" in captured.err
+        assert "n=23 exceeds the spectrum enumeration cap of 22 modes" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("spectrum", {"kind": "circulant", "dims": [3], "a_root": [1e308, 0, 0],
+                      "b_root": [0, 0, 0]},
+         "singular values do not sum to a finite value: inf"),
+        ("spectrum", {"n": 1, "a": [1e308], "b": [0.0]},
+         "the levels of singular values summing to 1e+308 overflow"),
+        ("profile", {"n": 1, "a": [1e308], "b": [0.0]},
+         "non-finite value in JSON output"),
+    ], ids=["spectrum-sum", "spectrum-levels", "profile-gap"])
+    def test_overflow_exit_3_with_one_line(self, tmp_path, capsys, command, doc, message):
+        # in process, so a numpy RuntimeWarning fails the test as an error
+        assert cli.main([command, write_json(tmp_path / "big.json", doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"fermigap: numerical error: {message}")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("doc", [
         {"n": 2, "a": [1.0, 0.0, 0.0, True], "b": [0.0] * 4},
@@ -138,8 +155,7 @@ class TestGapAndSpectrum:
     @pytest.mark.parametrize("argv, message", [
         (["lattice", "expand", "PATH"], "dense-expansion cap of 4096 sites"),
         (["spectrum", "PATH"], "n=4097 exceeds the spectrum enumeration cap of 22 modes"),
-        (["spectrum", "PATH", "--max-modes", "5000"], "hard cap of 22"),
-    ], ids=["lattice-expand", "spectrum", "spectrum-max-modes"])
+    ], ids=["lattice-expand", "spectrum"])
     def test_structured_spec_above_caps_exit_2(self, tmp_path, capsys, monkeypatch,
                                                argv, message):
         def no_expansion(spec):
@@ -637,12 +653,33 @@ class TestVerify:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
-    def test_injected_fault_detected(self, capsys):
-        assert cli.main(["verify", "--n-max", "4", "--trials", "1",
-                         "--inject-fault", "route-equality"]) == 4
+    def test_injected_fault_detected(self, capsys, monkeypatch):
+        real = sr.fermionic_assembly
+
+        def flipped_coupling(pair, ops):
+            # negative control: one B coupling with its sign flipped
+            b = pair.b.copy()
+            b[0, 1] *= -1.0
+            b[1, 0] *= -1.0
+            return real(qf.CoefficientPair(pair.a, b), ops)
+
+        monkeypatch.setattr(sr, "fermionic_assembly", flipped_coupling)
+        assert cli.main(["verify", "--n-max", "4", "--trials", "1"]) == 4
         doc = json.loads(capsys.readouterr().out)
         failed = {c["check"] for c in doc["checks"] if not c["passed"]}
         assert failed == {"route-equality"}
+
+    def test_checks_draw_from_their_documented_streams(self, capsys, monkeypatch):
+        keys = []
+        real = ens.seeded_rng
+
+        def spied(seed, *key):
+            keys.append((seed, *key))
+            return real(seed, *key)
+
+        monkeypatch.setattr(ens, "seeded_rng", spied)
+        assert cli.main(["verify", "--n-max", "2", "--trials", "2", "--seed", "7"]) == 0
+        assert keys == [(7, 0, t, n) for t in range(2) for n in (1, 2)] + [(7, 1), (7, 2)]
 
     @pytest.mark.parametrize("flag", ["--trials", "--n-max"])
     def test_zero_count_exit_2(self, capsys, flag):
@@ -677,6 +714,22 @@ class TestHostileArguments:
         assert "seed must be a non-negative integer" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, out", [
+        (["profile", "PAIR", "--out", "OUT"], "file"),
+        (["ensemble", "--experiment", "figure2", "--n", "3", "--out", "OUT"], "file/sub"),
+    ], ids=["profile-existing-file", "ensemble-below-a-file"])
+    def test_out_not_a_directory_exit_2(self, identity_pair_file, tmp_path, capsys,
+                                        argv, out):
+        (tmp_path / "file").write_text("kept\n")
+        out = str(tmp_path / out)
+        assert cli.main([{"OUT": out, "PAIR": identity_pair_file}.get(a, a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"fermigap: input error: cannot write the run directory {out!r}: ")
+        assert captured.err.count("\n") == 1
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
     @pytest.mark.parametrize("argv, message", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from fermigap import _blas, ensembles as ens
+from fermigap import _blas, ensembles as ens, quadform as qf
 from fermigap.errors import InputError
 
 
@@ -156,6 +156,28 @@ class TestExperiments:
         # the s = 0 level table is the free-field ladder -n, -n+2, ..., n
         np.testing.assert_allclose(np.unique(np.round(table.levels[0], 9)),
                                    np.arange(-5.0, 6.0, 2.0), atol=1e-9)
+
+    def test_figure2_builds_one_pair_and_the_gaps_of_gap_profile(self, monkeypatch):
+        built, seen = [], []
+        real_init, real_defect = qf.CoefficientPair.__post_init__, ens.linearity_defect
+
+        def counted_init(pair):
+            built.append(pair)
+            real_init(pair)
+
+        def spied_defect(s_grid, gap):
+            seen.append(gap.copy())
+            return real_defect(s_grid, gap)
+
+        monkeypatch.setattr(qf.CoefficientPair, "__post_init__", counted_init)
+        monkeypatch.setattr(ens, "linearity_defect", spied_defect)
+        table = ens.figure2_experiment(n=6, seed=5)
+        assert len(built) == 1          # the target, and no pair per grid point
+        (gaps,) = seen
+        target = ens.sample_pair(ens.EnsembleConfig("wishart", 6, 1, 5), 0)
+        assert np.array_equal(gaps, qf.gap_profile(target, table.s_grid).gap)
+        assert table.final_gap == gaps[-1]
+        assert table.max_linearity_defect == real_defect(table.s_grid, gaps)
 
 
 class TestSingleThreadLoop:

@@ -159,12 +159,8 @@ class TestSubsetSumSpectrum:
                                    atol=1e-12)
 
     def test_capacity_guard(self):
-        with pytest.raises(CapacityError, match="5"):
-            qf.subset_sum_spectrum(np.ones(6), max_modes=5)
-
-    def test_mode_cap_cannot_be_raised(self):
-        with pytest.raises(CapacityError, match="hard cap of 22"):
-            qf.subset_sum_spectrum(np.ones(2), max_modes=qf.SPECTRUM_MODE_CAP + 1)
+        with pytest.raises(CapacityError, match="n=23 exceeds the spectrum enumeration cap of 22"):
+            qf.subset_sum_spectrum(np.ones(qf.SPECTRUM_MODE_CAP + 1))
 
 
 class TestInterpolation:

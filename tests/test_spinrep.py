@@ -180,22 +180,20 @@ class TestFcr:
     @settings(max_examples=150, deadline=None)
     def test_pairs_j_le_k_match_all_pairs(self, ops):
         reference = fcr_residual_all_pairs(ops)
-        assert abs(sr.fcr_check(ops).max_residual - reference) <= 1e-14 * (1.0 + reference)
+        assert abs(sr.fcr_check(ops) - reference) <= 1e-14 * (1.0 + reference)
 
     @pytest.mark.parametrize("phase", [1.0, 1j], ids=["real", "complex"])
     def test_defect_in_last_operator_fails(self, phase):
         ops = [phase * op for op in sr.jw_operators(3).ops]
         ops[-1] = 1.001 * ops[-1]
         broken = sr.FermionOperatorSet(tuple(ops))
-        report = sr.fcr_check(broken)
-        assert not report.passed
-        assert report.max_residual == pytest.approx(fcr_residual_all_pairs(broken), rel=1e-14)
+        residual = sr.fcr_check(broken)
+        assert residual > 1e-12
+        assert residual == pytest.approx(fcr_residual_all_pairs(broken), rel=1e-14)
 
     def test_defect_between_two_operators_fails(self):
         c = sr.jw_operators(2).ops[0]
-        report = sr.fcr_check(sr.FermionOperatorSet((c, c)))
-        assert report.max_residual == 1.0
-        assert not report.passed
+        assert sr.fcr_check(sr.FermionOperatorSet((c, c))) == 1.0
 
     def test_operators_are_real(self):
         for ops in (*map(sr.jw_operators, range(1, 6)), sr.spin32_operators(1),
@@ -213,29 +211,26 @@ class TestFcr:
     def test_complex_set_stays_complex(self):
         ops = sr.FermionOperatorSet(tuple(1j * op for op in sr.jw_operators(3).ops))
         assert ops.dtype == np.complex128
-        assert sr.fcr_check(ops).passed
+        assert sr.fcr_check(ops) <= 1e-12
         quasi = sr.quasiparticle_assembly(
             qf.lieb_decompose(qf.symmetrize_split(np.eye(3))), ops)
         assert quasi.dtype == np.complex128
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_jw_operators_pass(self, n):
-        report = sr.fcr_check(sr.jw_operators(n))
-        assert report.passed
-        assert report.max_residual <= 1e-13
+        assert sr.fcr_check(sr.jw_operators(n)) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_spin32_operators_pass(self, n):
         ops = sr.spin32_operators(n)
         assert ops.m == 2 * n
         assert ops.dimension == 4 ** n
-        report = sr.fcr_check(ops)
-        assert report.passed
+        assert sr.fcr_check(ops) <= 1e-12
 
     def test_broken_set_fails(self):
         ops = sr.jw_operators(2)
         broken = sr.FermionOperatorSet((ops.ops[0], 1.001 * ops.ops[1]))
-        assert not sr.fcr_check(broken).passed
+        assert sr.fcr_check(broken) > 1e-12
 
     def test_transform_preserves_fcr(self):
         rng = np.random.default_rng(22)
@@ -243,7 +238,7 @@ class TestFcr:
         d = qf.lieb_decompose(pair)
         etas = sr.unitary_fcr_transform(sr.jw_operators(3),
                                         (d.x + d.y) / 2.0, (d.x - d.y) / 2.0)
-        assert sr.fcr_check(etas).passed
+        assert sr.fcr_check(etas) <= 1e-12
 
     def test_non_orthogonal_transform_rejected(self):
         with pytest.raises(InputError, match="not orthogonal"):
@@ -276,7 +271,7 @@ class TestSmallMatrixThreads:
     def test_fcr_check_on_one_thread(self, libs, monkeypatch):
         before = [lib.get() for lib in libs]
         seen = self.spy(monkeypatch, libs, "norm")
-        assert sr.fcr_check(sr.jw_operators(3)).passed
+        assert sr.fcr_check(sr.jw_operators(3)) <= 1e-12
         assert seen and all(counts == [1] * len(libs) for counts in seen)
         assert [lib.get() for lib in libs] == before
 
@@ -293,9 +288,9 @@ class TestSmallMatrixThreads:
         etas = sr.unitary_fcr_transform(sr.jw_operators(4),
                                         (d.x + d.y) / 2.0, (d.x - d.y) / 2.0)
         sets = [sr.jw_operators(8), sr.spin32_operators(2), etas]
-        capped = [sr.fcr_check(ops).max_residual for ops in sets]
+        capped = [sr.fcr_check(ops) for ops in sets]
         monkeypatch.setattr(_blas, "loaded_openblas", lambda: [])
-        assert capped == [sr.fcr_check(ops).max_residual for ops in sets]
+        assert capped == [sr.fcr_check(ops) for ops in sets]
 
 
 class TestClusterModel:
