@@ -153,6 +153,20 @@ def _write_run(out_dir: str, command: str, parameters: dict, seed: int | None,
     (out_dir / "manifest.json").write_text(manifest)
 
 
+def _worker_memory(workers: int) -> dict:
+    """worker_peak_rss_mb, for a run whose loop forked workers, else nothing.
+
+    It is the largest peak RSS among this process's finished children: the
+    workers, all reaped by the time a loop returns.
+    """
+    if workers == 1:
+        return {}
+    import resource
+
+    return {"worker_peak_rss_mb":
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -176,7 +190,8 @@ def cmd_spectrum(args) -> int:
 PROFILE_GRID_CAP = 10 ** 6
 
 # Work caps, grid points x n for a structured spec and grid points x n^3 for a
-# dense pair, each about 10 minutes of worst-case work.  On a 2-core x86-64
+# dense pair, each about 10 minutes of worst-case single-core work (a dense
+# profile that forks a worker takes about half as long).  On a 2-core x86-64
 # VM a full pass over a 2^20-site symbol took 15 ns per mode (a point usually
 # evaluates far fewer modes; see lattice.structured_gap_profile), and a
 # values-only SVD 0.34-0.53 ns per n^3 for n = 256..2048.  The benchmark's
@@ -221,11 +236,14 @@ def cmd_profile(args) -> int:
                        closes=path_min.closes)
     summary_text = _json_text(summary)
     if args.out:
-        blas_threads = _blas.thread_counts(source.n if dense else None)
-        _write_run(args.out, "profile",
-                   {"input": str(args.input), "grid": args.grid, "tol": args.tol,
-                    "blas_threads": blas_threads},
-                   None, {"profile.csv": csv_text, "summary.json": summary_text})
+        parameters = {"input": str(args.input), "grid": args.grid, "tol": args.tol,
+                      "blas_threads": _blas.thread_counts(source.n if dense else None)}
+        workers = 1
+        if dense:
+            parameters["workers"] = workers = _blas.loop_workers(args.grid, source.n)
+        _write_run(args.out, "profile", parameters, None,
+                   {"profile.csv": csv_text, "summary.json": summary_text},
+                   **_worker_memory(workers))
     else:
         sys.stdout.write(csv_text + summary_text)
     return EXIT_OK
@@ -328,15 +346,8 @@ def cmd_ensemble(args) -> int:
     summary, outputs = _EXPERIMENTS[args.experiment](args)
     # figure2 draws one evolution, sample 0, whatever --samples says.
     samples = 1 if args.experiment == "figure2" else args.samples
-    workers = (ens.gap_workers(args.n, samples)
+    workers = (_blas.loop_workers(samples, args.n)
                if args.experiment in ens.POOLED_EXPERIMENTS else 1)
-    measured = {}
-    if workers > 1:
-        import resource
-
-        # the largest peak RSS of this process's finished children: the workers
-        measured["worker_peak_rss_mb"] = (
-            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0)
     parameters = {"kind": kind, "n": args.n, "samples": samples,
                   "x": args.x, "blas_threads": blas_threads, "workers": workers}
     summary_text = _json_text({
@@ -347,7 +358,7 @@ def cmd_ensemble(args) -> int:
     # Nothing is written until every output is in hand: a run that fails
     # leaves no directory behind.
     _write_run(args.out, f"ensemble {args.experiment}", parameters, args.seed,
-               {**outputs, "summary.json": summary_text}, **measured)
+               {**outputs, "summary.json": summary_text}, **_worker_memory(workers))
     sys.stdout.write(summary_text)
     return EXIT_OK
 

@@ -16,12 +16,11 @@ implementation.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import SINGLE_THREAD_MAX_N, small_matrix_threads
+from ._blas import forked_chunks, small_matrix_threads
 from .errors import CapacityError, InputError, NumericalError
 from .quadform import (
     CoefficientPair,
@@ -163,96 +162,17 @@ def rarity_log_fraction(n: int, epsilon: float) -> float:
 # Experiments
 # ---------------------------------------------------------------------------
 
-# Fewest samples worth a process of their own.  A fork costs the run about
-# 40 ms in all (importing the pool, forking, collecting), against 0.2-0.3 ms
-# per sample at n <= 16 and 5 ms at n = 128.  ensemble_gaps in a fresh
-# process at 200 samples, one process against two, on a 2-core x86-64 VM,
-# ms (medians of 5):
-#
-#     n      bounded_uniform    gaussian
-#     8      72  vs 150         45  vs 89
-#     32     146 vs 167         79  vs 128
-#     64     261 vs 169         158 vs 169
-#     128    1085 vs 659        505 vs 327
-#
-# So two chunks of 100 pay off from n = 64 on.
-MIN_SAMPLES_PER_WORKER = 100
-
-# Smallest n whose samples are spread over processes.  Below it a sample
-# costs too little for a pool to win back its start-up.  The same
-# measurement at 1000 samples, ms (medians of 5; n = 8 from an earlier run):
-#
-#     n      bounded_uniform    gaussian
-#     8      298 vs 324         148 vs 128
-#     24     423 vs 373         246 vs 295
-#     32     472 vs 447         301 vs 320
-#     40     837 vs 582         424 vs 354
-#     48     1104 vs 744        513 vs 462
-#
-# n = 40 is the smallest n at which two processes win for both ensembles,
-# and their gain grows with the samples.  Below it they gain little or lose
-# at 1000 samples, and at 200 they lost up to 78 ms (n = 8, the table
-# above).  At 200 samples they still lose up to 65 ms at n = 40-48
-# (gaussian 102 vs 149 and 135 vs 200).
-MIN_POOLED_N = 40
-
-
-def gap_workers(n: int, samples: int) -> int:
-    """Processes ensemble_gaps spreads a run over, the calling one included.
-
-    One per usable CPU, each with at least MIN_SAMPLES_PER_WORKER samples,
-    for MIN_POOLED_N <= n <= SINGLE_THREAD_MAX_N.  Below that range a single
-    process, since the pool costs more than the samples; above it also a
-    single process, whose factorizations already run on every BLAS thread.
-    Without os.sched_getaffinity (macOS, Windows: no fork, or none that is
-    safe once system frameworks are loaded), also a single process.
-    """
-    if not MIN_POOLED_N <= n <= SINGLE_THREAD_MAX_N or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), samples // MIN_SAMPLES_PER_WORKER))
-
-
-def _chunk_gaps(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
-    return np.array([ground_gap(sample_pair(config, i)).gap for i in range(start, stop)])
-
-
-def _pooled_gaps(config: EnsembleConfig, workers: int) -> np.ndarray:
-    """The gaps of contiguous index chunks, chunk 0 here and one per forked worker.
-
-    Sample 0 is drawn before the fork, so the workers inherit warm LAPACK
-    buffers along with the caller's BLAS thread cap and heap settings; a
-    spawned or forkserver worker would start with neither.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    bounds = [k * config.samples // workers for k in range(workers + 1)]
-    chunks = [_chunk_gaps(config, 0, 1)]
-    with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [(lo, hi, pool.submit(_chunk_gaps, config, lo, hi))
-                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        chunks.append(_chunk_gaps(config, 1, bounds[1]))
-        for lo, hi, future in futures:
-            try:
-                chunks.append(future.result())
-            except BrokenProcessPool as exc:
-                raise NumericalError(f"the worker for samples [{lo}, {hi}) died: {exc}") from None
-    return np.concatenate(chunks)
-
-
 def ensemble_gaps(config: EnsembleConfig) -> np.ndarray:
     """Ground-state gaps (2 sigma_min of A+B) for every sample of the run.
 
-    The samples are split over gap_workers processes.  Each sample draws from
-    its own stream and the chunks are joined in index order, so the gaps are
-    bit-identical for any number of workers.
+    The samples are split over _blas.loop_workers processes.  Each sample
+    draws from its own stream and the chunks are joined in index order, so
+    the gaps are bit-identical for any number of workers.
     """
-    workers = gap_workers(config.n, config.samples)
-    with small_matrix_threads(config.n):
-        if workers == 1:
-            return _chunk_gaps(config, 0, config.samples)
-        return _pooled_gaps(config, workers)
+    def chunk(lo: int, hi: int) -> np.ndarray:
+        return np.array([ground_gap(sample_pair(config, i)).gap for i in range(lo, hi)])
+
+    return np.concatenate(forked_chunks(chunk, config.samples, config.n, "samples"))
 
 
 @dataclass(frozen=True)

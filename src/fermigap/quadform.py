@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import small_matrix_threads
+from ._blas import forked_chunks
 from .errors import CapacityError, InputError, NumericalError
 
 # Enumerating all 2^n subset-sum energies beyond this is pointless on a desk
@@ -331,13 +331,19 @@ def check_s(s) -> np.ndarray:
     return s
 
 
+def _point_gaps(gap_at, points: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The gap and num_zero_modes arrays of gap_at(s) over the points."""
+    gap = np.empty(len(points))
+    num_zero_modes = np.empty(len(points), dtype=int)
+    for i, s in enumerate(points):
+        gap[i], num_zero_modes[i] = gap_at(s)
+    return gap, num_zero_modes
+
+
 def profile_from_points(s_grid: np.ndarray, gap_at,
                         path_minimum: PathMinimum | None = None) -> GapProfile:
     """GapProfile over a checked grid; gap_at(s) gives (gap, num_zero_modes) at s."""
-    gap = np.empty(s_grid.size)
-    num_zero_modes = np.empty(s_grid.size, dtype=int)
-    for i, s in enumerate(s_grid.tolist()):
-        gap[i], num_zero_modes[i] = gap_at(s)
+    gap, num_zero_modes = _point_gaps(gap_at, s_grid.tolist())
     return GapProfile(s=s_grid.copy(), gap=gap, num_zero_modes=num_zero_modes,
                       path_minimum=path_minimum)
 
@@ -358,7 +364,9 @@ def gap_profile(target: CoefficientPair, s_grid,
                 zero_tolerance: float | None = None) -> GapProfile:
     """Evaluate ground_gap along the interpolation to target at each grid point.
 
-    The profile is bitwise that of ground_gap(interpolate(target, s)).
+    The profile is bitwise that of ground_gap(interpolate(target, s)).  The
+    points are split over _blas.loop_workers processes and joined in index
+    order, so it is bitwise the same for any number of workers.
     """
     s_grid = check_s(s_grid)
     check_zero_tolerance(zero_tolerance)
@@ -369,8 +377,11 @@ def gap_profile(target: CoefficientPair, s_grid,
         _finite_total(lam)
         return gap_and_zero_modes(lam, zero_tolerance)[:2]
 
-    with small_matrix_threads(target.n):
-        return profile_from_points(s_grid, gap_at)
+    points = s_grid.tolist()
+    chunks = forked_chunks(lambda lo, hi: _point_gaps(gap_at, points[lo:hi]),
+                           len(points), target.n, "points")
+    gap, num_zero_modes = map(np.concatenate, zip(*chunks))
+    return GapProfile(s=s_grid.copy(), gap=gap, num_zero_modes=num_zero_modes)
 
 
 def linearity_defect(s_grid: np.ndarray, gap: np.ndarray) -> float:

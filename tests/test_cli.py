@@ -513,21 +513,59 @@ def _ensemble_run(out, experiment, n, samples, seed=4):
             json.loads((out / "manifest.json").read_text()))
 
 
-# Runs cli.main in a fresh interpreter whose ensemble_gaps uses two processes
-# and whose sample_pair runs FAULT in the forked worker only.
-_FAULTY_WORKER = """
-import os, sys
-import fermigap.cli as cli, fermigap.ensembles as ens
+# Runs cli.main in a fresh interpreter whose index-parallel loops use two
+# processes, after PATCH.  The last stderr line is JSON: the modules loaded
+# and whether the CLI left a child process behind.
+_FORKED_CLI = """
+import json, os, sys
+import fermigap._blas as blas, fermigap.cli as cli, fermigap.ensembles as ens
+import fermigap.quadform as qf
 from fermigap.errors import NumericalError
-parent, sample_pair = os.getpid(), ens.sample_pair
-def faulty(config, index):
-    if os.getpid() != parent:
-        FAULT
-    return sample_pair(config, index)
-ens.sample_pair = faulty
-ens.gap_workers = lambda n, samples: 2
-sys.exit(cli.main(sys.argv[1:]))
+blas.loop_workers = lambda items, n: 2
+parent = os.getpid()
+PATCH
+code = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    child_left = True
+except ChildProcessError:
+    child_left = False
+print(json.dumps({"modules": sorted(sys.modules), "child_left": child_left}), file=sys.stderr)
+sys.exit(code)
 """
+
+# sample_pair and the SVD run FAULT in the forked workers only.
+_FAULTY_WORKER = """
+def in_worker(f):
+    def faulty(*args):
+        if os.getpid() != parent:
+            FAULT
+        return f(*args)
+    return faulty
+ens.sample_pair = in_worker(ens.sample_pair)
+qf._singular_values = in_worker(qf._singular_values)
+"""
+
+# The CLI process's own second SVD fails: point 1 of a profile, after the fork.
+_FAULTY_CALLER = """
+svd, calls = qf._singular_values, []
+def faulty(c):
+    if os.getpid() == parent:
+        calls.append(c)
+        if len(calls) == 2:
+            raise NumericalError("SVD of A+B failed to converge: injected")
+    return svd(c)
+qf._singular_values = faulty
+"""
+
+
+def _forked_cli(argv, patch="", timeout=120):
+    """(exit code, stderr lines but the last, the last one's JSON) of a forked CLI run."""
+    proc = subprocess.run([sys.executable, "-c", _FORKED_CLI.replace("PATCH", patch),
+                           *map(str, argv)],
+                          capture_output=True, text=True, timeout=timeout)
+    *lines, last = proc.stderr.splitlines()
+    return proc.returncode, lines, json.loads(last), proc.stdout
 
 
 class TestEnsembleWorkers:
@@ -537,7 +575,7 @@ class TestEnsembleWorkers:
                                                         experiment, workers):
         runs = {}
         for count in (1, workers):
-            monkeypatch.setattr(ens, "gap_workers", lambda n, samples, count=count: count)
+            monkeypatch.setattr(_blas, "loop_workers", lambda items, n, count=count: count)
             out = tmp_path / str(count)
             summary, manifest = _ensemble_run(out, experiment, 16, 61)
             assert summary["config"]["workers"] == manifest["parameters"]["workers"] == count
@@ -549,17 +587,18 @@ class TestEnsembleWorkers:
 
     def test_pooled_run_records_workers_and_their_memory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        summary, manifest = _ensemble_run(tmp_path / "d", "edelman", ens.MIN_POOLED_N,
-                                          2 * ens.MIN_SAMPLES_PER_WORKER)
+        n = 64
+        samples = 1 + -(-2 * _blas.WORK_PER_WORKER // n ** 3)      # fewest samples for 2
+        summary, manifest = _ensemble_run(tmp_path / "d", "edelman", n, samples)
         assert summary["config"]["workers"] == manifest["parameters"]["workers"] == 2
         assert manifest["worker_peak_rss_mb"] > 0.0
         assert "worker_peak_rss_mb" not in json.dumps(summary)
 
     @pytest.mark.parametrize("experiment, cpus, samples", [
-        ("survival", {0}, 2 * ens.MIN_SAMPLES_PER_WORKER),              # one usable CPU
-        ("edelman", {0, 1}, 2 * ens.MIN_SAMPLES_PER_WORKER - 1),       # too few samples
-        ("figure1", {0, 1}, 2 * ens.MIN_SAMPLES_PER_WORKER),           # serial loop
-        ("figure2", {0, 1}, 2 * ens.MIN_SAMPLES_PER_WORKER),
+        ("survival", {0}, 200),             # one usable CPU
+        ("edelman", {0, 1}, 199),           # too little work
+        ("figure1", {0, 1}, 200),           # serial loop
+        ("figure2", {0, 1}, 200),
     ])
     def test_single_process_run_records_one_worker(self, tmp_path, capsys, monkeypatch,
                                                    experiment, cpus, samples):
@@ -569,7 +608,7 @@ class TestEnsembleWorkers:
         assert "worker_peak_rss_mb" not in manifest
 
     def test_small_n_records_one_worker(self, tmp_path, capsys, monkeypatch):
-        # a pool costs more than 2000 samples at n = 8 take
+        # 2000 samples at n = 8 are too little work by the n^3 rule
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         summary, manifest = _ensemble_run(tmp_path / "d", "survival", 8, 2000)
         assert summary["config"]["workers"] == manifest["parameters"]["workers"] == 1
@@ -586,22 +625,84 @@ class TestEnsembleWorkers:
         assert [c.n for c in calls] == [n]
         assert summary["config"]["workers"] == manifest["parameters"]["workers"] == 1
 
-    @pytest.mark.parametrize("fault, message", [
-        ("raise NumericalError('SVD of A+B failed to converge: injected')",
+    @pytest.mark.parametrize("command, fault, message", [
+        ("survival", "raise NumericalError('SVD of A+B failed to converge: injected')",
          "fermigap: numerical error: SVD of A+B failed to converge: injected"),
-        ("os._exit(1)", "fermigap: numerical error: the worker for samples [5, 10) died"),
-    ], ids=["numerical-error", "worker-died"])
-    def test_worker_failure_exit_3_without_output(self, tmp_path, fault, message):
+        ("survival", "os._exit(1)",
+         "fermigap: numerical error: the worker for samples [5, 10) died"),
+        ("profile", "raise NumericalError('SVD of A+B failed to converge: injected')",
+         "fermigap: numerical error: SVD of A+B failed to converge: injected"),
+        ("profile", "os._exit(1)",
+         "fermigap: numerical error: the worker for points [5, 10) died"),
+    ], ids=["numerical-error", "worker-died", "profile-numerical-error", "profile-worker-died"])
+    def test_worker_failure_exit_3_without_output(self, tmp_path, command, fault, message):
         out = tmp_path / "out"
-        proc = subprocess.run(
-            [sys.executable, "-c", _FAULTY_WORKER.replace("FAULT", fault), "ensemble",
-             "--experiment", "survival", "--n", "8", "--samples", "10", "--out", str(out)],
-            capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 3, proc.stderr
-        assert proc.stderr.startswith(message)
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stdout == ""
+        if command == "profile":
+            pair = write_json(tmp_path / "pair.json",
+                              pair_doc(qf.symmetrize_split(np.arange(9.0).reshape(3, 3))))
+            argv = ["profile", pair, "--grid", "10"]
+        else:
+            argv = ["ensemble", "--experiment", "survival", "--n", "8", "--samples", "10"]
+        code, lines, state, stdout = _forked_cli(
+            [*argv, "--out", out], patch=_FAULTY_WORKER.replace("FAULT", fault))
+        assert code == 3, lines
+        assert len(lines) == 1 and lines[0].startswith(message)
+        assert not state["child_left"]
+        assert stdout == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["ensemble", "--experiment", "survival", "--n", "8", "--samples", "10", "--out", "OUT"],
+        ["profile", "PAIR", "--grid", "10", "--out", "OUT"],
+    ], ids=["ensemble", "profile"])
+    def test_forked_run_loads_no_pool_and_leaves_no_child(self, identity_pair_file, tmp_path,
+                                                           argv):
+        out = tmp_path / "out"
+        code, lines, state, _ = _forked_cli(
+            [{"OUT": out, "PAIR": identity_pair_file}.get(a, a) for a in argv])
+        assert code == 0, lines
+        assert not state["child_left"]
+        assert not {"concurrent", "multiprocessing"} & {m.split(".")[0] for m in state["modules"]}
+        assert json.loads((out / "manifest.json").read_text())["parameters"]["workers"] == 2
+
+
+class TestProfileWorkers:
+    def test_caller_failure_with_a_full_pipe_exits_3_and_reaps(self, tmp_path):
+        # the worker's 20,000 points pickle to about 320 kB, beyond a 64 KiB pipe
+        # buffer, so it blocks writing until its pipe is closed or it is killed
+        pair = write_json(tmp_path / "pair.json", pair_doc(qf.CoefficientPair.identity(2)))
+        out = tmp_path / "out"
+        code, lines, state, stdout = _forked_cli(
+            ["profile", pair, "--grid", "40000", "--out", out], patch=_FAULTY_CALLER,
+            timeout=60)
+        assert code == 3, lines
+        assert lines == ["fermigap: numerical error: SVD of A+B failed to converge: injected"]
+        assert not state["child_left"]
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_outputs_bit_identical_and_manifest_records_workers(self, tmp_path, monkeypatch,
+                                                                workers):
+        c = np.random.default_rng(3).standard_normal((24, 24))
+        pair = write_json(tmp_path / "pair.json", pair_doc(qf.symmetrize_split(c)))
+        runs = {}
+        for count in (1, workers):
+            monkeypatch.setattr(_blas, "loop_workers", lambda items, n, count=count: count)
+            out = tmp_path / str(count)
+            assert cli.main(["profile", pair, "--grid", "31", "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["parameters"]["workers"] == count
+            assert ("worker_peak_rss_mb" in manifest) == (count > 1)
+            runs[count] = [(out / name).read_bytes() for name in ("profile.csv", "summary.json")]
+        assert runs[1] == runs[workers]
+
+    def test_structured_manifest_records_no_workers(self, xy_spec_file, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["profile", xy_spec_file, "--grid", "5", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "workers" not in manifest["parameters"]
+        assert "worker_peak_rss_mb" not in manifest
 
 
 class TestCsvOutput:

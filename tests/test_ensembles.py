@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -200,7 +201,7 @@ class TestSingleThreadLoop:
 
 class TestWorkers:
     @pytest.mark.parametrize("kind, samples, workers", [
-        ("bounded_uniform", 7, 3),      # uneven chunks: [0, 2), [2, 4), [4, 7)
+        ("bounded_uniform", 7, 3),      # uneven chunks: [0, 3), [3, 5), [5, 7)
         ("gaussian", 2, 2),             # the caller's chunk is sample 0 alone
         ("gaussian", 41, 2),
     ])
@@ -208,33 +209,46 @@ class TestWorkers:
                                                      workers):
         config = ens.EnsembleConfig(kind=kind, n=12, samples=samples, seed=23)
         serial = ens.ensemble_gaps(config)
-        monkeypatch.setattr(ens, "gap_workers", lambda n, s: workers)
+        monkeypatch.setattr(_blas, "loop_workers", lambda items, n: workers)
         pooled = ens.ensemble_gaps(config)
         assert pooled.dtype == serial.dtype and pooled.shape == (samples,)
         assert np.array_equal(pooled, serial)
 
     def test_one_worker_per_cpu_with_enough_samples(self, monkeypatch):
-        monkeypatch.setattr(ens.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        per = ens.MIN_SAMPLES_PER_WORKER
-        assert ens.gap_workers(128, 3 * per) == 3
-        assert ens.gap_workers(128, 10 ** 6) == 3
-        assert ens.gap_workers(128, 3 * per - 1) == 2
-        assert ens.gap_workers(ens.MIN_POOLED_N, 2 * per) == 2
-        assert ens.gap_workers(_blas.SINGLE_THREAD_MAX_N, 2 * per) == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        three = 1 + -(-3 * _blas.WORK_PER_WORKER // 128 ** 3)    # fewest samples for 3
+        assert _blas.loop_workers(three, 128) == 3
+        assert _blas.loop_workers(10 ** 6, 128) == 3
+        assert _blas.loop_workers(three - 1, 128) == 2
+        assert _blas.loop_workers(3, _blas.SINGLE_THREAD_MAX_N) == 2   # one item each after item 0
 
     def test_two_workers_on_two_cpus_at_n_128(self, monkeypatch):
-        monkeypatch.setattr(ens.os, "sched_getaffinity", lambda pid: {0, 1})
-        assert ens.gap_workers(128, 2000) == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert _blas.loop_workers(2000, 128) == 2
+
+    @pytest.mark.parametrize("n, items", [
+        (256, 101),         # the benchmark's dense profile
+        (39, 10 ** 6),      # many cheap samples
+    ])
+    def test_two_workers_on_two_cpus(self, monkeypatch, n, items):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert _blas.loop_workers(items, n) == 2
 
     @pytest.mark.parametrize("n, samples, cpus", [
         (_blas.SINGLE_THREAD_MAX_N + 1, 10 ** 6, {0, 1}),    # already on every BLAS thread
         (128, 10 ** 6, {0}),                                  # one usable CPU
-        (128, 2 * ens.MIN_SAMPLES_PER_WORKER - 1, {0, 1}),  # too few samples
+        (128, 1 + (2 * _blas.WORK_PER_WORKER - 1) // 128 ** 3, {0, 1}),   # too little work
         (128, 1, {0, 1}),
-        (8, 2000, {0, 1}),                                    # the pool costs more
-        (ens.MIN_POOLED_N - 1, 10 ** 6, {0, 1, 2}),
+        (8, 2000, {0, 1}),                  # the n^3 count undercounts small n
+        (64, 20, {0, 1, 2}),                # the fork costs more
         (2, 10 ** 6, {0, 1}),
+        (32, 200, {0, 1}),
+        (_blas.SINGLE_THREAD_MAX_N, 2, {0, 1}),             # nothing to share after item 0
     ])
     def test_single_process(self, monkeypatch, n, samples, cpus):
-        monkeypatch.setattr(ens.os, "sched_getaffinity", lambda pid: cpus)
-        assert ens.gap_workers(n, samples) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert _blas.loop_workers(samples, n) == 1
+
+    def test_single_process_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _blas.loop_workers(10 ** 6, 128) == 1

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,6 +231,22 @@ class TestGapProfile:
             assert getattr(profile, field).tolist() == \
                 [getattr(rep, field) for rep in reference]
 
+    @pytest.mark.parametrize("points, workers", [
+        (7, 3),     # uneven chunks: [0, 3), [3, 5), [5, 7)
+        (2, 2),     # the caller's chunk is point 0 alone
+        (41, 2),
+    ])
+    def test_bit_identical_for_any_worker_count(self, monkeypatch, points, workers):
+        pair = random_pair(12, seed=23)
+        grid = np.linspace(0.0, 1.0, points)
+        profiles = []
+        for count in (1, workers):
+            monkeypatch.setattr(_blas, "loop_workers", lambda items, n, count=count: count)
+            profiles.append(qf.gap_profile(pair, grid))
+        for field in ("s", "gap", "num_zero_modes"):
+            serial, pooled = (getattr(p, field) for p in profiles)
+            assert pooled.dtype == serial.dtype and np.array_equal(pooled, serial)
+
     @pytest.mark.parametrize("grid", [[0.5, 1.5], [-0.25], [0.0, float("nan")]])
     def test_grid_outside_unit_interval_rejected(self, grid):
         with pytest.raises(InputError, match=r"\[0, 1\]"):
@@ -296,3 +314,36 @@ class TestSingleThreadLoops:
         with _blas.small_matrix_threads(64):
             assert thread_counts(libs) == before
         assert _blas.thread_counts(64) is None
+
+
+class TestForkedChunks:
+    @pytest.fixture(autouse=True)
+    def three_workers(self, monkeypatch):
+        monkeypatch.setattr(_blas, "loop_workers", lambda items, n: 3)
+
+    def test_chunks_joined_in_index_order(self):
+        # chunks [0, 1) and [1, 4) here, [4, 7) and [7, 10) in two workers
+        chunks = _blas.forked_chunks(lambda lo, hi: (os.getpid(), list(range(lo, hi))),
+                                     10, 4, "items")
+        assert [items for _, items in chunks] == [[0], [1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        pids = [pid for pid, _ in chunks]
+        assert pids[0] == pids[1] == os.getpid() and len(set(pids)) == 3
+
+    def test_worker_exception_raised_again(self):
+        def chunk(lo, hi):
+            if lo >= 7:
+                raise InputError(f"bad chunk [{lo}, {hi})")
+            return []
+
+        with pytest.raises(InputError, match=r"^bad chunk \[7, 10\)$"):
+            _blas.forked_chunks(chunk, 10, 4, "items")
+
+    def test_worker_that_dies(self):
+        def chunk(lo, hi):
+            if lo == 4:
+                os._exit(7)
+            return []
+
+        with pytest.raises(NumericalError, match=r"^the worker for items \[4, 7\) died "
+                                                 r"\(exit status 7\)$"):
+            _blas.forked_chunks(chunk, 10, 4, "items")
