@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
+import threading
 from typing import Callable, NamedTuple
 
 from .errors import NumericalError
@@ -140,11 +141,14 @@ def loop_workers(items: int, n: int) -> int:
     share is that of the other items, (items - 1) x n^3.  One process per
     usable CPU, each with at least WORK_PER_WORKER of that work and at least
     one of those items.  A single process above SINGLE_THREAD_MAX_N, whose
-    factorizations already run on every BLAS thread, and without
+    factorizations already run on every BLAS thread; without
     os.sched_getaffinity (macOS, Windows: no fork, or none that is safe once
-    system frameworks are loaded).
+    system frameworks are loaded); and while another Python thread is alive,
+    since the child would hold only a copy of the locks that thread may hold
+    (the reason Python 3.12 warns about such forks).
     """
-    if n > SINGLE_THREAD_MAX_N or not hasattr(os, "sched_getaffinity"):
+    if (n > SINGLE_THREAD_MAX_N or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
         return 1
     rest = items - 1
     return max(1, min(len(os.sched_getaffinity(0)), rest, rest * n ** 3 // WORK_PER_WORKER))

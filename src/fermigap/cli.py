@@ -391,10 +391,8 @@ def cmd_ising(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _verify_checks(n_max: int, trials: int, seed: int):
-    """Yield (check name, cases covered, max residual, tolerance, replay info)."""
-    worst = 0.0
-    info = None
-    cases = 0
+    """Yield (check name, tolerance, cases), cases a list of (residual, replay info)."""
+    cases = []
     for t in range(trials):
         for n in range(1, n_max + 1):
             w = ens.seeded_rng(seed, 0, t, n).standard_normal((n, n))
@@ -403,39 +401,56 @@ def _verify_checks(n_max: int, trials: int, seed: int):
             dense = sr.dense_spectrum_oracle(sr.PauliHamiltonian(w))
             scale = 1.0 + np.linalg.norm(pair.c, 2)
             res = float(np.max(np.abs(sub - dense))) / scale
-            cases += 1
-            if res > worst:
-                worst, info = res, {"trial": t, "n": n}
-    yield ("subset-sum-vs-dense", cases, worst, 1e-8, info)
+            cases.append((res, {"trial": t, "n": n}))
+    yield "subset-sum-vs-dense", 1e-8, cases
 
     n = min(n_max, 6)
     w = ens.seeded_rng(seed, 1).standard_normal((n, n))
     pair = sr.w_to_ab(w)
     dense = sr.dense_hamiltonian(sr.PauliHamiltonian(w))
     ferm = sr.fermionic_assembly(pair, sr.jw_operators(n))
-    yield ("route-equality", 1, float(np.max(np.abs(dense - ferm))), 1e-12, {"n": n})
+    yield "route-equality", 1e-12, [(float(np.max(np.abs(dense - ferm))), {"n": n})]
 
     pair = qf.symmetrize_split(ens.seeded_rng(seed, 2).standard_normal((4, 4)))
     decomp = qf.lieb_decompose(pair)
     etas = sr.unitary_fcr_transform(sr.jw_operators(4),
                                     (decomp.x + decomp.y) / 2.0,
                                     (decomp.x - decomp.y) / 2.0)
-    op_sets = [*map(sr.jw_operators, range(1, min(n_max, 8) + 1)),
-               sr.spin32_operators(2), etas]
-    yield ("fcr-suites", len(op_sets), max(map(sr.fcr_check, op_sets)), 1e-12, None)
+    op_sets = [*(({"set": "jw", "n": n}, sr.jw_operators(n))
+                 for n in range(1, min(n_max, 8) + 1)),
+               ({"set": "spin32", "n": 2}, sr.spin32_operators(2)),
+               ({"set": "eta", "n": 4}, etas)]
+    yield "fcr-suites", 1e-12, [(sr.fcr_check(ops), replay) for replay, ops in op_sets]
 
-    worst = 0.0
-    specs = [lat.build_xy_cycle(12),
-             lat.build_torus_2d(4, 4, lat.build_xy_cycle(4)),
-             lat.build_torus_3d(3, 3, 3, lat.build_torus_2d(3, 3, lat.build_xy_cycle(3)))]
-    for spec in specs:
+    cases = []
+    specs = {"xy_cycle": lat.build_xy_cycle(12),
+             "torus_2d": lat.build_torus_2d(4, 4, lat.build_xy_cycle(4)),
+             "torus_3d": lat.build_torus_3d(3, 3, 3, lat.build_torus_2d(
+                 3, 3, lat.build_xy_cycle(3)))}
+    for name, spec in specs.items():
         pair = lat.expand(spec)
         g = pair.c @ (pair.a - pair.b)
         dense = np.sort(np.linalg.eigvalsh(g))
         fast = np.sort(lat.g_eigenvalues(spec))
         scale = 1.0 + np.linalg.norm(g, 2)
-        worst = max(worst, float(np.max(np.abs(dense - fast))) / scale)
-    yield ("structured-vs-dense", len(specs), worst, 1e-8, None)
+        cases.append((float(np.max(np.abs(dense - fast))) / scale,
+                      {"spec": name, "n": spec.n}))
+    yield "structured-vs-dense", 1e-8, cases
+
+
+def _worst_case(check: str, cases: list) -> tuple[float, dict]:
+    """The largest residual of a check's cases and the replay info of the first that has it.
+
+    A residual that is not finite raises NumericalError: a running maximum
+    would pass over a NaN and report a vacuous pass.
+    """
+    worst, replay = 0.0, None
+    for res, info in cases:
+        if not np.isfinite(res):
+            raise NumericalError(f"{check}: residual {res} at {info}")
+        if replay is None or res > worst:
+            worst, replay = res, info
+    return worst, replay
 
 
 def cmd_verify(args) -> int:
@@ -444,13 +459,15 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise InputError(f"--trials must be >= 1, got {args.trials}")
     checks = []
-    all_pass = True
-    for name, cases, residual, tol, info in _verify_checks(args.n_max, args.trials, args.seed):
-        passed = residual <= tol
-        all_pass = all_pass and passed
-        checks.append({"check": name, "cases": cases, "max_residual": residual,
-                       "tolerance": tol, "passed": passed, "replay": info,
-                       "seed": args.seed})
+    try:
+        for name, tol, cases in _verify_checks(args.n_max, args.trials, args.seed):
+            residual, replay = _worst_case(name, cases)
+            checks.append({"check": name, "cases": len(cases), "max_residual": residual,
+                           "tolerance": tol, "passed": residual <= tol, "replay": replay,
+                           "seed": args.seed})
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"conformance suite: {exc}") from exc
+    all_pass = all(check["passed"] for check in checks)
     _print_json({"checks": checks, "passed": all_pass, "seed": args.seed})
     return EXIT_OK if all_pass else EXIT_CONFORMANCE
 

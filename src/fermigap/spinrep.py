@@ -15,6 +15,7 @@ and numeric verification of the fermionic commutation relations (FCRs).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,13 +107,20 @@ class PauliHamiltonian:
 # Dense 2^n assembly
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _parity_signs(n: int) -> np.ndarray:
+    """Read-only table of (-1)^popcount(i) for i in range(2^n)."""
+    signs = np.ones(1)
+    for _ in range(n):
+        # setting the next higher bit flips every sign
+        signs = np.concatenate([signs, -signs])
+    signs.flags.writeable = False
+    return signs
+
+
 def _bit_parity(values: np.ndarray, mask: int, n: int) -> np.ndarray:
-    """Parity of popcount(values & mask) as +-1 floats."""
-    masked = values & mask
-    parity = np.zeros_like(values)
-    for shift in range(n):
-        parity ^= (masked >> shift) & 1
-    return 1.0 - 2.0 * parity.astype(float)
+    """Parity of popcount(values & mask) as +-1 floats, for values below 2^n."""
+    return _parity_signs(n)[values & mask]
 
 
 def _signed_permutation(word: str, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,11 +191,12 @@ def dense_spectrum_oracle(h: PauliHamiltonian) -> np.ndarray:
     mat = dense_hamiltonian(h)
     n = h.n
     basis = np.arange(1 << n)
-    even = _bit_parity(basis, (1 << n) - 1, n) > 0.0
+    even = _parity_signs(n) > 0.0
     sectors = basis[even], basis[~even]
-    coupling = max(float(np.abs(mat[np.ix_(rows, cols)]).max())
-                   for rows, cols in (sectors, sectors[::-1]))
-    if coupling != 0.0:
+    off_parity = (sectors, sectors[::-1])
+    if any(mat[np.ix_(rows, cols)].any() for rows, cols in off_parity):
+        coupling = max(float(np.abs(mat[np.ix_(rows, cols)]).max())
+                       for rows, cols in off_parity)
         raise ConformanceError(f"dense Hamiltonian couples the two fermion-parity "
                                f"sectors: largest off-parity entry {coupling:.3e}")
     try:
@@ -309,12 +318,15 @@ def fcr_check(ops: FermionOperatorSet) -> float:
 
     The residual is the largest operator 2-norm over all anticommutator defects.
     The pairs j <= k cover them all: {c_k, c_j+} = {c_j, c_k+}+ has the same
-    2-norm, and {c_k, c_j} = {c_j, c_k}.  Sets of dimension up to 512 run on
-    one OpenBLAS thread.
+    2-norm, and {c_k, c_j} = {c_j, c_k}.  A defect whose entries are all
+    exactly zero, as the Jordan-Wigner and spin-3/2 ones are, has 2-norm 0.0
+    and skips the SVD.  A defect with an infinite or NaN entry raises
+    NumericalError, and the products that make it warn of nothing.  Sets of
+    dimension up to 512 run on one OpenBLAS thread.
     """
     eye = np.eye(ops.dimension)
     worst = 0.0
-    with small_matrix_threads(ops.dimension):
+    with small_matrix_threads(ops.dimension), np.errstate(over="ignore", invalid="ignore"):
         for j, cj in enumerate(ops.ops):
             for k in range(j, ops.m):
                 ck = ops.ops[k]
@@ -322,9 +334,12 @@ def fcr_check(ops: FermionOperatorSet) -> float:
                 if j == k:
                     mixed = mixed - eye
                 same = cj @ ck + ck @ cj
-                worst = max(worst,
-                            float(np.linalg.norm(mixed, 2)),
-                            float(np.linalg.norm(same, 2)))
+                for defect in (mixed, same):
+                    if defect.any():
+                        if not np.isfinite(defect).all():
+                            raise NumericalError(f"anticommutator defect of operators "
+                                                 f"{j} and {k} is not finite")
+                        worst = max(worst, float(np.linalg.norm(defect, 2)))
     return worst
 
 

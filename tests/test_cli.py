@@ -789,6 +789,93 @@ class TestVerify:
         assert flag in captured.err
         assert captured.out == ""
 
+    # check -> (module, function, index of the call that goes wrong).  A fault
+    # in a later case: a running maximum starts from the first case's residual,
+    # so a NaN there would have reached the output.
+    _FAULTS = {
+        "subset-sum-vs-dense": (sr, "dense_spectrum_oracle", 1),
+        "route-equality": (sr, "fermionic_assembly", 0),
+        "fcr-suites": (sr, "fcr_check", 1),
+        "structured-vs-dense": (lat, "g_eigenvalues", 1),
+    }
+
+    @pytest.mark.parametrize("fault", ["nan", "linalg-error"])
+    @pytest.mark.parametrize("check", list(_FAULTS))
+    def test_faulty_check_exit_3_without_output(self, capsys, monkeypatch, check, fault):
+        module, name, bad_call = self._FAULTS[check]
+        real = getattr(module, name)
+        calls = []
+
+        def faulty(*args):
+            calls.append(args)
+            out = real(*args)
+            if len(calls) - 1 != bad_call:
+                return out
+            if fault == "linalg-error":
+                raise np.linalg.LinAlgError("SVD did not converge")
+            if np.ndim(out) == 0:
+                return float("nan")
+            out = np.array(out)
+            out.flat[0] = np.nan
+            return out
+
+        monkeypatch.setattr(module, name, faulty)
+        assert cli.main(["verify", "--n-max", "3", "--trials", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        if fault == "nan":
+            assert captured.err.startswith(f"fermigap: numerical error: {check}: residual nan")
+        else:
+            assert captured.err == ("fermigap: numerical error: conformance suite: "
+                                    "SVD did not converge\n")
+
+    def test_every_check_replays_its_worst_case(self, capsys):
+        assert cli.main(["verify", "--n-max", "4", "--trials", "1"]) == 0
+        replays = {c["check"]: c["replay"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert replays["route-equality"] == {"n": 4}
+        assert replays["subset-sum-vs-dense"]["trial"] == 0
+        assert replays["fcr-suites"] in [{"set": "jw", "n": n} for n in range(1, 5)] + [
+            {"set": "spin32", "n": 2}, {"set": "eta", "n": 4}]
+        assert replays["structured-vs-dense"] in [
+            {"spec": "xy_cycle", "n": 12}, {"spec": "torus_2d", "n": 16},
+            {"spec": "torus_3d", "n": 27}]
+
+    @pytest.mark.parametrize("worst, replay", [
+        ([2], {"set": "jw", "n": 3}),
+        ([4, 5], {"set": "spin32", "n": 2}),    # a tie goes to the first case
+        ([5], {"set": "eta", "n": 4}),
+    ])
+    def test_fcr_replay_is_the_first_largest_residual(self, capsys, monkeypatch, worst,
+                                                      replay):
+        calls = []
+
+        def residual(ops):
+            calls.append(ops)
+            return 1e-3 if len(calls) - 1 in worst else 0.0
+
+        monkeypatch.setattr(sr, "fcr_check", residual)
+        assert cli.main(["verify", "--n-max", "4", "--trials", "1"]) == 4
+        check = next(c for c in json.loads(capsys.readouterr().out)["checks"]
+                     if c["check"] == "fcr-suites")
+        assert (check["max_residual"], check["replay"], check["cases"]) == (1e-3, replay, 6)
+
+    @pytest.mark.parametrize("spec", [0, 1, 2])
+    def test_structured_replay_names_the_spec(self, capsys, monkeypatch, spec):
+        real = lat.g_eigenvalues
+        names = [("xy_cycle", 12), ("torus_2d", 16), ("torus_3d", 27)]
+
+        def shifted(s):
+            return real(s) + (1e-3 if s.n == names[spec][1] else 0.0)
+
+        monkeypatch.setattr(lat, "g_eigenvalues", shifted)
+        assert cli.main(["verify", "--n-max", "2", "--trials", "1"]) == 4
+        check = next(c for c in json.loads(capsys.readouterr().out)["checks"]
+                     if c["check"] == "structured-vs-dense")
+        assert check["replay"] == {"spec": names[spec][0], "n": names[spec][1]}
+        assert not check["passed"]
+
 
 class TestHostileArguments:
     def test_seed_env_ignored_without_seed_option(self, identity_pair_file, capsys,

@@ -1,4 +1,5 @@
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -347,3 +348,32 @@ class TestForkedChunks:
         with pytest.raises(NumericalError, match=r"^the worker for items \[4, 7\) died "
                                                  r"\(exit status 7\)$"):
             _blas.forked_chunks(chunk, 10, 4, "items")
+
+
+class TestForkGuard:
+    """No fork while another Python thread is alive: the child would copy its locks."""
+
+    @staticmethod
+    def chunk(lo, hi):
+        return os.getpid(), [float(i) ** 0.5 for i in range(lo, hi)]
+
+    def test_loop_stays_in_one_process_while_a_thread_runs(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert _blas.loop_workers(10, 256) == 3
+        forked = _blas.forked_chunks(self.chunk, 10, 256, "items")
+        assert len({pid for pid, _ in forked}) == 3
+
+        release = threading.Event()
+        parked = threading.Thread(target=release.wait)
+        parked.start()
+        try:
+            assert _blas.loop_workers(10, 256) == 1
+            serial = _blas.forked_chunks(self.chunk, 10, 256, "items")
+        finally:
+            release.set()
+            parked.join(timeout=10)
+        assert not parked.is_alive()
+        assert [pid for pid, _ in serial] == [os.getpid()]
+        assert [v for _, part in serial for v in part] == \
+            [v for _, part in forked for v in part]
+        assert _blas.loop_workers(10, 256) == 3

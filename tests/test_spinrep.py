@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fermigap import _blas, quadform as qf
 from fermigap import spinrep as sr
-from fermigap.errors import CapacityError, ConformanceError, InputError
+from fermigap.errors import CapacityError, ConformanceError, InputError, NumericalError
 
 from conftest import dense_ground_state, with_off_parity_term
 
@@ -108,6 +108,34 @@ class TestParityBlockOracle:
             sr.dense_spectrum_oracle(h)
 
 
+def bit_parity_per_bit(values, mask, n):
+    """The per-bit shift loop that the popcount table replaced, the reference."""
+    masked = values & mask
+    parity = np.zeros_like(values)
+    for shift in range(n):
+        parity ^= (masked >> shift) & 1
+    return 1.0 - 2.0 * parity.astype(float)
+
+
+class TestPopcountTable:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_dense_routes_bit_identical_to_per_bit_loop(self, monkeypatch, n):
+        h = sr.PauliHamiltonian(np.random.default_rng(50 + n).standard_normal((n, n)))
+        mat, vals = sr.dense_hamiltonian(h), sr.dense_spectrum_oracle(h)
+        monkeypatch.setattr(sr, "_bit_parity", bit_parity_per_bit)
+        monkeypatch.setattr(sr, "_parity_signs", lambda n: bit_parity_per_bit(
+            np.arange(1 << n), (1 << n) - 1, n))
+        assert np.array_equal(sr.dense_hamiltonian(h), mat)
+        assert np.array_equal(sr.dense_spectrum_oracle(h), vals)
+
+    def test_table_is_cached_and_read_only(self):
+        signs = sr._parity_signs(5)
+        assert sr._parity_signs(5) is signs
+        assert not signs.flags.writeable
+        values = np.arange(32)
+        assert np.array_equal(signs, bit_parity_per_bit(values, 31, 5))
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_subset_sum_matches_dense(self, n):
@@ -175,6 +203,36 @@ def operator_sets(draw):
     return sr.FermionOperatorSet(tuple(ops))
 
 
+def anticommutator_defects(ops):
+    """Every defect fcr_check evaluates, pairs j <= k, mixed before same."""
+    eye = np.eye(ops.dimension)
+    for j, cj in enumerate(ops.ops):
+        for k in range(j, ops.m):
+            ck = ops.ops[k]
+            yield cj @ ck.conj().T + ck.conj().T @ cj - (j == k) * eye
+            yield cj @ ck + ck @ cj
+
+
+def last_operator_broken(phase):
+    """Jordan-Wigner operators on 3 sites times phase, the last one scaled by 1.001."""
+    ops = [phase * op for op in sr.jw_operators(3).ops]
+    ops[-1] = 1.001 * ops[-1]
+    return sr.FermionOperatorSet(tuple(ops))
+
+
+def spy_norm(monkeypatch):
+    """Record the arguments of every np.linalg.norm call."""
+    calls = []
+    real = np.linalg.norm
+
+    def spied(x, *args, **kwargs):
+        calls.append(x)
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spied)
+    return calls
+
+
 class TestFcr:
     @given(ops=operator_sets())
     @settings(max_examples=150, deadline=None)
@@ -184,12 +242,32 @@ class TestFcr:
 
     @pytest.mark.parametrize("phase", [1.0, 1j], ids=["real", "complex"])
     def test_defect_in_last_operator_fails(self, phase):
-        ops = [phase * op for op in sr.jw_operators(3).ops]
-        ops[-1] = 1.001 * ops[-1]
-        broken = sr.FermionOperatorSet(tuple(ops))
+        broken = last_operator_broken(phase)
         residual = sr.fcr_check(broken)
         assert residual > 1e-12
         assert residual == pytest.approx(fcr_residual_all_pairs(broken), rel=1e-14)
+
+    def test_exactly_zero_defects_skip_the_svd(self, monkeypatch):
+        assert all(not d.any() for d in anticommutator_defects(sr.jw_operators(4)))
+        calls = spy_norm(monkeypatch)
+        assert sr.fcr_check(sr.jw_operators(4)) == 0.0
+        assert calls == []
+
+    @pytest.mark.parametrize("phase", [1.0, 1j], ids=["real", "complex"])
+    def test_one_svd_per_nonzero_defect(self, monkeypatch, phase):
+        broken = last_operator_broken(phase)
+        nonzero = [d for d in anticommutator_defects(broken) if d.any()]
+        calls = spy_norm(monkeypatch)
+        sr.fcr_check(broken)
+        assert 0 < len(calls) == len(nonzero)
+        assert all(np.array_equal(x, d) for x, d in zip(calls, nonzero))
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_defect_raises(self, entry):
+        ops = [op.copy() for op in sr.jw_operators(2).ops]
+        ops[1][0, 1] = entry
+        with pytest.raises(NumericalError, match="defect of operators 0 and 1 is not finite"):
+            sr.fcr_check(sr.FermionOperatorSet(tuple(ops)))
 
     def test_defect_between_two_operators_fails(self):
         c = sr.jw_operators(2).ops[0]
@@ -269,9 +347,14 @@ class TestSmallMatrixThreads:
         return seen
 
     def test_fcr_check_on_one_thread(self, libs, monkeypatch):
+        # a transformed set: Jordan-Wigner defects are exactly zero and reach no SVD
+        rng = np.random.default_rng(24)
+        d = qf.lieb_decompose(qf.symmetrize_split(rng.standard_normal((3, 3))))
+        etas = sr.unitary_fcr_transform(sr.jw_operators(3),
+                                        (d.x + d.y) / 2.0, (d.x - d.y) / 2.0)
         before = [lib.get() for lib in libs]
         seen = self.spy(monkeypatch, libs, "norm")
-        assert sr.fcr_check(sr.jw_operators(3)) <= 1e-12
+        assert sr.fcr_check(etas) <= 1e-12
         assert seen and all(counts == [1] * len(libs) for counts in seen)
         assert [lib.get() for lib in libs] == before
 
