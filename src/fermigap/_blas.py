@@ -83,33 +83,21 @@ def small_matrix_threads(n: int):
     Above SINGLE_THREAD_MAX_N the block runs on the default threads.  Each
     library's previous count is restored on exit, also when the block raises.
     The counts are per process, so blocks must not overlap in several threads.
-    """
-    libs = loaded_openblas() if n <= SINGLE_THREAD_MAX_N else []
-    before = [lib.get() for lib in libs]
-    try:
-        for lib in libs:
-            lib.set(1)
-        yield
-    finally:
-        for lib, count in zip(libs, before):
-            lib.set(count)
-
-
-def thread_counts(n: int | None) -> list[dict] | None:
-    """Threads found in each loaded OpenBLAS, and the threads a loop runs on.
-
-    n is the matrix order of a loop run under small_matrix_threads, or None
-    for a loop that is not; "used" is read back from inside such a block.
-    Returns None when no OpenBLAS is loaded.
+    Yields the threads each library had before the block and runs it on,
+    [{"library": name, "found": count, "used": count}], or None when no
+    OpenBLAS is loaded.
     """
     libs = loaded_openblas()
-    if not libs:
-        return None
     found = [lib.get() for lib in libs]
-    with contextlib.nullcontext() if n is None else small_matrix_threads(n):
-        used = [lib.get() for lib in libs]
-    return [{"library": lib.name, "found": f, "used": u}
-            for lib, f, u in zip(libs, found, used)]
+    capped = libs if n <= SINGLE_THREAD_MAX_N else []
+    try:
+        for lib in capped:
+            lib.set(1)
+        yield [{"library": lib.name, "found": f, "used": lib.get()}
+               for lib, f in zip(libs, found)] or None
+    finally:
+        for lib, count in zip(capped, found):
+            lib.set(count)
 
 
 # Least work left after item 0, (items - 1) x n^3, that pays for one more
@@ -154,45 +142,59 @@ def loop_workers(items: int, n: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), rest, rest * n ** 3 // WORK_PER_WORKER))
 
 
+# What the last forked_chunks loop of this process ran on: blas_threads, as
+# small_matrix_threads yields them, the processes that ran its chunks
+# (workers) and, once it forked, worker_peak_rss_mb.  Per process, like the
+# RUSAGE_CHILDREN reading behind the latter.
+last_loop: dict = {}
+
+
 def forked_chunks(chunk: Callable[[int, int], object], items: int, n: int, what: str) -> list:
     """chunk(lo, hi) over contiguous chunks of range(items), in index order.
 
     The loop runs under small_matrix_threads(n) on loop_workers(items, n)
-    processes.  The caller computes item 0, forks one child per chunk after
-    its own, and then computes the rest of its chunk: the children inherit
-    warm LAPACK buffers along with the thread cap and the heap settings.
-    Each child sends back its result, or the exception its chunk raised,
-    which is raised again here.  A child that sends neither gives
-    NumericalError "the worker for <what> [lo, hi) died".  Every child is
-    reaped before this returns or raises; on the way out of a failure, the
-    read ends are closed and the children still running are killed first,
-    so none is left blocked on a full pipe.
+    processes, and last_loop records what it ran on.  The caller computes
+    item 0, forks one child per chunk after its own, and then computes the
+    rest of its chunk: the children inherit warm LAPACK buffers along with
+    the thread cap and the heap settings.  A chunk whose pipe or fork fails
+    with OSError is computed here in its turn.  Each child sends back its
+    result, or the exception its chunk raised, which is raised again here.
+    A child that sends neither gives NumericalError "the worker for <what>
+    [lo, hi) died".  Every child is reaped before this returns or raises; on
+    the way out of a failure, the read ends are closed and the children
+    still running are killed first, so none is left blocked on a full pipe.
     """
+    last_loop.clear()
     workers = loop_workers(items, n)
-    with small_matrix_threads(n):
+    children = []           # (lo, hi, pid, read end); pid None where no child took the chunk
+    live = set()            # the pids not yet reaped
+    with small_matrix_threads(n) as threads:
+        last_loop.update(blas_threads=threads, workers=1)
         if workers == 1:
             return [chunk(0, items)]
         # item 0 and an even share of the rest here, the other shares in the children
         bounds = [0, *(1 + k * (items - 1) // workers for k in range(1, workers + 1))]
         results = [chunk(0, 1)]
-        children = []           # (pid, read end, lo, hi), one per forked chunk
-        live = set()            # the pids not yet reaped
         try:
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                pid, read_end = _fork(chunk, lo, hi, [c[1] for c in children])
-                children.append((pid, read_end, lo, hi))
-                live.add(pid)
+                pid, read_end = _fork(chunk, lo, hi, [c[3] for c in children if c[2]])
+                children.append((lo, hi, pid, read_end))
+                if pid:
+                    live.add(pid)
             results.append(chunk(1, bounds[1]))
-            for pid, read_end, lo, hi in children:
+            for lo, hi, pid, read_end in children:
+                if not pid:
+                    results.append(chunk(lo, hi))
+                    continue
                 with open(read_end, "rb", closefd=False) as fh:
                     sent = fh.read()
                 status = os.waitpid(pid, 0)[1]
                 live.discard(pid)
                 results.append(_received(sent, status, f"the worker for {what} [{lo}, {hi})"))
-            return results
         finally:
-            for child in children:
-                os.close(child[1])
+            for _, _, pid, read_end in children:
+                if pid:
+                    os.close(read_end)
             if live:
                 import signal
 
@@ -200,17 +202,33 @@ def forked_chunks(chunk: Callable[[int, int], object], items: int, n: int, what:
                     os.kill(pid, signal.SIGKILL)
                 for pid in live:
                     os.waitpid(pid, 0)
+    forked = sum(1 for child in children if child[2])
+    if forked:
+        import resource
+
+        last_loop.update(workers=1 + forked, worker_peak_rss_mb=resource.getrusage(
+            resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0)
+    return results
 
 
-def _fork(chunk, lo: int, hi: int, inherited: list[int]) -> tuple[int, int]:
+def _fork(chunk, lo: int, hi: int, inherited: list[int]) -> tuple[int | None, int | None]:
     """Fork a child that pickles (True, chunk(lo, hi)) or (False, its exception) to a pipe.
 
-    Returns the child's pid and the pipe's read end.  The child closes the
-    read ends it inherits, so each pipe has one reader, and leaves only
-    through os._exit: status 0 once its message is written, 1 otherwise.
+    Returns the child's pid and the pipe's read end, or (None, None), with
+    the pipe closed, when os.pipe or os.fork fails with OSError.  The child
+    closes the read ends it inherits, so each pipe has one reader, and
+    leaves only through os._exit: status 0 once its message is written, 1
+    otherwise.
     """
-    read_end, write_end = os.pipe()
-    pid = os.fork()
+    fds = []
+    try:
+        fds.extend(os.pipe())
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None, None
+    read_end, write_end = fds
     if pid:
         os.close(write_end)
         return pid, read_end

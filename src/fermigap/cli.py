@@ -129,15 +129,18 @@ def _csv_text(header, columns) -> str:
 
 
 def _write_run(out_dir: str, command: str, parameters: dict, seed: int | None,
-               outputs: dict[str, str], **measured) -> None:
+               outputs: dict[str, str]) -> None:
     """Write each output and a manifest.json listing them into out_dir.
 
-    measured holds readings that vary from run to run, such as memory; they
-    go into the manifest only, never into an output.
+    The manifest's parameters end with what the run's loop ran on, if it
+    ran one (_blas.last_loop).  Its worker_peak_rss_mb varies from run to
+    run, so it goes into the manifest only, never into an output.
     """
+    loop = dict(_blas.last_loop)
+    measured = {key: loop.pop(key) for key in ("worker_peak_rss_mb",) if key in loop}
     manifest = _json_text({
         "command": command,
-        "parameters": parameters,
+        "parameters": {**parameters, **loop},
         "seed": seed,
         "tool_version": __version__,
         "outputs": list(outputs),
@@ -151,20 +154,6 @@ def _write_run(out_dir: str, command: str, parameters: dict, seed: int | None,
     for name, text in outputs.items():
         (out_dir / name).write_text(text)
     (out_dir / "manifest.json").write_text(manifest)
-
-
-def _worker_memory(workers: int) -> dict:
-    """worker_peak_rss_mb, for a run whose loop forked workers, else nothing.
-
-    It is the largest peak RSS among this process's finished children: the
-    workers, all reaped by the time a loop returns.
-    """
-    if workers == 1:
-        return {}
-    import resource
-
-    return {"worker_peak_rss_mb":
-            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +225,9 @@ def cmd_profile(args) -> int:
                        closes=path_min.closes)
     summary_text = _json_text(summary)
     if args.out:
-        parameters = {"input": str(args.input), "grid": args.grid, "tol": args.tol,
-                      "blas_threads": _blas.thread_counts(source.n if dense else None)}
-        workers = 1
-        if dense:
-            parameters["workers"] = workers = _blas.loop_workers(args.grid, source.n)
+        parameters = {"input": str(args.input), "grid": args.grid, "tol": args.tol}
         _write_run(args.out, "profile", parameters, None,
-                   {"profile.csv": csv_text, "summary.json": summary_text},
-                   **_worker_memory(workers))
+                   {"profile.csv": csv_text, "summary.json": summary_text})
     else:
         sys.stdout.write(csv_text + summary_text)
     return EXIT_OK
@@ -342,14 +326,10 @@ def cmd_ensemble(args) -> int:
                          f"not {args.experiment!r}")
     if args.experiment == "survival" and not args.x:
         args.x = _SURVIVAL_X
-    blas_threads = _blas.thread_counts(args.n)
     summary, outputs = _EXPERIMENTS[args.experiment](args)
     # figure2 draws one evolution, sample 0, whatever --samples says.
     samples = 1 if args.experiment == "figure2" else args.samples
-    workers = (_blas.loop_workers(samples, args.n)
-               if args.experiment in ens.POOLED_EXPERIMENTS else 1)
-    parameters = {"kind": kind, "n": args.n, "samples": samples,
-                  "x": args.x, "blas_threads": blas_threads, "workers": workers}
+    parameters = {"kind": kind, "n": args.n, "samples": samples, "x": args.x}
     summary_text = _json_text({
         "experiment": args.experiment,
         "config": {**parameters, "seed": args.seed},
@@ -358,7 +338,7 @@ def cmd_ensemble(args) -> int:
     # Nothing is written until every output is in hand: a run that fails
     # leaves no directory behind.
     _write_run(args.out, f"ensemble {args.experiment}", parameters, args.seed,
-               {**outputs, "summary.json": summary_text}, **_worker_memory(workers))
+               {**outputs, "summary.json": summary_text})
     sys.stdout.write(summary_text)
     return EXIT_OK
 
@@ -550,6 +530,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _retain_freed_heap()
+    _blas.last_loop.clear()
     try:
         if "seed" in args:
             args.seed = _resolve_seed(args.seed)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import forked_chunks, small_matrix_threads
+from ._blas import forked_chunks
 from .errors import CapacityError, InputError, NumericalError
 from .quadform import (
     CoefficientPair,
@@ -42,9 +42,6 @@ EXPERIMENT_KINDS = {
     "figure1": "gaussian",
     "figure2": "wishart",
 }
-
-# The experiments whose samples ensemble_gaps spreads over processes.
-POOLED_EXPERIMENTS = ("survival", "edelman")
 
 # Largest n whose 2^n levels figure1 and figure2 enumerate per sample.
 ENUMERATION_MODE_CAP = 12
@@ -251,25 +248,24 @@ def figure1_experiment(n: int, samples: int, seed: int) -> GapHistogram:
     lo, hi = HIST_RANGE
     top = np.nextafter(hi, 0.0)
     edges = np.logspace(np.log10(lo), np.log10(hi), HIST_BINS + 1)
-    ground_counts = np.zeros(HIST_BINS, dtype=int)
-    other_counts = np.zeros(HIST_BINS, dtype=int)
-    ground_list = []
-    other_medians = []
-    with small_matrix_threads(n):
-        for i in range(samples):
-            energies = subset_sum_spectrum(sample_pair(config, i).singular_values())
-            diffs = np.diff(energies)
-            ground, others = diffs[0], diffs[1:]
-            ground_list.append(ground)
-            other_medians.append(np.median(others))
-            other_counts += np.histogram(np.clip(others, lo, top), bins=edges)[0]
-            ground_counts += np.histogram([min(max(ground, lo), top)], bins=edges)[0]
+
+    def chunk(first: int, last: int):
+        ground, other_median = np.empty(last - first), np.empty(last - first)
+        other_counts = np.zeros(HIST_BINS, dtype=int)
+        for k, i in enumerate(range(first, last)):
+            diffs = np.diff(subset_sum_spectrum(sample_pair(config, i).singular_values()))
+            ground[k], other_median[k] = diffs[0], np.median(diffs[1:])
+            other_counts += np.histogram(np.clip(diffs[1:], lo, top), bins=edges)[0]
+        return ground, other_median, other_counts
+
+    grounds, other_medians, other_counts = zip(*forked_chunks(chunk, samples, n, "samples"))
+    ground = np.concatenate(grounds)
     return GapHistogram(
         bin_edges=edges,
-        ground_gap_counts=ground_counts,
-        other_gap_counts=other_counts,
-        median_ground=float(np.median(ground_list)),
-        median_other=float(np.median(other_medians)),
+        ground_gap_counts=np.histogram(np.clip(ground, lo, top), bins=edges)[0],
+        other_gap_counts=sum(other_counts),
+        median_ground=float(np.median(ground)),
+        median_other=float(np.median(np.concatenate(other_medians))),
     )
 
 
@@ -292,13 +288,17 @@ def figure2_experiment(n: int, seed: int) -> EvolutionTable:
     _check_enumeration(n)
     target = sample_pair(EnsembleConfig(EXPERIMENT_KINDS["figure2"], n, 1, seed), 0)
     s_grid = np.linspace(0.0, 1.0, 101)
-    levels = np.empty((s_grid.size, 2 ** n))
-    gaps = np.empty(s_grid.size)
     lam_at = _path_singular_values(target)
-    with small_matrix_threads(n):
-        for i, s in enumerate(s_grid.tolist()):
+
+    def chunk(first: int, last: int):
+        levels = np.empty((last - first, 2 ** n))
+        gaps = np.empty(last - first)
+        for k, s in enumerate(s_grid[first:last].tolist()):
             lam = lam_at(s)
-            levels[i] = subset_sum_spectrum(lam)
-            gaps[i] = gap_and_zero_modes(lam)[0]
+            levels[k] = subset_sum_spectrum(lam)
+            gaps[k] = gap_and_zero_modes(lam)[0]
+        return levels, gaps
+
+    levels, gaps = map(np.concatenate, zip(*forked_chunks(chunk, s_grid.size, n, "points")))
     return EvolutionTable(s_grid=s_grid, levels=levels, final_gap=float(gaps[-1]),
                           max_linearity_defect=linearity_defect(s_grid, gaps))

@@ -353,7 +353,7 @@ def _path_singular_values(target: CoefficientPair):
 
     C(s) is formed as interpolate and CoefficientPair.c form it, so Lambda(s)
     is bitwise interpolate(target, s).singular_values(), but no pair is built
-    and validated per point.  Callers loop under small_matrix_threads(target.n).
+    and validated per point.  Callers loop through _blas.forked_chunks.
     """
     a, b = target.a, target.b
     eye = np.eye(target.n)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import platform
@@ -235,15 +236,15 @@ class TestProfile:
 
     def test_manifest_records_no_seed_and_blas_threads(self, identity_pair_file,
                                                         xy_spec_file, tmp_path):
-        # a dense profile loops under the one-thread cap, a structured one does not
-        for path, capped in ((identity_pair_file, True), (xy_spec_file, False)):
-            out = tmp_path / ("dense" if capped else "structured")
+        # a dense profile loops under the one-thread cap, a structured one runs no BLAS loop
+        for path, dense in ((identity_pair_file, True), (xy_spec_file, False)):
+            out = tmp_path / ("dense" if dense else "structured")
             assert cli.main(["profile", path, "--grid", "3", "--out", str(out)]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["seed"] is None
-            threads = manifest["parameters"]["blas_threads"]
-            assert threads is None or all(
-                t["used"] == (1 if capped else t["found"]) for t in threads)
+            assert ("blas_threads" in manifest["parameters"]) == dense
+        threads = manifest_of(tmp_path / "dense")["parameters"]["blas_threads"]
+        assert threads is None or all(t["used"] == 1 <= t["found"] for t in threads)
 
     def test_dense_summary_has_no_path_minimum(self, identity_pair_file, capsys):
         assert cli.main(["profile", identity_pair_file, "--grid", "3"]) == 0
@@ -455,11 +456,14 @@ class TestEnsembleCommand:
                          "--samples", "20", "--seed", "3", "--out", str(out)]) == 0
         config = json.loads((out / "summary.json").read_text())["config"]
         parameters = json.loads((out / "manifest.json").read_text())["parameters"]
+        # the summary holds the run alone; what it ran on goes into the manifest
+        assert list(config) == ["kind", "n", "samples", "x", "seed"]
+        assert list(parameters) == ["kind", "n", "samples", "x", "blas_threads", "workers"]
         for doc in (config, parameters):
             assert doc["kind"] == "bounded_uniform"
             assert doc["x"] == [0.5, 1.0, 2.0]
-            threads = doc["blas_threads"]
-            assert threads is None or all(t["used"] == 1 <= t["found"] for t in threads)
+        threads = parameters["blas_threads"]
+        assert threads is None or all(t["used"] == 1 <= t["found"] for t in threads)
         out = tmp_path / "fig2"
         assert cli.main(["ensemble", "--experiment", "figure2", "--n", "3",
                          "--out", str(out)]) == 0
@@ -467,8 +471,9 @@ class TestEnsembleCommand:
         assert config["kind"] == "wishart"
         assert config["x"] is None
         assert config["samples"] == 1
-        assert json.loads((out / "manifest.json").read_text())["parameters"]["samples"] == 1
-        threads = config["blas_threads"]
+        parameters = manifest_of(out)["parameters"]
+        assert parameters["samples"] == 1
+        threads = parameters["blas_threads"]
         assert threads is None or all(t["used"] == 1 <= t["found"] for t in threads)
 
     @pytest.mark.parametrize("x", ["nan", "inf", "0", "-1"])
@@ -504,6 +509,10 @@ class TestEnsembleCommand:
                          "--samples", "1", "--out", str(out)]) == 2
         assert "cap 12" in capsys.readouterr().err
         assert not out.exists()
+
+
+def manifest_of(out):
+    return json.loads((out / "manifest.json").read_text())
 
 
 def _ensemble_run(out, experiment, n, samples, seed=4):
@@ -569,61 +578,101 @@ def _forked_cli(argv, patch="", timeout=120):
 
 
 class TestEnsembleWorkers:
-    @pytest.mark.parametrize("experiment", ["survival", "edelman"])
+    @pytest.mark.parametrize("experiment", ["survival", "edelman", "figure1", "figure2"])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_outputs_bit_identical_for_any_worker_count(self, tmp_path, capsys, monkeypatch,
                                                         experiment, workers):
+        n = 8 if experiment.startswith("figure") else 16      # figures enumerate 2^n levels
         runs = {}
         for count in (1, workers):
             monkeypatch.setattr(_blas, "loop_workers", lambda items, n, count=count: count)
             out = tmp_path / str(count)
-            summary, manifest = _ensemble_run(out, experiment, 16, 61)
-            assert summary["config"]["workers"] == manifest["parameters"]["workers"] == count
-            stdout = json.loads(capsys.readouterr().out)
-            assert stdout == summary
-            del summary["config"]["workers"]
-            runs[count] = (summary, (out / f"{experiment}.csv").read_bytes())
+            _, manifest = _ensemble_run(out, experiment, n, 61)
+            assert manifest["parameters"]["workers"] == count
+            assert ("worker_peak_rss_mb" in manifest) == (count > 1)
+            stdout = capsys.readouterr().out
+            runs[count] = [stdout, *((out / name).read_bytes() for name in manifest["outputs"])]
+            assert runs[count][0].encode() == runs[count][-1]   # stdout is summary.json
         assert runs[1] == runs[workers]
+
+    def test_summary_identical_on_one_cpu_and_two(self, tmp_path, capsys, monkeypatch):
+        # the run forks on two usable CPUs and not on one; only the manifest says so
+        n = 64
+        samples = 1 + -(-2 * _blas.WORK_PER_WORKER // n ** 3)      # fewest samples for 2
+        runs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = tmp_path / str(len(cpus))
+            _, manifest = _ensemble_run(out, "survival", n, samples)
+            assert manifest["parameters"]["workers"] == len(cpus)
+            runs.append([(out / name).read_bytes() for name in manifest["outputs"]])
+        assert runs[0] == runs[1]
 
     def test_pooled_run_records_workers_and_their_memory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         n = 64
         samples = 1 + -(-2 * _blas.WORK_PER_WORKER // n ** 3)      # fewest samples for 2
         summary, manifest = _ensemble_run(tmp_path / "d", "edelman", n, samples)
-        assert summary["config"]["workers"] == manifest["parameters"]["workers"] == 2
+        assert manifest["parameters"]["workers"] == 2
         assert manifest["worker_peak_rss_mb"] > 0.0
+        assert not {"workers", "blas_threads", "worker_peak_rss_mb"} & summary["config"].keys()
         assert "worker_peak_rss_mb" not in json.dumps(summary)
 
     @pytest.mark.parametrize("experiment, cpus, samples", [
         ("survival", {0}, 200),             # one usable CPU
         ("edelman", {0, 1}, 199),           # too little work
-        ("figure1", {0, 1}, 200),           # serial loop
+        ("figure1", {0, 1}, 200),
         ("figure2", {0, 1}, 200),
     ])
     def test_single_process_run_records_one_worker(self, tmp_path, capsys, monkeypatch,
                                                    experiment, cpus, samples):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        summary, manifest = _ensemble_run(tmp_path / "d", experiment, 4, samples)
-        assert summary["config"]["workers"] == manifest["parameters"]["workers"] == 1
+        _, manifest = _ensemble_run(tmp_path / "d", experiment, 4, samples)
+        assert manifest["parameters"]["workers"] == 1
         assert "worker_peak_rss_mb" not in manifest
 
     def test_small_n_records_one_worker(self, tmp_path, capsys, monkeypatch):
         # 2000 samples at n = 8 are too little work by the n^3 rule
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        summary, manifest = _ensemble_run(tmp_path / "d", "survival", 8, 2000)
-        assert summary["config"]["workers"] == manifest["parameters"]["workers"] == 1
+        _, manifest = _ensemble_run(tmp_path / "d", "survival", 8, 2000)
+        assert manifest["parameters"]["workers"] == 1
         assert "worker_peak_rss_mb" not in manifest
 
     def test_large_n_records_one_worker(self, tmp_path, capsys, monkeypatch):
         # the loop above SINGLE_THREAD_MAX_N already runs on every BLAS thread
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        calls = []
-        monkeypatch.setattr(ens, "ensemble_gaps", lambda config: calls.append(config)
-                            or np.ones(config.samples))
         n = _blas.SINGLE_THREAD_MAX_N + 1
-        summary, manifest = _ensemble_run(tmp_path / "d", "survival", n, 10 ** 4)
-        assert [c.n for c in calls] == [n]
-        assert summary["config"]["workers"] == manifest["parameters"]["workers"] == 1
+        _, manifest = _ensemble_run(tmp_path / "d", "survival", n, 3)
+        parameters = manifest["parameters"]
+        assert parameters["workers"] == 1
+        assert "worker_peak_rss_mb" not in manifest
+        threads = parameters["blas_threads"]
+        assert threads is None or all(t["used"] == t["found"] for t in threads)
+
+    @pytest.mark.parametrize("fails", ["fork", "pipe"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_failed_fork_computed_here(self, tmp_path, capsys, monkeypatch, fails, workers):
+        # no child is forked: the chunks run in this process, in index order
+        out = tmp_path / "serial"
+        _ensemble_run(out, "survival", 8, 10)
+        serial = capsys.readouterr().out, *((out / name).read_bytes()
+                                            for name in ("survival.csv", "summary.json"))
+        monkeypatch.setattr(_blas, "loop_workers", lambda items, n: workers)
+
+        def unavailable(*args):
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, fails, unavailable)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        out = tmp_path / "forked"
+        _, manifest = _ensemble_run(out, "survival", 8, 10)
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert (captured.out, *((out / name).read_bytes()
+                                for name in ("survival.csv", "summary.json"))) == serial
+        assert manifest["parameters"]["workers"] == 1
+        assert "worker_peak_rss_mb" not in manifest
 
     @pytest.mark.parametrize("command, fault, message", [
         ("survival", "raise NumericalError('SVD of A+B failed to converge: injected')",
@@ -703,6 +752,17 @@ class TestProfileWorkers:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "workers" not in manifest["parameters"]
         assert "worker_peak_rss_mb" not in manifest
+
+    def test_structured_after_dense_records_no_loop(self, identity_pair_file, xy_spec_file,
+                                                    tmp_path, monkeypatch):
+        # the dense run's loop record must not reach the structured run's manifest
+        monkeypatch.setattr(_blas, "loop_workers", lambda items, n: 2)
+        for name, path in (("dense", identity_pair_file), ("structured", xy_spec_file)):
+            assert cli.main(["profile", path, "--grid", "5", "--out", str(tmp_path / name)]) == 0
+        dense, structured = (manifest_of(tmp_path / name) for name in ("dense", "structured"))
+        assert dense["parameters"]["workers"] == 2 and "worker_peak_rss_mb" in dense
+        assert list(structured["parameters"]) == ["input", "grid", "tol"]
+        assert "worker_peak_rss_mb" not in structured
 
 
 class TestCsvOutput:

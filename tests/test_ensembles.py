@@ -214,6 +214,21 @@ class TestWorkers:
         assert pooled.dtype == serial.dtype and pooled.shape == (samples,)
         assert np.array_equal(pooled, serial)
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_figures_bit_identical_for_any_worker_count(self, monkeypatch, workers):
+        runs = []
+        for count in (1, workers):
+            monkeypatch.setattr(_blas, "loop_workers", lambda items, n, count=count: count)
+            runs.append([ens.figure1_experiment(n=8, samples=41, seed=11),
+                         ens.figure2_experiment(n=6, seed=5)])
+            assert _blas.last_loop["workers"] == count
+        for a, b in zip(*runs):
+            for field in dataclasses.fields(a):
+                serial, pooled = getattr(a, field.name), getattr(b, field.name)
+                assert type(pooled) is type(serial)
+                assert np.asarray(pooled).dtype == np.asarray(serial).dtype
+                assert np.array_equal(pooled, serial)
+
     def test_one_worker_per_cpu_with_enough_samples(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         three = 1 + -(-3 * _blas.WORK_PER_WORKER // 128 ** 3)    # fewest samples for 3

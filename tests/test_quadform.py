@@ -1,3 +1,4 @@
+import errno
 import os
 import threading
 
@@ -312,9 +313,18 @@ class TestSingleThreadLoops:
     def test_no_library_found_is_a_no_op(self, libs, monkeypatch):
         before = thread_counts(libs)
         monkeypatch.setattr(_blas, "loaded_openblas", lambda: [])
-        with _blas.small_matrix_threads(64):
+        with _blas.small_matrix_threads(64) as threads:
             assert thread_counts(libs) == before
-        assert _blas.thread_counts(64) is None
+        assert threads is None
+
+    @pytest.mark.parametrize("n, capped", [(64, True), (_blas.SINGLE_THREAD_MAX_N + 1, False)])
+    def test_yields_threads_found_and_used(self, libs, n, capped):
+        before = thread_counts(libs)
+        with _blas.small_matrix_threads(n) as threads:
+            assert [t["used"] for t in threads] == thread_counts(libs)
+        assert [t["library"] for t in threads] == [lib.name for lib in libs]
+        assert [t["found"] for t in threads] == before
+        assert [t["used"] for t in threads] == ([1] * len(libs) if capped else before)
 
 
 class TestForkedChunks:
@@ -338,6 +348,27 @@ class TestForkedChunks:
 
         with pytest.raises(InputError, match=r"^bad chunk \[7, 10\)$"):
             _blas.forked_chunks(chunk, 10, 4, "items")
+
+    @pytest.mark.parametrize("fails", ["fork", "pipe"])
+    def test_chunk_without_a_child_computed_here(self, monkeypatch, fails):
+        # the first of the two forks fails: its chunk [4, 7) runs here, in its turn
+        real, calls = getattr(os, fails), []
+
+        def first_fails(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real(*args)
+
+        monkeypatch.setattr(os, fails, first_fails)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        chunks = _blas.forked_chunks(lambda lo, hi: (os.getpid(), list(range(lo, hi))),
+                                     10, 4, "items")
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert [items for _, items in chunks] == [[0], [1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        pids = [pid for pid, _ in chunks]
+        assert pids[:3] == [os.getpid()] * 3 and pids[3] != os.getpid()
+        assert _blas.last_loop["workers"] == 2
 
     def test_worker_that_dies(self):
         def chunk(lo, hi):
