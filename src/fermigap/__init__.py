@@ -31,11 +31,9 @@ from .lattice import (
 from .ensembles import (
     EnsembleConfig,
     edelman_cdf,
-    edelman_pdf,
     figure1_experiment,
     figure2_experiment,
     gap_distribution_experiment,
-    rarity_fraction,
     sample_pair,
     survival_experiment,
 )

@@ -103,15 +103,6 @@ def sample_pair(config: EnsembleConfig, index: int) -> CoefficientPair:
 # The limiting law of n * sigma_min^2 for Gaussian matrices
 # ---------------------------------------------------------------------------
 
-def edelman_pdf(x: float) -> float:
-    """Density (1 + sqrt(x)) / (2 sqrt(x)) * exp(-(x/2 + sqrt(x))), x > 0."""
-    x = float(x)
-    if x <= 0.0:
-        raise InputError(f"pdf is defined for x > 0, got {x}")
-    sq = math.sqrt(x)
-    return (1.0 + sq) / (2.0 * sq) * math.exp(-(x / 2.0 + sq))
-
-
 def edelman_cdf(x) -> float | np.ndarray:
     """Distribution function 1 - exp(-(x/2 + sqrt(x))) for x >= 0."""
     x = np.asarray(x, dtype=float)
@@ -132,27 +123,6 @@ def ks_statistic(samples, cdf) -> float:
     d_plus = np.max(np.arange(1.0, n + 1) / n - f)
     d_minus = np.max(f - np.arange(0.0, n) / n)
     return float(max(d_plus, d_minus))
-
-
-# ---------------------------------------------------------------------------
-# Analytic rarity of large gaps among arbitrary level choices
-# ---------------------------------------------------------------------------
-
-def rarity_fraction(n: int, epsilon: float) -> float:
-    """Fraction (1 - eps)^(2^n - 1) of level choices with gap >= eps.
-
-    Evaluated in log space so it underflows gracefully for large n.
-    """
-    return math.exp(rarity_log_fraction(n, epsilon))
-
-
-def rarity_log_fraction(n: int, epsilon: float) -> float:
-    """log of rarity_fraction, usable far past float underflow."""
-    if n < 1:
-        raise InputError(f"need n >= 1, got {n}")
-    if not 0.0 < epsilon < 1.0:
-        raise InputError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return (2.0 ** n - 1.0) * math.log1p(-epsilon)
 
 
 # ---------------------------------------------------------------------------

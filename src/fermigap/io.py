@@ -22,7 +22,10 @@ from .spinrep import PauliHamiltonian
 
 def _flat_floats(data, size: int, name: str) -> np.ndarray:
     """A flat list of size numbers as a float array; JSON booleans are not numbers."""
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except OverflowError:
+        raise InputError(f"{name} holds an integer beyond the float range") from None
     if arr.shape != (size,):
         raise InputError(f"{name} must hold {size} values in a flat list, "
                          f"got an array of shape {arr.shape}")

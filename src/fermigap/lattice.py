@@ -260,10 +260,6 @@ def _path_minimum(s: np.ndarray, dist: np.ndarray, modulus_max: float) -> PathMi
 # of its exact value (the clipped s_k of a segment distance is off by a few
 # ulps, which moves |1 + s_k (sigma_k - 1)| by at most that times |sigma_k - 1|).
 _SLACK_UNITS = 32
-# Fewest modes worth pruning.  Pruning costs about 30 us a point whatever n
-# is; the full pass took 9-13 us a point up to n = 1024, 33 us at 4096 and
-# 104 us at 16384 (a 2-core x86-64 VM).
-_MIN_PRUNED_MODES = 4096
 # Modes from the head of each sorted key evaluated at every point, with the
 # mode of largest |sigma| and the previous point's least mode, to bound the
 # least modulus from above.
@@ -285,8 +281,7 @@ class _CandidateGaps:
     evaluated and above by (1 - s) + s max|sigma| plus slack.  A point whose
     candidates include a value inside that bracket, or where pruning would
     keep more than half the modes (s = 0 keeps all), takes the full O(n)
-    pass, in buffers allocated on first use.  So does every point of a
-    symbol with fewer than _MIN_PRUNED_MODES modes, which is never sorted.
+    pass, in buffers allocated on first use.
     """
 
     def __init__(self, symbol: np.ndarray, radius: np.ndarray, dist: np.ndarray,
@@ -295,9 +290,6 @@ class _CandidateGaps:
         self.symbol = symbol
         self.zero_tolerance = zero_tolerance
         self.work = self.lam = None
-        self.prune = n >= _MIN_PRUNED_MODES
-        if not self.prune:
-            return
         index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
         self.modulus_max = modulus_max
         # a Python float, so the bounds below overflow to inf without a warning
@@ -318,8 +310,6 @@ class _CandidateGaps:
         return np.abs(work)
 
     def __call__(self, s: float) -> tuple[float, int]:
-        if not self.prune:
-            return self._full_pass(s)
         n = self.symbol.size
         tol_hi = tol_lo = self.zero_tolerance
         if tol_hi is None:

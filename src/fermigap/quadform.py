@@ -95,6 +95,7 @@ class CoefficientPair:
         return self.a.shape[0]
 
     @property
+    @np.errstate(over="ignore")     # an infinite sum is named by _singular_values
     def c(self) -> np.ndarray:
         """A + B, the matrix whose singular values fix the spectrum."""
         return self.a + self.b
@@ -134,13 +135,6 @@ class LiebDecomposition:
     lam: np.ndarray
     x: np.ndarray
     y: np.ndarray
-
-    def residuals(self, pair: CoefficientPair) -> tuple[float, float]:
-        """Norms of the two defining equations, for diagnostics."""
-        lam = np.diag(self.lam)
-        r1 = np.linalg.norm(self.x @ (pair.a - pair.b) - lam @ self.y)
-        r2 = np.linalg.norm(self.y @ (pair.a + pair.b) - lam @ self.x)
-        return float(r1), float(r2)
 
 
 def lieb_decompose(pair: CoefficientPair) -> LiebDecomposition:
@@ -235,11 +229,25 @@ def gap_report_from_singular_values(lam, zero_tolerance: float | None = None) ->
     )
 
 
+def _check_finite_c(c: np.ndarray) -> None:
+    if not np.isfinite(c).all():
+        raise NumericalError("A + B overflows: an entry of the sum is infinite")
+
+
 def _singular_values(c: np.ndarray) -> np.ndarray:
+    """Singular values of C = A + B, descending; NumericalError if the SVD fails.
+
+    On an infinite entry of C, the overflow of a finite A + B, the SVD fails
+    or gives NaN, and the error names the overflow; only then is C scanned.
+    """
     try:
-        return np.linalg.svd(c, compute_uv=False)
+        lam = np.linalg.svd(c, compute_uv=False)
     except np.linalg.LinAlgError as exc:
+        _check_finite_c(c)
         raise NumericalError(f"SVD of A+B failed to converge: {exc}") from exc
+    if not np.isfinite(lam).all():
+        _check_finite_c(c)
+    return lam
 
 
 def ground_gap(source, zero_tolerance: float | None = None) -> GapReport:
@@ -357,7 +365,9 @@ def _path_singular_values(target: CoefficientPair):
     """
     a, b = target.a, target.b
     eye = np.eye(target.n)
-    return lambda s: _singular_values(((1.0 - s) * eye + s * a) + s * b)
+    # an infinite C(s) is named by _singular_values
+    return np.errstate(over="ignore")(
+        lambda s: _singular_values(((1.0 - s) * eye + s * a) + s * b))
 
 
 def gap_profile(target: CoefficientPair, s_grid,

@@ -28,11 +28,11 @@ DENSE_QUBIT_CAP = 13     # 2^13 = 8192; one real matrix is 512 MB
 SPIN32_SITE_CAP = 6      # 4^6 = 4096
 
 
-def _check_qubits(n: int, cap: int = DENSE_QUBIT_CAP):
+def _check_qubits(n: int):
     if n < 1:
         raise InputError(f"need at least one site, got n={n}")
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds the dense-matrix cap of {cap} sites")
+    if n > DENSE_QUBIT_CAP:
+        raise CapacityError(f"n={n} exceeds the dense-matrix cap of {DENSE_QUBIT_CAP} sites")
 
 
 # ---------------------------------------------------------------------------
@@ -53,18 +53,23 @@ def w_to_ab(w) -> CoefficientPair:
     A[j, j] = W[j, j]; for offsets m >= 1,
     A[j, j+m] = A[j+m, j] = (-1)^(m+1) (W[j, j+m] + W[j+m, j]) / 2 and
     B[j, j+m] = -B[j+m, j] = (-1)^(m+1) (W[j, j+m] - W[j+m, j]) / 2.
+    InputError, without a RuntimeWarning, if W[j, k] +- W[k, j] overflows.
     """
     w = check_square_finite(w, "w")
     signs = _alternating_signs(w.shape[0])
-    a = signs * (w + w.T) / 2.0
+    with np.errstate(over="ignore"):
+        a = signs * (w + w.T) / 2.0
+        b = signs * (w - w.T) / 2.0
     np.fill_diagonal(a, np.diag(w))
-    b = signs * (w - w.T) / 2.0
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InputError("w[j, k] + w[k, j] or w[j, k] - w[k, j] overflows: "
+                         "A or B would not be finite")
     return CoefficientPair(a, b)
 
 
 def ab_to_w(pair: CoefficientPair) -> np.ndarray:
     """Inverse of w_to_ab: W = signs * (A + B), signs as in w_to_ab."""
-    return _alternating_signs(pair.n) * (pair.a + pair.b)
+    return _alternating_signs(pair.n) * pair.c
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,8 @@ def _bit_parity(values: np.ndarray, mask: int, n: int) -> np.ndarray:
 def _signed_permutation(word: str, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows and phases of a real Pauli word's entries in columns `cols`.
 
-    The word's matrix M has M[rows, cols] = phases and zeros elsewhere.
+    The word's matrix M has M[rows, cols] = phases and zeros elsewhere, with
+    sigma^z = diag(1, -1) and site 1 the leftmost (most significant) factor.
     """
     n = len(word)
     flip_mask = 0   # X and Y flip the bit
@@ -140,28 +146,6 @@ def _signed_permutation(word: str, cols: np.ndarray) -> tuple[np.ndarray, np.nda
     # each Y pair carries i^2 = -1
     phases = (-1.0) ** (word.count("Y") // 2) * _bit_parity(cols, sign_mask, n)
     return cols ^ flip_mask, phases
-
-
-def pauli_string_matrix(word: str) -> np.ndarray:
-    """Dense real matrix of a Pauli word containing an even number of Y's.
-
-    Convention: sigma^z = diag(1, -1), site 1 is the leftmost (most
-    significant) tensor factor.  A Pauli word is a signed permutation of the
-    computational basis, so the matrix is assembled in O(2^n) without krons.
-    Two Y factors contribute i*i = -1, keeping everything real.
-    """
-    n = len(word)
-    _check_qubits(n)
-    if any(ch not in "IXYZ" for ch in word):
-        raise InputError(f"invalid Pauli word {word!r}")
-    if word.count("Y") % 2:
-        raise InputError(f"odd number of Y factors in {word!r}; matrix would be imaginary")
-    dim = 1 << n
-    cols = np.arange(dim)
-    rows, phases = _signed_permutation(word, cols)
-    mat = np.zeros((dim, dim))
-    mat[rows, cols] = phases
-    return mat
 
 
 def dense_hamiltonian(h: PauliHamiltonian) -> np.ndarray:
@@ -244,34 +228,6 @@ def build_ising_w(n: int, s: float) -> PauliHamiltonian:
     for j in range(n - 1):
         w[j, j + 1] = s
     return PauliHamiltonian(w)
-
-
-def ising_min_gap(n: int, s_bounds: tuple[float, float] = (0.0, 1.0),
-                  xatol: float = 1e-6) -> tuple[float, float]:
-    """Minimum gap of the Ising evolution within the ground parity sector.
-
-    The evolution conserves spin parity, and past the transition the two
-    lowest levels (opposite parity) split only by an amount exponentially
-    small in n.  The gap that limits adiabatic evolution is therefore the one
-    above the ground doublet, 2*(lam_1 + lam_2) with lam_1 <= lam_2 the two
-    smallest singular values of A + B.  Returns (min gap, argmin s).
-    """
-    from scipy import optimize
-
-    def sector_gap(s: float) -> float:
-        sv = np.linalg.svd(build_ising_w(n, float(s)).to_pair().c, compute_uv=False)
-        return 2.0 * (sv[-1] + sv[-2])
-
-    res = optimize.minimize_scalar(sector_gap, bounds=s_bounds, method="bounded",
-                                   options={"xatol": xatol})
-    return float(res.fun), float(res.x)
-
-
-def ising_gap_scaling(ns) -> tuple[np.ndarray, float]:
-    """Min sector gaps over the given chain lengths and their log-log slope."""
-    mins = np.array([ising_min_gap(n)[0] for n in ns])
-    slope = float(np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(mins), 1)[0])
-    return mins, slope
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +403,3 @@ def fermionic_assembly(pair: CoefficientPair, ops: FermionOperatorSet) -> np.nda
                 out = out + pair.b[j, k] * (ds[j] @ ds[k] - cs[j] @ cs[k])
     return out
 
-
-def quasiparticle_assembly(decomp, ops: FermionOperatorSet) -> np.ndarray:
-    """Assemble sum_j 2 lam_j eta_j+ eta_j - (sum lam_j) I from a decomposition.
-
-    The eta operators come from unitary_fcr_transform with U = (X+Y)/2 and
-    V = (X-Y)/2; the result must reproduce the quadratic Hamiltonian.
-    """
-    u = (decomp.x + decomp.y) / 2.0
-    v = (decomp.x - decomp.y) / 2.0
-    etas = unitary_fcr_transform(ops, u, v)
-    out = -decomp.lam.sum() * np.eye(ops.dimension, dtype=ops.dtype)
-    for lam_j, eta in zip(decomp.lam, etas.ops):
-        out = out + 2.0 * lam_j * (eta.conj().T @ eta)
-    return out

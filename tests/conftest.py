@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from fermigap import lattice as lat, spinrep as sr
 
+from oracles import kron_word
+
 
 @st.composite
 def structured_specs(draw):
@@ -28,5 +30,5 @@ def dense_ground_state(h):
 def with_off_parity_term(dense_hamiltonian):
     """dense_hamiltonian plus one X_1 term, which flips the fermion parity."""
     def patched(h):
-        return dense_hamiltonian(h) + sr.pauli_string_matrix("X" + "I" * (h.n - 1))
+        return dense_hamiltonian(h) + kron_word("X" + "I" * (h.n - 1)).real
     return patched

@@ -1,0 +1,106 @@
+"""Reference values the tests check fermigap against.
+
+None of these runs in a fermigap command: each is an independent statement
+of a fact the paper claims, or a second construction route that a test
+compares with the package's own.  The file is named so that pytest does
+not collect it; test modules import it like conftest.
+"""
+
+import math
+
+import numpy as np
+from scipy import optimize
+
+from fermigap import spinrep as sr
+from fermigap.errors import InputError
+
+# Reference kron-built Paulis for cross-checking the permutation assembly.
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_word(word):
+    """Matrix of a Pauli word as a Kronecker product, site 1 leftmost."""
+    out = np.array([[1.0 + 0j]])
+    for ch in word:
+        out = np.kron(out, _PAULI[ch])
+    return out
+
+
+def lieb_residuals(decomp, pair) -> tuple[float, float]:
+    """Norms of the two equations X (A - B) = Lam Y and Y (A + B) = Lam X."""
+    lam = np.diag(decomp.lam)
+    r1 = np.linalg.norm(decomp.x @ (pair.a - pair.b) - lam @ decomp.y)
+    r2 = np.linalg.norm(decomp.y @ (pair.a + pair.b) - lam @ decomp.x)
+    return float(r1), float(r2)
+
+
+def quasiparticle_assembly(decomp, ops: sr.FermionOperatorSet) -> np.ndarray:
+    """Assemble sum_j 2 lam_j eta_j+ eta_j - (sum lam_j) I from a decomposition.
+
+    The eta operators come from unitary_fcr_transform with U = (X+Y)/2 and
+    V = (X-Y)/2; the result must reproduce the quadratic Hamiltonian.
+    """
+    u = (decomp.x + decomp.y) / 2.0
+    v = (decomp.x - decomp.y) / 2.0
+    etas = sr.unitary_fcr_transform(ops, u, v)
+    out = -decomp.lam.sum() * np.eye(ops.dimension, dtype=ops.dtype)
+    for lam_j, eta in zip(decomp.lam, etas.ops):
+        out = out + 2.0 * lam_j * (eta.conj().T @ eta)
+    return out
+
+
+def ising_min_gap(n: int, s_bounds: tuple[float, float] = (0.0, 1.0),
+                  xatol: float = 1e-6) -> tuple[float, float]:
+    """Minimum gap of the Ising evolution within the ground parity sector.
+
+    The evolution conserves spin parity, and past the transition the two
+    lowest levels (opposite parity) split only by an amount exponentially
+    small in n.  The gap that limits adiabatic evolution is therefore the one
+    above the ground doublet, 2*(lam_1 + lam_2) with lam_1 <= lam_2 the two
+    smallest singular values of A + B.  Returns (min gap, argmin s).
+    """
+    def sector_gap(s: float) -> float:
+        sv = np.linalg.svd(sr.build_ising_w(n, float(s)).to_pair().c, compute_uv=False)
+        return 2.0 * (sv[-1] + sv[-2])
+
+    res = optimize.minimize_scalar(sector_gap, bounds=s_bounds, method="bounded",
+                                   options={"xatol": xatol})
+    return float(res.fun), float(res.x)
+
+
+def ising_gap_scaling(ns) -> tuple[np.ndarray, float]:
+    """Min sector gaps over the given chain lengths and their log-log slope."""
+    mins = np.array([ising_min_gap(n)[0] for n in ns])
+    slope = float(np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(mins), 1)[0])
+    return mins, slope
+
+
+def edelman_pdf(x: float) -> float:
+    """Density (1 + sqrt(x)) / (2 sqrt(x)) * exp(-(x/2 + sqrt(x))), x > 0."""
+    x = float(x)
+    if x <= 0.0:
+        raise InputError(f"pdf is defined for x > 0, got {x}")
+    sq = math.sqrt(x)
+    return (1.0 + sq) / (2.0 * sq) * math.exp(-(x / 2.0 + sq))
+
+
+def rarity_fraction(n: int, epsilon: float) -> float:
+    """Fraction (1 - eps)^(2^n - 1) of level choices with gap >= eps.
+
+    Evaluated in log space so it underflows gracefully for large n.
+    """
+    return math.exp(rarity_log_fraction(n, epsilon))
+
+
+def rarity_log_fraction(n: int, epsilon: float) -> float:
+    """log of rarity_fraction, usable far past float underflow."""
+    if n < 1:
+        raise InputError(f"need n >= 1, got {n}")
+    if not 0.0 < epsilon < 1.0:
+        raise InputError(f"epsilon must lie in (0, 1), got {epsilon}")
+    return (2.0 ** n - 1.0) * math.log1p(-epsilon)

@@ -1,13 +1,16 @@
+import ast
 import errno
 import json
 import os
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fermigap
 from fermigap import _blas, cli, ensembles as ens, io as fio, lattice as lat, quadform as qf, \
     spinrep as sr
 from fermigap.errors import CapacityError
@@ -388,6 +391,72 @@ class TestLatticeExpand:
 
     def test_pair_input_rejected(self, identity_pair_file, capsys):
         assert cli.main(["lattice", "expand", identity_pair_file]) == 2
+
+
+# 1 followed by 400 zeros: a JSON integer that no float can hold
+_HUGE = "1" + "0" * 400
+
+
+class TestHostileNumbers:
+    @pytest.mark.parametrize("command, text, field", [
+        ("gap", '{"n": 1, "a": [%s], "b": [0]}', "a"),
+        ("gap", '{"n": 1, "a": [0], "b": [-%s]}', "b"),
+        ("jw", '{"n": 1, "w": [%s]}', "w"),
+        ("gap", '{"kind": "circulant", "dims": [1], "a_root": [%s], "b_root": [0]}',
+         "a_root"),
+        ("profile", '{"kind": "circulant", "dims": [1], "a_root": [0], "b_root": [%s]}',
+         "b_root"),
+    ], ids=["pair-a", "pair-b", "w", "a-root", "b-root"])
+    def test_integer_beyond_float_range_exit_2(self, tmp_path, capsys, command, text, field):
+        path = tmp_path / "huge.json"
+        path.write_text(text % _HUGE)
+        assert cli.main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"fermigap: input error: {field} holds an integer "
+                                f"beyond the float range\n")
+
+    # finite entries whose sum A + B overflows: C[0, 1] = 2e308
+    OVERFLOWING_PAIR = {"n": 2, "a": [0.0, 1e308, 1e308, 0.0], "b": [0.0, 1e308, -1e308, 0.0]}
+    OVERFLOW = "fermigap: numerical error: A + B overflows: an entry of the sum is infinite\n"
+
+    @pytest.mark.parametrize("argv", [["gap"], ["spectrum"], ["profile", "--grid", "3"],
+                                      ["profile", "--grid", "3", "--out", "OUT"]])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dense_sum_overflow_exit_3(self, tmp_path, capsys, monkeypatch, argv, workers):
+        # in process, so a numpy RuntimeWarning, in the caller or in a forked
+        # worker, fails the test as an error
+        monkeypatch.setattr(_blas, "loop_workers", lambda items, n: workers)
+        path = write_json(tmp_path / "pair.json", self.OVERFLOWING_PAIR)
+        out = tmp_path / "out"
+        argv = [str(out) if arg == "OUT" else arg for arg in argv]
+        assert cli.main([argv[0], path, *argv[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.OVERFLOW
+        assert not out.exists()
+
+    def test_w_whose_pair_overflows_exit_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "w.json", {"n": 2, "w": [0.0, 1e308, 1e308, 0.0]})
+        assert cli.main(["jw", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("fermigap: input error: w[j, k] + w[k, j] or w[j, k] - "
+                                "w[k, j] overflows: A or B would not be finite\n")
+
+    @pytest.mark.parametrize("command, doc, code", [
+        ("gap", OVERFLOWING_PAIR, 3),
+        ("jw", {"n": 2, "w": [0.0, 1e308, 1e308, 0.0]}, 2),
+        ("gap", {"n": 1, "a": [10 ** 400], "b": [0]}, 2),
+    ], ids=["sum", "w", "huge-integer"])
+    def test_one_stderr_line_in_a_subprocess(self, tmp_path, command, doc, code):
+        # a fresh interpreter with the default warning filters: a RuntimeWarning
+        # or a traceback would add lines
+        proc = _run_cli(command, write_json(tmp_path / "doc.json", doc))
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("fermigap: ")
 
 
 class TestModelBuilders:
@@ -1012,6 +1081,26 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_no_module_imports_scipy(self):
+        # every import statement, function-local ones included, which an
+        # import of the package alone would not run
+        imported = []
+        for path in sorted(Path(fermigap.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    imported += [(path.name, alias.name) for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.append((path.name, node.module))
+        assert imported
+        assert [(name, module) for name, module in imported
+                if module.split(".")[0] == "scipy"] == []
+
+    def test_runtime_dependencies_are_numpy_only(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert project["dependencies"] == ["numpy>=1.24"]
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap only")
     def test_sample_loop_reuses_freed_heap(self, tmp_path):

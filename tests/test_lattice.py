@@ -416,14 +416,6 @@ grid_points = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1.0 / 3.0, 5e-324]),
 
 
 class TestCandidateModes:
-    @pytest.fixture(autouse=True, scope="class")
-    def prune_every_size(self):
-        # below lattice._MIN_PRUNED_MODES the profile takes the full pass
-        # only, which would leave the small specs here untested
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lat, "_MIN_PRUNED_MODES", 1)
-            yield
-
     @given(spec=structured_specs(), points=st.lists(grid_points, min_size=1, max_size=8),
            tol=st.one_of(st.none(), st.floats(0.0, 2.0)))
     @settings(max_examples=300, deadline=None)
@@ -518,17 +510,6 @@ class TestCandidateModes:
         spec = lat.TorusSpec(np.array([1e160, 0.0, 0.0]), np.zeros(3))
         with pytest.raises(NumericalError, match="overflows"):
             lat.structured_gap_profile(spec, [0.0, 1.0])
-
-
-@pytest.mark.parametrize("dims, pruned", [((21, 13, 15), False),    # 4095 sites
-                                           ((16, 16, 16), True)])    # 4096 sites
-def test_small_symbols_take_the_full_pass(monkeypatch, dims, pruned):
-    assert (math.prod(dims) >= lat._MIN_PRUNED_MODES) is pruned
-    spec = nearest_neighbour_torus(dims, seed=37)
-    grid = np.linspace(0.0, 1.0, 11)
-    calls = counting_full_passes(monkeypatch)
-    assert_equals_full_pass(spec, grid)
-    assert calls == ([0.0] if pruned else grid.tolist())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

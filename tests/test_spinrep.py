@@ -8,26 +8,11 @@ from fermigap import spinrep as sr
 from fermigap.errors import CapacityError, ConformanceError, InputError, NumericalError
 
 from conftest import dense_ground_state, with_off_parity_term
+from oracles import ising_gap_scaling, ising_min_gap, kron_word, quasiparticle_assembly
 
 
 def dyadic_w(n, rng, scale=2 ** 20):
     return rng.integers(-scale, scale, size=(n, n)) / scale
-
-
-# Reference kron-built Paulis for cross-checking the permutation assembly.
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def kron_word(word):
-    out = np.array([[1.0 + 0j]])
-    for ch in word:
-        out = np.kron(out, _PAULI[ch])
-    return out
 
 
 class TestWBijection:
@@ -64,12 +49,12 @@ class TestWBijection:
 class TestPauliAssembly:
     @pytest.mark.parametrize("word", ["Z", "XX", "YY", "XZX", "YZY", "IZXX", "YZZY"])
     def test_matches_kron_reference(self, word):
-        np.testing.assert_array_equal(sr.pauli_string_matrix(word),
-                                      kron_word(word).real)
-
-    def test_rejects_odd_y_count(self):
-        with pytest.raises(InputError):
-            sr.pauli_string_matrix("YZ")
+        # the signed permutation each term of dense_hamiltonian adds
+        cols = np.arange(1 << len(word))
+        rows, phases = sr._signed_permutation(word, cols)
+        mat = np.zeros((cols.size, cols.size))
+        mat[rows, cols] = phases
+        np.testing.assert_array_equal(mat, kron_word(word).real)
 
     def test_terms_enumeration(self):
         w = np.arange(4.0).reshape(2, 2) + 1.0
@@ -79,8 +64,7 @@ class TestPauliAssembly:
     def test_dense_hamiltonian_matches_term_sum(self):
         rng = np.random.default_rng(3)
         h = sr.PauliHamiltonian(rng.standard_normal((3, 3)))
-        explicit = sum(coeff * sr.pauli_string_matrix(word)
-                       for coeff, word in h.terms)
+        explicit = sum(coeff * kron_word(word).real for coeff, word in h.terms)
         np.testing.assert_allclose(sr.dense_hamiltonian(h), explicit, atol=1e-14)
 
     def test_single_site_field(self):
@@ -89,7 +73,7 @@ class TestPauliAssembly:
 
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
-            sr.pauli_string_matrix("Z" * (sr.DENSE_QUBIT_CAP + 1))
+            sr.dense_hamiltonian(sr.PauliHamiltonian(np.eye(sr.DENSE_QUBIT_CAP + 1)))
 
 
 class TestParityBlockOracle:
@@ -159,7 +143,7 @@ class TestOracleAgreement:
         pair = qf.symmetrize_split(rng.standard_normal((3, 3)))
         ops = sr.jw_operators(3)
         direct = sr.fermionic_assembly(pair, ops)
-        quasi = sr.quasiparticle_assembly(qf.lieb_decompose(pair), ops)
+        quasi = quasiparticle_assembly(qf.lieb_decompose(pair), ops)
         np.testing.assert_allclose(quasi, direct, atol=1e-12)
 
 
@@ -284,13 +268,13 @@ class TestFcr:
         etas = sr.unitary_fcr_transform(ops, (d.x + d.y) / 2.0, (d.x - d.y) / 2.0)
         assert etas.dtype == np.float64
         assert sr.fermionic_assembly(qf.symmetrize_split(d.x), ops).dtype == np.float64
-        assert sr.quasiparticle_assembly(d, ops).dtype == np.float64
+        assert quasiparticle_assembly(d, ops).dtype == np.float64
 
     def test_complex_set_stays_complex(self):
         ops = sr.FermionOperatorSet(tuple(1j * op for op in sr.jw_operators(3).ops))
         assert ops.dtype == np.complex128
         assert sr.fcr_check(ops) <= 1e-12
-        quasi = sr.quasiparticle_assembly(
+        quasi = quasiparticle_assembly(
             qf.lieb_decompose(qf.symmetrize_split(np.eye(3))), ops)
         assert quasi.dtype == np.complex128
 
@@ -407,7 +391,7 @@ class TestClusterModel:
         for coeff, word in sr.build_cluster_w(n).terms:
             if coeff == 0.0:
                 continue
-            val = psi @ sr.pauli_string_matrix(word) @ psi
+            val = psi @ kron_word(word).real @ psi
             # every term sits at its minimal energy -|coeff| in the ground
             # state, i.e. the stabilizer -sign(coeff)*word has expectation +1
             assert -np.sign(coeff) * val == pytest.approx(1.0, abs=1e-10)
@@ -426,11 +410,11 @@ class TestIsingModel:
         assert 2.0 * (sv[-1] + sv[-2]) == pytest.approx(4.0)
 
     def test_min_gap_near_transition(self):
-        gap, s_star = sr.ising_min_gap(16)
+        gap, s_star = ising_min_gap(16)
         assert 0.4 < s_star < 0.6
         assert 0.0 < gap < 2.0
 
     def test_scaling_slope(self):
-        mins, slope = sr.ising_gap_scaling([8, 16, 32])
+        mins, slope = ising_gap_scaling([8, 16, 32])
         assert np.all(np.diff(mins) < 0)
         assert -1.3 < slope < -0.7
