@@ -229,25 +229,20 @@ def gap_report_from_singular_values(lam, zero_tolerance: float | None = None) ->
     )
 
 
-def _check_finite_c(c: np.ndarray) -> None:
+def _singular_values(c: np.ndarray) -> np.ndarray:
+    """Singular values of C = A + B, descending.
+
+    NumericalError if C has an infinite entry, the overflow of a finite
+    A + B, or if the SVD fails.  C is scanned before the SVD: given an
+    infinite entry, OpenBLAS's LAPACK prints a DLASCL error line to stdout
+    (seen from n = 3 on) and returns NaN.
+    """
     if not np.isfinite(c).all():
         raise NumericalError("A + B overflows: an entry of the sum is infinite")
-
-
-def _singular_values(c: np.ndarray) -> np.ndarray:
-    """Singular values of C = A + B, descending; NumericalError if the SVD fails.
-
-    On an infinite entry of C, the overflow of a finite A + B, the SVD fails
-    or gives NaN, and the error names the overflow; only then is C scanned.
-    """
     try:
-        lam = np.linalg.svd(c, compute_uv=False)
+        return np.linalg.svd(c, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        _check_finite_c(c)
         raise NumericalError(f"SVD of A+B failed to converge: {exc}") from exc
-    if not np.isfinite(lam).all():
-        _check_finite_c(c)
-    return lam
 
 
 def ground_gap(source, zero_tolerance: float | None = None) -> GapReport:

@@ -24,7 +24,8 @@ from ._blas import small_matrix_threads
 from .errors import CapacityError, ConformanceError, InputError, NumericalError
 from .quadform import CoefficientPair, check_matrix_size, check_square_finite
 
-DENSE_QUBIT_CAP = 13     # 2^13 = 8192; one real matrix is 512 MB
+DENSE_QUBIT_CAP = 13     # 2^13 = 8192: dense_hamiltonian's matrix is 512 MB, the
+                         # oracle holds one 2^12 parity block at a time, 128 MB
 SPIN32_SITE_CAP = 6      # 4^6 = 4096
 
 
@@ -68,8 +69,11 @@ def w_to_ab(w) -> CoefficientPair:
 
 
 def ab_to_w(pair: CoefficientPair) -> np.ndarray:
-    """Inverse of w_to_ab: W = signs * (A + B), signs as in w_to_ab."""
-    return _alternating_signs(pair.n) * pair.c
+    """W = signs * (A + B), the inverse of w_to_ab; InputError if A + B overflows."""
+    c = pair.c
+    if not np.isfinite(c).all():
+        raise InputError("A + B overflows: an entry of the sum is infinite")
+    return _alternating_signs(pair.n) * c
 
 
 @dataclass(frozen=True)
@@ -123,44 +127,46 @@ def _parity_signs(n: int) -> np.ndarray:
     return signs
 
 
-def _bit_parity(values: np.ndarray, mask: int, n: int) -> np.ndarray:
-    """Parity of popcount(values & mask) as +-1 floats, for values below 2^n."""
-    return _parity_signs(n)[values & mask]
+# A word as binary digits, site 1 the most significant: X, Y flip a bit; Z, Y read it.
+_FLIP_DIGITS, _SIGN_DIGITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
 
 
-def _signed_permutation(word: str, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and phases of a real Pauli word's entries in columns `cols`.
+def _term_masks(terms) -> list[tuple[str, float, int, int]]:
+    """(word, signed coefficient, flip mask, sign mask) of each nonzero term.
 
-    The word's matrix M has M[rows, cols] = phases and zeros elsewhere, with
-    sigma^z = diag(1, -1) and site 1 the leftmost (most significant) factor.
+    A term's matrix has the entry coeff * (-1)^popcount(col & sign mask) at
+    (col ^ flip mask, col), with sigma^z = diag(1, -1), site 1 the leftmost
+    factor and each Y pair's i^2 = -1 in the coefficient.
     """
-    n = len(word)
-    flip_mask = 0   # X and Y flip the bit
-    sign_mask = 0   # Z and Y read the bit sign
-    for j, ch in enumerate(word):
-        bit = 1 << (n - 1 - j)
-        if ch in "XY":
-            flip_mask |= bit
-        if ch in "ZY":
-            sign_mask |= bit
-    # each Y pair carries i^2 = -1
-    phases = (-1.0) ** (word.count("Y") // 2) * _bit_parity(cols, sign_mask, n)
-    return cols ^ flip_mask, phases
+    return [(word, (-1.0) ** (word.count("Y") // 2) * coeff,
+             int(word.translate(_FLIP_DIGITS), 2), int(word.translate(_SIGN_DIGITS), 2))
+            for coeff, word in terms if coeff != 0.0]
+
+
+def _block(masks, n: int, states: np.ndarray) -> np.ndarray:
+    """The Hamiltonian's matrix on the ascending basis states `states`.
+
+    The terms are added one after another, in order.  ConformanceError if a
+    term maps a state of the set outside it.
+    """
+    position = np.full(1 << n, -1)
+    position[states] = np.arange(states.size)
+    cols = np.arange(states.size)
+    parity = _parity_signs(n)
+    out = np.zeros((states.size, states.size))
+    for word, coeff, flip_mask, sign_mask in masks:
+        rows = position[states ^ flip_mask]
+        if rows.min() < 0:
+            raise ConformanceError(f"dense Hamiltonian couples the two fermion-parity "
+                                   f"sectors: term {word} has off-parity entry {abs(coeff):.3e}")
+        out[rows, cols] += coeff * parity[states & sign_mask]
+    return out
 
 
 def dense_hamiltonian(h: PauliHamiltonian) -> np.ndarray:
     """Dense real symmetric 2^n x 2^n matrix of the Pauli-string Hamiltonian."""
-    n = h.n
-    _check_qubits(n)
-    dim = 1 << n
-    out = np.zeros((dim, dim))
-    cols = np.arange(dim)
-    for coeff, word in h.terms:
-        if coeff == 0.0:
-            continue
-        rows, phases = _signed_permutation(word, cols)
-        out[rows, cols] += coeff * phases
-    return out
+    _check_qubits(h.n)
+    return _block(_term_masks(h.terms), h.n, np.arange(1 << h.n))
 
 
 def dense_spectrum_oracle(h: PauliHamiltonian) -> np.ndarray:
@@ -168,24 +174,18 @@ def dense_spectrum_oracle(h: PauliHamiltonian) -> np.ndarray:
 
     Every term flips an even number of bits, so the Hamiltonian conserves
     fermion parity (the parity of a basis index's popcount).  The oracle
-    requires the block coupling the two parity sectors to be exactly zero,
-    raising ConformanceError otherwise, and diagonalizes the two half-size
-    sector blocks on their own (on one OpenBLAS thread up to order 512).
+    assembles the even sector's 2^(n-1) block, diagonalizes it, and then does
+    the same for the odd sector (on one OpenBLAS thread up to order 512).  A
+    term that maps a state of a sector outside it raises ConformanceError.
     """
-    mat = dense_hamiltonian(h)
     n = h.n
-    basis = np.arange(1 << n)
+    _check_qubits(n)
+    masks = _term_masks(h.terms)
     even = _parity_signs(n) > 0.0
-    sectors = basis[even], basis[~even]
-    off_parity = (sectors, sectors[::-1])
-    if any(mat[np.ix_(rows, cols)].any() for rows, cols in off_parity):
-        coupling = max(float(np.abs(mat[np.ix_(rows, cols)]).max())
-                       for rows, cols in off_parity)
-        raise ConformanceError(f"dense Hamiltonian couples the two fermion-parity "
-                               f"sectors: largest off-parity entry {coupling:.3e}")
     try:
-        with small_matrix_threads(len(sectors[0])):
-            blocks = [np.linalg.eigvalsh(mat[np.ix_(idx, idx)]) for idx in sectors]
+        with small_matrix_threads(1 << (n - 1)):
+            blocks = [np.linalg.eigvalsh(_block(masks, n, states))
+                      for states in (np.flatnonzero(even), np.flatnonzero(~even))]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
     return np.sort(np.concatenate(blocks))

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from fermigap import lattice as lat, spinrep as sr
 
-from oracles import kron_word
-
 
 @st.composite
 def structured_specs(draw):
@@ -27,8 +25,6 @@ def dense_ground_state(h):
     return float(vals[0]), vecs[:, 0]
 
 
-def with_off_parity_term(dense_hamiltonian):
-    """dense_hamiltonian plus one X_1 term, which flips the fermion parity."""
-    def patched(h):
-        return dense_hamiltonian(h) + kron_word("X" + "I" * (h.n - 1)).real
-    return patched
+def with_off_parity_term(terms):
+    """The PauliHamiltonian.terms property plus one X_1 term, which flips the fermion parity."""
+    return property(lambda h: [*terms.fget(h), (1.0, "X" + "I" * (h.n - 1))])

@@ -444,12 +444,24 @@ class TestHostileNumbers:
         assert captured.err == ("fermigap: input error: w[j, k] + w[k, j] or w[j, k] - "
                                 "w[k, j] overflows: A or B would not be finite\n")
 
-    @pytest.mark.parametrize("command, doc, code", [
-        ("gap", OVERFLOWING_PAIR, 3),
-        ("jw", {"n": 2, "w": [0.0, 1e308, 1e308, 0.0]}, 2),
-        ("gap", {"n": 1, "a": [10 ** 400], "b": [0]}, 2),
-    ], ids=["sum", "w", "huge-integer"])
-    def test_one_stderr_line_in_a_subprocess(self, tmp_path, command, doc, code):
+    def test_jw_on_a_pair_whose_sum_overflows_exit_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "pair.json", self.OVERFLOWING_PAIR)
+        assert cli.main(["jw", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("fermigap: input error: A + B overflows: an entry of the "
+                                "sum is infinite\n")
+
+    @pytest.mark.parametrize("command, doc, code, cause", [
+        ("gap", OVERFLOWING_PAIR, 3, "A + B overflows"),
+        ("jw", {"n": 2, "w": [0.0, 1e308, 1e308, 0.0]}, 2, "w[j, k] + w[k, j]"),
+        ("gap", {"n": 1, "a": [10 ** 400], "b": [0]}, 2, "beyond the float range"),
+        ("jw", OVERFLOWING_PAIR, 2, "A + B overflows"),
+        # at n = 3 an SVD of the infinite sum made LAPACK print to stdout
+        ("gap", {"n": 3, "a": [0.0, 0.0, 1.0, 0.0, 1.0, 1e308, 1.0, 1e308, 1e308],
+                 "b": [0.0, 1.0, 0.0, -1.0, 0.0, 1e308, 0.0, -1e308, 0.0]}, 3, "A + B overflows"),
+    ], ids=["sum", "w", "huge-integer", "jw-sum", "sum-n3"])
+    def test_one_stderr_line_in_a_subprocess(self, tmp_path, command, doc, code, cause):
         # a fresh interpreter with the default warning filters: a RuntimeWarning
         # or a traceback would add lines
         proc = _run_cli(command, write_json(tmp_path / "doc.json", doc))
@@ -457,6 +469,7 @@ class TestHostileNumbers:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("fermigap: ")
+        assert cause in proc.stderr
 
 
 class TestModelBuilders:
@@ -874,7 +887,8 @@ class TestVerify:
             "structured-vs-dense": 3}
 
     def test_off_parity_oracle_exit_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(sr, "dense_hamiltonian", with_off_parity_term(sr.dense_hamiltonian))
+        monkeypatch.setattr(sr.PauliHamiltonian, "terms",
+                            with_off_parity_term(sr.PauliHamiltonian.terms))
         assert cli.main(["verify", "--n-max", "3", "--trials", "1"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""

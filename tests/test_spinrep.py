@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,11 +51,9 @@ class TestWBijection:
 class TestPauliAssembly:
     @pytest.mark.parametrize("word", ["Z", "XX", "YY", "XZX", "YZY", "IZXX", "YZZY"])
     def test_matches_kron_reference(self, word):
-        # the signed permutation each term of dense_hamiltonian adds
-        cols = np.arange(1 << len(word))
-        rows, phases = sr._signed_permutation(word, cols)
-        mat = np.zeros((cols.size, cols.size))
-        mat[rows, cols] = phases
+        # the one term's matrix, as the assembly builds it on every basis state
+        n = len(word)
+        mat = sr._block(sr._term_masks([(1.0, word)]), n, np.arange(1 << n))
         np.testing.assert_array_equal(mat, kron_word(word).real)
 
     def test_terms_enumeration(self):
@@ -76,7 +76,51 @@ class TestPauliAssembly:
             sr.dense_hamiltonian(sr.PauliHamiltonian(np.eye(sr.DENSE_QUBIT_CAP + 1)))
 
 
+def parity_block_route(h):
+    """The oracle's former route, the reference: the eigenvalues of the two
+    parity blocks copied out of the full matrix with np.ix_."""
+    mat = sr.dense_hamiltonian(h)
+    basis = np.arange(1 << h.n)
+    even = sr._parity_signs(h.n) > 0.0
+    with _blas.small_matrix_threads(1 << (h.n - 1)):
+        blocks = [np.linalg.eigvalsh(mat[np.ix_(idx, idx)]) for idx in (basis[even], basis[~even])]
+    return np.sort(np.concatenate(blocks))
+
+
+def traced_peak(fn, *args):
+    """fn(*args)'s result and the peak of the memory tracemalloc saw it allocate."""
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestParityBlockOracle:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_bit_identical_to_full_matrix_blocks(self, n):
+        h = sr.PauliHamiltonian(np.random.default_rng(60 + n).standard_normal((n, n)))
+        assert np.array_equal(sr.dense_spectrum_oracle(h), parity_block_route(h))
+
+    def test_peak_memory_below_half_a_full_matrix(self):
+        n = 10
+        h = sr.PauliHamiltonian(np.random.default_rng(70).standard_normal((n, n)))
+        vals, peak = traced_peak(sr.dense_spectrum_oracle, h)
+        assert vals.size == 1 << n
+        # one 2^n x 2^n float64 matrix is 8 MiB; one parity block is 2 MiB
+        assert peak < 4 << 20
+
+    def test_capacity_cap_before_any_allocation(self):
+        h = sr.PauliHamiltonian(np.eye(sr.DENSE_QUBIT_CAP + 1))
+
+        def oracle_raises():
+            with pytest.raises(CapacityError):
+                sr.dense_spectrum_oracle(h)
+
+        # the 2^14-entry parity table alone would be 128 KiB
+        assert traced_peak(oracle_raises)[1] < 64 << 10
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_full_matrix_eigvalsh(self, n):
         h = sr.PauliHamiltonian(np.random.default_rng(30 + n).standard_normal((n, n)))
@@ -86,7 +130,8 @@ class TestParityBlockOracle:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_off_parity_entry_raises(self, monkeypatch, n):
-        monkeypatch.setattr(sr, "dense_hamiltonian", with_off_parity_term(sr.dense_hamiltonian))
+        monkeypatch.setattr(sr.PauliHamiltonian, "terms",
+                            with_off_parity_term(sr.PauliHamiltonian.terms))
         h = sr.PauliHamiltonian(np.random.default_rng(40).standard_normal((n, n)))
         with pytest.raises(ConformanceError, match="off-parity entry 1.000e"):
             sr.dense_spectrum_oracle(h)
@@ -106,7 +151,6 @@ class TestPopcountTable:
     def test_dense_routes_bit_identical_to_per_bit_loop(self, monkeypatch, n):
         h = sr.PauliHamiltonian(np.random.default_rng(50 + n).standard_normal((n, n)))
         mat, vals = sr.dense_hamiltonian(h), sr.dense_spectrum_oracle(h)
-        monkeypatch.setattr(sr, "_bit_parity", bit_parity_per_bit)
         monkeypatch.setattr(sr, "_parity_signs", lambda n: bit_parity_per_bit(
             np.arange(1 << n), (1 << n) - 1, n))
         assert np.array_equal(sr.dense_hamiltonian(h), mat)
