@@ -46,6 +46,11 @@ EXPERIMENT_KINDS = {
 # Largest n whose 2^n levels figure1 and figure2 enumerate per sample.
 ENUMERATION_MODE_CAP = 12
 
+# Samples per run.  Peak RSS grew by 184 bytes per sample for edelman (its
+# scaled gap and CSV row), 46 for survival and 39 for figure1 (n = 2, 10^3 to
+# 3*10^5 samples, 2-core x86-64 VM): about 190 MB at the cap.
+SAMPLE_CAP = 10 ** 6
+
 # Histogram layout for the two-distribution gap figure: 60 logarithmic bins.
 HIST_RANGE = (1e-12, 10.0)
 HIST_BINS = 60
@@ -69,6 +74,8 @@ class EnsembleConfig:
         check_matrix_size(self.n, "ensemble matrix")
         if self.samples < 1:
             raise InputError(f"need samples >= 1, got {self.samples}")
+        if self.samples > SAMPLE_CAP:
+            raise CapacityError(f"samples={self.samples} exceeds the sample cap of {SAMPLE_CAP}")
 
 
 def seeded_rng(seed: int, *key: int) -> np.random.Generator:

@@ -43,10 +43,7 @@ from .quadform import (
 
 def _reflect(root: np.ndarray) -> np.ndarray:
     """root[-m mod n] along every axis."""
-    out = root
-    for axis in range(root.ndim):
-        out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
-    return out
+    return root[np.ix_(*(-np.arange(m) % m for m in root.shape))]
 
 
 def _check_roots(a_root: np.ndarray, b_root: np.ndarray):
@@ -144,19 +141,18 @@ def build_torus_3d(p: int, q: int, r: int, plane: TorusSpec, coupling: float = 1
 
 
 def _expand_root(root: np.ndarray) -> np.ndarray:
-    """Dense matrix of the nested circulant generated by `root`."""
-    if root.ndim == 1:
-        n = root.shape[0]
-        idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        return root[idx]
-    head = root.shape[0]
-    blocks = [_expand_root(root[m]) for m in range(head)]
-    size = blocks[0].shape[0]
-    out = np.zeros((head * size, head * size))
-    for i in range(head):
-        for j in range(head):
-            out[i * size:(i + 1) * size, j * size:(j + 1) * size] = blocks[(j - i) % head]
-    return out
+    """Dense matrix of the nested circulant generated by `root`.
+
+    Entry ((j_1..j_d), (k_1..k_d)) is root[(k_t - j_t) mod m_t for each axis
+    t], rows and columns in the root's C order: one gather for any rank.
+    """
+    rank = root.ndim
+    index = []
+    for t, m in enumerate(root.shape):
+        shape = [1] * (2 * rank)
+        shape[t] = shape[rank + t] = m
+        index.append(((np.arange(m) - np.arange(m)[:, None]) % m).reshape(shape))
+    return root[tuple(index)].reshape(root.size, root.size)
 
 
 def expand(spec: TorusSpec) -> CoefficientPair:
@@ -195,21 +191,18 @@ def c_symbol(spec: TorusSpec) -> np.ndarray:
     return symbol
 
 
-def _singular_values_at(symbol: np.ndarray, s: float, work: np.ndarray,
-                        out: np.ndarray) -> np.ndarray:
-    """|(1-s) + s*sigma| into `out`, unsorted; `work` is complex scratch."""
-    np.multiply(symbol, s, out=work)
-    work += 1.0 - s
-    return np.abs(work, out=out)
+def _moduli(symbol: np.ndarray, s: float, modes=slice(None)) -> np.ndarray:
+    """|(1-s) + s*sigma_k| for the given modes (default all), unsorted; symbol is not written."""
+    out = np.multiply(symbol[modes], s)
+    out += 1.0 - s
+    return np.abs(out)
 
 
 def structured_gap_report(spec: TorusSpec, s: float,
                           zero_tolerance: float | None = None) -> GapReport:
     """GapReport at interpolation parameter s via the FFT path."""
     check_s(s)
-    symbol = c_symbol(spec)
-    lam = _singular_values_at(symbol, s, np.empty_like(symbol), np.empty(symbol.shape))
-    return gap_report_from_singular_values(lam, zero_tolerance)
+    return gap_report_from_singular_values(_moduli(c_symbol(spec), s), zero_tolerance)
 
 
 def _segments(symbol: np.ndarray):
@@ -249,7 +242,7 @@ def _path_minimum(s: np.ndarray, dist: np.ndarray, modulus_max: float) -> PathMi
     n * eps * max(1, max|sigma|) of zero.
     """
     k = int(np.argmin(dist))
-    floor = dist.size * np.finfo(float).eps * max(1.0, modulus_max)
+    floor = zero_tolerance_for(dist.size, max(1.0, modulus_max))
     # "+ 0.0" turns a -0.0 from the clip into 0.0
     return PathMinimum(gap=2.0 * float(dist[k]), s=float(s[k]) + 0.0,
                        closes=bool(dist[k] <= floor))
@@ -281,19 +274,23 @@ class _CandidateGaps:
     evaluated and above by (1 - s) + s max|sigma| plus slack.  A point whose
     candidates include a value inside that bracket, or where pruning would
     keep more than half the modes (s = 0 keeps all), takes the full O(n)
-    pass, in buffers allocated on first use.
+    pass.  The grid-free minimum over the path is .minimum.
     """
 
-    def __init__(self, symbol: np.ndarray, radius: np.ndarray, dist: np.ndarray,
-                 modulus_max: float, widest: int, zero_tolerance: float | None):
+    def __init__(self, symbol: np.ndarray, zero_tolerance: float | None):
         n = symbol.size
         self.symbol = symbol
         self.zero_tolerance = zero_tolerance
-        self.work = self.lam = None
+        radius, s, dist = _segments(symbol)
+        modulus = np.abs(symbol)
+        widest = int(np.argmax(modulus))
+        self.modulus_max = float(modulus[widest])
+        del modulus
+        self.minimum = _path_minimum(s, dist, self.modulus_max)
+        del s
         index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
-        self.modulus_max = modulus_max
         # a Python float, so the bounds below overflow to inf without a warning
-        self.slack = float(_SLACK_UNITS * np.finfo(float).eps * (1.0 + modulus_max))
+        self.slack = float(_SLACK_UNITS * np.finfo(float).eps * (1.0 + self.modulus_max))
         self.by_dist = np.argsort(dist).astype(index)
         self.dist = dist[self.by_dist]
         self.by_radius = np.argsort(radius).astype(index)
@@ -302,20 +299,12 @@ class _CandidateGaps:
             [self.by_dist[:_SEED_HEAD], self.by_radius[-_SEED_HEAD:], [widest]])).astype(index)
         self.previous = self.seeds[:1]
 
-    def _moduli(self, modes: np.ndarray, s: float) -> np.ndarray:
-        """|(1-s) + s*sigma_k| for the given modes, as _singular_values_at computes it."""
-        work = self.symbol[modes]
-        work *= s
-        work += 1.0 - s
-        return np.abs(work)
-
     def __call__(self, s: float) -> tuple[float, int]:
         n = self.symbol.size
         tol_hi = tol_lo = self.zero_tolerance
         if tol_hi is None:
             tol_hi = zero_tolerance_for(n, (1.0 - s) + s * self.modulus_max + self.slack)
-        seeds = np.concatenate([self.seeds, self.previous])
-        seen = self._moduli(seeds, s)
+        seen = _moduli(self.symbol, s, np.concatenate([self.seeds, self.previous]))
         above = seen[seen > tol_hi]
         if above.size:
             bound = float(above.min()) + self.slack
@@ -326,7 +315,7 @@ class _CandidateGaps:
             modes = self.by_dist[:count] if count <= n - first else self.by_radius[first:]
             # gathering half of 2^20 modes took 12.7 ms, the full pass 13.5 ms
             if 2 * modes.size <= n:
-                lam = self._moduli(modes, s)
+                lam = _moduli(self.symbol, s, modes)
                 if tol_lo is None:
                     tol_lo = zero_tolerance_for(
                         n, max(float(lam.max(initial=0.0)), float(seen.max())))
@@ -339,11 +328,7 @@ class _CandidateGaps:
         return self._full_pass(s)
 
     def _full_pass(self, s: float) -> tuple[float, int]:
-        if self.work is None:
-            self.work = np.empty_like(self.symbol)
-            self.lam = np.empty(self.symbol.shape)
-        lam = _singular_values_at(self.symbol, s, self.work, self.lam)
-        return gap_and_zero_modes(lam, self.zero_tolerance)[:2]
+        return gap_and_zero_modes(_moduli(self.symbol, s), self.zero_tolerance)[:2]
 
 
 def structured_gap_profile(spec: TorusSpec, s_grid,
@@ -361,14 +346,5 @@ def structured_gap_profile(spec: TorusSpec, s_grid,
     """
     s_grid = check_s(s_grid)
     check_zero_tolerance(zero_tolerance)
-    symbol = c_symbol(spec)
-    radius, s, dist = _segments(symbol)
-    modulus = np.abs(symbol)
-    widest = int(np.argmax(modulus))
-    modulus_max = float(modulus[widest])
-    del modulus
-    minimum = _path_minimum(s, dist, modulus_max)
-    del s
-    gaps = _CandidateGaps(symbol, radius, dist, modulus_max, widest, zero_tolerance)
-    del radius, dist
-    return profile_from_points(s_grid, gaps, minimum)
+    gaps = _CandidateGaps(c_symbol(spec), zero_tolerance)
+    return profile_from_points(s_grid, gaps, gaps.minimum)

@@ -31,6 +31,29 @@ def kron_word(word):
     return out
 
 
+def reflect_by_roll(root: np.ndarray) -> np.ndarray:
+    """root[-m mod n] along every axis, by a flip and a roll of each axis."""
+    out = root
+    for axis in range(root.ndim):
+        out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
+    return out
+
+
+def expand_root_by_blocks(root: np.ndarray) -> np.ndarray:
+    """Dense nested circulant of a root, built block by block from its slices."""
+    if root.ndim == 1:
+        n = root.shape[0]
+        return root[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+    head = root.shape[0]
+    blocks = [expand_root_by_blocks(root[m]) for m in range(head)]
+    size = blocks[0].shape[0]
+    out = np.zeros((head * size, head * size))
+    for i in range(head):
+        for j in range(head):
+            out[i * size:(i + 1) * size, j * size:(j + 1) * size] = blocks[(j - i) % head]
+    return out
+
+
 def lieb_residuals(decomp, pair) -> tuple[float, float]:
     """Norms of the two equations X (A - B) = Lam Y and Y (A + B) = Lam X."""
     lam = np.diag(decomp.lam)

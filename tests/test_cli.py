@@ -1070,13 +1070,22 @@ class TestHostileArguments:
         (["ising", "--n", "100000"], "n=100000 exceeds the Ising chain cap of 4096 sites"),
         (["profile", "PAIR", "--grid", "1000000000", "--out", "OUT"],
          "grid size must lie in [2, 1000000]"),
-    ], ids=["ensemble", "cluster", "ising", "profile-grid"])
+        *((["ensemble", "--experiment", experiment, "--n", "2", "--samples", "1000000000000",
+            "--out", "OUT"], "samples=1000000000000 exceeds the sample cap of 1000000")
+          for experiment in ("figure1", "survival", "edelman")),
+        (["verify", "--n-max", "1", "--trials", "100000000000"],
+         "--trials must lie in [1, 10000], got 100000000000"),
+    ], ids=["ensemble", "cluster", "ising", "profile-grid", "figure1-samples",
+            "survival-samples", "edelman-samples", "verify-trials"])
     def test_oversized_request_exit_2_before_allocating(self, identity_pair_file, tmp_path,
                                                          argv, message):
         # under a 2 GiB address-space limit an n x n matrix at n = 100,000
-        # (75 GiB) or a 10^9-point grid (7.5 GiB) fails to allocate
+        # (75 GiB), a 10^9-point grid (7.5 GiB) or 10^12 samples fail to
+        # allocate; 20 s of CPU ends a loop that grows a list instead, in
+        # the process and in any worker it forks
         code = ("import resource, sys; "
                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                "resource.setrlimit(resource.RLIMIT_CPU, (20, 20)); "
                 "import fermigap.cli as cli; sys.exit(cli.main(sys.argv[1:]))")
         out = tmp_path / "out"
         argv = [{"OUT": str(out), "PAIR": identity_pair_file}.get(arg, arg) for arg in argv]
@@ -1084,6 +1093,7 @@ class TestHostileArguments:
                               text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
         assert proc.returncode == 2, proc.stderr
         assert message in proc.stderr
+        assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
         assert not out.exists()
 

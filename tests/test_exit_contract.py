@@ -1,4 +1,4 @@
-"""The exit-code contract of every command that reads a file, fuzzed.
+"""The exit-code contract of every command, fuzzed.
 
 Each run of cli.main on a small pair, W or structured document with hostile
 scalars in its slots exits 0, 2, 3 or 4, and no exception escapes (pytest
@@ -6,7 +6,10 @@ turns warnings into errors, so a numpy RuntimeWarning fails the run too).
 An exit of 2 to 4 prints exactly one stderr line and nothing on stdout, an
 exit 0 prints strict JSON (a profile's summary after its CSV), and a failed
 --out run leaves no directory.  Nothing reaches file descriptors 1 and 2
-below Python, as an error line of OpenBLAS's LAPACK would.
+below Python, as an error line of OpenBLAS's LAPACK would.  The commands
+that read no file (ensemble, cluster, ising, verify) keep the same contract
+over hostile numeric options, with exit 1 exactly when an integer option
+holds a value that is no integer, which argparse rejects as a usage error.
 """
 
 import contextlib
@@ -166,7 +169,10 @@ def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with file_descriptor_output() as below_python:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:    # argparse's usage error
+                code = exc.code
     return code, out.getvalue(), err.getvalue(), bytes(below_python)
 
 
@@ -209,3 +215,78 @@ def test_exit_code_contract(doc, command, tol, grid, out):
             assert stderr == ""
             tail = stdout[stdout.index("\n{") + 1:] if command[0] == "profile" else stdout
             strict_json(tail)
+
+
+# numeric option values at and past every edge, as they would be typed
+HOSTILE_OPTIONS = ["0", "-1", str(HUGE), "1000000000000", "nan", "inf", "1e308", "5e-324"]
+
+
+@st.composite
+def option_commands(draw):
+    """(argv, usage): a run of a command that reads no file, small three values in four.
+
+    usage is True when an integer option holds what int() cannot parse.
+    OUT stands for the run directory of an ensemble.
+    """
+    usage = False
+
+    def option(name, small, integer=True):
+        nonlocal usage
+        value = draw(st.one_of(*[st.sampled_from(small)] * 3, st.sampled_from(HOSTILE_OPTIONS)))
+        if integer:
+            usage |= not value.lstrip("-").isdigit()
+        return f"--{name}={value}"
+
+    command = draw(st.sampled_from(["ensemble", "cluster", "ising", "verify"]))
+    if command == "ensemble":
+        experiment = draw(st.sampled_from(sorted(cli._EXPERIMENTS)))
+        argv = ["ensemble", f"--experiment={experiment}", option("n", ["2", "3"]),
+                option("samples", ["1", "2", "3"]), "--out", "OUT"]
+        if draw(st.booleans()):
+            argv.append(option("x", ["0.5", "1"], integer=False))
+    elif command == "cluster":
+        argv = ["cluster", option("n", ["4", "5", "6"])]
+    elif command == "ising":
+        argv = ["ising", option("n", ["2", "3"]), option("s", ["0", "0.5", "1"], False)]
+    else:
+        argv = ["verify", option("n-max", ["1", "2", "3"]), option("trials", ["1", "2"])]
+    if command in ("cluster", "ising") and draw(st.booleans()):
+        argv.append("--as-pair")
+    if command in ("ensemble", "verify") and draw(st.booleans()):
+        # the seed is read as text, so a non-integer is bad input (exit 2)
+        argv.append(option("seed", ["0", "7"], integer=False))
+    return argv, usage
+
+
+@example(case=(["ensemble", "--experiment=figure1", "--n=2", "--samples=1000000000000",
+                "--out", "OUT"], False))
+@example(case=(["ensemble", "--experiment=survival", "--n=2", "--samples=1000000000000",
+                "--out", "OUT"], False))
+@example(case=(["ensemble", "--experiment=edelman", "--n=2", "--samples=1000000000000",
+                "--out", "OUT"], False))
+@example(case=(["verify", "--n-max=1", "--trials=100000000000"], False))
+@settings(max_examples=150, deadline=None)
+@given(case=option_commands())
+def test_option_exit_code_contract(case):
+    argv, usage = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "run"
+        argv = [str(out_dir) if arg == "OUT" else arg for arg in argv]
+        code, stdout, stderr, below_python = run_cli(argv)
+        assert (code == 1) == usage, (argv, code, stderr)
+        assert code in (0, 1, 2, 3, 4), (argv, code, stderr)
+        assert below_python == b""
+        if code:
+            assert stdout == ""
+            assert stderr.endswith("\n")
+            assert not out_dir.exists()
+        if code == 1:
+            assert ": error: argument --" in stderr.splitlines()[-1], stderr
+        elif code:
+            assert stderr.startswith("fermigap: ") and stderr.count("\n") == 1, stderr
+        else:
+            assert stderr == ""
+            strict_json(stdout)
+            if argv[0] == "ensemble":
+                for name in ("summary.json", "manifest.json"):
+                    strict_json((out_dir / name).read_text())

@@ -9,6 +9,7 @@ from fermigap import lattice as lat
 from fermigap import quadform as qf
 from fermigap.errors import CapacityError, InputError, NumericalError
 
+import oracles
 from conftest import structured_specs
 
 
@@ -131,6 +132,29 @@ class TestExpand:
                              np.zeros(qf.MATRIX_SIZE_CAP + 1))
         with pytest.raises(CapacityError, match="dense-expansion cap of 4096 sites"):
             lat.expand(ring)
+
+
+@pytest.mark.parametrize("shape", [
+    (1,), (2,), (7,), (1, 1), (1, 5), (4, 1), (3, 4), (1, 1, 1), (2, 1, 3), (3, 4, 5),
+    (1, 2, 1, 3), (2, 3, 2, 2), (1, 1, 1, 1),
+])
+def test_index_maps_bit_identical_to_roll_and_block_references(shape):
+    root = np.random.default_rng(sum(shape)).standard_normal(shape)
+    reflected = lat._reflect(root)
+    assert reflected.shape == shape
+    assert reflected.tobytes() == oracles.reflect_by_roll(root).tobytes()
+    dense = lat._expand_root(root)
+    assert dense.shape == (root.size, root.size)
+    assert dense.tobytes() == oracles.expand_root_by_blocks(root).tobytes()
+
+
+def test_moduli_leave_the_symbol_unwritten():
+    symbol = lat.c_symbol(random_bc2cb(3, 4, 5, seed=9))
+    symbol.flags.writeable = False
+    full = lat._moduli(symbol, 0.3)
+    assert full.tobytes() == np.abs(symbol * 0.3 + (1.0 - 0.3)).tobytes()
+    modes = np.array([5, 0, 17])
+    assert lat._moduli(symbol, 0.3, modes).tobytes() == full[modes].tobytes()
 
 
 class TestGEigenvalues:
