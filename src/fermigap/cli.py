@@ -241,100 +241,31 @@ def cmd_lattice(args) -> int:
     return EXIT_OK
 
 
-def _ensemble_figure1(args) -> tuple[dict, dict[str, str]]:
-    hist = ens.figure1_experiment(args.n, args.samples, args.seed)
-    csv_text = _csv_text(("bin_left", "bin_right", "ground_count", "other_count"),
-                         (hist.bin_edges[:-1], hist.bin_edges[1:],
-                          hist.ground_gap_counts, hist.other_gap_counts))
-    ratio = hist.median_ground / hist.median_other
-    summary = {
-        "median_ground_gap": hist.median_ground,
-        "median_other_gap": hist.median_other,
-        "median_ratio": ratio,
-        "threshold": {"median_ratio_min": 10.0, "note": "pilot-pinned threshold"},
-        "passed": ratio >= 10.0,
-    }
-    return summary, {"figure1.csv": csv_text}
-
-
-def _ensemble_figure2(args) -> tuple[dict, dict[str, str]]:
-    table = ens.figure2_experiment(args.n, args.seed)
-    points, levels = table.levels.shape
-    csv_text = _csv_text(("s", "level_index", "energy"),
-                         (np.repeat(table.s_grid, levels), np.tile(np.arange(levels), points),
-                          table.levels.ravel()))
-    summary = {
-        "final_gap": table.final_gap,
-        "max_linearity_defect": table.max_linearity_defect,
-        "threshold": {"max_linearity_defect": 1e-10},
-        "passed": table.max_linearity_defect <= 1e-10,
-    }
-    return summary, {"figure2.csv": csv_text}
-
-
-def _ensemble_survival(args) -> tuple[dict, dict[str, str]]:
-    points = ens.survival_experiment(args.n, args.samples, args.seed, args.x)
-    csv_text = _csv_text(("x", "threshold", "empirical", "std_error", "limit"),
-                         zip(*((p.x, p.threshold, p.empirical, p.std_error, p.limit)
-                               for p in points)))
-    worst = max(abs(p.empirical - p.limit) for p in points)
-    summary = {
-        "points": [{"x": p.x, "empirical": p.empirical, "limit": p.limit,
-                    "std_error": p.std_error} for p in points],
-        "worst_abs_error": worst,
-        "threshold": {"abs_error": 0.05,
-                      "note": "empirical finite-n tolerance, not an asymptotic bound"},
-        "passed": worst <= 0.05,
-    }
-    return summary, {"survival.csv": csv_text}
-
-
-def _ensemble_edelman(args) -> tuple[dict, dict[str, str]]:
-    result = ens.gap_distribution_experiment(args.n, args.samples, args.seed)
-    scaled = result.scaled_gaps
-    csv_text = _csv_text(("sample_index", "scaled_gap"), (np.arange(scaled.size), scaled))
-    median_err = abs(result.median - ens.EDELMAN_MEDIAN)
-    summary = {
-        "ks_distance": result.ks_distance,
-        "sample_median": result.median,
-        "limit_median": ens.EDELMAN_MEDIAN,
-        "num_degenerate": result.num_degenerate,
-        "threshold": {"ks_distance": 0.06, "median_abs_error": 0.08,
-                      "note": "empirical finite-n tolerances, not asymptotic bounds"},
-        "passed": result.ks_distance < 0.06 and median_err <= 0.08,
-    }
-    return summary, {"edelman.csv": csv_text}
-
-
-_EXPERIMENTS = {
-    "figure1": _ensemble_figure1,
-    "figure2": _ensemble_figure2,
-    "survival": _ensemble_survival,
-    "edelman": _ensemble_edelman,
-}
-
 _SURVIVAL_X = [0.5, 1.0, 2.0]
 
 
 def cmd_ensemble(args) -> int:
-    kind = ens.EXPERIMENT_KINDS[args.experiment]
+    kind, experiment = ens.EXPERIMENTS[args.experiment]
     if args.kind not in (None, kind):
         raise InputError(f"experiment {args.experiment!r} draws from the {kind} "
                          f"ensemble, got --kind {args.kind}")
-    if args.experiment != "survival" and args.x is not None:
+    survival = args.experiment == "survival"
+    if not survival and args.x is not None:
         raise InputError(f"--x applies to the survival experiment only, "
                          f"not {args.experiment!r}")
-    if args.experiment == "survival" and not args.x:
+    if survival and not args.x:
         args.x = _SURVIVAL_X
-    summary, outputs = _EXPERIMENTS[args.experiment](args)
     # figure2 draws one evolution, sample 0, whatever --samples says.
     samples = 1 if args.experiment == "figure2" else args.samples
+    config = ens.EnsembleConfig(kind, args.n, samples, args.seed)
+    summary, tables = experiment(config, args.x) if survival else experiment(config)
     parameters = {"kind": kind, "n": args.n, "samples": samples, "x": args.x}
     summary_text = _json_text({
         "experiment": args.experiment,
         "config": {**parameters, "seed": args.seed},
         **summary,
     })
+    outputs = {name: _csv_text(*table) for name, table in tables.items()}
     # Nothing is written until every output is in hand: a run that fails
     # leaves no directory behind.
     _write_run(args.out, f"ensemble {args.experiment}", parameters, args.seed,
@@ -501,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000,
                    help="samples drawn (figure2 always draws one)")
     p.add_argument("--seed", default=None, help=_SEED_HELP)
-    p.add_argument("--experiment", choices=sorted(_EXPERIMENTS), required=True)
+    p.add_argument("--experiment", choices=sorted(ens.EXPERIMENTS), required=True)
     p.add_argument("--x", type=float, nargs="*", default=None,
                    help="x values for the survival experiment")
     p.add_argument("--out", default="fermigap-out")

@@ -106,38 +106,38 @@ def build_xy_cycle(n: int) -> TorusSpec:
     return TorusSpec(a, b)
 
 
-def _stack(layer: TorusSpec, count: int, coupling: float) -> TorusSpec:
+def _stack(layer: TorusSpec, count: int) -> TorusSpec:
     """A ring of `count` copies of `layer`, coupled by identity blocks.
 
-    The A part couples neighbouring layers with +coupling*I on both block
-    off-diagonals; the B part uses +coupling*I above and -coupling*I below.
+    The A part couples neighbouring layers with +I on both block
+    off-diagonals; the B part uses +I above and -I below.
     """
     root_a = np.zeros((count, *layer.root_a.shape))
     root_b = np.zeros_like(root_a)
     root_a[0] = layer.root_a
     root_b[0] = layer.root_b
     origin = (0,) * layer.root_a.ndim
-    root_a[(1, *origin)] = root_a[(-1, *origin)] = coupling
-    root_b[(1, *origin)], root_b[(-1, *origin)] = coupling, -coupling
+    root_a[(1, *origin)] = root_a[(-1, *origin)] = 1.0
+    root_b[(1, *origin)], root_b[(-1, *origin)] = 1.0, -1.0
     return TorusSpec(root_a, root_b)
 
 
-def build_torus_2d(p: int, q: int, site: TorusSpec, coupling: float = 1.0) -> TorusSpec:
+def build_torus_2d(p: int, q: int, site: TorusSpec) -> TorusSpec:
     """2D torus: q rows of the p-site ring `site`, identity inter-row couplings."""
     if p < 3 or q < 3:
         raise InputError(f"torus needs p, q >= 3, got p={p}, q={q}")
     if site.dims != (p,):
         raise InputError(f"site spec has dims {site.dims}, expected ({p},)")
-    return _stack(site, q, coupling)
+    return _stack(site, q)
 
 
-def build_torus_3d(p: int, q: int, r: int, plane: TorusSpec, coupling: float = 1.0) -> TorusSpec:
+def build_torus_3d(p: int, q: int, r: int, plane: TorusSpec) -> TorusSpec:
     """3D torus: stack of r planes from `plane`, identity inter-plane couplings."""
     if r < 3:
         raise InputError(f"torus needs r >= 3, got r={r}")
     if plane.dims != (p, q):
         raise InputError(f"plane spec has dims {plane.dims}, expected ({p}, {q})")
-    return _stack(plane, r, coupling)
+    return _stack(plane, r)
 
 
 def _expand_root(root: np.ndarray) -> np.ndarray:

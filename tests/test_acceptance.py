@@ -24,7 +24,7 @@ from fermigap import (
 )
 from fermigap.errors import InputError
 
-from conftest import dense_ground_state
+from conftest import dense_ground_state, run_experiment
 from oracles import ising_gap_scaling, kron_word, lieb_residuals, rarity_fraction
 
 
@@ -99,21 +99,22 @@ def test_c03_lieb_residuals():
 
 def test_c04_limit_law_of_scaled_gaps():
     start = time.perf_counter()
-    result = ens.gap_distribution_experiment(n=64, samples=2000, seed=20260824)
+    summary, _ = run_experiment("edelman", 64, 2000, 20260824)
     elapsed = time.perf_counter() - start
-    median_err = abs(result.median - ens.EDELMAN_MEDIAN)
-    ok = result.ks_distance < 0.06 and median_err <= 0.08 and elapsed < 120.0
+    ks_distance = summary["ks_distance"]
+    median_err = abs(summary["sample_median"] - ens.EDELMAN_MEDIAN)
+    ok = ks_distance < 0.06 and median_err <= 0.08 and elapsed < 120.0
     _verdict(4, "limiting gap law (n=64, 2000 samples)", ok,
-             f"KS {result.ks_distance:.4f} < 0.06, median error {median_err:.4f} <= 0.08, "
+             f"KS {ks_distance:.4f} < 0.06, median error {median_err:.4f} <= 0.08, "
              f"{elapsed:.1f}s < 120s")
-    assert result.ks_distance < 0.06
+    assert ks_distance < 0.06
     assert median_err <= 0.08
     assert elapsed < 120.0
 
 
 def test_c05_survival_law():
-    points = ens.survival_experiment(n=128, samples=2000, seed=7, x_values=[0.5, 1.0, 2.0])
-    worst = max(abs(p.empirical - p.limit) for p in points)
+    summary, _ = run_experiment("survival", 128, 2000, 7, [0.5, 1.0, 2.0])
+    worst = max(abs(p["empirical"] - p["limit"]) for p in summary["points"])
     ok = worst <= 0.05
     _verdict(5, "survival law P(gap > 2x/n) ~ e^-x", ok,
              f"max |empirical - limit| {worst:.4f} <= 0.05 at x in {{0.5, 1, 2}}")
@@ -142,8 +143,8 @@ def test_c06_rarity_formula_vs_monte_carlo():
 
 
 def test_c07_two_histogram_figure(tmp_path):
-    hist = ens.figure1_experiment(n=10, samples=1000, seed=11)
-    ratio = hist.median_ground / hist.median_other
+    summary, _ = run_experiment("figure1", 10, 1000, 11)
+    ratio = summary["median_ground_gap"] / summary["median_other_gap"]
     out = tmp_path / "fig1"
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["ensemble", "--experiment", "figure1", "--n", "10",
@@ -161,13 +162,16 @@ def test_c07_two_histogram_figure(tmp_path):
 
 
 def test_c08_affine_evolution_table():
-    table = ens.figure2_experiment(n=8, seed=5)
-    ok = (table.max_linearity_defect <= 1e-10
-          and table.levels.shape == (101, 256)
-          and table.s_grid.shape == (101,))
+    summary, tables = run_experiment("figure2", 8, 1, 5)
+    _, (s, level_index, energy) = tables["figure2.csv"]
+    defect = summary["max_linearity_defect"]
+    # the table is 101 points of s by 256 levels, one row per (point, level)
+    ok = (defect <= 1e-10
+          and energy.shape == (101 * 256,)
+          and np.array_equal(level_index, np.tile(np.arange(256), 101))
+          and np.array_equal(s, np.repeat(np.linspace(0.0, 1.0, 101), 256)))
     _verdict(8, "affine gap profile with full level table", ok,
-             f"linearity defect {table.max_linearity_defect:.2e} <= 1e-10, "
-             f"table {table.levels.shape}")
+             f"linearity defect {defect:.2e} <= 1e-10, table (101, 256) in {energy.size} rows")
     assert ok
 
 

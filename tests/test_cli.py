@@ -566,6 +566,19 @@ class TestEnsembleCommand:
         assert "x values must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, x, threshold", [
+        ("2", "1e308", 1e308),        # 2x overflows, 2x/n does not
+        ("3", "5e-324", 5e-324),      # 2x/n rounded once; 2 * (x/n) would give 0
+    ])
+    def test_survival_threshold_is_2x_over_n_rounded_once(self, tmp_path, capsys, n, x,
+                                                          threshold):
+        out = tmp_path / "d"
+        assert cli.main(["ensemble", "--experiment", "survival", "--n", n, "--samples", "3",
+                         "--x", x, "--out", str(out)]) == 0
+        header, row = (out / "survival.csv").read_text().splitlines()
+        assert header.split(",")[:2] == ["x", "threshold"]
+        assert float(row.split(",")[1]) == threshold
+
     @pytest.mark.parametrize("experiment", ["edelman", "figure1", "figure2"])
     def test_x_outside_survival_exit_2_before_output(self, tmp_path, capsys, experiment):
         out = tmp_path / "d"

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 
@@ -9,7 +8,23 @@ from scipy import integrate, optimize, stats
 from fermigap import _blas, ensembles as ens, quadform as qf
 from fermigap.errors import InputError
 
+from conftest import run_experiment
 from oracles import edelman_pdf, rarity_fraction, rarity_log_fraction
+
+
+def assert_bit_identical(run, other):
+    """Two (summary, tables) results agree value for value, in type and in dtype."""
+    (summary, tables), (other_summary, other_tables) = run, other
+    assert summary.keys() == other_summary.keys() and tables.keys() == other_tables.keys()
+    pairs = [(summary[key], other_summary[key]) for key in summary]
+    for name, (header, columns) in tables.items():
+        other_header, other_columns = other_tables[name]
+        assert header == other_header and len(columns) == len(other_columns)
+        pairs.extend(zip(columns, other_columns))
+    for serial, pooled in pairs:
+        assert type(pooled) is type(serial)
+        assert np.asarray(pooled).dtype == np.asarray(serial).dtype
+        assert np.array_equal(pooled, serial)
 
 
 class TestSampling:
@@ -92,8 +107,9 @@ class TestKsStatistic:
             stats.kstest(x, ens.edelman_cdf).statistic
 
     def test_experiment_distance_equals_scipy_kstest(self):
-        res = ens.gap_distribution_experiment(n=16, samples=100, seed=9)
-        assert res.ks_distance == stats.kstest(res.scaled_gaps, ens.edelman_cdf).statistic
+        summary, tables = run_experiment("edelman", 16, 100, 9)
+        _, (_, scaled_gaps) = tables["edelman.csv"]
+        assert summary["ks_distance"] == stats.kstest(scaled_gaps, ens.edelman_cdf).statistic
 
 
 class TestRarity:
@@ -131,33 +147,43 @@ class TestRarity:
 
 class TestExperiments:
     def test_gap_distribution_small_run(self):
-        res = ens.gap_distribution_experiment(n=32, samples=200, seed=9)
-        assert res.scaled_gaps.shape == (200,)
-        assert res.num_degenerate == 0
-        assert res.ks_distance < 0.15          # loose: small sample
-        assert abs(res.median - ens.EDELMAN_MEDIAN) < 0.15
+        summary, tables = run_experiment("edelman", 32, 200, 9)
+        header, (_, scaled_gaps) = tables["edelman.csv"]
+        assert header == ("sample_index", "scaled_gap")
+        assert scaled_gaps.shape == (200,)
+        assert summary["num_degenerate"] == 0
+        assert summary["ks_distance"] < 0.15          # loose: small sample
+        assert abs(summary["sample_median"] - ens.EDELMAN_MEDIAN) < 0.15
 
     def test_survival_small_run(self):
-        points = ens.survival_experiment(n=32, samples=300, seed=4, x_values=[0.5, 1.0])
-        for pt in points:
-            assert pt.threshold == pytest.approx(2 * pt.x / 32)
-            assert 0.0 <= pt.empirical <= 1.0
-            assert abs(pt.empirical - pt.limit) < 0.12
+        _, tables = run_experiment("survival", 32, 300, 4, [0.5, 1.0])
+        header, columns = tables["survival.csv"]
+        assert header == ("x", "threshold", "empirical", "std_error", "limit")
+        for x, threshold, empirical, _, limit in zip(*columns):
+            assert threshold == pytest.approx(2 * x / 32)
+            assert 0.0 <= empirical <= 1.0
+            assert abs(empirical - limit) < 0.12
 
     def test_figure1_counts_conserved(self):
-        hist = ens.figure1_experiment(n=6, samples=50, seed=3)
-        assert hist.ground_gap_counts.sum() == 50
-        assert hist.other_gap_counts.sum() == 50 * (2 ** 6 - 2)
+        summary, tables = run_experiment("figure1", 6, 50, 3)
+        header, (_, _, ground_counts, other_counts) = tables["figure1.csv"]
+        assert header == ("bin_left", "bin_right", "ground_count", "other_count")
+        assert ground_counts.sum() == 50
+        assert other_counts.sum() == 50 * (2 ** 6 - 2)
         # consecutive spacings in the dense 2^n spectrum are far smaller
         # than the ground gap 2*sigma_min
-        assert hist.median_ground > hist.median_other
+        assert summary["median_ground_gap"] > summary["median_other_gap"]
 
     def test_figure2_linearity(self):
-        table = ens.figure2_experiment(n=5, seed=5)
-        assert table.levels.shape == (101, 32)
-        assert table.max_linearity_defect < 1e-10
+        summary, tables = run_experiment("figure2", 5, 1, 5)
+        header, (s, level_index, energy) = tables["figure2.csv"]
+        assert header == ("s", "level_index", "energy")
+        assert energy.shape == (101 * 32,)
+        assert np.array_equal(level_index, np.tile(np.arange(32), 101))
+        assert np.array_equal(s, np.repeat(np.linspace(0.0, 1.0, 101), 32))
+        assert summary["max_linearity_defect"] < 1e-10
         # the s = 0 level table is the free-field ladder -n, -n+2, ..., n
-        np.testing.assert_allclose(np.unique(np.round(table.levels[0], 9)),
+        np.testing.assert_allclose(np.unique(np.round(energy[:32], 9)),
                                    np.arange(-5.0, 6.0, 2.0), atol=1e-9)
 
     def test_figure2_builds_one_pair_and_the_gaps_of_gap_profile(self, monkeypatch):
@@ -174,13 +200,16 @@ class TestExperiments:
 
         monkeypatch.setattr(qf.CoefficientPair, "__post_init__", counted_init)
         monkeypatch.setattr(ens, "linearity_defect", spied_defect)
-        table = ens.figure2_experiment(n=6, seed=5)
+        summary, tables = run_experiment("figure2", 6, 1, 5)
         assert len(built) == 1          # the target, and no pair per grid point
         (gaps,) = seen
+        s_grid = np.linspace(0.0, 1.0, 101)
+        _, (s, _, _) = tables["figure2.csv"]
+        assert np.array_equal(s, np.repeat(s_grid, 2 ** 6))
         target = ens.sample_pair(ens.EnsembleConfig("wishart", 6, 1, 5), 0)
-        assert np.array_equal(gaps, qf.gap_profile(target, table.s_grid).gap)
-        assert table.final_gap == gaps[-1]
-        assert table.max_linearity_defect == real_defect(table.s_grid, gaps)
+        assert np.array_equal(gaps, qf.gap_profile(target, s_grid).gap)
+        assert summary["final_gap"] == gaps[-1]
+        assert summary["max_linearity_defect"] == real_defect(s_grid, gaps)
 
 
 class TestSingleThreadLoop:
@@ -191,14 +220,11 @@ class TestSingleThreadLoop:
         assert np.array_equal(capped, ens.ensemble_gaps(config))
 
     def test_figures_bit_identical_to_default_threads(self, monkeypatch):
-        capped = [ens.figure1_experiment(n=10, samples=60, seed=11),
-                  ens.figure2_experiment(n=8, seed=5)]
+        capped = [run_experiment("figure1", 10, 60, 11), run_experiment("figure2", 8, 1, 5)]
         monkeypatch.setattr(_blas, "loaded_openblas", lambda: [])
-        default = [ens.figure1_experiment(n=10, samples=60, seed=11),
-                   ens.figure2_experiment(n=8, seed=5)]
+        default = [run_experiment("figure1", 10, 60, 11), run_experiment("figure2", 8, 1, 5)]
         for a, b in zip(capped, default):
-            for field in dataclasses.fields(a):
-                assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+            assert_bit_identical(a, b)
 
 
 class TestWorkers:
@@ -221,15 +247,11 @@ class TestWorkers:
         runs = []
         for count in (1, workers):
             monkeypatch.setattr(_blas, "loop_workers", lambda items, n, count=count: count)
-            runs.append([ens.figure1_experiment(n=8, samples=41, seed=11),
-                         ens.figure2_experiment(n=6, seed=5)])
+            runs.append([run_experiment("figure1", 8, 41, 11),
+                         run_experiment("figure2", 6, 1, 5)])
             assert _blas.last_loop["workers"] == count
         for a, b in zip(*runs):
-            for field in dataclasses.fields(a):
-                serial, pooled = getattr(a, field.name), getattr(b, field.name)
-                assert type(pooled) is type(serial)
-                assert np.asarray(pooled).dtype == np.asarray(serial).dtype
-                assert np.array_equal(pooled, serial)
+            assert_bit_identical(a, b)
 
     def test_one_worker_per_cpu_with_enough_samples(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})

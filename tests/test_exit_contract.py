@@ -25,7 +25,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fermigap import cli
+from fermigap import cli, ensembles as ens
 
 HUGE = 10 ** 400
 
@@ -239,7 +239,7 @@ def option_commands(draw):
 
     command = draw(st.sampled_from(["ensemble", "cluster", "ising", "verify"]))
     if command == "ensemble":
-        experiment = draw(st.sampled_from(sorted(cli._EXPERIMENTS)))
+        experiment = draw(st.sampled_from(sorted(ens.EXPERIMENTS)))
         argv = ["ensemble", f"--experiment={experiment}", option("n", ["2", "3"]),
                 option("samples", ["1", "2", "3"]), "--out", "OUT"]
         if draw(st.booleans()):

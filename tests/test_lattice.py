@@ -41,6 +41,17 @@ def random_bc2cb(r, q, p, seed=0):
     return lat.TorusSpec(a, b)
 
 
+def xy_torus_2d(p, q, coupling):
+    """q rows of the p-site XY ring, neighbouring rows coupled by coupling*I."""
+    site = lat.build_xy_cycle(p)
+    a = np.zeros((q, p))
+    b = np.zeros((q, p))
+    a[0], b[0] = site.root_a, site.root_b
+    a[1, 0] = a[-1, 0] = coupling
+    b[1, 0], b[-1, 0] = coupling, -coupling
+    return lat.TorusSpec(a, b)
+
+
 def g_first_row(spec):
     """First row of G = (A+B)(A-B) of a ring, in the time domain.
 
@@ -217,12 +228,13 @@ class TestSingularValues:
 class TestTorusBuilders:
     def test_2d_block_offdiagonals(self):
         site = lat.build_xy_cycle(4)
-        spec = lat.build_torus_2d(4, 3, site, coupling=2.0)
+        spec = lat.build_torus_2d(4, 3, site)
         pair = lat.expand(spec)
-        # A couples adjacent rows with +2 I, B with +2 I above / -2 I below
-        np.testing.assert_array_equal(pair.a[0:4, 4:8], 2.0 * np.eye(4))
-        np.testing.assert_array_equal(pair.b[0:4, 4:8], 2.0 * np.eye(4))
-        np.testing.assert_array_equal(pair.b[4:8, 0:4], -2.0 * np.eye(4))
+        # A couples adjacent rows with +I, B with +I above / -I below
+        np.testing.assert_array_equal(pair.a[0:4, 4:8], np.eye(4))
+        np.testing.assert_array_equal(pair.a[4:8, 0:4], np.eye(4))
+        np.testing.assert_array_equal(pair.b[0:4, 4:8], np.eye(4))
+        np.testing.assert_array_equal(pair.b[4:8, 0:4], -np.eye(4))
 
     def test_2d_diagonal_blocks_are_site(self):
         site = lat.build_xy_cycle(5)
@@ -454,7 +466,7 @@ class TestCandidateModes:
         nearest_neighbour_torus((16, 12, 10), seed=34),
         nearest_neighbour_torus((9, 7, 5), seed=35),
         lat.build_xy_cycle(4095),
-        lat.build_torus_2d(33, 31, lat.build_xy_cycle(33), coupling=0.7),
+        xy_torus_2d(33, 31, coupling=0.7),
     ], ids=["ring", "torus-2d", "torus-3d", "nn-torus", "nn-torus-odd", "xy-odd",
             "xy-torus-odd"])
     @pytest.mark.parametrize("tol", [None, 0.0, 1e-3, 0.3])
