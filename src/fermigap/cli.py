@@ -249,16 +249,18 @@ def cmd_ensemble(args) -> int:
     if args.kind not in (None, kind):
         raise InputError(f"experiment {args.experiment!r} draws from the {kind} "
                          f"ensemble, got --kind {args.kind}")
-    survival = args.experiment == "survival"
-    if not survival and args.x is not None:
+    if args.experiment != "survival" and args.x is not None:
         raise InputError(f"--x applies to the survival experiment only, "
                          f"not {args.experiment!r}")
-    if survival and not args.x:
-        args.x = _SURVIVAL_X
-    # figure2 draws one evolution, sample 0, whatever --samples says.
-    samples = 1 if args.experiment == "figure2" else args.samples
-    config = ens.EnsembleConfig(kind, args.n, samples, args.seed)
-    summary, tables = experiment(config, args.x) if survival else experiment(config)
+    samples = args.samples
+    if args.experiment == "survival":
+        args.x = args.x or _SURVIVAL_X
+        summary, tables = experiment(args.n, samples, args.seed, args.x)
+    elif args.experiment == "figure2":
+        samples = 1     # one evolution, sample 0, whatever --samples says
+        summary, tables = experiment(args.n, args.seed)
+    else:
+        summary, tables = experiment(args.n, samples, args.seed)
     parameters = {"kind": kind, "n": args.n, "samples": samples, "x": args.x}
     summary_text = _json_text({
         "experiment": args.experiment,

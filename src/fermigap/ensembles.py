@@ -147,23 +147,27 @@ def _check_enumeration(n: int) -> None:
                             f"(cap {ENUMERATION_MODE_CAP})")
 
 
-# Each experiment takes the run's EnsembleConfig and returns (summary, tables):
-# summary holds the keys that summary.json gives after "experiment" and
-# "config", with the pass thresholds and "passed"; tables maps each CSV file
-# name to its (header, columns).
+def _config(name: str, n: int, samples: int, seed: int) -> EnsembleConfig:
+    """The run's config, drawn from the ensemble that EXPERIMENTS names for `name`."""
+    return EnsembleConfig(EXPERIMENTS[name][0], n, samples, seed)
 
-def survival_experiment(config: EnsembleConfig, x_values) -> tuple[dict, dict]:
+
+# Each experiment returns (summary, tables): summary holds the keys that
+# summary.json gives after "experiment" and "config", with the pass thresholds
+# and "passed"; tables maps each CSV file name to its (header, columns).
+
+def survival_experiment(n: int, samples: int, seed: int, x_values) -> tuple[dict, dict]:
     """Empirical P(gap > 2x/n) at each x, against its limit e^{-x}."""
     x_values = [float(x) for x in x_values]
     if not all(0.0 < x < math.inf for x in x_values):
         raise InputError(f"x values must be positive and finite, got {x_values}")
-    gaps = ensemble_gaps(config)
+    gaps = ensemble_gaps(_config("survival", n, samples, seed))
     rows = []
     for x in x_values:
         # n/2 is exact, so this is 2x/n rounded once, and finite for every finite x
-        threshold = x / (config.n / 2.0)
+        threshold = x / (n / 2.0)
         p = float(np.mean(gaps > threshold))
-        se = math.sqrt(max(p * (1.0 - p), 1e-300) / config.samples)
+        se = math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
         rows.append((x, threshold, p, se, math.exp(-x)))
     worst = max(abs(p - limit) for _, _, p, _, limit in rows)
     summary = {
@@ -178,10 +182,10 @@ def survival_experiment(config: EnsembleConfig, x_values) -> tuple[dict, dict]:
     return summary, {"survival.csv": (header, list(zip(*rows)))}
 
 
-def gap_distribution_experiment(config: EnsembleConfig) -> tuple[dict, dict]:
+def gap_distribution_experiment(n: int, samples: int, seed: int) -> tuple[dict, dict]:
     """Distribution of n*gamma^2/4, KS-tested against its limiting law."""
-    gaps = ensemble_gaps(config)
-    scaled = config.n * gaps ** 2 / 4.0
+    gaps = ensemble_gaps(_config("edelman", n, samples, seed))
+    scaled = n * gaps ** 2 / 4.0
     ks_distance = ks_statistic(scaled, edelman_cdf)
     median = float(np.median(scaled))
     summary = {
@@ -197,7 +201,7 @@ def gap_distribution_experiment(config: EnsembleConfig) -> tuple[dict, dict]:
     return summary, {"edelman.csv": (header, (np.arange(scaled.size), scaled))}
 
 
-def figure1_experiment(config: EnsembleConfig) -> tuple[dict, dict]:
+def figure1_experiment(n: int, samples: int, seed: int) -> tuple[dict, dict]:
     """Compare ground gaps against the other 2^n - 2 level gaps.
 
     Per sample, all 2^n energies are enumerated; the first consecutive
@@ -205,7 +209,8 @@ def figure1_experiment(config: EnsembleConfig) -> tuple[dict, dict]:
     gaps.  Both are binned logarithmically, with values clipped into the
     histogram range so the counts always conserve totals.
     """
-    _check_enumeration(config.n)
+    _check_enumeration(n)
+    config = _config("figure1", n, samples, seed)
     lo, hi = HIST_RANGE
     top = np.nextafter(hi, 0.0)
     edges = np.logspace(np.log10(lo), np.log10(hi), HIST_BINS + 1)
@@ -219,8 +224,7 @@ def figure1_experiment(config: EnsembleConfig) -> tuple[dict, dict]:
             other_counts += np.histogram(np.clip(diffs[1:], lo, top), bins=edges)[0]
         return ground, other_median, other_counts
 
-    grounds, other_medians, other_counts = zip(*forked_chunks(chunk, config.samples, config.n,
-                                                               "samples"))
+    grounds, other_medians, other_counts = zip(*forked_chunks(chunk, samples, n, "samples"))
     ground = np.concatenate(grounds)
     median_ground = float(np.median(ground))
     median_other = float(np.median(np.concatenate(other_medians)))
@@ -238,16 +242,16 @@ def figure1_experiment(config: EnsembleConfig) -> tuple[dict, dict]:
     return summary, {"figure1.csv": (header, columns)}
 
 
-def figure2_experiment(config: EnsembleConfig) -> tuple[dict, dict]:
-    """Full level table of the evolution to sample 0's pair, on 101 points of s.
+def figure2_experiment(n: int, seed: int) -> tuple[dict, dict]:
+    """Full level table of an evolution to A = C C^T / n, B = 0, on 101 points of s.
 
-    For the Wishart pair A = C C^T / n, B = 0 the gap must be exactly affine
+    Uses the first sample of a Wishart run.  The gap must be exactly affine
     in s: gap(s) = 2(1-s) + s*gap(1).
     """
-    _check_enumeration(config.n)
-    lam_at = _path_singular_values(sample_pair(config, 0))
+    _check_enumeration(n)
+    lam_at = _path_singular_values(sample_pair(_config("figure2", n, 1, seed), 0))
     s_grid = np.linspace(0.0, 1.0, 101)
-    count = 2 ** config.n
+    count = 2 ** n
 
     def chunk(first: int, last: int):
         levels = np.empty((last - first, count))
@@ -258,8 +262,7 @@ def figure2_experiment(config: EnsembleConfig) -> tuple[dict, dict]:
             gaps[k] = gap_and_zero_modes(lam)[0]
         return levels, gaps
 
-    levels, gaps = map(np.concatenate, zip(*forked_chunks(chunk, s_grid.size, config.n,
-                                                          "points")))
+    levels, gaps = map(np.concatenate, zip(*forked_chunks(chunk, s_grid.size, n, "points")))
     defect = linearity_defect(s_grid, gaps)
     summary = {
         "final_gap": float(gaps[-1]),

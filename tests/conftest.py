@@ -3,7 +3,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from fermigap import ensembles as ens, lattice as lat, spinrep as sr
+from fermigap import lattice as lat, spinrep as sr
 
 
 @st.composite
@@ -28,9 +28,3 @@ def dense_ground_state(h):
 def with_off_parity_term(terms):
     """The PauliHamiltonian.terms property plus one X_1 term, which flips the fermion parity."""
     return property(lambda h: [*terms.fget(h), (1.0, "X" + "I" * (h.n - 1))])
-
-
-def run_experiment(name, n, samples, seed, *x_values):
-    """(summary, tables) of an ensemble experiment, drawn from its own ensemble."""
-    kind, experiment = ens.EXPERIMENTS[name]
-    return experiment(ens.EnsembleConfig(kind, n, samples, seed), *x_values)

@@ -24,7 +24,7 @@ from fermigap import (
 )
 from fermigap.errors import InputError
 
-from conftest import dense_ground_state, run_experiment
+from conftest import dense_ground_state
 from oracles import ising_gap_scaling, kron_word, lieb_residuals, rarity_fraction
 
 
@@ -99,7 +99,7 @@ def test_c03_lieb_residuals():
 
 def test_c04_limit_law_of_scaled_gaps():
     start = time.perf_counter()
-    summary, _ = run_experiment("edelman", 64, 2000, 20260824)
+    summary, _ = ens.gap_distribution_experiment(n=64, samples=2000, seed=20260824)
     elapsed = time.perf_counter() - start
     ks_distance = summary["ks_distance"]
     median_err = abs(summary["sample_median"] - ens.EDELMAN_MEDIAN)
@@ -113,7 +113,7 @@ def test_c04_limit_law_of_scaled_gaps():
 
 
 def test_c05_survival_law():
-    summary, _ = run_experiment("survival", 128, 2000, 7, [0.5, 1.0, 2.0])
+    summary, _ = ens.survival_experiment(n=128, samples=2000, seed=7, x_values=[0.5, 1.0, 2.0])
     worst = max(abs(p["empirical"] - p["limit"]) for p in summary["points"])
     ok = worst <= 0.05
     _verdict(5, "survival law P(gap > 2x/n) ~ e^-x", ok,
@@ -143,7 +143,7 @@ def test_c06_rarity_formula_vs_monte_carlo():
 
 
 def test_c07_two_histogram_figure(tmp_path):
-    summary, _ = run_experiment("figure1", 10, 1000, 11)
+    summary, _ = ens.figure1_experiment(n=10, samples=1000, seed=11)
     ratio = summary["median_ground_gap"] / summary["median_other_gap"]
     out = tmp_path / "fig1"
     with contextlib.redirect_stdout(io.StringIO()):
@@ -162,7 +162,7 @@ def test_c07_two_histogram_figure(tmp_path):
 
 
 def test_c08_affine_evolution_table():
-    summary, tables = run_experiment("figure2", 8, 1, 5)
+    summary, tables = ens.figure2_experiment(n=8, seed=5)
     _, (s, level_index, energy) = tables["figure2.csv"]
     defect = summary["max_linearity_defect"]
     # the table is 101 points of s by 256 levels, one row per (point, level)

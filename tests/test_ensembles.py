@@ -8,7 +8,6 @@ from scipy import integrate, optimize, stats
 from fermigap import _blas, ensembles as ens, quadform as qf
 from fermigap.errors import InputError
 
-from conftest import run_experiment
 from oracles import edelman_pdf, rarity_fraction, rarity_log_fraction
 
 
@@ -107,7 +106,7 @@ class TestKsStatistic:
             stats.kstest(x, ens.edelman_cdf).statistic
 
     def test_experiment_distance_equals_scipy_kstest(self):
-        summary, tables = run_experiment("edelman", 16, 100, 9)
+        summary, tables = ens.gap_distribution_experiment(n=16, samples=100, seed=9)
         _, (_, scaled_gaps) = tables["edelman.csv"]
         assert summary["ks_distance"] == stats.kstest(scaled_gaps, ens.edelman_cdf).statistic
 
@@ -147,7 +146,7 @@ class TestRarity:
 
 class TestExperiments:
     def test_gap_distribution_small_run(self):
-        summary, tables = run_experiment("edelman", 32, 200, 9)
+        summary, tables = ens.gap_distribution_experiment(n=32, samples=200, seed=9)
         header, (_, scaled_gaps) = tables["edelman.csv"]
         assert header == ("sample_index", "scaled_gap")
         assert scaled_gaps.shape == (200,)
@@ -156,7 +155,7 @@ class TestExperiments:
         assert abs(summary["sample_median"] - ens.EDELMAN_MEDIAN) < 0.15
 
     def test_survival_small_run(self):
-        _, tables = run_experiment("survival", 32, 300, 4, [0.5, 1.0])
+        _, tables = ens.survival_experiment(n=32, samples=300, seed=4, x_values=[0.5, 1.0])
         header, columns = tables["survival.csv"]
         assert header == ("x", "threshold", "empirical", "std_error", "limit")
         for x, threshold, empirical, _, limit in zip(*columns):
@@ -165,7 +164,7 @@ class TestExperiments:
             assert abs(empirical - limit) < 0.12
 
     def test_figure1_counts_conserved(self):
-        summary, tables = run_experiment("figure1", 6, 50, 3)
+        summary, tables = ens.figure1_experiment(n=6, samples=50, seed=3)
         header, (_, _, ground_counts, other_counts) = tables["figure1.csv"]
         assert header == ("bin_left", "bin_right", "ground_count", "other_count")
         assert ground_counts.sum() == 50
@@ -175,7 +174,7 @@ class TestExperiments:
         assert summary["median_ground_gap"] > summary["median_other_gap"]
 
     def test_figure2_linearity(self):
-        summary, tables = run_experiment("figure2", 5, 1, 5)
+        summary, tables = ens.figure2_experiment(n=5, seed=5)
         header, (s, level_index, energy) = tables["figure2.csv"]
         assert header == ("s", "level_index", "energy")
         assert energy.shape == (101 * 32,)
@@ -200,7 +199,7 @@ class TestExperiments:
 
         monkeypatch.setattr(qf.CoefficientPair, "__post_init__", counted_init)
         monkeypatch.setattr(ens, "linearity_defect", spied_defect)
-        summary, tables = run_experiment("figure2", 6, 1, 5)
+        summary, tables = ens.figure2_experiment(n=6, seed=5)
         assert len(built) == 1          # the target, and no pair per grid point
         (gaps,) = seen
         s_grid = np.linspace(0.0, 1.0, 101)
@@ -220,9 +219,11 @@ class TestSingleThreadLoop:
         assert np.array_equal(capped, ens.ensemble_gaps(config))
 
     def test_figures_bit_identical_to_default_threads(self, monkeypatch):
-        capped = [run_experiment("figure1", 10, 60, 11), run_experiment("figure2", 8, 1, 5)]
+        capped = [ens.figure1_experiment(n=10, samples=60, seed=11),
+                  ens.figure2_experiment(n=8, seed=5)]
         monkeypatch.setattr(_blas, "loaded_openblas", lambda: [])
-        default = [run_experiment("figure1", 10, 60, 11), run_experiment("figure2", 8, 1, 5)]
+        default = [ens.figure1_experiment(n=10, samples=60, seed=11),
+                   ens.figure2_experiment(n=8, seed=5)]
         for a, b in zip(capped, default):
             assert_bit_identical(a, b)
 
@@ -247,8 +248,8 @@ class TestWorkers:
         runs = []
         for count in (1, workers):
             monkeypatch.setattr(_blas, "loop_workers", lambda items, n, count=count: count)
-            runs.append([run_experiment("figure1", 8, 41, 11),
-                         run_experiment("figure2", 6, 1, 5)])
+            runs.append([ens.figure1_experiment(n=8, samples=41, seed=11),
+                         ens.figure2_experiment(n=6, seed=5)])
             assert _blas.last_loop["workers"] == count
         for a, b in zip(*runs):
             assert_bit_identical(a, b)

@@ -41,12 +41,9 @@ def random_bc2cb(r, q, p, seed=0):
     return lat.TorusSpec(a, b)
 
 
-def xy_torus_2d(p, q, coupling):
-    """q rows of the p-site XY ring, neighbouring rows coupled by coupling*I."""
-    site = lat.build_xy_cycle(p)
-    a = np.zeros((q, p))
-    b = np.zeros((q, p))
-    a[0], b[0] = site.root_a, site.root_b
+def with_row_coupling(spec, coupling):
+    """A 2D torus spec with its +-I couplings between neighbouring rows scaled by `coupling`."""
+    a, b = spec.root_a.copy(), spec.root_b.copy()
     a[1, 0] = a[-1, 0] = coupling
     b[1, 0], b[-1, 0] = coupling, -coupling
     return lat.TorusSpec(a, b)
@@ -466,7 +463,7 @@ class TestCandidateModes:
         nearest_neighbour_torus((16, 12, 10), seed=34),
         nearest_neighbour_torus((9, 7, 5), seed=35),
         lat.build_xy_cycle(4095),
-        xy_torus_2d(33, 31, coupling=0.7),
+        with_row_coupling(lat.build_torus_2d(33, 31, lat.build_xy_cycle(33)), 0.7),
     ], ids=["ring", "torus-2d", "torus-3d", "nn-torus", "nn-torus-odd", "xy-odd",
             "xy-torus-odd"])
     @pytest.mark.parametrize("tol", [None, 0.0, 1e-3, 0.3])
