@@ -21,11 +21,10 @@ from .quadform import (
 )
 from .lattice import (
     TorusSpec,
-    build_torus_2d,
-    build_torus_3d,
     build_xy_cycle,
     expand,
     g_eigenvalues,
+    stack,
     structured_gap_profile,
 )
 from .ensembles import (

@@ -9,6 +9,7 @@ standard JSON: a NaN or infinity in it is a numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -77,16 +78,6 @@ def _resolve_seed(value: str | None) -> int:
     if seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {value!r}")
     return seed
-
-
-def _gap_report_dict(report: qf.GapReport) -> dict:
-    return {
-        "gap": report.gap,
-        "ground_energy": report.ground_energy,
-        "degenerate": report.degenerate,
-        "num_zero_modes": report.num_zero_modes,
-        "zero_tolerance": report.zero_tolerance,
-    }
 
 
 def _json_default(obj):
@@ -162,7 +153,7 @@ def _write_run(out_dir: str, command: str, parameters: dict, seed: int | None,
 
 def cmd_gap(args) -> int:
     report = qf.ground_gap(fio.load_pair_or_structured(args.input), args.tol)
-    _print_json(_gap_report_dict(report))
+    _print_json(dataclasses.asdict(report))
     return EXIT_OK
 
 
@@ -337,9 +328,8 @@ def _verify_checks(n_max: int, trials: int, seed: int):
 
     cases = []
     specs = {"xy_cycle": lat.build_xy_cycle(12),
-             "torus_2d": lat.build_torus_2d(4, 4, lat.build_xy_cycle(4)),
-             "torus_3d": lat.build_torus_3d(3, 3, 3, lat.build_torus_2d(
-                 3, 3, lat.build_xy_cycle(3)))}
+             "torus_2d": lat.stack(lat.build_xy_cycle(4), 4),
+             "torus_3d": lat.stack(lat.stack(lat.build_xy_cycle(3), 3), 3)}
     for name, spec in specs.items():
         pair = lat.expand(spec)
         g = pair.c @ (pair.a - pair.b)

@@ -167,7 +167,7 @@ def survival_experiment(n: int, samples: int, seed: int, x_values) -> tuple[dict
         # n/2 is exact, so this is 2x/n rounded once, and finite for every finite x
         threshold = x / (n / 2.0)
         p = float(np.mean(gaps > threshold))
-        se = math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
+        se = math.sqrt(p * (1.0 - p) / samples)
         rows.append((x, threshold, p, se, math.exp(-x)))
     worst = max(abs(p - limit) for _, _, p, _, limit in rows)
     summary = {

@@ -41,10 +41,19 @@ def _count(value, name: str) -> int:
     return value
 
 
-def _matrix_from_flat(data, n: int, name: str) -> np.ndarray:
-    if n < 1:
-        raise InputError(f"n must be positive, got {n}")
-    return _flat_floats(data, n * n, name).reshape(n, n)
+def _square_matrices(doc: dict, what: str, *names: str) -> list[np.ndarray]:
+    """n and the n x n matrices `names`, flat row-major lists, of a pair or W document."""
+    matrices = []
+    try:
+        n = _count(doc["n"], "n")
+        for name in names:
+            data = doc[name]    # a missing first matrix is named before a bad n
+            if n < 1:
+                raise InputError(f"n must be positive, got {n}")
+            matrices.append(_flat_floats(data, n * n, name).reshape(n, n))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed {what} document: {exc}") from exc
+    return matrices
 
 
 def pair_to_dict(pair: CoefficientPair) -> dict:
@@ -52,13 +61,7 @@ def pair_to_dict(pair: CoefficientPair) -> dict:
 
 
 def pair_from_dict(doc: dict) -> CoefficientPair:
-    try:
-        n = _count(doc["n"], "n")
-        a = _matrix_from_flat(doc["a"], n, "a")
-        b = _matrix_from_flat(doc["b"], n, "b")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed pair document: {exc}") from exc
-    return CoefficientPair(a, b)
+    return CoefficientPair(*_square_matrices(doc, "pair", "a", "b"))
 
 
 # The kind of a structured document names the rank of its roots: rank
@@ -109,12 +112,7 @@ def w_to_dict(h: PauliHamiltonian) -> dict:
 
 
 def w_from_dict(doc: dict) -> PauliHamiltonian:
-    try:
-        n = _count(doc["n"], "n")
-        w = _matrix_from_flat(doc["w"], n, "w")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed W document: {exc}") from exc
-    return PauliHamiltonian(w)
+    return PauliHamiltonian(*_square_matrices(doc, "W", "w"))
 
 
 def load_document(path) -> dict:

@@ -34,9 +34,10 @@ from .quadform import (
     check_matrix_size,
     check_s,
     check_zero_tolerance,
+    freeze_fields,
     gap_and_zero_modes,
     gap_report_from_singular_values,
-    profile_from_points,
+    point_gaps,
     zero_tolerance_for,
 )
 
@@ -75,12 +76,7 @@ class TorusSpec:
             if not np.isfinite(root).all():
                 raise InputError(f"{name} root contains non-finite entries")
         _check_roots(a, b)
-        a = a.copy()
-        b = b.copy()
-        a.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "root_a", a)
-        object.__setattr__(self, "root_b", b)
+        freeze_fields(self, root_a=a, root_b=b)
 
     @property
     def n(self) -> int:
@@ -106,12 +102,16 @@ def build_xy_cycle(n: int) -> TorusSpec:
     return TorusSpec(a, b)
 
 
-def _stack(layer: TorusSpec, count: int) -> TorusSpec:
-    """A ring of `count` copies of `layer`, coupled by identity blocks.
+def stack(layer: TorusSpec, count: int) -> TorusSpec:
+    """A ring of `count` >= 3 copies of `layer`, coupled by identity blocks.
 
-    The A part couples neighbouring layers with +I on both block
-    off-diagonals; the B part uses +I above and -I below.
+    The result has one rank more than the layer: a ring of rings is a 2D
+    torus, a ring of 2D tori a 3D torus.  The A part couples neighbouring
+    layers with +I on both block off-diagonals; the B part uses +I above and
+    -I below.
     """
+    if count < 3:
+        raise InputError(f"a stack needs count >= 3 layers, got {count}")
     root_a = np.zeros((count, *layer.root_a.shape))
     root_b = np.zeros_like(root_a)
     root_a[0] = layer.root_a
@@ -120,24 +120,6 @@ def _stack(layer: TorusSpec, count: int) -> TorusSpec:
     root_a[(1, *origin)] = root_a[(-1, *origin)] = 1.0
     root_b[(1, *origin)], root_b[(-1, *origin)] = 1.0, -1.0
     return TorusSpec(root_a, root_b)
-
-
-def build_torus_2d(p: int, q: int, site: TorusSpec) -> TorusSpec:
-    """2D torus: q rows of the p-site ring `site`, identity inter-row couplings."""
-    if p < 3 or q < 3:
-        raise InputError(f"torus needs p, q >= 3, got p={p}, q={q}")
-    if site.dims != (p,):
-        raise InputError(f"site spec has dims {site.dims}, expected ({p},)")
-    return _stack(site, q)
-
-
-def build_torus_3d(p: int, q: int, r: int, plane: TorusSpec) -> TorusSpec:
-    """3D torus: stack of r planes from `plane`, identity inter-plane couplings."""
-    if r < 3:
-        raise InputError(f"torus needs r >= 3, got r={r}")
-    if plane.dims != (p, q):
-        raise InputError(f"plane spec has dims {plane.dims}, expected ({p}, {q})")
-    return _stack(plane, r)
 
 
 def _expand_root(root: np.ndarray) -> np.ndarray:
@@ -347,4 +329,6 @@ def structured_gap_profile(spec: TorusSpec, s_grid,
     s_grid = check_s(s_grid)
     check_zero_tolerance(zero_tolerance)
     gaps = _CandidateGaps(c_symbol(spec), zero_tolerance)
-    return profile_from_points(s_grid, gaps, gaps.minimum)
+    gap, num_zero_modes = point_gaps(gaps, s_grid.tolist())
+    return GapProfile(s=s_grid.copy(), gap=gap, num_zero_modes=num_zero_modes,
+                      path_minimum=gaps.minimum)

@@ -57,6 +57,14 @@ def first_symmetry_violation(m: np.ndarray, anti: bool = False):
     return int(j), int(k)
 
 
+def freeze_fields(obj, **arrays: np.ndarray) -> None:
+    """Set each field of the frozen dataclass obj to a read-only copy of its array."""
+    for name, array in arrays.items():
+        array = array.copy()
+        array.flags.writeable = False
+        object.__setattr__(obj, name, array)
+
+
 @dataclass(frozen=True)
 class CoefficientPair:
     """The (A, B) coefficient matrices of a quadratic fermionic Hamiltonian.
@@ -83,12 +91,7 @@ class CoefficientPair:
         viol = first_symmetry_violation(b, anti=True)
         if viol is not None:
             raise InputError(f"b is not anti-symmetric at index pair {viol}")
-        a = a.copy()
-        b = b.copy()
-        a.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        freeze_fields(self, a=a, b=b)
 
     @property
     def n(self) -> int:
@@ -114,10 +117,15 @@ def symmetrize_split(c) -> CoefficientPair:
 
     Returns the pair (A, B) = ((C + C^T)/2, (C - C^T)/2).  Both parts are
     exactly (anti)symmetric; A + B reproduces C up to one rounding of each
-    entry (exactly, whenever C_jk + C_kj is representable).
+    entry (exactly, whenever C_jk + C_kj is representable).  InputError,
+    without a RuntimeWarning, if C + C^T or C - C^T overflows.
     """
     c = check_square_finite(c, "c")
-    return CoefficientPair((c + c.T) / 2.0, (c - c.T) / 2.0)
+    with np.errstate(over="ignore"):
+        a, b = (c + c.T) / 2.0, (c - c.T) / 2.0
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InputError("c + c^T or c - c^T overflows: A or B would not be finite")
+    return CoefficientPair(a, b)
 
 
 @dataclass(frozen=True)
@@ -161,14 +169,14 @@ class GapReport:
     ground_energy is -sum(lam).  gap is twice the least singular value above
     zero_tolerance (0 if none).  degenerate flags singular values at or below
     the tolerance; each contributes a factor of 2 to the ground-level
-    multiplicity.
+    multiplicity.  The fields are in the order of the gap command's JSON keys.
     """
 
-    ground_energy: float
     gap: float
+    ground_energy: float
     degenerate: bool
-    zero_tolerance: float
     num_zero_modes: int
+    zero_tolerance: float
 
 
 def zero_tolerance_for(n: int, smax: float) -> float:
@@ -178,11 +186,6 @@ def zero_tolerance_for(n: int, smax: float) -> float:
     tolerance from the same side.
     """
     return n * np.finfo(float).eps * smax
-
-
-def default_zero_tolerance(lam: np.ndarray) -> float:
-    """Numerical-rank convention: n * eps * sigma_max."""
-    return zero_tolerance_for(lam.shape[0], float(lam.max(initial=0.0)))
 
 
 def check_zero_tolerance(zero_tolerance: float | None) -> None:
@@ -204,10 +207,10 @@ def gap_and_zero_modes(lam: np.ndarray, zero_tolerance: float | None = None):
     """(gap, num_zero_modes, zero_tolerance) of singular values in any order.
 
     gap is twice the least value above the tolerance (0 if none); the
-    tolerance defaults to default_zero_tolerance(lam).
+    tolerance defaults to n * eps * max(lam).
     """
     if zero_tolerance is None:
-        zero_tolerance = default_zero_tolerance(lam)
+        zero_tolerance = zero_tolerance_for(lam.shape[0], float(lam.max(initial=0.0)))
     nonzero = lam[lam > zero_tolerance]
     num_zero = int(lam.size - nonzero.size)
     gap = 2.0 * float(nonzero.min()) if nonzero.size else 0.0
@@ -220,13 +223,8 @@ def gap_report_from_singular_values(lam, zero_tolerance: float | None = None) ->
     check_zero_tolerance(zero_tolerance)
     total = _finite_total(lam)
     gap, num_zero, zero_tolerance = gap_and_zero_modes(lam, zero_tolerance)
-    return GapReport(
-        ground_energy=-total,
-        gap=gap,
-        degenerate=num_zero > 0,
-        zero_tolerance=float(zero_tolerance),
-        num_zero_modes=num_zero,
-    )
+    return GapReport(gap=gap, ground_energy=-total, degenerate=num_zero > 0,
+                     num_zero_modes=num_zero, zero_tolerance=float(zero_tolerance))
 
 
 def _singular_values(c: np.ndarray) -> np.ndarray:
@@ -334,21 +332,13 @@ def check_s(s) -> np.ndarray:
     return s
 
 
-def _point_gaps(gap_at, points: list[float]) -> tuple[np.ndarray, np.ndarray]:
+def point_gaps(gap_at, points: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """The gap and num_zero_modes arrays of gap_at(s) over the points."""
     gap = np.empty(len(points))
     num_zero_modes = np.empty(len(points), dtype=int)
     for i, s in enumerate(points):
         gap[i], num_zero_modes[i] = gap_at(s)
     return gap, num_zero_modes
-
-
-def profile_from_points(s_grid: np.ndarray, gap_at,
-                        path_minimum: PathMinimum | None = None) -> GapProfile:
-    """GapProfile over a checked grid; gap_at(s) gives (gap, num_zero_modes) at s."""
-    gap, num_zero_modes = _point_gaps(gap_at, s_grid.tolist())
-    return GapProfile(s=s_grid.copy(), gap=gap, num_zero_modes=num_zero_modes,
-                      path_minimum=path_minimum)
 
 
 def _path_singular_values(target: CoefficientPair):
@@ -383,7 +373,7 @@ def gap_profile(target: CoefficientPair, s_grid,
         return gap_and_zero_modes(lam, zero_tolerance)[:2]
 
     points = s_grid.tolist()
-    chunks = forked_chunks(lambda lo, hi: _point_gaps(gap_at, points[lo:hi]),
+    chunks = forked_chunks(lambda lo, hi: point_gaps(gap_at, points[lo:hi]),
                            len(points), target.n, "points")
     gap, num_zero_modes = map(np.concatenate, zip(*chunks))
     return GapProfile(s=s_grid.copy(), gap=gap, num_zero_modes=num_zero_modes)

@@ -22,7 +22,8 @@ import numpy as np
 
 from ._blas import small_matrix_threads
 from .errors import CapacityError, ConformanceError, InputError, NumericalError
-from .quadform import CoefficientPair, check_matrix_size, check_square_finite
+from .quadform import (CoefficientPair, check_matrix_size, check_s, check_square_finite,
+                       freeze_fields)
 
 DENSE_QUBIT_CAP = 13     # 2^13 = 8192: dense_hamiltonian's matrix is 512 MB, the
                          # oracle holds one 2^12 parity block at a time, 128 MB
@@ -83,9 +84,7 @@ class PauliHamiltonian:
     w: np.ndarray
 
     def __post_init__(self):
-        w = check_square_finite(self.w, "w").copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
+        freeze_fields(self, w=check_square_finite(self.w, "w"))
 
     @property
     def n(self) -> int:
@@ -221,8 +220,7 @@ def build_ising_w(n: int, s: float) -> PauliHamiltonian:
     """
     if n < 2:
         raise InputError(f"Ising chain needs n >= 2, got {n}")
-    if not 0.0 <= s <= 1.0:
-        raise InputError(f"s must lie in [0, 1], got {s}")
+    check_s(s)
     check_matrix_size(n, "Ising chain")
     w = (1.0 - s) * np.eye(n)
     for j in range(n - 1):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import errno
 import json
 import os
@@ -49,6 +50,12 @@ class TestGapAndSpectrum:
     def test_gap_accepts_structured_input(self, xy_spec_file, capsys):
         assert cli.main(["gap", xy_spec_file]) == 0
         assert json.loads(capsys.readouterr().out)["gap"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("input_file", ["identity_pair_file", "xy_spec_file"])
+    def test_gap_json_key_order(self, input_file, request, capsys):
+        assert cli.main(["gap", request.getfixturevalue(input_file)]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == [
+            "gap", "ground_energy", "degenerate", "num_zero_modes", "zero_tolerance"]
 
     def test_spectrum(self, tmp_path, capsys):
         path = write_json(tmp_path / "p.json",
@@ -184,7 +191,7 @@ class TestGapAndSpectrum:
         path = write_json(tmp_path / "ring.json", fio.structured_to_dict(spec))
         assert cli.main(["gap", path]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc == cli._gap_report_dict(lat.structured_gap_report(spec, 1.0))
+        assert doc == dataclasses.asdict(lat.structured_gap_report(spec, 1.0))
 
     def test_spectrum_accepts_structured_input(self, tmp_path, capsys):
         spec = lat.build_xy_cycle(4)

@@ -163,6 +163,14 @@ class TestExperiments:
             assert 0.0 <= empirical <= 1.0
             assert abs(empirical - limit) < 0.12
 
+    @pytest.mark.parametrize("x_values", [[1e308], [5e-324]])    # fractions 0 and 1
+    def test_survival_std_error_of_a_certain_fraction_is_zero(self, x_values):
+        summary, tables = ens.survival_experiment(n=4, samples=3, seed=1, x_values=x_values)
+        (point,) = summary["points"]
+        assert point["empirical"] in (0.0, 1.0)
+        assert point["std_error"] == 0.0
+        assert tables["survival.csv"][1][3] == (0.0,)
+
     def test_figure1_counts_conserved(self):
         summary, tables = ens.figure1_experiment(n=6, samples=50, seed=3)
         header, (_, _, ground_counts, other_counts) = tables["figure1.csv"]

@@ -35,8 +35,8 @@ class TestPairDocuments:
 class TestStructuredDocuments:
     @pytest.mark.parametrize("spec", [
         lat.build_xy_cycle(5),
-        lat.build_torus_2d(4, 3, lat.build_xy_cycle(4)),
-        lat.build_torus_3d(3, 3, 3, lat.build_torus_2d(3, 3, lat.build_xy_cycle(3))),
+        lat.stack(lat.build_xy_cycle(4), 3),
+        lat.stack(lat.stack(lat.build_xy_cycle(3), 3), 3),
     ])
     def test_roundtrip(self, spec):
         again = fio.structured_from_dict(fio.structured_to_dict(spec))

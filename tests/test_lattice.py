@@ -222,10 +222,39 @@ class TestSingularValues:
         assert abs(report.ground_energy - dense_report.ground_energy) <= spec.n * tol
 
 
+def ring_shift(count):
+    """The count x count cyclic shift S with S[j, j + 1 mod count] = 1."""
+    return np.roll(np.eye(count), 1, axis=1)
+
+
+class TestStack:
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_fewer_than_three_layers_rejected(self, count):
+        with pytest.raises(InputError, match=f"count >= 3 layers, got {count}"):
+            lat.stack(lat.build_xy_cycle(4), count)
+
+    def test_ranks_one_to_three_expand_to_kronecker_form(self):
+        # a stack of `count` layers is I (x) layer + (S + S^T) (x) I in A and
+        # I (x) layer + (S - S^T) (x) I in B, with S the cyclic shift
+        layer = random_circulant(5, seed=40)
+        for count in (3, 4):
+            spec = lat.stack(layer, count)
+            assert spec.root_a.ndim == layer.root_a.ndim + 1
+            assert spec.dims == (*layer.dims, count)
+            dense, inner = lat.expand(spec), lat.expand(layer)
+            shift, eye = ring_shift(count), np.eye(layer.n)
+            np.testing.assert_array_equal(
+                dense.a, np.kron(np.eye(count), inner.a) + np.kron(shift + shift.T, eye))
+            np.testing.assert_array_equal(
+                dense.b, np.kron(np.eye(count), inner.b) + np.kron(shift - shift.T, eye))
+            layer = spec
+        assert layer.root_a.ndim == 3 and layer.n == 60
+
+
 class TestTorusBuilders:
     def test_2d_block_offdiagonals(self):
         site = lat.build_xy_cycle(4)
-        spec = lat.build_torus_2d(4, 3, site)
+        spec = lat.stack(site, 3)
         pair = lat.expand(spec)
         # A couples adjacent rows with +I, B with +I above / -I below
         np.testing.assert_array_equal(pair.a[0:4, 4:8], np.eye(4))
@@ -235,20 +264,15 @@ class TestTorusBuilders:
 
     def test_2d_diagonal_blocks_are_site(self):
         site = lat.build_xy_cycle(5)
-        pair = lat.expand(lat.build_torus_2d(5, 3, site))
+        pair = lat.expand(lat.stack(site, 3))
         site_pair = lat.expand(site)
         np.testing.assert_array_equal(pair.a[0:5, 0:5], site_pair.a)
         np.testing.assert_array_equal(pair.b[5:10, 5:10], site_pair.b)
 
     def test_3d_shapes_and_validity(self):
-        plane = lat.build_torus_2d(3, 3, lat.build_xy_cycle(3))
-        spec = lat.build_torus_3d(3, 3, 3, plane)
+        spec = lat.stack(lat.stack(lat.build_xy_cycle(3), 3), 3)
         assert spec.n == 27
         lat.expand(spec)  # must pass CoefficientPair validation
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            lat.build_torus_2d(5, 3, lat.build_xy_cycle(4))
 
 
 class TestStructuredInterpolation:
@@ -463,7 +487,7 @@ class TestCandidateModes:
         nearest_neighbour_torus((16, 12, 10), seed=34),
         nearest_neighbour_torus((9, 7, 5), seed=35),
         lat.build_xy_cycle(4095),
-        with_row_coupling(lat.build_torus_2d(33, 31, lat.build_xy_cycle(33)), 0.7),
+        with_row_coupling(lat.stack(lat.build_xy_cycle(33), 31), 0.7),
     ], ids=["ring", "torus-2d", "torus-3d", "nn-torus", "nn-torus-odd", "xy-odd",
             "xy-torus-odd"])
     @pytest.mark.parametrize("tol", [None, 0.0, 1e-3, 0.3])
@@ -477,8 +501,8 @@ class TestCandidateModes:
         lat.build_xy_cycle(8),
         lat.build_xy_cycle(1000),
         lat.build_xy_cycle(4096),
-        lat.build_torus_2d(64, 64, lat.build_xy_cycle(64)),
-        lat.build_torus_3d(16, 16, 16, lat.build_torus_2d(16, 16, lat.build_xy_cycle(16))),
+        lat.stack(lat.build_xy_cycle(64), 64),
+        lat.stack(lat.stack(lat.build_xy_cycle(16), 16), 16),
     ], ids=["xy-8", "xy-1000", "xy-4096", "xy-torus-2d", "xy-torus-3d"])
     @pytest.mark.parametrize("tol", [None, 1e-9])
     def test_xy_zero_modes(self, spec, tol):

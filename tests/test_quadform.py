@@ -55,6 +55,14 @@ class TestSymmetrizeSplit:
         with pytest.raises(InputError):
             qf.symmetrize_split(np.array([[0.0, np.inf], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("c", [[[0.0, 1e308], [1e308, 0.0]],     # C + C^T overflows
+                                   [[0.0, 1e308], [-1e308, 0.0]],    # C - C^T overflows
+                                   [[1e308, 0.0], [0.0, 0.0]]])      # a diagonal 2 c_jj
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_parts_named_without_a_warning(self, c):
+        with pytest.raises(InputError, match=r"c \+ c\^T or c - c\^T overflows"):
+            qf.symmetrize_split(c)
+
 
 class TestCoefficientPair:
     def test_rejects_asymmetric_a(self):
