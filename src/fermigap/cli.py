@@ -81,11 +81,7 @@ def _resolve_seed(value: str | None) -> int:
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
@@ -207,7 +203,7 @@ def cmd_profile(args) -> int:
         "min_gap": profile.min_gap,
         "min_gap_s": profile.min_gap_s,
         "min_gap_row": profile.min_gap_index,
-        "linear": linear_defect <= 1e-10,
+        "linear": linear_defect <= 1e-10 * (1.0 + profile.gap.max()),
         "linear_defect": linear_defect,
     }
     path_min = profile.path_minimum
@@ -347,13 +343,10 @@ def _worst_case(check: str, cases: list) -> tuple[float, dict]:
     A residual that is not finite raises NumericalError: a running maximum
     would pass over a NaN and report a vacuous pass.
     """
-    worst, replay = 0.0, None
     for res, info in cases:
         if not np.isfinite(res):
             raise NumericalError(f"{check}: residual {res} at {info}")
-        if replay is None or res > worst:
-            worst, replay = res, info
-    return worst, replay
+    return max(cases, key=lambda case: case[0])
 
 
 # Each trial adds n_max subset-sum cases of about 265 bytes (--n-max 1, 2-core

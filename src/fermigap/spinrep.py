@@ -30,11 +30,11 @@ DENSE_QUBIT_CAP = 13     # 2^13 = 8192: dense_hamiltonian's matrix is 512 MB, th
 SPIN32_SITE_CAP = 6      # 4^6 = 4096
 
 
-def _check_qubits(n: int):
+def _check_sites(n: int, cap: int, what: str):
     if n < 1:
         raise InputError(f"need at least one site, got n={n}")
-    if n > DENSE_QUBIT_CAP:
-        raise CapacityError(f"n={n} exceeds the dense-matrix cap of {DENSE_QUBIT_CAP} sites")
+    if n > cap:
+        raise CapacityError(f"n={n} exceeds the {what} cap of {cap} sites")
 
 
 # ---------------------------------------------------------------------------
@@ -90,23 +90,6 @@ class PauliHamiltonian:
     def n(self) -> int:
         return self.w.shape[0]
 
-    @property
-    def terms(self) -> list[tuple[float, str]]:
-        """All n^2 (coefficient, Pauli word) pairs, zeros included."""
-        n = self.n
-        out = []
-        for j in range(n):
-            word = ["I"] * n
-            word[j] = "Z"
-            out.append((float(self.w[j, j]), "".join(word)))
-        for j in range(n):
-            for k in range(j + 1, n):
-                mid = "Z" * (k - j - 1)
-                pad = "I" * j, "I" * (n - 1 - k)
-                out.append((float(self.w[j, k]), pad[0] + "X" + mid + "X" + pad[1]))
-                out.append((float(self.w[k, j]), pad[0] + "Y" + mid + "Y" + pad[1]))
-        return out
-
     def to_pair(self) -> CoefficientPair:
         return w_to_ab(self.w)
 
@@ -126,20 +109,24 @@ def _parity_signs(n: int) -> np.ndarray:
     return signs
 
 
-# A word as binary digits, site 1 the most significant: X, Y flip a bit; Z, Y read it.
-_FLIP_DIGITS, _SIGN_DIGITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
-
-
-def _term_masks(terms) -> list[tuple[str, float, int, int]]:
-    """(word, signed coefficient, flip mask, sign mask) of each nonzero term.
+def _term_masks(w: np.ndarray) -> list[tuple[float, int, int]]:
+    """(signed coefficient, flip mask, sign mask) of each nonzero term of W.
 
     A term's matrix has the entry coeff * (-1)^popcount(col & sign mask) at
-    (col ^ flip mask, col), with sigma^z = diag(1, -1), site 1 the leftmost
-    factor and each Y pair's i^2 = -1 in the coefficient.
+    (col ^ flip mask, col), with sigma^z = diag(1, -1) and site j the bit
+    n-1-j.  Z_j reads site j's bit; X_j Z...Z X_k flips the bits of sites j
+    and k and reads those between them; Y_j Z...Z Y_k also reads j and k, and
+    its i^2 = -1 is in the coefficient.  The order is every Z_j, then for each
+    j < k the X term and the Y term: the assembly's floating-point sums follow it.
     """
-    return [(word, (-1.0) ** (word.count("Y") // 2) * coeff,
-             int(word.translate(_FLIP_DIGITS), 2), int(word.translate(_SIGN_DIGITS), 2))
-            for coeff, word in terms if coeff != 0.0]
+    n = w.shape[0]
+    bit = [1 << (n - 1 - j) for j in range(n)]
+    terms = [(w[j, j], 0, bit[j]) for j in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            flip, between = bit[j] | bit[k], bit[j] - 2 * bit[k]
+            terms += [(w[j, k], flip, between), (-w[k, j], flip, between | flip)]
+    return [term for term in terms if term[0] != 0.0]
 
 
 def _block(masks, n: int, states: np.ndarray) -> np.ndarray:
@@ -153,19 +140,20 @@ def _block(masks, n: int, states: np.ndarray) -> np.ndarray:
     cols = np.arange(states.size)
     parity = _parity_signs(n)
     out = np.zeros((states.size, states.size))
-    for word, coeff, flip_mask, sign_mask in masks:
+    for coeff, flip_mask, sign_mask in masks:
         rows = position[states ^ flip_mask]
         if rows.min() < 0:
             raise ConformanceError(f"dense Hamiltonian couples the two fermion-parity "
-                                   f"sectors: term {word} has off-parity entry {abs(coeff):.3e}")
+                                   f"sectors: the term with flip mask {flip_mask:#b} has "
+                                   f"off-parity entry {abs(coeff):.3e}")
         out[rows, cols] += coeff * parity[states & sign_mask]
     return out
 
 
 def dense_hamiltonian(h: PauliHamiltonian) -> np.ndarray:
     """Dense real symmetric 2^n x 2^n matrix of the Pauli-string Hamiltonian."""
-    _check_qubits(h.n)
-    return _block(_term_masks(h.terms), h.n, np.arange(1 << h.n))
+    _check_sites(h.n, DENSE_QUBIT_CAP, "dense-matrix")
+    return _block(_term_masks(h.w), h.n, np.arange(1 << h.n))
 
 
 def dense_spectrum_oracle(h: PauliHamiltonian) -> np.ndarray:
@@ -178,8 +166,8 @@ def dense_spectrum_oracle(h: PauliHamiltonian) -> np.ndarray:
     term that maps a state of a sector outside it raises ConformanceError.
     """
     n = h.n
-    _check_qubits(n)
-    masks = _term_masks(h.terms)
+    _check_sites(n, DENSE_QUBIT_CAP, "dense-matrix")
+    masks = _term_masks(h.w)
     even = _parity_signs(n) > 0.0
     try:
         with small_matrix_threads(1 << (n - 1)):
@@ -315,7 +303,7 @@ def jw_operators(n: int) -> FermionOperatorSet:
 
     c_j = (-1)^(j-1) Z_1 ... Z_{j-1} (X_j - i Y_j)/2 with site 1 leftmost.
     """
-    _check_qubits(n)
+    _check_sites(n, DENSE_QUBIT_CAP, "dense-matrix")
     z = np.array([[1.0, 0.0], [0.0, -1.0]])
     lower = np.array([[0.0, 0.0], [1.0, 0.0]])  # (X - iY)/2, real
     return FermionOperatorSet(tuple(_kron_string(n, j, z, lower, (-1.0) ** j)
@@ -324,12 +312,8 @@ def jw_operators(n: int) -> FermionOperatorSet:
 
 def _spin32_matrices() -> tuple[np.ndarray, np.ndarray]:
     """(S^z, S^-) in the standard spin-3/2 basis m = 3/2 ... -3/2."""
-    sz = np.diag([1.5, 0.5, -0.5, -1.5])
-    sminus = np.zeros((4, 4))
-    ms = [1.5, 0.5, -0.5]
-    for i, m in enumerate(ms):
-        sminus[i + 1, i] = np.sqrt(15.0 / 4.0 - m * (m - 1.0))
-    return sz, sminus
+    # S^- lowers m by one with the factor sqrt(15/4 - m(m-1)) = sqrt(3), 2, sqrt(3)
+    return np.diag([1.5, 0.5, -0.5, -1.5]), np.diag(np.sqrt([3.0, 4.0, 3.0]), -1)
 
 
 def spin32_operators(n: int) -> FermionOperatorSet:
@@ -340,10 +324,7 @@ def spin32_operators(n: int) -> FermionOperatorSet:
     each dressed with the string factor 5/4 - (S^z_k)^2 on all earlier sites.
     Operators are returned interleaved by site: (c_{1,1}, c_{2,1}, c_{1,2}, ...).
     """
-    if n < 1:
-        raise InputError(f"need at least one site, got n={n}")
-    if n > SPIN32_SITE_CAP:
-        raise CapacityError(f"n={n} exceeds the spin-3/2 cap of {SPIN32_SITE_CAP} sites")
+    _check_sites(n, SPIN32_SITE_CAP, "spin-3/2")
     sz, sm = _spin32_matrices()
     eye4 = np.eye(4)
     string = 1.25 * eye4 - sz @ sz
@@ -370,14 +351,9 @@ def unitary_fcr_transform(ops: FermionOperatorSet, u, v) -> FermionOperatorSet:
         raise InputError(
             f"T = [[U,V],[V,U]] is not orthogonal: ||T T^t - I|| = {defect:.3e}"
         )
-    daggers = [op.conj().T for op in ops.ops]
-    etas = []
-    for j in range(n):
-        eta = np.zeros_like(ops.ops[0])
-        for k in range(n):
-            eta = eta + u[j, k] * ops.ops[k] + v[j, k] * daggers[k]
-        etas.append(eta)
-    return FermionOperatorSet(tuple(etas))
+    cs = np.stack(ops.ops)
+    return FermionOperatorSet(tuple(np.tensordot(u, cs, 1)
+                                    + np.tensordot(v, cs.conj().transpose(0, 2, 1), 1)))
 
 
 def fermionic_assembly(pair: CoefficientPair, ops: FermionOperatorSet) -> np.ndarray:

@@ -25,6 +25,6 @@ def dense_ground_state(h):
     return float(vals[0]), vecs[:, 0]
 
 
-def with_off_parity_term(terms):
-    """The PauliHamiltonian.terms property plus one X_1 term, which flips the fermion parity."""
-    return property(lambda h: [*terms.fget(h), (1.0, "X" + "I" * (h.n - 1))])
+def with_off_parity_term(term_masks):
+    """spinrep._term_masks plus one X_1 term, whose one flipped bit changes the fermion parity."""
+    return lambda w: [*term_masks(w), (1.0, 1 << (w.shape[0] - 1), 0)]

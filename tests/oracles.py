@@ -31,6 +31,27 @@ def kron_word(word):
     return out
 
 
+def pauli_terms(w) -> list[tuple[float, str]]:
+    """All n^2 (coefficient, Pauli word) pairs of the Hamiltonian with matrix W, zeros included.
+
+    Every Z_j first, then for each j < k the word X_j Z...Z X_k with W[j, k]
+    and Y_j Z...Z Y_k with W[k, j]; site 1 is the leftmost letter.
+    """
+    n = len(w)
+    out = []
+    for j in range(n):
+        word = ["I"] * n
+        word[j] = "Z"
+        out.append((float(w[j][j]), "".join(word)))
+    for j in range(n):
+        for k in range(j + 1, n):
+            mid = "Z" * (k - j - 1)
+            pad = "I" * j, "I" * (n - 1 - k)
+            out.append((float(w[j][k]), pad[0] + "X" + mid + "X" + pad[1]))
+            out.append((float(w[k][j]), pad[0] + "Y" + mid + "Y" + pad[1]))
+    return out
+
+
 def reflect_by_roll(root: np.ndarray) -> np.ndarray:
     """root[-m mod n] along every axis, by a flip and a roll of each axis."""
     out = root

@@ -25,7 +25,7 @@ from fermigap import (
 from fermigap.errors import InputError
 
 from conftest import dense_ground_state
-from oracles import ising_gap_scaling, kron_word, lieb_residuals, rarity_fraction
+from oracles import ising_gap_scaling, kron_word, lieb_residuals, pauli_terms, rarity_fraction
 
 
 def _verdict(number: int, name: str, passed: bool, detail: str) -> None:
@@ -265,7 +265,7 @@ def test_c11_cluster_state():
     for n in (4, 5):
         h = sr.build_cluster_w(n)
         _, psi = dense_ground_state(h)
-        for coeff, word in h.terms:
+        for coeff, word in pauli_terms(h.w):
             if coeff == 0.0:
                 continue
             val = float(psi @ kron_word(word).real @ psi)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import errno
+import hashlib
 import json
 import os
 import platform
@@ -263,6 +264,17 @@ class TestProfile:
         assert summary["min_gap"] == 2.0
         assert not {"path_min_gap", "path_min_gap_s", "closes"} & summary.keys()
 
+    @pytest.mark.parametrize("scale", [1.0, 3.7e3, 3.7e6])
+    def test_linear_flag_scales_with_the_path(self, scale, tmp_path, capsys):
+        # B = 0 and A positive definite: the gap 2((1-s) + s lambda_min(A)) is
+        # affine in s, and its rounding grows with the scale of A
+        m = np.random.default_rng(5).standard_normal((5, 5))
+        affine = qf.CoefficientPair(scale * (m @ m.T + np.eye(5)), np.zeros((5, 5)))
+        for pair, linear in ((affine, True), (qf.symmetrize_split(scale * m), False)):
+            assert cli.main(["profile", write_json(tmp_path / "p.json", pair_doc(pair))]) == 0
+            out = capsys.readouterr().out
+            assert json.loads(out[out.index("{"):])["linear"] is linear
+
     def test_csv_round_trips_floats(self, xy_spec_file, tmp_path):
         out = tmp_path / "out"
         cli.main(["profile", xy_spec_file, "--grid", "5", "--out", str(out)])
@@ -479,6 +491,26 @@ class TestHostileNumbers:
         assert cause in proc.stderr
 
 
+# sha256 of stdout on fixed inputs.  These outputs come from correctly rounded
+# elementwise IEEE arithmetic with no BLAS or LAPACK call, so they hold on any
+# platform, down to the sign of each zero.
+JW_W_DOC = {"n": 3, "w": [0.5, -1.0, 0.0, 1.0, 0.0, 0.25, 0.0, -0.25, -2.0]}
+JW_PAIR_DOC = {"n": 3, "a": [1.0, 0.0, 0.0, 0.0, -1.0, 0.25, 0.0, 0.25, 0.0],
+               "b": [0.0, 0.5, 0.0, -0.5, 0.0, 0.75, 0.0, -0.75, 0.0]}
+PINNED_STDOUT = [
+    (["cluster", "--n", "8"],
+     "0fea7f00883a1fff4e66e02476b6dfe65b853cb2372ebaba82d27519f3db4213"),
+    (["cluster", "--n", "8", "--as-pair"],
+     "0b722b939cd3a2402bbd2164d40e3a217110ead64d99dc26597d722811cb1e81"),
+    (["ising", "--n", "6", "--s", "0.3"],
+     "cd0cefda8e7fea38839e99d6bfae044bcecf985c5ea0399aaf2adcd2ef46bb8f"),
+    (["ising", "--n", "6", "--s", "0.3", "--as-pair"],
+     "69ddae600aa766d5e105f1608c28509242ad88bcdc85d35a73f60f4b4e08b990"),
+    (["jw", JW_W_DOC], "15e583f28859d42b787b4ad7208f1546764f459db7a31cf86d9236c52ac5e2f0"),
+    (["jw", JW_PAIR_DOC], "041b95e92b908de0ea67a612d61e4ea67a48413392c6403ffc02a280d6f8382d"),
+]
+
+
 class TestModelBuilders:
     def test_cluster_roundtrip_through_jw(self, tmp_path, capsys):
         assert cli.main(["cluster", "--n", "5"]) == 0
@@ -503,6 +535,14 @@ class TestModelBuilders:
         w_doc = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(np.array(w_doc["w"]).reshape(3, 3),
                                    sr.build_ising_w(3, 0.25).w, atol=1e-15)
+
+    @pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=[
+        "cluster", "cluster-pair", "ising", "ising-pair", "jw-w", "jw-pair"])
+    def test_lapack_free_stdout_is_pinned(self, argv, digest, tmp_path, capsys):
+        argv = [write_json(tmp_path / "doc.json", arg) if isinstance(arg, dict) else arg
+                for arg in argv]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestEnsembleCommand:
@@ -907,8 +947,7 @@ class TestVerify:
             "structured-vs-dense": 3}
 
     def test_off_parity_oracle_exit_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(sr.PauliHamiltonian, "terms",
-                            with_off_parity_term(sr.PauliHamiltonian.terms))
+        monkeypatch.setattr(sr, "_term_masks", with_off_parity_term(sr._term_masks))
         assert cli.main(["verify", "--n-max", "3", "--trials", "1"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -13,6 +13,7 @@ holds a value that is no integer, which argparse rejects as a usage error.
 """
 
 import contextlib
+import copy
 import ctypes
 import io
 import json
@@ -32,10 +33,13 @@ HUGE = 10 ** 400
 # finite floats, at both ends of the range too
 NUMBERS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, -5e-324]),
                     st.floats(-4.0, 4.0))
-# integers beyond the float range, and what is not a number
-NON_NUMBERS = st.sampled_from([HUGE, -HUGE, True, False, None, "1", [], [1.0], [[0.0]], {}])
+# integers beyond the float range, and what is not a number.  Each draw is a
+# fresh copy: _poke writes into a drawn list in place, so a shared sample
+# could be written into itself, or changed for every later example.
+NON_NUMBERS = st.sampled_from([HUGE, -HUGE, True, False, None, "1", [], [1.0], [[0.0]],
+                               {}]).map(copy.deepcopy)
 SCALARS = st.one_of(NUMBERS, NON_NUMBERS)
-BAD_COUNTS = st.sampled_from([0, -1, True, 2.0, None, "2", [2], HUGE])
+BAD_COUNTS = st.sampled_from([0, -1, True, 2.0, None, "2", [2], HUGE]).map(copy.deepcopy)
 # one draw in four is not a usable count
 COUNTS = st.one_of(*[st.integers(1, 3)] * 3, BAD_COUNTS)
 MOSTLY = st.sampled_from([True, True, True, False])
@@ -88,6 +92,14 @@ def symmetric_pairs(draw, shape, matrix):
             value = 0.0 if mirror == index else draw(NUMBERS)
             b[index], b[mirror] = value, -value
     return a.ravel().tolist(), b.ravel().tolist()
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_no_two_draws_share_a_mutable_sample(data):
+    drawn = [data.draw(strategy) for strategy in (SCALARS, BAD_COUNTS) for _ in range(12)]
+    mutable = [value for value in drawn if isinstance(value, (list, dict))]
+    assert len({id(value) for value in mutable}) == len(mutable)
 
 
 def _poke(draw, doc: dict) -> dict:

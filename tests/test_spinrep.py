@@ -10,7 +10,8 @@ from fermigap import spinrep as sr
 from fermigap.errors import CapacityError, ConformanceError, InputError, NumericalError
 
 from conftest import dense_ground_state, with_off_parity_term
-from oracles import ising_gap_scaling, ising_min_gap, kron_word, quasiparticle_assembly
+from oracles import (ising_gap_scaling, ising_min_gap, kron_word, pauli_terms,
+                     quasiparticle_assembly)
 
 
 def dyadic_w(n, rng, scale=2 ** 20):
@@ -48,23 +49,38 @@ class TestWBijection:
             sr.w_to_ab(np.zeros((2, 3)))
 
 
+def unit_w(word):
+    """The W with one entry 1.0 whose one nonzero reference term is word."""
+    n = len(word)
+    return next(w for w in np.eye(n * n).reshape(n * n, n, n)
+                if [word] == [term for coeff, term in pauli_terms(w) if coeff != 0.0])
+
+
 class TestPauliAssembly:
-    @pytest.mark.parametrize("word", ["Z", "XX", "YY", "XZX", "YZY", "IZXX", "YZZY"])
+    @pytest.mark.parametrize("word", dict.fromkeys(
+        ["Z", "XX", "YY", "XZX", "YZY", "YZZY",
+         *(word for _, word in pauli_terms(np.ones((4, 4))))]))
     def test_matches_kron_reference(self, word):
-        # the one term's matrix, as the assembly builds it on every basis state
+        # the one term's matrix, as the assembly builds it from W on every basis state
         n = len(word)
-        mat = sr._block(sr._term_masks([(1.0, word)]), n, np.arange(1 << n))
+        mat = sr._block(sr._term_masks(unit_w(word)), n, np.arange(1 << n))
         np.testing.assert_array_equal(mat, kron_word(word).real)
 
     def test_terms_enumeration(self):
-        w = np.arange(4.0).reshape(2, 2) + 1.0
-        terms = dict((word, coeff) for coeff, word in sr.PauliHamiltonian(w).terms)
-        assert terms == {"ZI": 1.0, "IZ": 4.0, "XX": 2.0, "YY": 3.0}
+        # the masks list W's nonzero terms in the reference's word order, which
+        # fixes the order of the assembly's floating-point sums
+        w = np.arange(16.0).reshape(4, 4) - 5.0
+        reference = [(coeff, word) for coeff, word in pauli_terms(w) if coeff != 0.0]
+        masks = sr._term_masks(w)
+        assert len(masks) == len(reference) == 15
+        for mask, (coeff, word) in zip(masks, reference):
+            mat = sr._block([mask], 4, np.arange(16))
+            np.testing.assert_array_equal(mat, coeff * kron_word(word).real)
 
     def test_dense_hamiltonian_matches_term_sum(self):
         rng = np.random.default_rng(3)
         h = sr.PauliHamiltonian(rng.standard_normal((3, 3)))
-        explicit = sum(coeff * kron_word(word).real for coeff, word in h.terms)
+        explicit = sum(coeff * kron_word(word).real for coeff, word in pauli_terms(h.w))
         np.testing.assert_allclose(sr.dense_hamiltonian(h), explicit, atol=1e-14)
 
     def test_single_site_field(self):
@@ -128,10 +144,31 @@ class TestParityBlockOracle:
         np.testing.assert_allclose(sr.dense_spectrum_oracle(h), np.linalg.eigvalsh(mat),
                                    rtol=0, atol=1e-12 * (1.0 + np.linalg.norm(mat, 2)))
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_each_block_holds_one_subset_parity(self, n):
+        # the even-popcount block holds the energies of the even |S| exactly when
+        # (-1)^n det(A + B) > 0, and the odd-popcount block those of the other |S|
+        basis = np.arange(1 << n)
+        subsets = (basis[:, None] >> np.arange(n)) & 1
+        even = sr._parity_signs(n) > 0.0
+        for seed in range(6):
+            w = np.random.default_rng([80, n, seed]).standard_normal((n, n))
+            pair = sr.w_to_ab(w)
+            lam = pair.singular_values()
+            if lam[-1] <= n * np.finfo(float).eps * lam[0]:
+                continue    # det(A + B) is within rounding of 0: its sign says nothing
+            energies = subsets @ (2.0 * lam) - lam.sum()
+            sign = np.linalg.slogdet(pair.c)[0] * (-1) ** n
+            masks = sr._term_masks(w)
+            for states, size_parity in ((basis[even], sign < 0), (basis[~even], sign > 0)):
+                block = np.linalg.eigvalsh(sr._block(masks, n, states))
+                expected = np.sort(energies[subsets.sum(axis=1) % 2 == size_parity])
+                np.testing.assert_allclose(block, expected, rtol=0,
+                                           atol=1e-12 * (1.0 + lam[0]))
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_off_parity_entry_raises(self, monkeypatch, n):
-        monkeypatch.setattr(sr.PauliHamiltonian, "terms",
-                            with_off_parity_term(sr.PauliHamiltonian.terms))
+        monkeypatch.setattr(sr, "_term_masks", with_off_parity_term(sr._term_masks))
         h = sr.PauliHamiltonian(np.random.default_rng(40).standard_normal((n, n)))
         with pytest.raises(ConformanceError, match="off-parity entry 1.000e"):
             sr.dense_spectrum_oracle(h)
@@ -432,7 +469,7 @@ class TestClusterModel:
     def test_stabilizer_expectations(self):
         n = 4
         _, psi = dense_ground_state(sr.build_cluster_w(n))
-        for coeff, word in sr.build_cluster_w(n).terms:
+        for coeff, word in pauli_terms(sr.build_cluster_w(n).w):
             if coeff == 0.0:
                 continue
             val = psi @ kron_word(word).real @ psi
