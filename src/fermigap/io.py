@@ -5,6 +5,12 @@ Structured document:  {"kind": "circulant"|"bccb"|"bc2cb",
                        "dims": [p] | [p, q] | [p, q, r],
                        "a_root": [...], "b_root": [...]}   (row-major roots)
 W document:           {"n": int, "w": [n*n reals, row-major]}
+
+A reader takes each list out of the document it is given as it converts
+it, so that the list can be freed before the next one is read: a document
+is read once.  load_document also reports whether the file's text holds a
+`true` or `false` literal anywhere; where it does not, no list can hold a
+JSON boolean, and the readers skip the scan of every entry for one.
 """
 
 from __future__ import annotations
@@ -20,8 +26,12 @@ from .quadform import CoefficientPair
 from .spinrep import PauliHamiltonian
 
 
-def _flat_floats(data, size: int, name: str) -> np.ndarray:
-    """A flat list of size numbers as a float array; JSON booleans are not numbers."""
+def _flat_floats(data, size: int, name: str, booleans: bool) -> np.ndarray:
+    """A flat list of size numbers as a float array; JSON booleans are not numbers.
+
+    booleans is False for a list from a text with no boolean literal, which
+    needs no scan for one.
+    """
     try:
         arr = np.asarray(data, dtype=float)
     except OverflowError:
@@ -29,7 +39,7 @@ def _flat_floats(data, size: int, name: str) -> np.ndarray:
     if arr.shape != (size,):
         raise InputError(f"{name} must hold {size} values in a flat list, "
                          f"got an array of shape {arr.shape}")
-    if bool in set(map(type, data)):
+    if booleans and bool in set(map(type, data)):
         raise InputError(f"{name} holds a boolean; entries must be numbers")
     return arr
 
@@ -41,16 +51,16 @@ def _count(value, name: str) -> int:
     return value
 
 
-def _square_matrices(doc: dict, what: str, *names: str) -> list[np.ndarray]:
-    """n and the n x n matrices `names`, flat row-major lists, of a pair or W document."""
+def _square_matrices(doc: dict, booleans: bool, what: str, *names: str) -> list[np.ndarray]:
+    """The n x n matrices `names`, flat row-major lists taken out of a pair or W document."""
     matrices = []
     try:
         n = _count(doc["n"], "n")
         for name in names:
-            data = doc[name]    # a missing first matrix is named before a bad n
+            data = doc.pop(name)    # a missing first matrix is named before a bad n
             if n < 1:
                 raise InputError(f"n must be positive, got {n}")
-            matrices.append(_flat_floats(data, n * n, name).reshape(n, n))
+            matrices.append(_flat_floats(data, n * n, name, booleans).reshape(n, n))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed {what} document: {exc}") from exc
     return matrices
@@ -60,8 +70,9 @@ def pair_to_dict(pair: CoefficientPair) -> dict:
     return {"n": pair.n, "a": pair.a.ravel().tolist(), "b": pair.b.ravel().tolist()}
 
 
-def pair_from_dict(doc: dict) -> CoefficientPair:
-    return CoefficientPair(*_square_matrices(doc, "pair", "a", "b"))
+def pair_from_dict(doc: dict, booleans: bool = True) -> CoefficientPair:
+    """The pair of a pair document; takes "a" and "b" out of doc."""
+    return CoefficientPair(*_square_matrices(doc, booleans, "pair", "a", "b"))
 
 
 # The kind of a structured document names the rank of its roots: rank
@@ -81,11 +92,12 @@ def structured_to_dict(spec: TorusSpec) -> dict:
     }
 
 
-def structured_from_dict(doc: dict) -> TorusSpec:
+def structured_from_dict(doc: dict, booleans: bool = True) -> TorusSpec:
+    """The spec of a structured document; takes "a_root" and "b_root" out of doc."""
     try:
         kind = doc["kind"]
         dims = [_count(d, "dims entry") for d in doc["dims"]]
-        a_root, b_root = doc["a_root"], doc["b_root"]
+        a_root, b_root = doc.pop("a_root"), doc.pop("b_root")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed structured document: {exc}") from exc
     # a membership test, not a dict lookup: a JSON list or object is unhashable
@@ -98,8 +110,9 @@ def structured_from_dict(doc: dict) -> TorusSpec:
         raise InputError(f"dims must be positive, got {dims}")
     size = math.prod(dims)
     try:
-        a_root = _flat_floats(a_root, size, "a_root")
-        b_root = _flat_floats(b_root, size, "b_root")
+        # rebinding each name frees its list before the next is converted
+        a_root = _flat_floats(a_root, size, "a_root", booleans)
+        b_root = _flat_floats(b_root, size, "b_root", booleans)
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed structured document: {exc}") from exc
     # dims are listed (p[, q[, r]]); root arrays are stored slowest-axis first.
@@ -111,24 +124,28 @@ def w_to_dict(h: PauliHamiltonian) -> dict:
     return {"n": h.n, "w": h.w.ravel().tolist()}
 
 
-def w_from_dict(doc: dict) -> PauliHamiltonian:
-    return PauliHamiltonian(*_square_matrices(doc, "W", "w"))
+def w_from_dict(doc: dict, booleans: bool = True) -> PauliHamiltonian:
+    """The W matrix of a W document; takes "w" out of doc."""
+    return PauliHamiltonian(*_square_matrices(doc, booleans, "W", "w"))
 
 
-def load_document(path) -> dict:
+def load_document(path) -> tuple[dict, bool]:
+    """The top-level JSON object in the file at path, and whether its text
+    holds a boolean literal (a string such as "true" counts too)."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        doc = json.loads(text)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON document {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"top level of {path} must be a JSON object")
-    return doc
+    return doc, "true" in text or "false" in text
 
 
 def load_pair_or_structured(path) -> CoefficientPair | TorusSpec:
     """Dispatch on the document shape: structured specs carry a 'kind' key."""
-    doc = load_document(path)
+    doc, booleans = load_document(path)
     if "kind" in doc:
-        return structured_from_dict(doc)
-    return pair_from_dict(doc)
+        return structured_from_dict(doc, booleans)
+    return pair_from_dict(doc, booleans)

@@ -8,15 +8,21 @@ nested circulants of its slices: rank 2 is the 2D torus (BCCB), rank 3 the
 The d-dimensional DFT diagonalises every such matrix, so the eigenvalues of
 G = (A+B)(A-B) are |DFT(root of A+B)|^2, which makes gaps along an
 adiabatic interpolation an O(n log n) computation instead of a dense SVD.
+The root is real, so sigma_{-k} = conj(sigma_k): one real FFT per spec
+(rfftn) gives the modes with k_last <= p // 2, and every other mode is the
+conjugate of one of them (_half_symbol, c_symbol).
 
 The interpolated matrix C(s) = (1-s) I + s (A+B) is a nested circulant too,
 with symbol (1-s) + s*sigma where sigma = DFT(root of A+B).  Mode k traces
 the segment from 1 to sigma_k, so the exact minimum of the lowest mode over
-all s in [0, 1] follows from sigma without a grid.  A gap profile takes one
-FFT and two sorts of the modes per spec; each grid point then evaluates only
-the few modes that can hold its gap, bit-identical to the O(n) pass over
-all of them (structured_gap_profile).  The dense matrices themselves are
-built only for cross-checks, up to quadform.MATRIX_SIZE_CAP sites.
+all s in [0, 1] follows from sigma without a grid.  Conjugate modes have
+bitwise-equal moduli |(1-s) + s*sigma_k|, so a gap profile reads only the
+stored modes, each counted by its multiplicity in a zero count: one real
+FFT and two sorts of the stored modes per spec; each grid point then
+evaluates only the few modes that can hold its gap, bit-identical to the
+pass over all n modes of c_symbol (structured_gap_profile).  The dense
+matrices themselves are built only for cross-checks, up to
+quadform.MATRIX_SIZE_CAP sites.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .quadform import (
     check_s,
     check_zero_tolerance,
     freeze_fields,
-    gap_and_zero_modes,
     gap_report_from_singular_values,
     point_gaps,
     zero_tolerance_for,
@@ -160,17 +165,50 @@ def interpolated_c_root(spec: TorusSpec, s: float) -> np.ndarray:
     return root
 
 
+def _half_symbol(spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The stored half of sigma = DFT(root of A + B), and each stored mode's multiplicity.
+
+    The root is real, so sigma_{-k} = conj(sigma_k) and one real FFT holds
+    every mode: the modes with k_last <= p // 2, shape (..., p // 2 + 1).
+    The planes k_last = 0 and, for even p, k_last = p / 2 are their own
+    conjugate reflections; each is averaged with its reflection, so that
+    its pairs are exactly conjugate, and each of its modes counts once.
+    Every other stored mode also stands for its conjugate and counts twice.
+    The multiplicities sum to n.  NumericalError, without a RuntimeWarning,
+    if the sum of the roots or their transform overflows: finite roots of
+    about 1e308 can do either.
+    """
+    p = spec.root_a.shape[-1]
+    planes = {0, p // 2} if p % 2 == 0 else {0}
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.fft.rfftn(spec.root_a + spec.root_b)
+        for k in planes:
+            plane = half[..., k]
+            plane *= 0.5
+            plane += np.conj(_reflect(plane))
+    weight = np.full(half.shape, 2, dtype=np.int8)
+    weight[..., list(planes)] = 1
+    if not np.isfinite(half).all():
+        raise NumericalError("the DFT of the root of A + B is not finite (overflow)")
+    return half, weight
+
+
 def c_symbol(spec: TorusSpec) -> np.ndarray:
     """sigma = DFT(root of A + B), flattened; C(s) has symbol (1-s) + s*sigma.
 
-    NumericalError, without a RuntimeWarning, if the sum of the roots or
-    their transform overflows: finite roots of about 1e308 can do either.
+    The modes that _half_symbol does not store are the conjugates of stored
+    ones, so sigma_{-k} = conj(sigma_k) holds exactly.  NumericalError as
+    for _half_symbol.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        symbol = np.fft.fftn(spec.root_a + spec.root_b).ravel()
-    if not np.isfinite(symbol).all():
-        raise NumericalError("the DFT of the root of A + B is not finite (overflow)")
-    return symbol
+    half, _ = _half_symbol(spec)
+    shape = spec.root_a.shape
+    stored, p = half.shape[-1], shape[-1]
+    symbol = np.empty(shape, dtype=complex)
+    symbol[..., :stored] = half
+    # mode (k', k_last) for k_last > p // 2 is conj of mode (-k', p - k_last)
+    index = [-np.arange(m) % m for m in shape[:-1]] + [-np.arange(stored, p) % p]
+    np.conjugate(half[np.ix_(*index)], out=symbol[..., stored:])
+    return symbol.ravel()
 
 
 def _moduli(symbol: np.ndarray, s: float, modes=slice(None)) -> np.ndarray:
@@ -216,18 +254,24 @@ def _segments(symbol: np.ndarray):
     return np.abs(step), s, dist
 
 
-def _path_minimum(s: np.ndarray, dist: np.ndarray, modulus_max: float) -> PathMinimum:
+def _path_minimum(s: np.ndarray, dist: np.ndarray, modulus_max: float, n: int) -> PathMinimum:
     """Exact minimum over s in [0, 1] of twice the least singular value of C(s).
 
     The least modulus over the path is the least segment distance d_k (see
-    _segments).  The path closes when that distance is within
-    n * eps * max(1, max|sigma|) of zero.
+    _segments) over the stored modes, since a conjugate mode's segment is the
+    mirror image.  The path closes when that distance is within
+    n * eps * max(1, max|sigma|) of zero.  A closing path reports the least
+    s at which a mode comes that close, so that rounding does not choose
+    between crossings.
     """
+    floor = zero_tolerance_for(n, max(1.0, modulus_max))
     k = int(np.argmin(dist))
-    floor = zero_tolerance_for(dist.size, max(1.0, modulus_max))
+    closes = bool(dist[k] <= floor)
+    if closes:
+        crossings = np.flatnonzero(dist <= floor)
+        k = int(crossings[np.argmin(s[crossings])])
     # "+ 0.0" turns a -0.0 from the clip into 0.0
-    return PathMinimum(gap=2.0 * float(dist[k]), s=float(s[k]) + 0.0,
-                       closes=bool(dist[k] <= floor))
+    return PathMinimum(gap=2.0 * float(dist[k]), s=float(s[k]) + 0.0, closes=closes)
 
 
 # Rounding slack of the candidate bounds, in units of eps * (1 + max|sigma|).
@@ -244,6 +288,9 @@ _SEED_HEAD = 4
 class _CandidateGaps:
     """(gap, num_zero_modes) of C(s) from the few modes that can decide them.
 
+    Only the modes _half_symbol stores are read: a conjugate mode's modulus
+    |(1-s) + s*conj(sigma_k)| is bitwise mode k's, so the least modulus
+    and the largest are theirs, and a zero count sums their multiplicities.
     Mode k's modulus at s is at least max(d_k, 1 - s r_k): d_k is the
     distance from 0 to its segment and r_k = |sigma_k - 1| (the triangle
     inequality).  The modes are sorted by each key once.  At each point the
@@ -255,22 +302,25 @@ class _CandidateGaps:
     tolerance n eps max_k lam_k is bracketed below by the largest value
     evaluated and above by (1 - s) + s max|sigma| plus slack.  A point whose
     candidates include a value inside that bracket, or where pruning would
-    keep more than half the modes (s = 0 keeps all), takes the full O(n)
-    pass.  The grid-free minimum over the path is .minimum.
+    keep more than half the stored modes (s = 0 keeps all), takes the full
+    pass over the stored modes.  The grid-free minimum over the path is
+    .minimum.
     """
 
-    def __init__(self, symbol: np.ndarray, zero_tolerance: float | None):
-        n = symbol.size
-        self.symbol = symbol
+    def __init__(self, spec: TorusSpec, zero_tolerance: float | None):
+        half, weight = _half_symbol(spec)
+        self.symbol = symbol = half.ravel()
+        self.weight = weight.ravel()
+        self.n = spec.n
         self.zero_tolerance = zero_tolerance
         radius, s, dist = _segments(symbol)
         modulus = np.abs(symbol)
         widest = int(np.argmax(modulus))
         self.modulus_max = float(modulus[widest])
         del modulus
-        self.minimum = _path_minimum(s, dist, self.modulus_max)
+        self.minimum = _path_minimum(s, dist, self.modulus_max, self.n)
         del s
-        index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+        index = np.int32 if symbol.size <= np.iinfo(np.int32).max else np.intp
         # a Python float, so the bounds below overflow to inf without a warning
         self.slack = float(_SLACK_UNITS * np.finfo(float).eps * (1.0 + self.modulus_max))
         self.by_dist = np.argsort(dist).astype(index)
@@ -282,10 +332,10 @@ class _CandidateGaps:
         self.previous = self.seeds[:1]
 
     def __call__(self, s: float) -> tuple[float, int]:
-        n = self.symbol.size
+        stored = self.symbol.size
         tol_hi = tol_lo = self.zero_tolerance
         if tol_hi is None:
-            tol_hi = zero_tolerance_for(n, (1.0 - s) + s * self.modulus_max + self.slack)
+            tol_hi = zero_tolerance_for(self.n, (1.0 - s) + s * self.modulus_max + self.slack)
         seen = _moduli(self.symbol, s, np.concatenate([self.seeds, self.previous]))
         above = seen[seen > tol_hi]
         if above.size:
@@ -294,41 +344,50 @@ class _CandidateGaps:
             # at s = 0 the radius key bounds nothing
             first = (int(np.searchsorted(self.radius, (1.0 - bound - self.slack) / s))
                      if s > 0.0 else 0)
-            modes = self.by_dist[:count] if count <= n - first else self.by_radius[first:]
-            # gathering half of 2^20 modes took 12.7 ms, the full pass 13.5 ms
-            if 2 * modes.size <= n:
+            modes = self.by_dist[:count] if count <= stored - first else self.by_radius[first:]
+            # on a 2^20-site torus, gathering half of the 532,480 stored modes
+            # took 5.8 ms, the full pass over all of them 4.7 ms
+            if 2 * modes.size <= stored:
                 lam = _moduli(self.symbol, s, modes)
                 if tol_lo is None:
                     tol_lo = zero_tolerance_for(
-                        n, max(float(lam.max(initial=0.0)), float(seen.max())))
+                        self.n, max(float(lam.max(initial=0.0)), float(seen.max())))
                 nonzero = lam > tol_hi
-                num_zero = int(np.count_nonzero(lam <= tol_lo))
+                zero = lam <= tol_lo
+                num_zero = int(np.count_nonzero(zero))
                 if nonzero.any() and num_zero + int(np.count_nonzero(nonzero)) == lam.size:
                     k = int(np.argmin(np.where(nonzero, lam, np.inf)))
                     self.previous = modes[k:k + 1]
-                    return 2.0 * float(lam[k]), num_zero
+                    return 2.0 * float(lam[k]), int(self.weight[modes[zero]].sum())
         return self._full_pass(s)
 
     def _full_pass(self, s: float) -> tuple[float, int]:
-        return gap_and_zero_modes(_moduli(self.symbol, s), self.zero_tolerance)[:2]
+        lam = _moduli(self.symbol, s)
+        tol = self.zero_tolerance
+        if tol is None:
+            tol = zero_tolerance_for(self.n, float(lam.max()))
+        nonzero = lam > tol
+        gap = 2.0 * float(lam[nonzero].min()) if nonzero.any() else 0.0
+        return gap, int(self.weight[~nonzero].sum())
 
 
 def structured_gap_profile(spec: TorusSpec, s_grid,
                            zero_tolerance: float | None = None) -> GapProfile:
-    """Gap along the adiabatic interpolation from a single FFT of the spec.
+    """Gap along the adiabatic interpolation from a single real FFT of the spec.
 
-    sigma = c_symbol(spec) is computed once, with the segment of each mode
-    and the grid-free minimum over the path.  Each grid point then evaluates
-    |(1-s) + s*sigma_k| only for the modes that can hold its gap or a zero
-    mode (_CandidateGaps), usually a small fraction of n, and falls back to
-    the O(n) pass over every mode where that cannot be decided.  Every grid gap
-    and zero-mode count equals structured_gap_report(spec, s)'s exactly.
-    NumericalError, before the grid loop, when sigma is not finite or
-    |sigma_k - 1|^2 overflows.
+    The stored half of sigma (_half_symbol) is computed once, with the
+    segment of each mode and the grid-free minimum over the path.  Each
+    grid point then evaluates |(1-s) + s*sigma_k| only for the stored modes
+    that can hold its gap or a zero mode (_CandidateGaps), usually a small
+    fraction of n, and falls back to the pass over every stored mode where
+    that cannot be decided.  Every grid gap and zero-mode count equals
+    structured_gap_report(spec, s)'s, the pass over all n modes of
+    c_symbol(spec), exactly.  NumericalError, before the grid loop, when
+    sigma is not finite or |sigma_k - 1|^2 overflows.
     """
     s_grid = check_s(s_grid)
     check_zero_tolerance(zero_tolerance)
-    gaps = _CandidateGaps(c_symbol(spec), zero_tolerance)
+    gaps = _CandidateGaps(spec, zero_tolerance)
     gap, num_zero_modes = point_gaps(gaps, s_grid.tolist())
     return GapProfile(s=s_grid.copy(), gap=gap, num_zero_modes=num_zero_modes,
                       path_minimum=gaps.minimum)

@@ -337,14 +337,17 @@ def spin32_operators(n: int) -> FermionOperatorSet:
 def unitary_fcr_transform(ops: FermionOperatorSet, u, v) -> FermionOperatorSet:
     """New mode operators eta_j = sum_k U[j,k] c_k + V[j,k] c_k+.
 
-    Requires the 2n x 2n block matrix T = [[U, V], [V, U]] to be orthogonal,
-    ||T T^t - I|| <= 1e-12; the FCRs are then preserved.
+    Requires U and V finite and the 2n x 2n block matrix T = [[U, V], [V, U]]
+    to be orthogonal, ||T T^t - I|| <= 1e-12; the FCRs are then preserved.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     n = ops.m
     if u.shape != (n, n) or v.shape != (n, n):
         raise InputError(f"u and v must be {n}x{n} to match the operator set")
+    for name, m in (("u", u), ("v", v)):
+        if not np.isfinite(m).all():
+            raise InputError(f"{name} contains non-finite entries")
     t = np.block([[u, v], [v, u]])
     defect = float(np.linalg.norm(t @ t.T - np.eye(2 * n), 2))
     if defect > 1e-12:

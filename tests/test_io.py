@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,3 +107,38 @@ class TestLoadDispatch:
         path.write_text("[1, 2]")
         with pytest.raises(InputError, match="JSON object"):
             fio.load_document(path)
+
+    def test_true_inside_a_string_still_loads(self, tmp_path):
+        doc = fio.structured_to_dict(lat.build_xy_cycle(4))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**doc, "note": "true"}))
+        assert fio.load_document(path)[1] is True
+        spec = fio.load_pair_or_structured(path)
+        assert spec.root_a.tolist() == doc["a_root"]
+        assert spec.root_b.tolist() == doc["b_root"]
+
+
+# The loaders' tracemalloc peak over the file size.  Parsed, a JSON number
+# takes a float object and a list slot, 32 bytes against about 5 for the
+# text of "0.0, ", so both lists cost about 6.5 times the file.  Converting
+# one list while the other and the first array (8 bytes an entry) are held
+# measured 7.5 times the file for both documents; holding both lists until
+# both arrays and the validated pair exist, 9.7 and 9.8 times.
+LOAD_PEAK_PER_FILE_BYTE = 8.5
+
+
+@pytest.mark.parametrize("doc", [
+    lambda: fio.structured_to_dict(
+        lat.stack(lat.stack(lat.build_xy_cycle(64), 32), 32)),
+    lambda: fio.pair_to_dict(lat.expand(lat.stack(lat.build_xy_cycle(16), 16))),
+], ids=["torus-2^16-sites", "pair-256-sites"])
+def test_load_peak_is_held_to_a_multiple_of_the_file(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc()))
+    tracemalloc.start()
+    try:
+        fio.load_pair_or_structured(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= LOAD_PEAK_PER_FILE_BYTE * path.stat().st_size

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -387,6 +388,16 @@ class TestFcr:
         with pytest.raises(InputError, match="not orthogonal"):
             sr.unitary_fcr_transform(sr.jw_operators(2),
                                      np.eye(2), 0.1 * np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["u", "v"])
+    def test_non_finite_transform_rejected_without_a_warning(self, bad, which):
+        u, v = np.eye(2), np.zeros((2, 2))
+        (u if which == "u" else v)[0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=f"{which} contains non-finite"):
+                sr.unitary_fcr_transform(sr.jw_operators(2), u, v)
 
 
 class TestSmallMatrixThreads:
