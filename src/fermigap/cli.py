@@ -166,14 +166,13 @@ def cmd_spectrum(args) -> int:
 PROFILE_GRID_CAP = 10 ** 6
 
 # Work caps, grid points x n for a structured spec and grid points x n^3 for a
-# dense pair, each about 10 minutes of worst-case single-core work when set (a
-# dense profile that forks a worker takes about half as long).  On a 2-core
-# x86-64 VM a full pass over a 2^20-site symbol took 15 ns per mode then; the
-# pass over its stored half now takes 4-6 ns per site, so the structured cap
-# stands for about 4 minutes (a point usually evaluates far fewer modes; see
-# lattice.structured_gap_profile).  A values-only SVD took 0.34-0.53 ns per
-# n^3 for n = 256..2048.  The benchmark's 101 x 2^20 and 101 x 256^3 are
-# 1.1e8 and 1.7e9.
+# dense pair.  On a 2-core x86-64 VM the full pass over the stored half of a
+# 2^20-site symbol takes 4-6 ns per site, so the structured cap stands for
+# about 4 minutes of worst-case single-core work (a point usually evaluates
+# far fewer modes; see lattice.structured_gap_profile).  A values-only SVD
+# took 0.34-0.53 ns per n^3 for n = 256..2048, so the dense cap stands for
+# about 10 minutes (a dense profile that forks a worker takes about half as
+# long).  The benchmark's 101 x 2^20 and 101 x 256^3 are 1.1e8 and 1.7e9.
 PROFILE_STRUCTURED_WORK_CAP = 4 * 10 ** 10
 PROFILE_DENSE_WORK_CAP = 10 ** 12
 

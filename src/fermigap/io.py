@@ -15,6 +15,7 @@ JSON boolean, and the readers skip the scan of every entry for one.
 
 from __future__ import annotations
 
+import array
 import json
 import math
 
@@ -26,16 +27,25 @@ from .quadform import CoefficientPair
 from .spinrep import PauliHamiltonian
 
 
+# the JSON values that array.array("d", ...) rejects as entries
+_NOT_NUMBERS = {str: "a string", type(None): "null", list: "a list", dict: "an object"}
+
+
 def _flat_floats(data, size: int, name: str, booleans: bool) -> np.ndarray:
-    """A flat list of size numbers as a float array; JSON booleans are not numbers.
+    """A flat list of size numbers as a float array; booleans, strings and null are not numbers.
 
     booleans is False for a list from a text with no boolean literal, which
     needs no scan for one.
     """
     try:
-        arr = np.asarray(data, dtype=float)
+        arr = np.frombuffer(array.array("d", data))
     except OverflowError:
         raise InputError(f"{name} holds an integer beyond the float range") from None
+    except TypeError:   # an entry that is no number, or no flat list
+        if isinstance(data, list) and len(data) == size:
+            kind = next(_NOT_NUMBERS[type(x)] for x in data if type(x) in _NOT_NUMBERS)
+            raise InputError(f"{name} holds {kind}; entries must be numbers") from None
+        arr = np.array(data, dtype=object)
     if arr.shape != (size,):
         raise InputError(f"{name} must hold {size} values in a flat list, "
                          f"got an array of shape {arr.shape}")
@@ -136,7 +146,8 @@ def load_document(path) -> tuple[dict, bool]:
         with open(path) as fh:
             text = fh.read()
         doc = json.loads(text)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError includes an integer literal beyond Python's digit limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read JSON document {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"top level of {path} must be a JSON object")

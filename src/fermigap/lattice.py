@@ -10,17 +10,17 @@ G = (A+B)(A-B) are |DFT(root of A+B)|^2, which makes gaps along an
 adiabatic interpolation an O(n log n) computation instead of a dense SVD.
 The root is real, so sigma_{-k} = conj(sigma_k): one real FFT per spec
 (rfftn) gives the modes with k_last <= p // 2, and every other mode is the
-conjugate of one of them (_half_symbol, c_symbol).
+conjugate of one of them (_half_symbol).  A conjugate mode's modulus
+|(1-s) + s*sigma_k| is bitwise the stored mode's, so every spectrum here
+reads only the stored modes, each counted by its multiplicity.
 
 The interpolated matrix C(s) = (1-s) I + s (A+B) is a nested circulant too,
 with symbol (1-s) + s*sigma where sigma = DFT(root of A+B).  Mode k traces
 the segment from 1 to sigma_k, so the exact minimum of the lowest mode over
-all s in [0, 1] follows from sigma without a grid.  Conjugate modes have
-bitwise-equal moduli |(1-s) + s*sigma_k|, so a gap profile reads only the
-stored modes, each counted by its multiplicity in a zero count: one real
-FFT and two sorts of the stored modes per spec; each grid point then
-evaluates only the few modes that can hold its gap, bit-identical to the
-pass over all n modes of c_symbol (structured_gap_profile).  The dense
+all s in [0, 1] follows from sigma without a grid.  A gap profile takes
+one real FFT and two sorts of the stored modes per spec; each grid point
+then evaluates only the few modes that can hold its gap, bit-identical to
+the pass over every stored modulus (structured_gap_profile).  The dense
 matrices themselves are built only for cross-checks, up to
 quadform.MATRIX_SIZE_CAP sites.
 """
@@ -92,8 +92,8 @@ class TorusSpec:
         return self.root_a.shape[::-1]
 
     def singular_values(self) -> np.ndarray:
-        """The singular values of A + B, |DFT(root of A + B)|, flattened and unsorted."""
-        return np.abs(c_symbol(self))
+        """The singular values of A + B, |DFT(root of A + B)|, unsorted: _symbol_moduli at s = 1."""
+        return _symbol_moduli(self, 1.0)
 
 
 def build_xy_cycle(n: int) -> TorusSpec:
@@ -153,7 +153,7 @@ def expand(spec: TorusSpec) -> CoefficientPair:
 
 
 def g_eigenvalues(spec: TorusSpec) -> np.ndarray:
-    """Eigenvalues of G = (A+B)(A-B) as |DFT(root of A+B)|^2, flattened."""
+    """Eigenvalues of G = (A+B)(A-B) as |DFT(root of A+B)|^2, unsorted."""
     return spec.singular_values() ** 2
 
 
@@ -193,24 +193,6 @@ def _half_symbol(spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
     return half, weight
 
 
-def c_symbol(spec: TorusSpec) -> np.ndarray:
-    """sigma = DFT(root of A + B), flattened; C(s) has symbol (1-s) + s*sigma.
-
-    The modes that _half_symbol does not store are the conjugates of stored
-    ones, so sigma_{-k} = conj(sigma_k) holds exactly.  NumericalError as
-    for _half_symbol.
-    """
-    half, _ = _half_symbol(spec)
-    shape = spec.root_a.shape
-    stored, p = half.shape[-1], shape[-1]
-    symbol = np.empty(shape, dtype=complex)
-    symbol[..., :stored] = half
-    # mode (k', k_last) for k_last > p // 2 is conj of mode (-k', p - k_last)
-    index = [-np.arange(m) % m for m in shape[:-1]] + [-np.arange(stored, p) % p]
-    np.conjugate(half[np.ix_(*index)], out=symbol[..., stored:])
-    return symbol.ravel()
-
-
 def _moduli(symbol: np.ndarray, s: float, modes=slice(None)) -> np.ndarray:
     """|(1-s) + s*sigma_k| for the given modes (default all), unsorted; symbol is not written."""
     out = np.multiply(symbol[modes], s)
@@ -218,11 +200,18 @@ def _moduli(symbol: np.ndarray, s: float, modes=slice(None)) -> np.ndarray:
     return np.abs(out)
 
 
+def _symbol_moduli(spec: TorusSpec, s: float) -> np.ndarray:
+    """The n moduli |(1-s) + s*sigma_k| of C(s), unsorted: each stored mode's
+    modulus, repeated by its multiplicity.  NumericalError as for _half_symbol."""
+    half, weight = _half_symbol(spec)
+    return np.repeat(_moduli(half.ravel(), s), weight.ravel())
+
+
 def structured_gap_report(spec: TorusSpec, s: float,
                           zero_tolerance: float | None = None) -> GapReport:
     """GapReport at interpolation parameter s via the FFT path."""
     check_s(s)
-    return gap_report_from_singular_values(_moduli(c_symbol(spec), s), zero_tolerance)
+    return gap_report_from_singular_values(_symbol_moduli(spec, s), zero_tolerance)
 
 
 def _segments(symbol: np.ndarray):
@@ -288,9 +277,9 @@ _SEED_HEAD = 4
 class _CandidateGaps:
     """(gap, num_zero_modes) of C(s) from the few modes that can decide them.
 
-    Only the modes _half_symbol stores are read: a conjugate mode's modulus
-    |(1-s) + s*conj(sigma_k)| is bitwise mode k's, so the least modulus
-    and the largest are theirs, and a zero count sums their multiplicities.
+    Only the modes _half_symbol stores are read, as by _symbol_moduli: the
+    least modulus and the largest are theirs, and a zero count sums their
+    multiplicities (a conjugate mode's modulus is bitwise its stored mode's).
     Mode k's modulus at s is at least max(d_k, 1 - s r_k): d_k is the
     distance from 0 to its segment and r_k = |sigma_k - 1| (the triangle
     inequality).  The modes are sorted by each key once.  At each point the
@@ -381,9 +370,9 @@ def structured_gap_profile(spec: TorusSpec, s_grid,
     that can hold its gap or a zero mode (_CandidateGaps), usually a small
     fraction of n, and falls back to the pass over every stored mode where
     that cannot be decided.  Every grid gap and zero-mode count equals
-    structured_gap_report(spec, s)'s, the pass over all n modes of
-    c_symbol(spec), exactly.  NumericalError, before the grid loop, when
-    sigma is not finite or |sigma_k - 1|^2 overflows.
+    structured_gap_report(spec, s)'s, the pass over all n moduli, exactly.
+    NumericalError, before the grid loop, when sigma is not finite or
+    |sigma_k - 1|^2 overflows.
     """
     s_grid = check_s(s_grid)
     check_zero_tolerance(zero_tolerance)

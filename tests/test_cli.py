@@ -147,6 +147,20 @@ class TestGapAndSpectrum:
         assert cli.main(["gap", path]) == 2
         assert f"{name} holds a boolean" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, doc, name", [
+        ("gap", {"n": 1, "a": ["2.5"], "b": [0.0]}, "a"),
+        ("gap", {"kind": "circulant", "dims": [3], "a_root": ["1", 0.5, 0.5],
+                 "b_root": [0, 0, 0]}, "a_root"),
+        ("jw", {"n": 1, "w": [" 3 "]}, "w"),
+    ], ids=["pair", "root", "w"])
+    def test_string_entries_exit_2(self, tmp_path, capsys, command, doc, name):
+        # once parsed as numbers: the pair printed gap 5.0 with exit 0
+        assert cli.main([command, write_json(tmp_path / "doc.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"fermigap: input error: {name} holds a string; "
+                                f"entries must be numbers\n")
+
     @pytest.mark.parametrize("count", [True, 2.7, 2.0])
     @pytest.mark.parametrize("command, doc", [
         ("gap", lambda c: {"n": c, "a": [1.0, 0.0, 0.0, 1.0], "b": [0.0] * 4}),
@@ -198,6 +212,19 @@ class TestGapAndSpectrum:
         assert cli.main(["gap", path]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc == dataclasses.asdict(lat.structured_gap_report(spec, 1.0))
+
+    @pytest.mark.parametrize("shape", [(4099,), (65, 66), (17, 16, 17)], ids=str)
+    def test_gap_of_each_rank_is_the_fft_report(self, tmp_path, capsys, monkeypatch, shape):
+        # above the dense-expansion cap, so only the stored half can answer
+        monkeypatch.setattr(lat, "expand", None)
+        rng = np.random.default_rng(len(shape))
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        spec = lat.TorusSpec((a + lat._reflect(a)) / 2.0, (b - lat._reflect(b)) / 2.0)
+        path = write_json(tmp_path / "spec.json", fio.structured_to_dict(spec))
+        assert cli.main(["gap", path]) == 0
+        report = qf.ground_gap(spec)
+        assert report == lat.structured_gap_report(spec, 1.0)
+        assert json.loads(capsys.readouterr().out) == dataclasses.asdict(report)
 
     def test_spectrum_accepts_structured_input(self, tmp_path, capsys):
         spec = lat.build_xy_cycle(4)

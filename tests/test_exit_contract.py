@@ -51,6 +51,11 @@ OVERFLOWING_PAIR_3 = {"n": 3, "a": [0.0, 0.0, 1.0, 0.0, 1.0, 1e308, 1.0, 1e308, 
                       "b": [0.0, 1.0, 0.0, -1.0, 0.0, 1e308, 0.0, -1e308, 0.0]}
 
 
+class RawText(str):
+    """A document given as its JSON text: json.dumps cannot write a list
+    nested too deep, nor an integer of more digits than Python converts."""
+
+
 # the C library, to flush its stdio buffers
 LIBC = ctypes.CDLL(None)
 LIBC.fflush.argtypes, LIBC.fflush.restype = [ctypes.c_void_p], ctypes.c_int
@@ -191,6 +196,12 @@ def run_cli(argv):
 @example(doc={"n": 1, "a": [HUGE], "b": [0]}, command=["gap"], tol=None, grid=3,
          out=False)
 @example(doc={"n": 1, "w": [HUGE]}, command=["jw"], tol=None, grid=3, out=False)
+@example(doc=RawText("[" * 200_000 + "]" * 200_000), command=["gap"], tol=None, grid=3,
+         out=False)
+@example(doc=RawText('{"n": 1, "w": [%s]}' % ("9" * 5000)), command=["jw"], tol=None, grid=3,
+         out=False)
+@example(doc=RawText('{"n": %s, "a": [1.0], "b": [0]}' % ("9" * 5000)), command=["gap"],
+         tol=None, grid=3, out=False)
 @example(doc=OVERFLOWING_PAIR, command=["gap"], tol=None, grid=3, out=False)
 @example(doc=OVERFLOWING_PAIR, command=["spectrum"], tol=None, grid=3, out=False)
 @example(doc=OVERFLOWING_PAIR, command=["profile"], tol=None, grid=3, out=True)
@@ -204,7 +215,7 @@ def run_cli(argv):
 def test_exit_code_contract(doc, command, tol, grid, out):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, RawText) else json.dumps(doc))
         out_dir = Path(tmp) / "run"
         argv = [*command, str(path)]
         if command[0] in ("gap", "profile") and tol is not None:

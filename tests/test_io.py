@@ -75,6 +75,22 @@ class TestStructuredDocuments:
                                       "a_root": [0.0] * 4, "b_root": [0.0] * 4})
 
 
+@pytest.mark.parametrize("read, doc, message", [
+    (fio.pair_from_dict, {"n": 1, "a": ["2.5"], "b": [0.0]}, "a holds a string"),
+    (fio.structured_from_dict, {"kind": "circulant", "dims": [3], "a_root": ["1", 0.5, 0.5],
+                                "b_root": [0.0] * 3}, "a_root holds a string"),
+    (fio.w_from_dict, {"n": 1, "w": [" 3 "]}, "w holds a string"),
+    (fio.pair_from_dict, {"n": 1, "a": [None], "b": [0.0]}, "a holds null"),
+    (fio.pair_from_dict, {"n": 1, "a": [0.0], "b": [{}]}, "b holds an object"),
+    (fio.pair_from_dict, {"n": 2, "a": [[1.0], 0.0, 0.0, 1.0], "b": [0.0] * 4},
+     "a holds a list"),
+], ids=["pair-string", "root-string", "w-padded-string", "null", "object", "ragged-list"])
+def test_entries_that_are_no_numbers_rejected(read, doc, message):
+    # strings such as "2.5" were once parsed as numbers, and null read as NaN
+    with pytest.raises(InputError, match=f"^{message}; entries must be numbers$"):
+        read(doc)
+
+
 class TestWDocuments:
     def test_roundtrip(self):
         h = sr.build_ising_w(4, 0.3)
@@ -106,6 +122,19 @@ class TestLoadDispatch:
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
         with pytest.raises(InputError, match="JSON object"):
+            fio.load_document(path)
+
+    @pytest.mark.parametrize("text, cause", [
+        ("[" * 200_000 + "]" * 200_000, "maximum recursion depth"),
+        ('{"n": 1, "a": [%s], "b": [0]}' % ("9" * 5000), "4300 digits"),
+        ('{"n": %s, "a": [1.0], "b": [0]}' % ("9" * 5000), "4300 digits"),
+    ], ids=["nested-too-deep", "long-integer-entry", "long-integer-count"])
+    def test_text_python_cannot_parse_is_input_error(self, tmp_path, text, cause):
+        # a RecursionError and a ValueError of the integer digit limit, each
+        # once a traceback with exit 1
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        with pytest.raises(InputError, match=f"cannot read JSON document .*{cause}"):
             fio.load_document(path)
 
     def test_true_inside_a_string_still_loads(self, tmp_path):
