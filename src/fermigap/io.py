@@ -18,6 +18,7 @@ from __future__ import annotations
 import array
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -146,9 +147,13 @@ def load_document(path) -> tuple[dict, bool]:
         with open(path) as fh:
             text = fh.read()
         doc = json.loads(text)
-    # ValueError includes an integer literal beyond Python's digit limit
-    except (OSError, ValueError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read JSON document {path}: {exc}") from exc
+    # what else json raises is int()'s refusal of a literal beyond Python's
+    # digit limit, whose advice to raise the limit a CLI user cannot follow
+    except ValueError as exc:
+        raise InputError(f"cannot read JSON document {path}: it holds an integer literal "
+                         f"longer than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(doc, dict):
         raise InputError(f"top level of {path} must be a JSON object")
     return doc, "true" in text or "false" in text

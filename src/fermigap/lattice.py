@@ -316,8 +316,10 @@ class _CandidateGaps:
         self.dist = dist[self.by_dist]
         self.by_radius = np.argsort(radius).astype(index)
         self.radius = radius[self.by_radius]
-        self.seeds = np.unique(np.concatenate(
-            [self.by_dist[:_SEED_HEAD], self.by_radius[-_SEED_HEAD:], [widest]])).astype(index)
+        # sorted without duplicates; np.unique would import numpy.ma
+        self.seeds = np.array(sorted({*self.by_dist[:_SEED_HEAD].tolist(),
+                                      *self.by_radius[-_SEED_HEAD:].tolist(), widest}),
+                              dtype=index)
         self.previous = self.seeds[:1]
 
     def __call__(self, s: float) -> tuple[float, int]:

@@ -12,7 +12,8 @@ import numpy as np
 from scipy import optimize
 
 from fermigap import spinrep as sr
-from fermigap.errors import InputError
+from fermigap._blas import small_matrix_threads
+from fermigap.errors import InputError, NumericalError
 
 # Reference kron-built Paulis for cross-checking the permutation assembly.
 _PAULI = {
@@ -96,6 +97,37 @@ def quasiparticle_assembly(decomp, ops: sr.FermionOperatorSet) -> np.ndarray:
     for lam_j, eta in zip(decomp.lam, etas.ops):
         out = out + 2.0 * lam_j * (eta.conj().T @ eta)
     return out
+
+
+def anticommutator_defects(ops: sr.FermionOperatorSet):
+    """(j, k, defect) for every defect fcr_check evaluates, by dense products:
+    pairs j <= k, {c_j, c_k+} - delta_jk I before {c_j, c_k}."""
+    eye = np.eye(ops.dimension)
+    for j, cj in enumerate(ops.ops):
+        for k in range(j, ops.m):
+            ck = ops.ops[k]
+            mixed = cj @ ck.conj().T + ck.conj().T @ cj
+            if j == k:
+                mixed = mixed - eye
+            yield j, k, mixed
+            yield j, k, cj @ ck + ck @ cj
+
+
+def fcr_check_by_gemm(ops: sr.FermionOperatorSet) -> float:
+    """fcr_check's residual with a dense matrix product (GEMM) for every set.
+
+    This is fcr_check as it was before its index route for sets of at most
+    one nonzero per row and column, the reference that route must equal.
+    """
+    worst = 0.0
+    with small_matrix_threads(ops.dimension), np.errstate(over="ignore", invalid="ignore"):
+        for j, k, defect in anticommutator_defects(ops):
+            if defect.any():
+                if not np.isfinite(defect).all():
+                    raise NumericalError(f"anticommutator defect of operators "
+                                         f"{j} and {k} is not finite")
+                worst = max(worst, float(np.linalg.norm(defect, 2)))
+    return worst
 
 
 def ising_min_gap(n: int, s_bounds: tuple[float, float] = (0.0, 1.0),

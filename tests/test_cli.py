@@ -161,6 +161,23 @@ class TestGapAndSpectrum:
         assert captured.err == (f"fermigap: input error: {name} holds a string; "
                                 f"entries must be numbers\n")
 
+    @pytest.mark.parametrize("command, text", [
+        ("gap", '{"n": %s, "a": [1.0], "b": [0]}' % ("9" * 5000)),
+        ("jw", '{"n": 1, "w": [%s]}' % ("9" * 5000)),
+    ], ids=["gap", "jw"])
+    def test_over_long_integer_exit_2_without_python_advice(self, tmp_path, capsys, command,
+                                                            text):
+        # Python's message ended "use sys.set_int_max_str_digits() to
+        # increase the limit", which a CLI user cannot do
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        assert cli.main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "set_int_max_str_digits" not in captured.err
+        assert captured.err == (f"fermigap: input error: cannot read JSON document {path}: "
+                                f"it holds an integer literal longer than 4300 digits\n")
+
     @pytest.mark.parametrize("count", [True, 2.7, 2.0])
     @pytest.mark.parametrize("command, doc", [
         ("gap", lambda c: {"n": c, "a": [1.0, 0.0, 0.0, 1.0], "b": [0.0] * 4}),
@@ -1196,6 +1213,19 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_structured_profile_imports_no_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma, 17-38 ms of a fresh run's wall time
+        spec = tmp_path / "torus.json"
+        spec.write_text(json.dumps(fio.structured_to_dict(
+            lat.stack(lat.stack(lat.build_xy_cycle(4), 4), 3))))
+        code = ("import sys, fermigap.cli as cli; "
+                "rc = cli.main(sys.argv[1:]); "
+                "print(rc, 'numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, "profile", str(spec), "--grid",
+                               "11", "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
 
     def test_no_module_imports_scipy(self):
         # every import statement, function-local ones included, which an

@@ -11,8 +11,8 @@ from fermigap import spinrep as sr
 from fermigap.errors import CapacityError, ConformanceError, InputError, NumericalError
 
 from conftest import dense_ground_state, with_off_parity_term
-from oracles import (ising_gap_scaling, ising_min_gap, kron_word, pauli_terms,
-                     quasiparticle_assembly)
+from oracles import (anticommutator_defects, fcr_check_by_gemm, ising_gap_scaling,
+                     ising_min_gap, kron_word, pauli_terms, quasiparticle_assembly)
 
 
 def dyadic_w(n, rng, scale=2 ** 20):
@@ -269,16 +269,6 @@ def operator_sets(draw):
     return sr.FermionOperatorSet(tuple(ops))
 
 
-def anticommutator_defects(ops):
-    """Every defect fcr_check evaluates, pairs j <= k, mixed before same."""
-    eye = np.eye(ops.dimension)
-    for j, cj in enumerate(ops.ops):
-        for k in range(j, ops.m):
-            ck = ops.ops[k]
-            yield cj @ ck.conj().T + ck.conj().T @ cj - (j == k) * eye
-            yield cj @ ck + ck @ cj
-
-
 def last_operator_broken(phase):
     """Jordan-Wigner operators on 3 sites times phase, the last one scaled by 1.001."""
     ops = [phase * op for op in sr.jw_operators(3).ops]
@@ -299,6 +289,78 @@ def spy_norm(monkeypatch):
     return calls
 
 
+@st.composite
+def partial_permutation_sets(draw):
+    """Sets of m = 1..4 phased partial permutations of dimension 1..16.
+
+    The operators are Jordan-Wigner or spin-3/2 ones, or random matrices of
+    at most one nonzero per row and column with empty rows and columns; each
+    is multiplied by a sign (real set) or a phase (complex set).  A drawn defect may
+    break the FCRs: the first operator repeated last, one operator scaled by
+    1.001, or the sign of one entry flipped.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["jw", "spin32", "random"]))
+    if kind == "random":
+        m, dim = draw(st.integers(1, 4)), draw(st.integers(1, 16))
+        ops = np.zeros((m, dim, dim))
+        for op in ops:
+            kept = np.flatnonzero(rng.random(dim) < rng.random())
+            op[rng.permutation(dim)[kept], kept] = rng.standard_normal(kept.size)
+    else:
+        build, sites = ((sr.jw_operators, draw(st.integers(1, 4))) if kind == "jw"
+                        else (sr.spin32_operators, draw(st.integers(1, 2))))
+        ops = np.array(build(sites).ops[:draw(st.integers(1, 4))])
+    m = ops.shape[0]
+    if draw(st.booleans()):
+        phases = np.exp(2j * np.pi * rng.random(m))
+    else:
+        phases = rng.choice([-1.0, 1.0], m)
+    ops = phases[:, None, None] * ops
+    defect, which = draw(st.sampled_from(["none", "repeat", "scale", "flip"])), rng.integers(m)
+    if defect == "repeat":
+        ops[-1] = ops[0]
+    elif defect == "scale":
+        ops[which] *= 1.001
+    elif defect == "flip" and ops[which].any():
+        row, col = np.argwhere(ops[which])[0]
+        ops[which, row, col] *= -1.0
+    return sr.FermionOperatorSet(tuple(ops))
+
+
+def counting_products(ops):
+    """A copy of the set whose operators count the matrix products they enter."""
+    counted = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                counted.append(ufunc)
+            return getattr(ufunc, method)(
+                *(x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs),
+                **kwargs)
+
+    spied = sr.FermionOperatorSet(ops.ops)
+    object.__setattr__(spied, "ops", tuple(op.view(Counted) for op in ops.ops))
+    return spied, counted
+
+
+def with_extra_nonzero(ops, shift):
+    """The set with one more nonzero, shifted by (rows, columns) from the first
+    nonzero of its first operator."""
+    first = ops.ops[0].copy()
+    row, col = np.argwhere(first)[0] + shift
+    first[row % ops.dimension, col % ops.dimension] = 0.5
+    return sr.FermionOperatorSet((first, *ops.ops[1:]))
+
+
+def eta_set(seed):
+    """The eta operators of a seeded 4-mode pair: dense and real; their FCRs hold to rounding."""
+    rng = np.random.default_rng(seed)
+    d = qf.lieb_decompose(qf.symmetrize_split(rng.standard_normal((4, 4))))
+    return sr.unitary_fcr_transform(sr.jw_operators(4), (d.x + d.y) / 2.0, (d.x - d.y) / 2.0)
+
+
 class TestFcr:
     @given(ops=operator_sets())
     @settings(max_examples=150, deadline=None)
@@ -314,7 +376,7 @@ class TestFcr:
         assert residual == pytest.approx(fcr_residual_all_pairs(broken), rel=1e-14)
 
     def test_exactly_zero_defects_skip_the_svd(self, monkeypatch):
-        assert all(not d.any() for d in anticommutator_defects(sr.jw_operators(4)))
+        assert all(not d.any() for _, _, d in anticommutator_defects(sr.jw_operators(4)))
         calls = spy_norm(monkeypatch)
         assert sr.fcr_check(sr.jw_operators(4)) == 0.0
         assert calls == []
@@ -322,11 +384,56 @@ class TestFcr:
     @pytest.mark.parametrize("phase", [1.0, 1j], ids=["real", "complex"])
     def test_one_svd_per_nonzero_defect(self, monkeypatch, phase):
         broken = last_operator_broken(phase)
-        nonzero = [d for d in anticommutator_defects(broken) if d.any()]
+        nonzero = [d for _, _, d in anticommutator_defects(broken) if d.any()]
         calls = spy_norm(monkeypatch)
         sr.fcr_check(broken)
         assert 0 < len(calls) == len(nonzero)
         assert all(np.array_equal(x, d) for x, d in zip(calls, nonzero))
+
+    @given(ops=partial_permutation_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_partial_permutations_match_the_gemm_loop(self, ops):
+        # the index route's residual and each defect it passes to the SVD
+        # are bit-identical to the dense products' (complex sets take those)
+        nonzero = [d for _, _, d in anticommutator_defects(ops) if d.any()]
+        reference = fcr_check_by_gemm(ops)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = spy_norm(patch)
+            assert sr.fcr_check(ops) == reference
+        assert len(calls) == len(nonzero)
+        assert all(np.array_equal(x, d) for x, d in zip(calls, nonzero))
+
+    @pytest.mark.parametrize("ops", [
+        *(sr.jw_operators(n) for n in range(1, 9)),
+        *(sr.spin32_operators(n) for n in range(1, 4)),
+    ], ids=[*(f"jw{n}" for n in range(1, 9)), *(f"spin32_{n}" for n in range(1, 4))])
+    def test_ladder_sets_take_no_gemm(self, ops):
+        spied, products = counting_products(ops)
+        assert sr.fcr_check(spied) == 0.0
+        assert products == []
+
+    @pytest.mark.parametrize("ops", [
+        eta_set(24),
+        # a second nonzero in a row only, in a column only, and in both
+        with_extra_nonzero(sr.jw_operators(1), (0, 1)),
+        with_extra_nonzero(sr.jw_operators(1), (1, 0)),
+        with_extra_nonzero(sr.jw_operators(3), (0, 1)),
+        with_extra_nonzero(sr.spin32_operators(1), (0, 1)),
+        sr.FermionOperatorSet(tuple(1j * op for op in sr.jw_operators(3).ops)),
+    ], ids=["eta", "jw1-extra-in-row", "jw1-extra-in-column", "jw3-extra-nonzero",
+            "spin32-extra-nonzero", "jw-complex"])
+    def test_other_sets_take_the_gemm_loop(self, ops):
+        spied, products = counting_products(ops)
+        assert sr.fcr_check(spied) == fcr_check_by_gemm(ops)
+        assert len(products) == 4 * ops.m * (ops.m + 1) // 2
+
+    def test_non_finite_entry_takes_the_gemm_loop(self):
+        ops = [op.copy() for op in sr.jw_operators(2).ops]
+        ops[1][0, 1] = np.inf
+        spied, products = counting_products(sr.FermionOperatorSet(tuple(ops)))
+        with pytest.raises(NumericalError, match="defect of operators 0 and 1 is not finite"):
+            sr.fcr_check(spied)
+        assert len(products) == 4 * 2  # pairs (0, 0) and (0, 1), where it stops
 
     @pytest.mark.parametrize("entry", [np.inf, np.nan], ids=["inf", "nan"])
     def test_non_finite_defect_raises(self, entry):
@@ -442,11 +549,7 @@ class TestSmallMatrixThreads:
         assert [lib.get() for lib in libs] == before
 
     def test_fcr_bit_identical_to_default_threads(self, monkeypatch):
-        rng = np.random.default_rng(23)
-        d = qf.lieb_decompose(qf.symmetrize_split(rng.standard_normal((4, 4))))
-        etas = sr.unitary_fcr_transform(sr.jw_operators(4),
-                                        (d.x + d.y) / 2.0, (d.x - d.y) / 2.0)
-        sets = [sr.jw_operators(8), sr.spin32_operators(2), etas]
+        sets = [sr.jw_operators(8), sr.spin32_operators(2), eta_set(23)]
         capped = [sr.fcr_check(ops) for ops in sets]
         monkeypatch.setattr(_blas, "loaded_openblas", lambda: [])
         assert capped == [sr.fcr_check(ops) for ops in sets]
