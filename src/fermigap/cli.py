@@ -121,7 +121,9 @@ def _write_run(out_dir: str, command: str, parameters: dict, seed: int | None,
 
     The manifest's parameters end with what the run's loop ran on, if it
     ran one (_blas.last_loop).  Its worker_peak_rss_mb varies from run to
-    run, so it goes into the manifest only, never into an output.
+    run, so it goes into the manifest only, never into an output.  InputError
+    if the directory or a file in it cannot be written; the files written
+    before the failing one stay behind.
     """
     loop = dict(_blas.last_loop)
     measured = {key: loop.pop(key) for key in ("worker_peak_rss_mb",) if key in loop}
@@ -136,11 +138,10 @@ def _write_run(out_dir: str, command: str, parameters: dict, seed: int | None,
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError, PermissionError) as exc:
+        for name, text in {**outputs, "manifest.json": manifest}.items():
+            (out_dir / name).write_text(text)
+    except OSError as exc:
         raise InputError(f"cannot write the run directory {str(out_dir)!r}: {exc}") from None
-    for name, text in outputs.items():
-        (out_dir / name).write_text(text)
-    (out_dir / "manifest.json").write_text(manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -197,21 +198,9 @@ def cmd_profile(args) -> int:
         profile = qf.gap_profile(source, s_grid, args.tol)
     else:
         profile = lat.structured_gap_profile(source, s_grid, args.tol)
-    linear_defect = qf.linearity_defect(profile.s, profile.gap)
     csv_text = _csv_text(("s", "gap", "degenerate"),
                          (profile.s, profile.gap, profile.num_zero_modes > 0))
-    summary = {
-        "min_gap": profile.min_gap,
-        "min_gap_s": profile.min_gap_s,
-        "min_gap_row": profile.min_gap_index,
-        "linear": linear_defect <= 1e-10 * (1.0 + profile.gap.max()),
-        "linear_defect": linear_defect,
-    }
-    path_min = profile.path_minimum
-    if path_min is not None:
-        summary.update(path_min_gap=path_min.gap, path_min_gap_s=path_min.s,
-                       closes=path_min.closes)
-    summary_text = _json_text(summary)
+    summary_text = _json_text(profile.summary)
     if args.out:
         parameters = {"input": str(args.input), "grid": args.grid, "tol": args.tol}
         _write_run(args.out, "profile", parameters, None,
@@ -265,13 +254,11 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_jw(args) -> int:
-    doc, booleans = fio.load_document(args.input)
-    if "w" in doc:
-        pair = fio.w_from_dict(doc, booleans).to_pair()
-        _print_json(fio.pair_to_dict(pair))
+    source = fio.load_pair_or_w(args.input)
+    if isinstance(source, sr.PauliHamiltonian):
+        _print_json(fio.pair_to_dict(source.to_pair()))
     else:
-        pair = fio.pair_from_dict(doc, booleans)
-        _print_json(fio.w_to_dict(sr.PauliHamiltonian(sr.ab_to_w(pair))))
+        _print_json(fio.w_to_dict(sr.PauliHamiltonian(sr.ab_to_w(source))))
     return EXIT_OK
 
 

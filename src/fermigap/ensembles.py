@@ -25,7 +25,7 @@ from .errors import CapacityError, InputError
 from .quadform import (
     CoefficientPair,
     _path_singular_values,
-    check_matrix_size,
+    check_sites,
     gap_and_zero_modes,
     ground_gap,
     linearity_defect,
@@ -63,7 +63,7 @@ class EnsembleConfig:
             raise InputError(f"unknown ensemble kind {self.kind!r}; expected one of {ENSEMBLE_KINDS}")
         if self.n < 2:
             raise InputError(f"need n >= 2, got {self.n}")
-        check_matrix_size(self.n, "ensemble matrix")
+        check_sites(self.n, "ensemble matrix")
         if self.samples < 1:
             raise InputError(f"need samples >= 1, got {self.samples}")
         if self.samples > SAMPLE_CAP:

@@ -48,8 +48,11 @@ def _flat_floats(data, size: int, name: str, booleans: bool) -> np.ndarray:
             raise InputError(f"{name} holds {kind}; entries must be numbers") from None
         arr = np.array(data, dtype=object)
     if arr.shape != (size,):
-        raise InputError(f"{name} must hold {size} values in a flat list, "
-                         f"got an array of shape {arr.shape}")
+        depth, inner = 0, data     # numpy stops at 64 axes; the lists can go deeper
+        while isinstance(inner, list):
+            depth, inner = depth + 1, inner[0] if inner else None
+        got = f"an array of shape {arr.shape}" if depth <= 2 else f"a list nested {depth} deep"
+        raise InputError(f"{name} must hold {size} values in a flat list, got {got}")
     if booleans and bool in set(map(type, data)):
         raise InputError(f"{name} holds a boolean; entries must be numbers")
     return arr
@@ -159,9 +162,17 @@ def load_document(path) -> tuple[dict, bool]:
     return doc, "true" in text or "false" in text
 
 
+def _load_by_key(path, key: str, with_key, without_key):
+    """The document at path, read by with_key if it has the key, else by without_key."""
+    doc, booleans = load_document(path)
+    return (with_key if key in doc else without_key)(doc, booleans)
+
+
 def load_pair_or_structured(path) -> CoefficientPair | TorusSpec:
     """Dispatch on the document shape: structured specs carry a 'kind' key."""
-    doc, booleans = load_document(path)
-    if "kind" in doc:
-        return structured_from_dict(doc, booleans)
-    return pair_from_dict(doc, booleans)
+    return _load_by_key(path, "kind", structured_from_dict, pair_from_dict)
+
+
+def load_pair_or_w(path) -> CoefficientPair | PauliHamiltonian:
+    """Dispatch on the document shape: W documents carry a 'w' key."""
+    return _load_by_key(path, "w", w_from_dict, pair_from_dict)

@@ -36,9 +36,8 @@ from .quadform import (
     CoefficientPair,
     GapProfile,
     GapReport,
-    PathMinimum,
-    check_matrix_size,
     check_s,
+    check_sites,
     check_zero_tolerance,
     freeze_fields,
     gap_report_from_singular_values,
@@ -148,7 +147,7 @@ def expand(spec: TorusSpec) -> CoefficientPair:
     Above quadform.MATRIX_SIZE_CAP sites this raises CapacityError before
     allocating.
     """
-    check_matrix_size(spec.n, "dense-expansion")
+    check_sites(spec.n, "dense-expansion")
     return CoefficientPair(_expand_root(spec.root_a), _expand_root(spec.root_b))
 
 
@@ -243,8 +242,8 @@ def _segments(symbol: np.ndarray):
     return np.abs(step), s, dist
 
 
-def _path_minimum(s: np.ndarray, dist: np.ndarray, modulus_max: float, n: int) -> PathMinimum:
-    """Exact minimum over s in [0, 1] of twice the least singular value of C(s).
+def _path_minimum(s: np.ndarray, dist: np.ndarray, modulus_max: float, n: int) -> tuple:
+    """Exact minimum over s in [0, 1] of twice the least singular value of C(s): (gap, s, closes).
 
     The least modulus over the path is the least segment distance d_k (see
     _segments) over the stored modes, since a conjugate mode's segment is the
@@ -260,7 +259,7 @@ def _path_minimum(s: np.ndarray, dist: np.ndarray, modulus_max: float, n: int) -
         crossings = np.flatnonzero(dist <= floor)
         k = int(crossings[np.argmin(s[crossings])])
     # "+ 0.0" turns a -0.0 from the clip into 0.0
-    return PathMinimum(gap=2.0 * float(dist[k]), s=float(s[k]) + 0.0, closes=closes)
+    return 2.0 * float(dist[k]), float(s[k]) + 0.0, closes
 
 
 # Rounding slack of the candidate bounds, in units of eps * (1 + max|sigma|).

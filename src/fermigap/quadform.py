@@ -13,7 +13,7 @@ values, so all routines here work on n x n matrices, never on the 2^n space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -31,10 +31,12 @@ SPECTRUM_MODE_CAP = 22
 MATRIX_SIZE_CAP = 4096
 
 
-def check_matrix_size(n: int, what: str) -> None:
-    """Raise CapacityError, before anything is allocated, if n > MATRIX_SIZE_CAP."""
-    if n > MATRIX_SIZE_CAP:
-        raise CapacityError(f"n={n} exceeds the {what} cap of {MATRIX_SIZE_CAP} sites")
+def check_sites(n: int, what: str, cap: int = MATRIX_SIZE_CAP) -> None:
+    """Raise, before anything is allocated, InputError if n < 1 and CapacityError if n > cap."""
+    if n < 1:
+        raise InputError(f"need at least one site, got n={n}")
+    if n > cap:
+        raise CapacityError(f"n={n} exceeds the {what} cap of {cap} sites")
 
 
 def check_square_finite(m, name: str) -> np.ndarray:
@@ -282,43 +284,36 @@ def interpolate(target: CoefficientPair, s: float) -> CoefficientPair:
 
 
 @dataclass(frozen=True)
-class PathMinimum:
-    """Least value over all s in [0, 1] of twice the least singular value.
-
-    Unlike a grid minimum this counts zero modes: closes is True when the
-    gap vanishes, to rounding, somewhere along the path, at parameter s.
-    """
-
-    gap: float
-    s: float
-    closes: bool
-
-
-@dataclass(frozen=True)
 class GapProfile:
     """Gap and zero-mode count along an interpolation grid, one entry per point.
 
-    gap[i] and num_zero_modes[i] are those of the GapReport at s[i].
-    path_minimum is the grid-free minimum where a path has one (structured
-    specs), else None.
+    gap[i] and num_zero_modes[i] are those of the GapReport at s[i].  summary
+    holds the profile command's summary.json keys; linear and linear_defect
+    read the last grid point as s = 1, as every CLI grid ends there.  Where a
+    path has a grid-free minimum (structured specs), path_minimum gives it as
+    (gap, s, closes) and adds the keys path_min_gap, path_min_gap_s and closes.
     """
 
     s: np.ndarray
     gap: np.ndarray
     num_zero_modes: np.ndarray
-    path_minimum: PathMinimum | None = None
+    path_minimum: InitVar[tuple[float, float, bool] | None] = None
+    summary: dict = field(init=False)
 
-    @property
-    def min_gap_index(self) -> int:
-        return int(np.argmin(self.gap))
-
-    @property
-    def min_gap_s(self) -> float:
-        return float(self.s[self.min_gap_index])
-
-    @property
-    def min_gap(self) -> float:
-        return float(self.gap[self.min_gap_index])
+    def __post_init__(self, path_minimum):
+        row = int(np.argmin(self.gap))
+        defect = linearity_defect(self.s, self.gap)
+        summary = {
+            "min_gap": float(self.gap[row]),
+            "min_gap_s": float(self.s[row]),
+            "min_gap_row": row,
+            "linear": bool(defect <= 1e-10 * (1.0 + self.gap.max())),
+            "linear_defect": defect,
+        }
+        if path_minimum is not None:
+            gap, s, closes = path_minimum
+            summary.update(path_min_gap=gap, path_min_gap_s=s, closes=closes)
+        object.__setattr__(self, "summary", summary)
 
 
 def check_s(s) -> np.ndarray:

@@ -21,20 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import small_matrix_threads
-from .errors import CapacityError, ConformanceError, InputError, NumericalError
-from .quadform import (CoefficientPair, check_matrix_size, check_s, check_square_finite,
+from .errors import ConformanceError, InputError, NumericalError
+from .quadform import (CoefficientPair, check_s, check_sites, check_square_finite,
                        freeze_fields)
 
 DENSE_QUBIT_CAP = 13     # 2^13 = 8192: dense_hamiltonian's matrix is 512 MB, the
                          # oracle holds one 2^12 parity block at a time, 128 MB
 SPIN32_SITE_CAP = 6      # 4^6 = 4096
-
-
-def _check_sites(n: int, cap: int, what: str):
-    if n < 1:
-        raise InputError(f"need at least one site, got n={n}")
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds the {what} cap of {cap} sites")
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +145,7 @@ def _block(masks, n: int, states: np.ndarray) -> np.ndarray:
 
 def dense_hamiltonian(h: PauliHamiltonian) -> np.ndarray:
     """Dense real symmetric 2^n x 2^n matrix of the Pauli-string Hamiltonian."""
-    _check_sites(h.n, DENSE_QUBIT_CAP, "dense-matrix")
+    check_sites(h.n, "dense-matrix", DENSE_QUBIT_CAP)
     return _block(_term_masks(h.w), h.n, np.arange(1 << h.n))
 
 
@@ -166,7 +159,7 @@ def dense_spectrum_oracle(h: PauliHamiltonian) -> np.ndarray:
     term that maps a state of a sector outside it raises ConformanceError.
     """
     n = h.n
-    _check_sites(n, DENSE_QUBIT_CAP, "dense-matrix")
+    check_sites(n, "dense-matrix", DENSE_QUBIT_CAP)
     masks = _term_masks(h.w)
     even = _parity_signs(n) > 0.0
     try:
@@ -191,7 +184,7 @@ def build_cluster_w(n: int) -> PauliHamiltonian:
     """
     if n < 4:
         raise InputError(f"cluster chain needs n >= 4, got {n}")
-    check_matrix_size(n, "cluster chain")
+    check_sites(n, "cluster chain")
     w = np.zeros((n, n))
     for j in range(n - 2):
         w[j, j + 2] = -1.0
@@ -209,7 +202,7 @@ def build_ising_w(n: int, s: float) -> PauliHamiltonian:
     if n < 2:
         raise InputError(f"Ising chain needs n >= 2, got {n}")
     check_s(s)
-    check_matrix_size(n, "Ising chain")
+    check_sites(n, "Ising chain")
     w = (1.0 - s) * np.eye(n)
     for j in range(n - 1):
         w[j, j + 1] = s
@@ -347,7 +340,7 @@ def jw_operators(n: int) -> FermionOperatorSet:
 
     c_j = (-1)^(j-1) Z_1 ... Z_{j-1} (X_j - i Y_j)/2 with site 1 leftmost.
     """
-    _check_sites(n, DENSE_QUBIT_CAP, "dense-matrix")
+    check_sites(n, "dense-matrix", DENSE_QUBIT_CAP)
     z = np.array([[1.0, 0.0], [0.0, -1.0]])
     lower = np.array([[0.0, 0.0], [1.0, 0.0]])  # (X - iY)/2, real
     return FermionOperatorSet(tuple(_kron_string(n, j, z, lower, (-1.0) ** j)
@@ -368,7 +361,7 @@ def spin32_operators(n: int) -> FermionOperatorSet:
     each dressed with the string factor 5/4 - (S^z_k)^2 on all earlier sites.
     Operators are returned interleaved by site: (c_{1,1}, c_{2,1}, c_{1,2}, ...).
     """
-    _check_sites(n, SPIN32_SITE_CAP, "spin-3/2")
+    check_sites(n, "spin-3/2", SPIN32_SITE_CAP)
     sz, sm = _spin32_matrices()
     eye4 = np.eye(4)
     string = 1.25 * eye4 - sz @ sz

@@ -108,6 +108,17 @@ class TestGapAndSpectrum:
         assert cli.main(["gap", path]) == 2
         assert "shape (2, 2)" in capsys.readouterr().err
 
+    def test_list_nested_deeper_than_numpy_exit_2_names_depth(self, tmp_path, capsys):
+        # the message once gave numpy's shape of it: 64 axes, all of length 1
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 2, "a": %s0%s, "b": [0, 0, 0, 0]}' % ("[" * 900, "]" * 900))
+        for command in ("gap", "jw"):
+            assert cli.main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("fermigap: input error: a must hold 4 values in a flat "
+                                    "list, got a list nested 900 deep\n")
+
     def test_spectrum_mode_cap_exit_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "p.json", pair_doc(qf.CoefficientPair.identity(23)))
         assert cli.main(["spectrum", path]) == 2
@@ -132,19 +143,21 @@ class TestGapAndSpectrum:
         assert captured.err.startswith(f"fermigap: numerical error: {message}")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("doc", [
-        {"n": 2, "a": [1.0, 0.0, 0.0, True], "b": [0.0] * 4},
-        {"kind": "circulant", "dims": [3], "a_root": [0.0, 1.0, 1.0],
-         "b_root": [False, 0.0, 0.0]},
-        {"kind": "circulant", "dims": [3], "a_root": [0.0, 1.0, 1.0],
-         "b_root": [0.0, 0.0, True]},
-    ])
-    def test_boolean_entries_exit_2(self, tmp_path, capsys, doc):
+    @pytest.mark.parametrize("command, doc", [
+        ("gap", {"n": 2, "a": [1.0, 0.0, 0.0, True], "b": [0.0] * 4}),
+        ("gap", {"kind": "circulant", "dims": [3], "a_root": [0.0, 1.0, 1.0],
+                 "b_root": [False, 0.0, 0.0]}),
+        ("gap", {"kind": "circulant", "dims": [3], "a_root": [0.0, 1.0, 1.0],
+                 "b_root": [0.0, 0.0, True]}),
+        ("jw", {"n": 2, "w": [1.0, False, 0.0, 1.0]}),
+        ("jw", {"n": 2, "a": [1.0, 0.0, 0.0, 1.0], "b": [0.0, True, 0.0, 0.0]}),
+    ], ids=["doc0", "doc1", "doc2", "jw-w", "jw-pair"])
+    def test_boolean_entries_exit_2(self, tmp_path, capsys, command, doc):
         # the error names the one list that holds the boolean
         name = next(key for key, value in doc.items()
                     if isinstance(value, list) and any(isinstance(x, bool) for x in value))
         path = write_json(tmp_path / "bool.json", doc)
-        assert cli.main(["gap", path]) == 2
+        assert cli.main([command, path]) == 2
         assert f"{name} holds a boolean" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, doc, name", [
@@ -1169,6 +1182,24 @@ class TestHostileArguments:
             f"fermigap: input error: cannot write the run directory {out!r}: ")
         assert captured.err.count("\n") == 1
         assert (tmp_path / "file").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("argv, blocked", [
+        (["profile", "PAIR", "--out", "OUT"], "profile.csv"),
+        (["ensemble", "--experiment", "survival", "--n", "4", "--samples", "10",
+          "--out", "OUT"], "summary.json"),
+    ], ids=["profile", "ensemble"])
+    def test_failed_write_exit_2(self, identity_pair_file, tmp_path, capsys, argv, blocked):
+        # a directory where an output goes: the write once ended in a traceback, exit 1
+        out = tmp_path / "run"
+        (out / blocked).mkdir(parents=True)
+        argv = [{"OUT": str(out), "PAIR": identity_pair_file}.get(a, a) for a in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"fermigap: input error: cannot write the run directory {str(out)!r}: ")
+        assert captured.err.count("\n") == 1
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
     @pytest.mark.parametrize("argv, message", [

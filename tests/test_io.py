@@ -106,6 +106,15 @@ class TestLoadDispatch:
         path.write_text(json.dumps(fio.pair_to_dict(qf.CoefficientPair.identity(2))))
         assert isinstance(fio.load_pair_or_structured(path), qf.CoefficientPair)
 
+    def test_w_key_selects_w(self, tmp_path):
+        path = tmp_path / "doc.json"
+        h = sr.build_ising_w(3, 0.5)
+        path.write_text(json.dumps(fio.w_to_dict(h)))
+        loaded = fio.load_pair_or_w(path)
+        assert isinstance(loaded, sr.PauliHamiltonian) and np.array_equal(loaded.w, h.w)
+        path.write_text(json.dumps(fio.pair_to_dict(qf.CoefficientPair.identity(2))))
+        assert isinstance(fio.load_pair_or_w(path), qf.CoefficientPair)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -293,8 +293,9 @@ class TestStructuredInterpolation:
         spec = lat.build_xy_cycle(8)
         profile = lat.structured_gap_profile(spec, np.linspace(0, 1, 11))
         gaps = profile.gap.tolist()
-        assert profile.min_gap == min(gaps)
-        assert profile.s[profile.min_gap_index] == profile.min_gap_s
+        summary = profile.summary
+        assert summary["min_gap"] == min(gaps)
+        assert profile.s[summary["min_gap_row"]] == summary["min_gap_s"]
 
     def test_s_domain_enforced(self):
         with pytest.raises(InputError):
@@ -385,25 +386,27 @@ class TestOneFftProfile:
     @pytest.mark.parametrize("grid", [2, 3, 4, 7, 10, 31, 101, 1000])
     def test_closing_path_found_off_grid(self, grid):
         profile = lat.structured_gap_profile(closing_ring(), np.linspace(0, 1, grid))
-        minimum = profile.path_minimum
-        assert minimum.closes is True
-        assert minimum.s == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert minimum.gap <= profile.min_gap
+        summary = profile.summary
+        assert summary["closes"] is True
+        assert summary["path_min_gap_s"] == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert summary["path_min_gap"] <= summary["min_gap"]
 
     def test_path_closing_twice_reports_the_first_crossing(self):
         # sigma = (-1, -3): both segments pass through 0 exactly, at s = 1/2
         # and s = 1/4; the least distance alone would not choose between them
         spec = lat.TorusSpec([-2.0, 1.0], [0.0, 0.0])
         assert stored_modes(spec)[0].tolist() == [-1.0, -3.0]
-        minimum = lat.structured_gap_profile(spec, [0.0, 1.0]).path_minimum
-        assert minimum == qf.PathMinimum(gap=0.0, s=0.25, closes=True)
+        summary = lat.structured_gap_profile(spec, [0.0, 1.0]).summary
+        assert (summary["path_min_gap"], summary["path_min_gap_s"], summary["closes"]) \
+            == (0.0, 0.25, True)
 
     def test_open_path_minimum_is_exact(self):
         # sigma_k = exp(2 pi i k / 5); the chord to k = 2 passes closest to 0
-        minimum = lat.structured_gap_profile(lat.build_xy_cycle(5), [0.0, 1.0]).path_minimum
-        assert minimum.closes is False
-        assert minimum.gap == pytest.approx(2.0 * math.cos(2.0 * math.pi / 5.0), abs=1e-14)
-        assert minimum.s == pytest.approx(0.5, abs=1e-14)
+        summary = lat.structured_gap_profile(lat.build_xy_cycle(5), [0.0, 1.0]).summary
+        assert summary["closes"] is False
+        assert summary["path_min_gap"] == pytest.approx(2.0 * math.cos(2.0 * math.pi / 5.0),
+                                                        abs=1e-14)
+        assert summary["path_min_gap_s"] == pytest.approx(0.5, abs=1e-14)
 
     def test_grid_outside_unit_interval_rejected(self):
         with pytest.raises(InputError, match=r"\[0, 1\]"):

@@ -23,6 +23,24 @@ def dyadic_matrix(n, rng, scale=2 ** 20):
     return rng.integers(-scale, scale, size=(n, n)) / scale
 
 
+class TestCheckSites:
+    def test_default_cap_is_the_matrix_cap(self):
+        qf.check_sites(qf.MATRIX_SIZE_CAP, "ensemble matrix")
+        with pytest.raises(CapacityError, match=r"^n=4097 exceeds the ensemble matrix cap "
+                                                r"of 4096 sites$"):
+            qf.check_sites(qf.MATRIX_SIZE_CAP + 1, "ensemble matrix")
+
+    def test_given_cap(self):
+        qf.check_sites(6, "spin-3/2", 6)
+        with pytest.raises(CapacityError, match=r"^n=7 exceeds the spin-3/2 cap of 6 sites$"):
+            qf.check_sites(7, "spin-3/2", 6)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_site_is_input_error(self, n):
+        with pytest.raises(InputError, match=rf"^need at least one site, got n={n}$"):
+            qf.check_sites(n, "dense-matrix", 13)
+
+
 class TestSymmetrizeSplit:
     def test_identity_input(self):
         pair = qf.symmetrize_split(np.eye(3))
@@ -219,11 +237,23 @@ class TestGapProfile:
     def test_trivial_grid(self):
         profile = qf.gap_profile(random_pair(3, seed=1), [0.0])
         assert profile.gap[0] == 2.0
-        assert profile.min_gap_s == 0.0
+        assert profile.summary["min_gap_s"] == 0.0
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):
             qf.gap_profile(random_pair(3, seed=1), [])
+
+    def test_summary_keys_in_order_and_plain_types(self):
+        s = np.linspace(0.0, 1.0, 5)
+        gap = np.array([2.0, 1.0, 0.5, 1.0, 0.5])
+        keys = ["min_gap", "min_gap_s", "min_gap_row", "linear", "linear_defect"]
+        profile = qf.GapProfile(s, gap, np.zeros(5, dtype=int))
+        assert list(profile.summary) == keys
+        assert profile.summary["min_gap_row"] == 2       # the first of two least gaps
+        assert [type(v) for v in profile.summary.values()] == [float, float, int, bool, float]
+        with_path = qf.GapProfile(s, gap, np.zeros(5, dtype=int), (0.25, 0.4, False))
+        assert list(with_path.summary) == [*keys, "path_min_gap", "path_min_gap_s", "closes"]
+        assert list(with_path.summary.values())[5:] == [0.25, 0.4, False]
 
     def test_grid_independence_of_order(self):
         pair = random_pair(5, seed=15)
