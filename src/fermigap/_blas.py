@@ -11,6 +11,8 @@ the spin oracle's parity blocks above order 512 (n >= 11) run faster on all
 threads.
 Only OpenBLAS libraries already loaded into the process are touched; with
 none loaded (not Linux, or MKL/Accelerate) a capped block runs unchanged.
+The lookup (loaded_openblas) scans the process's mappings again only after
+an import, which is when a library (SciPy's OpenBLAS, say) can appear.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
+import sys
 import threading
 from typing import Callable, NamedTuple
 
@@ -46,8 +49,15 @@ class OpenBlas(NamedTuple):
     set: Callable[[int], None]
 
 
+_scanned: tuple[int, list[OpenBlas]] = (-1, [])   # (len(sys.modules) after a scan, its libraries)
+
+
 def loaded_openblas() -> list[OpenBlas]:
-    """The OpenBLAS libraries mapped into this process, in path order."""
+    """The OpenBLAS libraries mapped into this process, in path order; scanned
+    again only after an import, which may have loaded one (SciPy's, say)."""
+    global _scanned
+    if _scanned[0] == len(sys.modules):
+        return list(_scanned[1])
     try:
         with open("/proc/self/maps") as fh:
             fields = [line.split(maxsplit=5) for line in fh if "openblas" in line]
@@ -72,7 +82,8 @@ def loaded_openblas() -> list[OpenBlas]:
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 found.append(OpenBlas(name, get, set_))
                 break
-    return found
+    _scanned = (len(sys.modules), found)    # counted after the first scan imported ctypes
+    return list(found)
 
 
 @contextlib.contextmanager

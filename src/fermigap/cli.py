@@ -9,6 +9,7 @@ standard JSON: a NaN or infinity in it is a numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -443,7 +444,16 @@ def main(argv=None) -> int:
     try:
         if "seed" in args:
             args.seed = _resolve_seed(args.seed)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        # stdout's: the commands turn every other OSError into InputError.  Left
+        # in place, its unwritten buffer would fail again at exit (status 120).
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"fermigap: cannot write to stdout: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except (InputError, CapacityError) as exc:
         print(f"fermigap: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

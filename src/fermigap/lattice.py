@@ -171,7 +171,8 @@ def _half_symbol(spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
     every mode: the modes with k_last <= p // 2, shape (..., p // 2 + 1).
     The planes k_last = 0 and, for even p, k_last = p / 2 are their own
     conjugate reflections; each is averaged with its reflection, so that
-    its pairs are exactly conjugate, and each of its modes counts once.
+    its pairs are exactly conjugate, and each of its modes counts once (half
+    the difference is added: halving first would round 5e-324 to 0).
     Every other stored mode also stands for its conjugate and counts twice.
     The multiplicities sum to n.  NumericalError, without a RuntimeWarning,
     if the sum of the roots or their transform overflows: finite roots of
@@ -183,8 +184,7 @@ def _half_symbol(spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
         half = np.fft.rfftn(spec.root_a + spec.root_b)
         for k in planes:
             plane = half[..., k]
-            plane *= 0.5
-            plane += np.conj(_reflect(plane))
+            plane += 0.5 * (np.conj(_reflect(plane)) - plane)
     weight = np.full(half.shape, 2, dtype=np.int8)
     weight[..., list(planes)] = 1
     if not np.isfinite(half).all():

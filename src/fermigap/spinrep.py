@@ -125,21 +125,31 @@ def _term_masks(w: np.ndarray) -> list[tuple[float, int, int]]:
 def _block(masks, n: int, states: np.ndarray) -> np.ndarray:
     """The Hamiltonian's matrix on the ascending basis states `states`.
 
-    The terms are added one after another, in order.  ConformanceError if a
-    term maps a state of the set outside it.
+    Each flip mask's terms fill their own entries: they are summed from 0.0
+    in their order (Z on the diagonal, X then Y off it) and written with one
+    scatter, bit-identical to adding the terms one at a time.  ConformanceError,
+    naming the first such term, if a term maps a state of the set outside it.
     """
+    out = np.zeros((states.size, states.size))
+    if not masks:
+        return out
     position = np.full(1 << n, -1)
     position[states] = np.arange(states.size)
-    cols = np.arange(states.size)
-    parity = _parity_signs(n)
-    out = np.zeros((states.size, states.size))
-    for coeff, flip_mask, sign_mask in masks:
-        rows = position[states ^ flip_mask]
-        if rows.min() < 0:
-            raise ConformanceError(f"dense Hamiltonian couples the two fermion-parity "
-                                   f"sectors: the term with flip mask {flip_mask:#b} has "
-                                   f"off-parity entry {abs(coeff):.3e}")
-        out[rows, cols] += coeff * parity[states & sign_mask]
+    coeffs, flips, signs = map(np.array, zip(*masks))
+    rows = position[states ^ flips[:, None]]
+    if rows.min() < 0:
+        coeff, flip_mask, _ = masks[(rows.min(axis=1) < 0).argmax()]
+        raise ConformanceError(f"dense Hamiltonian couples the two fermion-parity "
+                               f"sectors: the term with flip mask {flip_mask:#b} has "
+                               f"off-parity entry {abs(coeff):.3e}")
+    values = coeffs[:, None] * _parity_signs(n)[states & signs[:, None]]
+    order = np.argsort(flips, kind="stable")      # mask g's terms: order[first[g]:][:count[g]]
+    first = np.flatnonzero(np.diff(flips[order], prepend=-1))
+    count = np.diff(first, append=order.size)
+    sums = values[order[first]] + 0.0
+    for r in range(1, count.max()):
+        sums[count > r] += values[order[first[count > r] + r]]
+    out[rows[order[first]], np.arange(states.size)] = sums
     return out
 
 
@@ -322,14 +332,11 @@ def fcr_check(ops: FermionOperatorSet) -> float:
     return worst
 
 
-def _kron_string(n: int, j: int, string: np.ndarray, site_op: np.ndarray,
-                 coeff: float = 1.0) -> np.ndarray:
-    """coeff times the Kronecker product of string on sites before j, site_op at j, I after.
-
-    The product over the n sites is built left to right from [[coeff]].
-    """
+def _kron_string(n: int, j: int, string: np.ndarray, site_op: np.ndarray) -> np.ndarray:
+    """The Kronecker product of string on sites before j, site_op at j, I after,
+    built left to right from [[1.0]]."""
     eye = np.eye(site_op.shape[0])
-    op = np.array([[coeff]])
+    op = np.array([[1.0]])
     for k in range(n):
         op = np.kron(op, string if k < j else site_op if k == j else eye)
     return op
@@ -339,12 +346,14 @@ def jw_operators(n: int) -> FermionOperatorSet:
     """Jordan-Wigner annihilation operators on n qubits.
 
     c_j = (-1)^(j-1) Z_1 ... Z_{j-1} (X_j - i Y_j)/2 with site 1 leftmost.
+    With site j (from 0) the bit b = 2^(n-1-j), each column col with bit b clear
+    holds c_j's one nonzero: (-1)^j times the parity of col's bits above b, at row col | b.
     """
     check_sites(n, "dense-matrix", DENSE_QUBIT_CAP)
-    z = np.array([[1.0, 0.0], [0.0, -1.0]])
-    lower = np.array([[0.0, 0.0], [1.0, 0.0]])  # (X - iY)/2, real
-    return FermionOperatorSet(tuple(_kron_string(n, j, z, lower, (-1.0) ** j)
-                                    for j in range(n)))
+    ops = np.zeros((n, 1 << n, 1 << n))
+    j, col = np.nonzero((np.arange(1 << n) >> np.arange(n - 1, -1, -1)[:, None]) & 1 == 0)
+    ops[j, col | 1 << (n - 1 - j), col] = (-1.0) ** j * _parity_signs(n)[col >> (n - j)]
+    return FermionOperatorSet(tuple(ops))
 
 
 def _spin32_matrices() -> tuple[np.ndarray, np.ndarray]:

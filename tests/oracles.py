@@ -13,7 +13,7 @@ from scipy import optimize
 
 from fermigap import spinrep as sr
 from fermigap._blas import small_matrix_threads
-from fermigap.errors import InputError, NumericalError
+from fermigap.errors import ConformanceError, InputError, NumericalError
 
 # Reference kron-built Paulis for cross-checking the permutation assembly.
 _PAULI = {
@@ -51,6 +51,41 @@ def pauli_terms(w) -> list[tuple[float, str]]:
             out.append((float(w[j][k]), pad[0] + "X" + mid + "X" + pad[1]))
             out.append((float(w[k][j]), pad[0] + "Y" + mid + "Y" + pad[1]))
     return out
+
+
+def block_by_terms(masks, n: int, states: np.ndarray) -> np.ndarray:
+    """spinrep._block as a loop that adds the terms one after another, in order.
+
+    The reference the one scatter per flip mask must equal bit for bit; it
+    raises the same ConformanceError at the first term that leaves the set.
+    """
+    position = np.full(1 << n, -1)
+    position[states] = np.arange(states.size)
+    cols = np.arange(states.size)
+    parity = sr._parity_signs(n)
+    out = np.zeros((states.size, states.size))
+    for coeff, flip_mask, sign_mask in masks:
+        rows = position[states ^ flip_mask]
+        if rows.min() < 0:
+            raise ConformanceError(f"dense Hamiltonian couples the two fermion-parity "
+                                   f"sectors: the term with flip mask {flip_mask:#b} has "
+                                   f"off-parity entry {abs(coeff):.3e}")
+        out[rows, cols] += coeff * parity[states & sign_mask]
+    return out
+
+
+def jw_operators_by_kron(n: int) -> sr.FermionOperatorSet:
+    """Jordan-Wigner operators as n-fold Kronecker products, site 1 leftmost:
+    c_j = (-1)^(j-1) Z x ... x Z x (X - iY)/2 x I x ... x I."""
+    z = np.array([[1.0, 0.0], [0.0, -1.0]])
+    lower = np.array([[0.0, 0.0], [1.0, 0.0]])  # (X - iY)/2, real
+    ops = []
+    for j in range(n):
+        op = np.array([[(-1.0) ** j]])
+        for k in range(n):
+            op = np.kron(op, z if k < j else lower if k == j else np.eye(2))
+        ops.append(op)
+    return sr.FermionOperatorSet(tuple(ops))
 
 
 def reflect_by_roll(root: np.ndarray) -> np.ndarray:

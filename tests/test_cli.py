@@ -1237,6 +1237,51 @@ class TestHostileArguments:
         assert not out.exists()
 
 
+def _buffered_env():
+    """This environment without PYTHONUNBUFFERED.  Unbuffered, Python's text
+    layer drops the rest of a write that the closing reader cuts short, so the
+    command never sees the closed pipe; buffered, small outputs fail at the
+    final flush."""
+    return {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+
+
+class TestStdoutFailures:
+    # a failing stdout once ended in a traceback with exit 1
+
+    def test_reader_closing_early_exit_2(self):
+        with subprocess.Popen([sys.executable, "-m", "fermigap.cli", "cluster", "--n", "1000"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=_buffered_env()) as proc:
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        assert proc.returncode == 2, err
+        assert head == b'{\n  "n": 1'
+        # one line: no "Exception ignored" from the interpreter's flush at exit
+        assert err.startswith("fermigap: cannot write to stdout: [Errno 32] Broken pipe")
+        assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["gap", "PAIR"], ["spectrum", "PAIR"], ["profile", "PAIR", "--grid", "3"],
+        ["lattice", "expand", "SPEC"], ["jw", "PAIR"], ["cluster", "--n", "4"],
+        ["ising", "--n", "3"], ["verify", "--n-max", "2", "--trials", "1"],
+        ["ensemble", "--experiment", "figure2", "--n", "3", "--out", "OUT"],
+    ], ids=lambda argv: "-".join(argv[:2]) if argv[0] == "lattice" else argv[0])
+    def test_full_device_exit_2(self, identity_pair_file, xy_spec_file, tmp_path, argv,
+                                unbuffered):
+        env = {**_buffered_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
+        argv = [{"PAIR": identity_pair_file, "SPEC": xy_spec_file,
+                 "OUT": str(tmp_path / "out")}.get(arg, arg) for arg in argv]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "fermigap.cli", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ("fermigap: cannot write to stdout: "
+                               "[Errno 28] No space left on device\n")
+
+
 class TestConsoleScript:
     def test_import_loads_no_scipy(self):
         code = ("import sys, fermigap, fermigap.cli; "

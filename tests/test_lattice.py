@@ -202,8 +202,14 @@ class TestGEigenvalues:
                                    np.sort(lat.g_eigenvalues(spec)), atol=1e-10)
 
 
+# the least subnormal root: halving the plane before adding its reflection
+# rounded the mode to 0, one zero mode on the FFT route and none dense
+SUBNORMAL_SPEC = lat.TorusSpec([5e-324], [0.0])
+
+
 class TestSingularValues:
     @given(spec=structured_specs())
+    @example(spec=SUBNORMAL_SPEC)
     @settings(max_examples=60, deadline=None)
     def test_ground_gap_takes_the_fft_route(self, spec):
         report = qf.ground_gap(spec)
@@ -218,6 +224,12 @@ class TestSingularValues:
         assert report.num_zero_modes == dense_report.num_zero_modes
         assert abs(report.gap - dense_report.gap) <= tol
         assert abs(report.ground_energy - dense_report.ground_energy) <= spec.n * tol
+
+    def test_subnormal_root_is_no_zero_mode_on_either_route(self):
+        fft, dense = qf.ground_gap(SUBNORMAL_SPEC), qf.ground_gap(lat.expand(SUBNORMAL_SPEC))
+        assert SUBNORMAL_SPEC.singular_values().tolist() == [5e-324]
+        assert fft.num_zero_modes == dense.num_zero_modes == 0
+        assert fft == dense
 
 
 def ring_shift(count):

@@ -1,5 +1,8 @@
 import errno
+import json
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -365,6 +368,55 @@ class TestSingleThreadLoops:
         assert [t["library"] for t in threads] == [lib.name for lib in libs]
         assert [t["found"] for t in threads] == before
         assert [t["used"] for t in threads] == ([1] * len(libs) if capped else before)
+
+
+# Run in a fresh interpreter: an audit hook cannot be removed, and this
+# process has imported SciPy long ago.
+_LOOKUP_CACHE_SCRIPT = """
+import json, sys
+import numpy
+from fermigap import _blas
+
+first = _blas.loaded_openblas()
+events = []
+sys.addaudithook(lambda event, args: events.append(event)
+                 if event in ("open", "ctypes.dlopen") else None)
+again = _blas.loaded_openblas()
+seen = list(events)
+import scipy.linalg
+later = _blas.loaded_openblas()
+with _blas.small_matrix_threads(64) as threads:
+    used = [lib.get() for lib in later]
+
+
+def rescan():
+    _blas._scanned = (-1, [])
+    return _blas.loaded_openblas()
+
+
+print(json.dumps({"first": [lib.name for lib in first], "again": [lib.name for lib in again],
+                  "events": seen, "later": [lib.name for lib in later],
+                  "rescanned": [lib.name for lib in rescan()],
+                  "used": used, "yielded": [t["library"] for t in threads]}))
+"""
+
+
+def test_openblas_lookup_cached_until_an_import():
+    proc = subprocess.run([sys.executable, "-c", _LOOKUP_CACHE_SCRIPT],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    if not found["first"]:
+        pytest.skip("no OpenBLAS loaded with NumPy")
+    # a repeat lookup reads no /proc/self/maps and opens no library
+    assert found["again"] == found["first"]
+    assert found["events"] == []
+    # SciPy's wheels bring an OpenBLAS of their own: the import makes the
+    # next lookup scan again, and the cap reaches that library too
+    assert len(found["later"]) == len(found["first"]) + 1
+    assert found["later"] == found["rescanned"]
+    assert found["yielded"] == found["later"]
+    assert found["used"] == [1] * len(found["later"])
 
 
 class TestForkedChunks:

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermigap import _blas, quadform as qf
@@ -11,8 +11,9 @@ from fermigap import spinrep as sr
 from fermigap.errors import CapacityError, ConformanceError, InputError, NumericalError
 
 from conftest import dense_ground_state, with_off_parity_term
-from oracles import (anticommutator_defects, fcr_check_by_gemm, ising_gap_scaling,
-                     ising_min_gap, kron_word, pauli_terms, quasiparticle_assembly)
+from oracles import (anticommutator_defects, block_by_terms, fcr_check_by_gemm,
+                     ising_gap_scaling, ising_min_gap, jw_operators_by_kron, kron_word,
+                     pauli_terms, quasiparticle_assembly)
 
 
 def dyadic_w(n, rng, scale=2 ** 20):
@@ -173,6 +174,54 @@ class TestParityBlockOracle:
         h = sr.PauliHamiltonian(np.random.default_rng(40).standard_normal((n, n)))
         with pytest.raises(ConformanceError, match="off-parity entry 1.000e"):
             sr.dense_spectrum_oracle(h)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_first_of_several_off_parity_terms_named(self, n):
+        # the terms are checked together, but the message names the first in order
+        w = np.random.default_rng(41).standard_normal((n, n))
+        masks = [*sr._term_masks(w), (2.0, 1 << (n - 1), 0), (3.0, 1, 0)]
+        states = np.flatnonzero(sr._parity_signs(n) > 0.0)
+        message = f"flip mask {1 << (n - 1):#b} has off-parity entry 2.000e"
+        for block in (sr._block, block_by_terms):
+            with pytest.raises(ConformanceError, match=message):
+                block(masks, n, states)
+
+
+@st.composite
+def sparse_w(draw, max_n=9):
+    """An n x n W, n = 1 ... max_n, with some entries (or all) exactly zero."""
+    n = draw(st.integers(1, max_n))
+    values = draw(st.lists(st.floats(-1e3, 1e3, allow_subnormal=False),
+                           min_size=n * n, max_size=n * n))
+    kept = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return np.where(kept, values, 0.0).reshape(n, n)
+
+
+class TestOneScatterBlock:
+    @given(w=sparse_w(), basis=st.sampled_from(["even", "odd", "full"]))
+    @example(w=np.zeros((3, 3)), basis="full")     # no terms: the zero matrix
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_adding_term_by_term(self, w, basis):
+        n = w.shape[0]
+        even = sr._parity_signs(n) > 0.0
+        states = {"even": np.flatnonzero(even), "odd": np.flatnonzero(~even),
+                  "full": np.arange(1 << n)}[basis]
+        masks = sr._term_masks(w)
+        assert sr._block(masks, n, states).tobytes() == block_by_terms(masks, n, states).tobytes()
+
+    def test_cancelling_and_negative_zero_terms_give_positive_zero(self):
+        # from 0.0, x + (-x) and -0.0 alone both sum to +0.0
+        masks = [(1.0, 0b11, 0b01), (-1.0, 0b11, 0b01), (-0.0, 0b01, 0)]
+        out = sr._block(masks, 2, np.arange(4))
+        assert out.tobytes() == block_by_terms(masks, 2, np.arange(4)).tobytes()
+        assert not np.signbit(out).any()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_jw_operators_equal_kron_products(n):
+    direct, kron = sr.jw_operators(n), jw_operators_by_kron(n)
+    assert direct.m == kron.m == n
+    assert all(np.array_equal(a, b) for a, b in zip(direct.ops, kron.ops))
 
 
 def bit_parity_per_bit(values, mask, n):
