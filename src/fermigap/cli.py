@@ -1,16 +1,17 @@
 """Command-line interface: reproducible gap experiments with file I/O.
 
-Exit codes: 0 success, 1 usage error, 2 invalid input, 3 numerical failure,
-4 conformance-check failure.  All numeric output uses repr round-trip
-precision; CSV always uses '.' as the decimal separator.  JSON output is
-standard JSON: a NaN or infinity in it is a numerical failure.
+Each cmd_* returns its exit code and stdout text; main writes the text.
+Exit codes: 0 success, 1 usage error, 2 invalid input or a failed stdout
+write, 3 numerical failure, 4 conformance-check failure.  All numeric output
+uses repr round-trip precision; CSV always uses '.' as the decimal separator.
+JSON output is standard JSON: a NaN or infinity in it is a numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -95,10 +96,6 @@ def _json_text(doc: dict) -> str:
         raise NumericalError(f"non-finite value in JSON output: {exc}") from exc
 
 
-def _print_json(doc: dict) -> None:
-    sys.stdout.write(_json_text(doc))
-
-
 _CSV_BOOL = {True: "true", False: "false"}
 
 
@@ -145,21 +142,41 @@ def _write_run(out_dir: str, command: str, parameters: dict, seed: int | None,
         raise InputError(f"cannot write the run directory {str(out_dir)!r}: {exc}") from None
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of text to the file under stdout's buffers, or raise OSError.
+
+    Each write advances by the count it returns: a reader that closes early
+    cuts one short, and the next raises BrokenPipeError.  Nothing is left in
+    Python's buffers for the flush at exit to fail on.
+    """
+    if sys.stdout is None:      # Python started with fd 1 closed
+        if text:
+            raise OSError(errno.EBADF, "stdout is closed")
+        return
+    sys.stdout.flush()
+    sink = getattr(sys.stdout, "buffer", None)
+    if sink is None:        # a text-only stream, such as io.StringIO
+        sys.stdout.write(text)
+        return
+    sink = getattr(sink, "raw", sink)
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[sink.write(data):]
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gap(args) -> int:
+def cmd_gap(args) -> tuple[int, str]:
     report = qf.ground_gap(fio.load_pair_or_structured(args.input), args.tol)
-    _print_json(dataclasses.asdict(report))
-    return EXIT_OK
+    return EXIT_OK, _json_text(dataclasses.asdict(report))
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple[int, str]:
     source = fio.load_pair_or_structured(args.input)
     energies = qf.subset_sum_spectrum(source.singular_values())
-    _print_json({"n": source.n, "energies": energies.tolist()})
-    return EXIT_OK
+    return EXIT_OK, _json_text({"n": source.n, "energies": energies.tolist()})
 
 
 # The per-point arrays, lists and CSV text take about 220 bytes per grid
@@ -188,7 +205,7 @@ def _check_profile_work(grid: int, n: int, dense: bool) -> None:
                             f"above the cap of {cap:.3g}")
 
 
-def cmd_profile(args) -> int:
+def cmd_profile(args) -> tuple[int, str]:
     if not 2 <= args.grid <= PROFILE_GRID_CAP:
         raise InputError(f"grid size must lie in [2, {PROFILE_GRID_CAP}], got {args.grid}")
     source = fio.load_pair_or_structured(args.input)
@@ -206,23 +223,21 @@ def cmd_profile(args) -> int:
         parameters = {"input": str(args.input), "grid": args.grid, "tol": args.tol}
         _write_run(args.out, "profile", parameters, None,
                    {"profile.csv": csv_text, "summary.json": summary_text})
-    else:
-        sys.stdout.write(csv_text + summary_text)
-    return EXIT_OK
+        return EXIT_OK, ""
+    return EXIT_OK, csv_text + summary_text
 
 
-def cmd_lattice(args) -> int:
+def cmd_lattice(args) -> tuple[int, str]:
     spec = fio.load_pair_or_structured(args.input)
     if isinstance(spec, qf.CoefficientPair):
         raise InputError("lattice expand needs a structured spec document (with a 'kind' key)")
-    _print_json(fio.pair_to_dict(lat.expand(spec)))
-    return EXIT_OK
+    return EXIT_OK, _json_text(fio.pair_to_dict(lat.expand(spec)))
 
 
 _SURVIVAL_X = [0.5, 1.0, 2.0]
 
 
-def cmd_ensemble(args) -> int:
+def cmd_ensemble(args) -> tuple[int, str]:
     kind, experiment = ens.EXPERIMENTS[args.experiment]
     if args.kind not in (None, kind):
         raise InputError(f"experiment {args.experiment!r} draws from the {kind} "
@@ -232,7 +247,7 @@ def cmd_ensemble(args) -> int:
                          f"not {args.experiment!r}")
     samples = args.samples
     if args.experiment == "survival":
-        args.x = args.x or _SURVIVAL_X
+        args.x = _SURVIVAL_X if args.x is None else args.x
         summary, tables = experiment(args.n, samples, args.seed, args.x)
     elif args.experiment == "figure2":
         samples = 1     # one evolution, sample 0, whatever --samples says
@@ -250,29 +265,26 @@ def cmd_ensemble(args) -> int:
     # leaves no directory behind.
     _write_run(args.out, f"ensemble {args.experiment}", parameters, args.seed,
                {**outputs, "summary.json": summary_text})
-    sys.stdout.write(summary_text)
-    return EXIT_OK
+    return EXIT_OK, summary_text
 
 
-def cmd_jw(args) -> int:
+def cmd_jw(args) -> tuple[int, str]:
     source = fio.load_pair_or_w(args.input)
     if isinstance(source, sr.PauliHamiltonian):
-        _print_json(fio.pair_to_dict(source.to_pair()))
-    else:
-        _print_json(fio.w_to_dict(sr.PauliHamiltonian(sr.ab_to_w(source))))
-    return EXIT_OK
+        return EXIT_OK, _json_text(fio.pair_to_dict(source.to_pair()))
+    return EXIT_OK, _json_text(fio.w_to_dict(sr.PauliHamiltonian(sr.ab_to_w(source))))
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args) -> tuple[int, str]:
     h = sr.build_cluster_w(args.n)
-    _print_json(fio.pair_to_dict(h.to_pair()) if args.as_pair else fio.w_to_dict(h))
-    return EXIT_OK
+    return EXIT_OK, _json_text(fio.pair_to_dict(h.to_pair()) if args.as_pair
+                               else fio.w_to_dict(h))
 
 
-def cmd_ising(args) -> int:
+def cmd_ising(args) -> tuple[int, str]:
     h = sr.build_ising_w(args.n, args.s)
-    _print_json(fio.pair_to_dict(h.to_pair()) if args.as_pair else fio.w_to_dict(h))
-    return EXIT_OK
+    return EXIT_OK, _json_text(fio.pair_to_dict(h.to_pair()) if args.as_pair
+                               else fio.w_to_dict(h))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +355,7 @@ def _worst_case(check: str, cases: list) -> tuple[float, dict]:
 VERIFY_TRIAL_CAP = 10 ** 4
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     if not 1 <= args.n_max <= sr.DENSE_QUBIT_CAP:
         raise InputError(f"--n-max must lie in [1, {sr.DENSE_QUBIT_CAP}], got {args.n_max}")
     if not 1 <= args.trials <= VERIFY_TRIAL_CAP:
@@ -358,8 +370,8 @@ def cmd_verify(args) -> int:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"conformance suite: {exc}") from exc
     all_pass = all(check["passed"] for check in checks)
-    _print_json({"checks": checks, "passed": all_pass, "seed": args.seed})
-    return EXIT_OK if all_pass else EXIT_CONFORMANCE
+    return (EXIT_OK if all_pass else EXIT_CONFORMANCE,
+            _json_text({"checks": checks, "passed": all_pass, "seed": args.seed}))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="samples drawn (figure2 always draws one)")
     p.add_argument("--seed", default=None, help=_SEED_HELP)
     p.add_argument("--experiment", choices=sorted(ens.EXPERIMENTS), required=True)
-    p.add_argument("--x", type=float, nargs="*", default=None,
+    p.add_argument("--x", type=float, nargs="+", default=None,
                    help="x values for the survival experiment")
     p.add_argument("--out", default="fermigap-out")
     p.set_defaults(func=cmd_ensemble)
@@ -444,14 +456,11 @@ def main(argv=None) -> int:
     try:
         if "seed" in args:
             args.seed = _resolve_seed(args.seed)
-        code = args.func(args)
-        sys.stdout.flush()
+        code, text = args.func(args)
+        _write_stdout(text)
         return code
     except OSError as exc:
-        # stdout's: the commands turn every other OSError into InputError.  Left
-        # in place, its unwritten buffer would fail again at exit (status 120).
-        with contextlib.suppress(OSError, ValueError):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # stdout's: the commands turn every other OSError into InputError
         print(f"fermigap: cannot write to stdout: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (InputError, CapacityError) as exc:

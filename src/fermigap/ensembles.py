@@ -26,9 +26,8 @@ from .quadform import (
     CoefficientPair,
     _path_singular_values,
     check_sites,
-    gap_and_zero_modes,
+    gap_profile,
     ground_gap,
-    linearity_defect,
     subset_sum_spectrum,
     symmetrize_split,
 )
@@ -245,27 +244,22 @@ def figure1_experiment(n: int, samples: int, seed: int) -> tuple[dict, dict]:
 def figure2_experiment(n: int, seed: int) -> tuple[dict, dict]:
     """Full level table of an evolution to A = C C^T / n, B = 0, on 101 points of s.
 
-    Uses the first sample of a Wishart run.  The gap must be exactly affine
-    in s: gap(s) = 2(1-s) + s*gap(1).
+    Uses the first sample of a Wishart run, and takes the gaps from
+    gap_profile.  The gap must be exactly affine in s: gap(s) = 2(1-s) + s*gap(1).
     """
     _check_enumeration(n)
-    lam_at = _path_singular_values(sample_pair(_config("figure2", n, 1, seed), 0))
+    target = sample_pair(_config("figure2", n, 1, seed), 0)
     s_grid = np.linspace(0.0, 1.0, 101)
+    profile = gap_profile(target, s_grid)
+    lam_at = _path_singular_values(target)
+    points = s_grid.tolist()
+    levels = np.concatenate(forked_chunks(
+        lambda lo, hi: [subset_sum_spectrum(lam_at(s)) for s in points[lo:hi]],
+        s_grid.size, n, "points"))
     count = 2 ** n
-
-    def chunk(first: int, last: int):
-        levels = np.empty((last - first, count))
-        gaps = np.empty(last - first)
-        for k, s in enumerate(s_grid[first:last].tolist()):
-            lam = lam_at(s)
-            levels[k] = subset_sum_spectrum(lam)
-            gaps[k] = gap_and_zero_modes(lam)[0]
-        return levels, gaps
-
-    levels, gaps = map(np.concatenate, zip(*forked_chunks(chunk, s_grid.size, n, "points")))
-    defect = linearity_defect(s_grid, gaps)
+    defect = profile.summary["linear_defect"]
     summary = {
-        "final_gap": float(gaps[-1]),
+        "final_gap": float(profile.gap[-1]),
         "max_linearity_defect": defect,
         "threshold": {"max_linearity_defect": 1e-10},
         "passed": defect <= 1e-10,

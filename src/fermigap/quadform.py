@@ -302,7 +302,11 @@ class GapProfile:
 
     def __post_init__(self, path_minimum):
         row = int(np.argmin(self.gap))
-        defect = linearity_defect(self.s, self.gap)
+        # max |gap(s) - (2(1-s) + s gap(1))|: zero, to rounding, where the gap
+        # is affine in s, as on a path to B = 0 and A positive definite
+        with np.errstate(over="ignore", invalid="ignore"):    # an infinite gap gives NaN
+            affine = 2.0 * (1.0 - self.s) + self.s * self.gap[-1]
+            defect = float(np.max(np.abs(self.gap - affine)))
         summary = {
             "min_gap": float(self.gap[row]),
             "min_gap_s": float(self.s[row]),
@@ -372,13 +376,3 @@ def gap_profile(target: CoefficientPair, s_grid,
                            len(points), target.n, "points")
     gap, num_zero_modes = map(np.concatenate, zip(*chunks))
     return GapProfile(s=s_grid.copy(), gap=gap, num_zero_modes=num_zero_modes)
-
-
-def linearity_defect(s_grid: np.ndarray, gap: np.ndarray) -> float:
-    """max |gap(s) - (2(1-s) + s gap(1))| over a grid ending at s = 1.
-
-    Zero, to rounding, where the gap is affine in s, as on a path to B = 0
-    and A positive definite.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):    # an infinite gap gives NaN
-        return float(np.max(np.abs(gap - (2.0 * (1.0 - s_grid) + s_grid * gap[-1]))))

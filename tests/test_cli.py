@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import errno
 import hashlib
+import io
 import json
 import os
 import platform
@@ -698,6 +699,19 @@ class TestEnsembleCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["survival", "edelman"])
+    def test_x_without_values_is_a_usage_error(self, tmp_path, capsys, experiment):
+        # for survival, a bare --x once ran x = 0.5, 1, 2 with exit 0
+        out = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ensemble", "--experiment", experiment, "--n", "4", "--samples", "5",
+                      "--out", str(out), "--x"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "--x: expected at least one argument" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment", ["edelman", "figure1"])
     def test_x_recorded_as_null_without_survival(self, tmp_path, capsys, experiment):
         out = tmp_path / "d"
@@ -1238,20 +1252,39 @@ class TestHostileArguments:
 
 
 def _buffered_env():
-    """This environment without PYTHONUNBUFFERED.  Unbuffered, Python's text
-    layer drops the rest of a write that the closing reader cuts short, so the
-    command never sees the closed pipe; buffered, small outputs fail at the
-    final flush."""
+    """This environment without PYTHONUNBUFFERED, for a test to set or leave out.
+
+    Unbuffered, Python's text layer writes straight to the raw file and drops
+    the rest of a write that a closing reader cuts short, without an error.
+    main's writer checks every count, so both modes must fail alike.
+    """
     return {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+
+
+class _TrickleRaw(io.RawIOBase):
+    """A raw stream that takes at most 7 bytes per write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes.append(bytes(data[:7]))
+        return len(self.writes[-1])
 
 
 class TestStdoutFailures:
     # a failing stdout once ended in a traceback with exit 1
 
-    def test_reader_closing_early_exit_2(self):
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_reader_closing_early_exit_2(self, unbuffered):
+        # unbuffered, this once exited 0 with nothing on stderr
+        env = {**_buffered_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
         with subprocess.Popen([sys.executable, "-m", "fermigap.cli", "cluster", "--n", "1000"],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=_buffered_env()) as proc:
+                              env=env) as proc:
             head = proc.stdout.read(10)
             proc.stdout.close()
             err = proc.stderr.read().decode()
@@ -1280,6 +1313,47 @@ class TestStdoutFailures:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == ("fermigap: cannot write to stdout: "
                                "[Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_leaves_fd_1_as_it_was(self):
+        # main once pointed fd 1 at os.devnull after a failed write
+        code = ("import os, sys; import fermigap.cli as cli; "
+                "ident = lambda st: (st.st_dev, st.st_ino, st.st_rdev); "
+                "before = ident(os.fstat(1)); rc = cli.main(['cluster', '--n', '4']); "
+                "print('fd 1 unchanged:', ident(os.fstat(1)) == before, file=sys.stderr); "
+                "sys.exit(rc)")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-c", code], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, env=_buffered_env(),
+                                  timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "fermigap: cannot write to stdout: [Errno 28] No space left on device",
+            "fd 1 unchanged: True"]
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["cluster", "--n", "4"], 2,
+         "fermigap: cannot write to stdout: [Errno 9] stdout is closed\n"),
+        (["profile", "PAIR", "--grid", "3", "--out", "OUT"], 0, ""),
+    ], ids=["cluster", "profile-out"])
+    def test_closed_fd_1(self, identity_pair_file, tmp_path, argv, code, err):
+        # a closed fd 1 (sys.stdout is None) once ended in a traceback with exit 1
+        argv = [{"PAIR": identity_pair_file, "OUT": str(tmp_path / "out")}.get(arg, arg)
+                for arg in argv]
+        proc = subprocess.run(["sh", "-c", 'exec "$0" -m fermigap.cli "$@" >&-',
+                               sys.executable, *argv], stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (code, err)
+
+    def test_short_writes_deliver_every_byte_in_order(self, monkeypatch):
+        raw = _TrickleRaw()
+        stdout = io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8")
+        stdout.write("already buffered\n")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        text = "".join(f"{i},\u00fc\n" for i in range(300))
+        cli._write_stdout(text)
+        assert b"".join(raw.writes) == ("already buffered\n" + text).encode()
+        assert max(map(len, raw.writes)) == 7
 
 
 class TestConsoleScript:

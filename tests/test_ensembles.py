@@ -195,28 +195,32 @@ class TestExperiments:
 
     def test_figure2_builds_one_pair_and_the_gaps_of_gap_profile(self, monkeypatch):
         built, seen = [], []
-        real_init, real_defect = qf.CoefficientPair.__post_init__, ens.linearity_defect
+        real_init, real_profile = qf.CoefficientPair.__post_init__, ens.gap_profile
 
         def counted_init(pair):
             built.append(pair)
             real_init(pair)
 
-        def spied_defect(s_grid, gap):
-            seen.append(gap.copy())
-            return real_defect(s_grid, gap)
+        def spied_profile(target, s_grid, zero_tolerance=None):
+            profile = real_profile(target, s_grid, zero_tolerance)
+            seen.append(profile)
+            return profile
 
         monkeypatch.setattr(qf.CoefficientPair, "__post_init__", counted_init)
-        monkeypatch.setattr(ens, "linearity_defect", spied_defect)
+        monkeypatch.setattr(ens, "gap_profile", spied_profile)
         summary, tables = ens.figure2_experiment(n=6, seed=5)
         assert len(built) == 1          # the target, and no pair per grid point
-        (gaps,) = seen
+        (profile,) = seen
+        gaps = profile.gap
         s_grid = np.linspace(0.0, 1.0, 101)
+        assert np.array_equal(profile.s, s_grid)
         _, (s, _, _) = tables["figure2.csv"]
         assert np.array_equal(s, np.repeat(s_grid, 2 ** 6))
         target = ens.sample_pair(ens.EnsembleConfig("wishart", 6, 1, 5), 0)
         assert np.array_equal(gaps, qf.gap_profile(target, s_grid).gap)
         assert summary["final_gap"] == gaps[-1]
-        assert summary["max_linearity_defect"] == real_defect(s_grid, gaps)
+        affine = 2.0 * (1.0 - s_grid) + s_grid * gaps[-1]
+        assert summary["max_linearity_defect"] == float(np.max(np.abs(gaps - affine)))
 
 
 class TestSingleThreadLoop:
