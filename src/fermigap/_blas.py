@@ -8,7 +8,11 @@ On small matrices OpenBLAS spends more time handing work to its threads than
 the threads save, and a second thread that has to wait for a busy core makes
 the whole call wait.  The cap is scoped to a block, not set for the process:
 the spin oracle's parity blocks above order 512 (n >= 11) run faster on all
-threads.
+threads.  A library already on one thread is not set at all: after
+os.fork, OpenBLAS's set_num_threads starts the library's thread pool again,
+even to set one thread, and the new thread spins on the other core.  A
+forked chunk inherits its loop's cap, so the capped blocks inside it (the
+spin oracle's, say) start no thread.
 Only OpenBLAS libraries already loaded into the process are touched; with
 none loaded (not Linux, or MKL/Accelerate) a capped block runs unchanged.
 The lookup (loaded_openblas) scans the process's mappings again only after
@@ -91,8 +95,9 @@ def small_matrix_threads(n: int):
     """Run the block with every loaded OpenBLAS on one thread when n is small.
 
     n is the order of the matrices the block factors, one after another.
-    Above SINGLE_THREAD_MAX_N the block runs on the default threads.  Each
-    library's previous count is restored on exit, also when the block raises.
+    Above SINGLE_THREAD_MAX_N the block runs on the default threads.  A
+    library already on one thread is left alone; each other one's previous
+    count is restored on exit, also when the block raises.
     The counts are per process, so blocks must not overlap in several threads.
     Yields the threads each library had before the block and runs it on,
     [{"library": name, "found": count, "used": count}], or None when no
@@ -100,14 +105,17 @@ def small_matrix_threads(n: int):
     """
     libs = loaded_openblas()
     found = [lib.get() for lib in libs]
-    capped = libs if n <= SINGLE_THREAD_MAX_N else []
+    # only the libraries not on one thread already: after a fork, set() starts
+    # the library's thread pool again, even to set one thread
+    capped = ([(lib, f) for lib, f in zip(libs, found) if f != 1]
+              if n <= SINGLE_THREAD_MAX_N else [])
     try:
-        for lib in capped:
+        for lib, _ in capped:
             lib.set(1)
         yield [{"library": lib.name, "found": f, "used": lib.get()}
                for lib, f in zip(libs, found)] or None
     finally:
-        for lib, count in zip(capped, found):
+        for lib, count in capped:
             lib.set(count)
 
 
@@ -117,40 +125,54 @@ def small_matrix_threads(n: int):
 # forked_chunks's chunks, on a 2-core x86-64 VM, ms (medians of 5):
 #
 #     loop              n      items   (items - 1) n^3   one vs two
+#     verify 8 x 1      128    16      1.2e6             59.9 vs 64.1
+#     verify 8 x 3      128    48      3.6e6             67.0 vs 60.2
 #     gaussian          64     20      5.0e6             38.4 vs 50.2
 #     bounded_uniform   32     200     6.5e6             140  vs 154
+#     verify 9 x 1      256    18      9.6e6             59.2 vs 65.0
 #     gaussian          128    10      1.9e7             48.2 vs 48.1
 #     profile           128    11      2.1e7             20.1 vs 16.9
 #     profile           64     101     2.6e7             33.2 vs 30.6
+#     verify 9 x 3      256    54      2.9e7             103  vs 86.9
 #     profile           256    3       3.4e7             24.2 vs 22.5
 #     bounded_uniform   64     200     5.2e7             365  vs 237
+#     verify 10 x 1     512    20      7.7e7             102  vs 85.4
+#     verify 10 x 3     512    60      2.3e8             214  vs 149
 #     gaussian          128    200     4.2e8             537  vs 290
 #     profile           256    101     1.7e9             918  vs 468
 #
+# verify n_max x trials: the subset-sum check's parity blocks, of orders 1
+# to n, their work the sum of d^3 / 4 over the blocks after item 0
+# (cli.EIGVALSH_WORK_DIVISOR); the whole cli.main, medians of 11.
 # The n^3 count leaves out the Python cost of an item, most of what a small
 # one costs: 2000 samples at n = 8 stay in one process, though two took 562
 # vs 411 ms (bounded_uniform) and 306 vs 243 ms (gaussian).
 WORK_PER_WORKER = 10 ** 7
 
 
-def loop_workers(items: int, n: int) -> int:
+def loop_workers(items: int, n: int, work: int | None = None) -> int:
     """Processes a loop of items factorizations of order n runs on, the caller's included.
 
     The caller computes item 0 before it forks, so the work the processes
-    share is that of the other items, (items - 1) x n^3.  One process per
-    usable CPU, each with at least WORK_PER_WORKER of that work and at least
-    one of those items.  A single process above SINGLE_THREAD_MAX_N, whose
-    factorizations already run on every BLAS thread; without
-    os.sched_getaffinity (macOS, Windows: no fork, or none that is safe once
-    system frameworks are loaded); and while another Python thread is alive,
-    since the child would hold only a copy of the locks that thread may hold
-    (the reason Python 3.12 warns about such forks).
+    share is that of the other items: (items - 1) x n^3, or work, in the
+    same unit (a values-only SVD of order n costs n^3), for a loop whose
+    items differ in size or kind, n then being their largest order.  One
+    process per usable CPU, each with at least WORK_PER_WORKER of that work
+    and at least one of those items.  A single process above
+    SINGLE_THREAD_MAX_N, whose factorizations already run on every BLAS
+    thread; without os.sched_getaffinity (macOS, Windows: no fork, or none
+    that is safe once system frameworks are loaded); and while another
+    Python thread is alive, since the child would hold only a copy of the
+    locks that thread may hold (the reason Python 3.12 warns about such
+    forks).
     """
     if (n > SINGLE_THREAD_MAX_N or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return 1
     rest = items - 1
-    return max(1, min(len(os.sched_getaffinity(0)), rest, rest * n ** 3 // WORK_PER_WORKER))
+    if work is None:
+        work = rest * n ** 3
+    return max(1, min(len(os.sched_getaffinity(0)), rest, work // WORK_PER_WORKER))
 
 
 # What the last forked_chunks loop of this process ran on: blas_threads, as
@@ -160,23 +182,25 @@ def loop_workers(items: int, n: int) -> int:
 last_loop: dict = {}
 
 
-def forked_chunks(chunk: Callable[[int, int], object], items: int, n: int, what: str) -> list:
+def forked_chunks(chunk: Callable[[int, int], object], items: int, n: int, what: str,
+                  work: int | None = None) -> list:
     """chunk(lo, hi) over contiguous chunks of range(items), in index order.
 
-    The loop runs under small_matrix_threads(n) on loop_workers(items, n)
-    processes, and last_loop records what it ran on.  The caller computes
-    item 0, forks one child per chunk after its own, and then computes the
-    rest of its chunk: the children inherit warm LAPACK buffers along with
-    the thread cap and the heap settings.  A chunk whose pipe or fork fails
-    with OSError is computed here in its turn.  Each child sends back its
-    result, or the exception its chunk raised, which is raised again here.
-    A child that sends neither gives NumericalError "the worker for <what>
-    [lo, hi) died".  Every child is reaped before this returns or raises; on
-    the way out of a failure, the read ends are closed and the children
-    still running are killed first, so none is left blocked on a full pipe.
+    The loop runs under small_matrix_threads(n) on loop_workers(items, n,
+    work) processes, and last_loop records what it ran on.  The caller
+    computes item 0, forks one child per chunk after its own, and then
+    computes the rest of its chunk: the children inherit warm LAPACK buffers
+    along with the thread cap and the heap settings.  A chunk whose pipe or
+    fork fails with OSError is computed here in its turn.  Each child sends
+    back its result, or the exception its chunk raised, which is raised
+    again here.  A child that sends neither gives NumericalError "the worker
+    for <what> [lo, hi) died".  Every child is reaped before this returns or
+    raises; on the way out of a failure, the read ends are closed and the
+    children still running are killed first, so none is left blocked on a
+    full pipe.
     """
     last_loop.clear()
-    workers = loop_workers(items, n)
+    workers = loop_workers(items, n, work)
     children = []           # (lo, hi, pid, read end); pid None where no child took the chunk
     live = set()            # the pids not yet reaped
     with small_matrix_threads(n) as threads:

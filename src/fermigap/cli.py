@@ -291,15 +291,49 @@ def cmd_ising(args) -> tuple[int, str]:
 # Conformance suite
 # ---------------------------------------------------------------------------
 
+# Levels of the subset-sum trials' oracle spectra held at once: the trials
+# run in batches whose spectra, kept until their loop joins, hold at most
+# this many (unless one trial alone holds more), 1 MiB of float64.
+VERIFY_BATCH_LEVELS = 1 << 17
+
+# Work of an order-d eigvalsh in the unit of _blas.WORK_PER_WORKER, where a
+# values-only SVD of order d costs d^3: d^3 // EIGVALSH_WORK_DIVISOR.  Set
+# from the verify rows of _blas's break-even table: two processes start at
+# n_max 9 from 3 trials and at n_max 10 from 1, where they first ran faster.
+EIGVALSH_WORK_DIVISOR = 4
+
+
+def _oracle_spectra(ws: list):
+    """sr.dense_spectrum_oracle of each W, its parity blocks split over processes.
+
+    One _blas.forked_chunks item per block: every W's even block in the
+    order of ws, then every odd one.  Item 0, computed before any fork, is
+    the first W's even block, and the two halves hold the same block sizes.
+    Each spectrum is merged as the oracle merges it, so bit-identically.
+    """
+    hams = [sr.PauliHamiltonian(w) for w in ws]
+    items = [(h, parity) for parity in (0, 1) for h in hams]
+    orders = [1 << (h.n - 1) for h, _ in items]
+    chunks = _blas.forked_chunks(
+        lambda lo, hi: [sr.sector_spectrum(*item) for item in items[lo:hi]],
+        len(items), max(orders), "parity blocks",
+        work=sum(d ** 3 for d in orders[1:]) // EIGVALSH_WORK_DIVISOR)
+    blocks = [block for chunk in chunks for block in chunk]
+    half = len(hams)
+    return (np.sort(np.concatenate([blocks[k], blocks[half + k]])) for k in range(half))
+
+
 def _verify_checks(n_max: int, trials: int, seed: int):
     """Yield (check name, tolerance, cases), cases a list of (residual, replay info)."""
     cases = []
-    for t in range(trials):
-        for n in range(1, n_max + 1):
-            w = ens.seeded_rng(seed, 0, t, n).standard_normal((n, n))
+    batch = max(1, VERIFY_BATCH_LEVELS // ((2 << n_max) - 2))    # a trial's 2 + 4 + ... + 2^n_max
+    for first in range(0, trials, batch):
+        keys = [(t, n) for t in range(first, min(first + batch, trials))
+                for n in range(1, n_max + 1)]
+        ws = [ens.seeded_rng(seed, 0, t, n).standard_normal((n, n)) for t, n in keys]
+        for (t, n), w, dense in zip(keys, ws, _oracle_spectra(ws)):
             lam = sr.w_to_ab(w).singular_values()
             sub = qf.subset_sum_spectrum(lam)
-            dense = sr.dense_spectrum_oracle(sr.PauliHamiltonian(w))
             # lam is descending, so lam[0] is the 2-norm of A + B
             res = float(np.max(np.abs(sub - dense))) / (1.0 + lam[0])
             cases.append((res, {"trial": t, "n": n}))

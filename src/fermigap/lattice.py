@@ -267,6 +267,16 @@ def _path_minimum(s: np.ndarray, dist: np.ndarray, modulus_max: float, n: int) -
 # of its exact value (the clipped s_k of a segment distance is off by a few
 # ulps, which moves |1 + s_k (sigma_k - 1)| by at most that times |sigma_k - 1|).
 _SLACK_UNITS = 32
+# Largest share of the stored modes a point's pruned route gathers: the
+# crossover with the full pass when the symbol is not in cache.  On the
+# benchmark's 2^20-site torus (532,480 stored modes), ms per point (medians
+# of 15 calls, 2-core x86-64 VM), with the symbol pushed out of cache before
+# each call (cold) or not (warm):
+#
+#     share        0.20   0.30   0.35   0.40   0.45   0.50   full pass
+#     gather cold  2.4    3.5    4.3    4.7    5.5    6.0    4.7
+#     gather warm  1.3    2.0    2.4    2.7    3.2    3.7    3.6
+_GATHER_MAX_SHARE = 0.4
 # Modes from the head of each sorted key evaluated at every point, with the
 # mode of largest |sigma| and the previous point's least mode, to bound the
 # least modulus from above.
@@ -290,9 +300,9 @@ class _CandidateGaps:
     tolerance n eps max_k lam_k is bracketed below by the largest value
     evaluated and above by (1 - s) + s max|sigma| plus slack.  A point whose
     candidates include a value inside that bracket, or where pruning would
-    keep more than half the stored modes (s = 0 keeps all), takes the full
-    pass over the stored modes.  The grid-free minimum over the path is
-    .minimum.
+    keep more than _GATHER_MAX_SHARE of the stored modes (s = 0 keeps all),
+    takes the full pass over the stored modes.  The grid-free minimum over
+    the path is .minimum.
     """
 
     def __init__(self, spec: TorusSpec, zero_tolerance: float | None):
@@ -335,9 +345,7 @@ class _CandidateGaps:
             first = (int(np.searchsorted(self.radius, (1.0 - bound - self.slack) / s))
                      if s > 0.0 else 0)
             modes = self.by_dist[:count] if count <= stored - first else self.by_radius[first:]
-            # on a 2^20-site torus, gathering half of the 532,480 stored modes
-            # took 5.8 ms, the full pass over all of them 4.7 ms
-            if 2 * modes.size <= stored:
+            if modes.size <= _GATHER_MAX_SHARE * stored:
                 lam = _moduli(self.symbol, s, modes)
                 if tol_lo is None:
                     tol_lo = zero_tolerance_for(

@@ -159,26 +159,35 @@ def dense_hamiltonian(h: PauliHamiltonian) -> np.ndarray:
     return _block(_term_masks(h.w), h.n, np.arange(1 << h.n))
 
 
-def dense_spectrum_oracle(h: PauliHamiltonian) -> np.ndarray:
-    """All 2^n eigenvalues by dense symmetric diagonalization, ascending.
+def sector_spectrum(h: PauliHamiltonian, parity: int) -> np.ndarray:
+    """The eigenvalues of one fermion-parity block, ascending: parity 0 even, 1 odd.
 
     Every term flips an even number of bits, so the Hamiltonian conserves
-    fermion parity (the parity of a basis index's popcount).  The oracle
-    assembles the even sector's 2^(n-1) block, diagonalizes it, and then does
-    the same for the odd sector (on one OpenBLAS thread up to order 512).  A
-    term that maps a state of a sector outside it raises ConformanceError.
+    fermion parity (the parity of a basis index's popcount), and the 2^(n-1)
+    basis states of each parity span a block of their own.  The block is
+    assembled and diagonalized on one OpenBLAS thread up to order 512.  A
+    term that maps a state of the block outside it raises ConformanceError;
+    a failed eigensolver raises NumericalError.
     """
     n = h.n
     check_sites(n, "dense-matrix", DENSE_QUBIT_CAP)
-    masks = _term_masks(h.w)
-    even = _parity_signs(n) > 0.0
+    if parity not in (0, 1):
+        raise InputError(f"parity must be 0 or 1, got {parity!r}")
+    states = np.flatnonzero((_parity_signs(n) < 0.0) == parity)
     try:
-        with small_matrix_threads(1 << (n - 1)):
-            blocks = [np.linalg.eigvalsh(_block(masks, n, states))
-                      for states in (np.flatnonzero(even), np.flatnonzero(~even))]
+        with small_matrix_threads(states.size):
+            return np.linalg.eigvalsh(_block(_term_masks(h.w), n, states))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
-    return np.sort(np.concatenate(blocks))
+
+
+def dense_spectrum_oracle(h: PauliHamiltonian) -> np.ndarray:
+    """All 2^n eigenvalues by dense symmetric diagonalization, ascending.
+
+    The even sector's eigenvalues and then the odd sector's, each from
+    sector_spectrum, merged: only one 2^(n-1) x 2^(n-1) block exists at a time.
+    """
+    return np.sort(np.concatenate([sector_spectrum(h, 0), sector_spectrum(h, 1)]))
 
 
 # ---------------------------------------------------------------------------

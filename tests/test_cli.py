@@ -508,7 +508,7 @@ class TestHostileNumbers:
     def test_dense_sum_overflow_exit_3(self, tmp_path, capsys, monkeypatch, argv, workers):
         # in process, so a numpy RuntimeWarning, in the caller or in a forked
         # worker, fails the test as an error
-        monkeypatch.setattr(_blas, "loop_workers", lambda items, n: workers)
+        monkeypatch.setattr(_blas, "loop_workers", lambda items, n, work=None: workers)
         path = write_json(tmp_path / "pair.json", self.OVERFLOWING_PAIR)
         out = tmp_path / "out"
         argv = [str(out) if arg == "OUT" else arg for arg in argv]
@@ -748,7 +748,7 @@ import json, os, sys
 import fermigap._blas as blas, fermigap.cli as cli, fermigap.ensembles as ens
 import fermigap.quadform as qf
 from fermigap.errors import NumericalError
-blas.loop_workers = lambda items, n: 2
+blas.loop_workers = lambda items, n, work=None: 2
 parent = os.getpid()
 PATCH
 code = cli.main(sys.argv[1:])
@@ -803,7 +803,8 @@ class TestEnsembleWorkers:
         n = 8 if experiment.startswith("figure") else 16      # figures enumerate 2^n levels
         runs = {}
         for count in (1, workers):
-            monkeypatch.setattr(_blas, "loop_workers", lambda items, n, count=count: count)
+            monkeypatch.setattr(_blas, "loop_workers",
+                                lambda items, n, work=None, count=count: count)
             out = tmp_path / str(count)
             _, manifest = _ensemble_run(out, experiment, n, 61)
             assert manifest["parameters"]["workers"] == count
@@ -875,7 +876,7 @@ class TestEnsembleWorkers:
         _ensemble_run(out, "survival", 8, 10)
         serial = capsys.readouterr().out, *((out / name).read_bytes()
                                             for name in ("survival.csv", "summary.json"))
-        monkeypatch.setattr(_blas, "loop_workers", lambda items, n: workers)
+        monkeypatch.setattr(_blas, "loop_workers", lambda items, n, work=None: workers)
 
         def unavailable(*args):
             raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
@@ -955,7 +956,8 @@ class TestProfileWorkers:
         pair = write_json(tmp_path / "pair.json", pair_doc(qf.symmetrize_split(c)))
         runs = {}
         for count in (1, workers):
-            monkeypatch.setattr(_blas, "loop_workers", lambda items, n, count=count: count)
+            monkeypatch.setattr(_blas, "loop_workers",
+                                lambda items, n, work=None, count=count: count)
             out = tmp_path / str(count)
             assert cli.main(["profile", pair, "--grid", "31", "--out", str(out)]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
@@ -974,7 +976,7 @@ class TestProfileWorkers:
     def test_structured_after_dense_records_no_loop(self, identity_pair_file, xy_spec_file,
                                                     tmp_path, monkeypatch):
         # the dense run's loop record must not reach the structured run's manifest
-        monkeypatch.setattr(_blas, "loop_workers", lambda items, n: 2)
+        monkeypatch.setattr(_blas, "loop_workers", lambda items, n, work=None: 2)
         for name, path in (("dense", identity_pair_file), ("structured", xy_spec_file)):
             assert cli.main(["profile", path, "--grid", "5", "--out", str(tmp_path / name)]) == 0
         dense, structured = (manifest_of(tmp_path / name) for name in ("dense", "structured"))
@@ -1071,7 +1073,7 @@ class TestVerify:
     # in a later case: a running maximum starts from the first case's residual,
     # so a NaN there would have reached the output.
     _FAULTS = {
-        "subset-sum-vs-dense": (sr, "dense_spectrum_oracle", 1),
+        "subset-sum-vs-dense": (sr, "sector_spectrum", 1),
         "route-equality": (sr, "fermionic_assembly", 0),
         "fcr-suites": (sr, "fcr_check", 1),
         "structured-vs-dense": (lat, "g_eigenvalues", 1),
@@ -1153,6 +1155,105 @@ class TestVerify:
                      if c["check"] == "structured-vs-dense")
         assert check["replay"] == {"spec": names[spec][0], "n": names[spec][1]}
         assert not check["passed"]
+
+
+# The child's odd block of n = 9 runs FAULT: with --n-max 10 --trials 1 the
+# CLI process computes the even blocks and the child the odd ones.
+_FAULTY_ODD_BLOCK = """
+import numpy as np
+import fermigap.spinrep as sr
+sector_spectrum = sr.sector_spectrum
+def faulty(h, parity):
+    if (h.n, parity) == (9, 1) and os.getpid() != parent:
+        FAULT
+    return sector_spectrum(h, parity)
+sr.sector_spectrum = faulty
+"""
+
+
+class TestForkedVerify:
+    """The subset-sum check's parity blocks on two processes."""
+
+    @staticmethod
+    def verify(capsys, monkeypatch, workers, *argv):
+        if workers is not None:
+            monkeypatch.setattr(_blas, "loop_workers",
+                                lambda items, n, work=None: workers)
+        assert cli.main(["verify", *argv]) == 0
+        return capsys.readouterr().out, _blas.last_loop["workers"]
+
+    @pytest.mark.parametrize("argv", [("--n-max", "7", "--trials", "3", "--seed", "5"),
+                                      ("--n-max", "10", "--trials", "1")])
+    def test_stdout_equals_one_process(self, capsys, monkeypatch, argv):
+        forked, workers = self.verify(capsys, monkeypatch, 2, *argv)
+        assert workers == 2
+        assert self.verify(capsys, monkeypatch, 1, *argv) == (forked, 1)
+
+    def test_rule_forks_at_n_max_10_on_two_cpus(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forked, workers = self.verify(capsys, monkeypatch, None, "--n-max", "10",
+                                      "--trials", "1")
+        assert workers == 2
+        assert self.verify(capsys, monkeypatch, 1, "--n-max", "10", "--trials", "1") == \
+            (forked, 1)
+
+    @pytest.mark.parametrize("n_max, trials", [(8, 1), (9, 1), (8, 3)])
+    def test_rule_keeps_small_runs_in_one_process(self, capsys, monkeypatch, n_max, trials):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        _, workers = self.verify(capsys, monkeypatch, None, "--n-max", str(n_max),
+                                 "--trials", str(trials))
+        assert workers == 1
+
+    def test_blocks_run_even_first_in_case_order(self, capsys, monkeypatch):
+        # item 0 is the order-1 even block of trial 0, and the even half and
+        # the odd half hold the same block sizes
+        blocks = []
+        real = sr.sector_spectrum
+
+        def spied(h, parity):
+            blocks.append((parity, h.n))
+            return real(h, parity)
+
+        monkeypatch.setattr(sr, "sector_spectrum", spied)
+        self.verify(capsys, monkeypatch, 1, "--n-max", "3", "--trials", "2")
+        assert blocks == [(parity, n) for parity in (0, 1) for _ in range(2) for n in (1, 2, 3)]
+
+    @pytest.mark.parametrize("bound, batches", [(64, [56, 56, 28]), (8, [14] * 10)])
+    def test_batches_hold_at_most_the_bound(self, capsys, monkeypatch, bound, batches):
+        # a trial at --n-max 3 holds 2 + 4 + 8 = 14 levels; a bound below that
+        # gives one trial a batch
+        unbatched, _ = self.verify(capsys, monkeypatch, None, "--n-max", "3", "--trials", "10")
+        held = []
+        real = _blas.forked_chunks
+
+        def spied(*args, **kwargs):
+            chunks = real(*args, **kwargs)
+            held.append(sum(block.size for chunk in chunks for block in chunk))
+            return chunks
+
+        monkeypatch.setattr(_blas, "forked_chunks", spied)
+        monkeypatch.setattr(cli, "VERIFY_BATCH_LEVELS", bound)
+        assert self.verify(capsys, monkeypatch, 2, "--n-max", "3", "--trials", "10")[0] == \
+            unbatched
+        assert held == batches
+
+    @pytest.mark.parametrize("fault, message", [
+        ("raise NumericalError('dense eigensolver failed: injected')",
+         "fermigap: numerical error: dense eigensolver failed: injected"),
+        ("raise np.linalg.LinAlgError('Eigenvalues did not converge')",
+         "fermigap: numerical error: conformance suite: Eigenvalues did not converge"),
+        ("os._exit(1)",
+         "fermigap: numerical error: the worker for parity blocks [10, 20) died "
+         "(exit status 1)"),
+    ], ids=["numerical-error", "linalg-error", "worker-died"])
+    def test_fault_in_a_child_block_exit_3_without_output(self, fault, message):
+        code, lines, state, stdout = _forked_cli(
+            ["verify", "--n-max", "10", "--trials", "1"],
+            patch=_FAULTY_ODD_BLOCK.replace("FAULT", fault))
+        assert code == 3, lines
+        assert lines == [message]
+        assert not state["child_left"]
+        assert stdout == ""
 
 
 class TestHostileArguments:

@@ -250,7 +250,7 @@ class TestWorkers:
                                                      workers):
         config = ens.EnsembleConfig(kind=kind, n=12, samples=samples, seed=23)
         serial = ens.ensemble_gaps(config)
-        monkeypatch.setattr(_blas, "loop_workers", lambda items, n: workers)
+        monkeypatch.setattr(_blas, "loop_workers", lambda items, n, work=None: workers)
         pooled = ens.ensemble_gaps(config)
         assert pooled.dtype == serial.dtype and pooled.shape == (samples,)
         assert np.array_equal(pooled, serial)
@@ -259,7 +259,8 @@ class TestWorkers:
     def test_figures_bit_identical_for_any_worker_count(self, monkeypatch, workers):
         runs = []
         for count in (1, workers):
-            monkeypatch.setattr(_blas, "loop_workers", lambda items, n, count=count: count)
+            monkeypatch.setattr(_blas, "loop_workers",
+                                lambda items, n, work=None, count=count: count)
             runs.append([ens.figure1_experiment(n=8, samples=41, seed=11),
                          ens.figure2_experiment(n=6, seed=5)])
             assert _blas.last_loop["workers"] == count

@@ -286,7 +286,8 @@ class TestGapProfile:
         grid = np.linspace(0.0, 1.0, points)
         profiles = []
         for count in (1, workers):
-            monkeypatch.setattr(_blas, "loop_workers", lambda items, n, count=count: count)
+            monkeypatch.setattr(_blas, "loop_workers",
+                                lambda items, n, work=None, count=count: count)
             profiles.append(qf.gap_profile(pair, grid))
         for field in ("s", "gap", "num_zero_modes"):
             serial, pooled = (getattr(p, field) for p in profiles)
@@ -370,6 +371,81 @@ class TestSingleThreadLoops:
         assert [t["used"] for t in threads] == ([1] * len(libs) if capped else before)
 
 
+class TestCapSkipsOneThread:
+    """A library already on one thread is never set: after a fork, a set()
+    starts its thread pool again, even to set one thread."""
+
+    @staticmethod
+    def fake(monkeypatch, count):
+        """One fake library on count threads; returns the list of its set() calls."""
+        calls = []
+
+        def set_(k):
+            nonlocal count
+            calls.append(k)
+            count = k
+
+        lib = _blas.OpenBlas("libfake_openblas.so", lambda: count, set_)
+        monkeypatch.setattr(_blas, "loaded_openblas", lambda: [lib])
+        return calls
+
+    def test_one_thread_is_left_alone(self, monkeypatch):
+        calls = self.fake(monkeypatch, 1)
+        with _blas.small_matrix_threads(64) as threads:
+            assert calls == []
+        assert calls == []
+        assert threads == [{"library": "libfake_openblas.so", "found": 1, "used": 1}]
+
+    def test_two_threads_set_to_one_and_restored(self, monkeypatch):
+        calls = self.fake(monkeypatch, 2)
+        with _blas.small_matrix_threads(64) as threads:
+            assert calls == [1]
+        assert calls == [1, 2]
+        assert threads == [{"library": "libfake_openblas.so", "found": 2, "used": 1}]
+
+
+# The child of a fork enters the cap block that its parent holds, and sends
+# back its thread count before, inside and after the block.
+_FORKED_CAP_SCRIPT = """
+import json, os
+import numpy
+from fermigap import _blas
+
+
+def tasks():
+    return len(os.listdir("/proc/self/task"))
+
+
+libs = _blas.loaded_openblas()
+with _blas.small_matrix_threads(64):
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        counts = [tasks()]
+        with _blas.small_matrix_threads(64):
+            counts.append(tasks())
+        counts.append(tasks())
+        os.write(write_end, json.dumps(counts).encode())
+        os._exit(0)
+    os.close(write_end)
+    with open(read_end, "rb") as fh:
+        counts = json.loads(fh.read())
+    os.waitpid(pid, 0)
+print(json.dumps({"libraries": [lib.name for lib in libs], "tasks": counts}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_forked_child_starts_no_blas_thread():
+    proc = subprocess.run([sys.executable, "-c", _FORKED_CAP_SCRIPT],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    if not found["libraries"]:
+        pytest.skip("no OpenBLAS loaded with NumPy")
+    assert found["tasks"] == [1, 1, 1]
+
+
 # Run in a fresh interpreter: an audit hook cannot be removed, and this
 # process has imported SciPy long ago.
 _LOOKUP_CACHE_SCRIPT = """
@@ -422,7 +498,7 @@ def test_openblas_lookup_cached_until_an_import():
 class TestForkedChunks:
     @pytest.fixture(autouse=True)
     def three_workers(self, monkeypatch):
-        monkeypatch.setattr(_blas, "loop_workers", lambda items, n: 3)
+        monkeypatch.setattr(_blas, "loop_workers", lambda items, n, work=None: 3)
 
     def test_chunks_joined_in_index_order(self):
         # chunks [0, 1) and [1, 4) here, [4, 7) and [7, 10) in two workers

@@ -121,6 +121,22 @@ class TestParityBlockOracle:
         h = sr.PauliHamiltonian(np.random.default_rng(60 + n).standard_normal((n, n)))
         assert np.array_equal(sr.dense_spectrum_oracle(h), parity_block_route(h))
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_sector_spectrum_is_one_block_of_the_full_matrix(self, n):
+        h = sr.PauliHamiltonian(np.random.default_rng(90 + n).standard_normal((n, n)))
+        mat = sr.dense_hamiltonian(h)
+        odd = sr._parity_signs(n) < 0.0
+        for parity in (0, 1):
+            idx = np.flatnonzero(odd == parity)
+            with _blas.small_matrix_threads(idx.size):
+                expected = np.linalg.eigvalsh(mat[np.ix_(idx, idx)])
+            assert np.array_equal(sr.sector_spectrum(h, parity), expected)
+
+    @pytest.mark.parametrize("parity", [2, -1])
+    def test_sector_parity_is_0_or_1(self, parity):
+        with pytest.raises(InputError, match=r"^parity must be 0 or 1, got "):
+            sr.sector_spectrum(sr.PauliHamiltonian(np.eye(2)), parity)
+
     def test_peak_memory_below_half_a_full_matrix(self):
         n = 10
         h = sr.PauliHamiltonian(np.random.default_rng(70).standard_normal((n, n)))
