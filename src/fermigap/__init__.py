@@ -46,7 +46,6 @@ from .spinrep import (
     dense_spectrum_oracle,
     fcr_check,
     jw_operators,
-    sector_spectrum,
     spin32_operators,
     unitary_fcr_transform,
     w_to_ab,

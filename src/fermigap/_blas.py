@@ -124,7 +124,7 @@ def small_matrix_threads(n: int):
 # about 5-20 ms.  A loop in a fresh process, one process against two, with
 # forked_chunks's chunks, on a 2-core x86-64 VM, ms (medians of 5):
 #
-#     loop              n      items   (items - 1) n^3   one vs two
+#     loop              n      items   work              one vs two
 #     verify 8 x 1      128    16      1.2e6             59.9 vs 64.1
 #     verify 8 x 3      128    48      3.6e6             67.0 vs 60.2
 #     gaussian          64     20      5.0e6             38.4 vs 50.2
@@ -141,9 +141,10 @@ def small_matrix_threads(n: int):
 #     gaussian          128    200     4.2e8             537  vs 290
 #     profile           256    101     1.7e9             918  vs 468
 #
-# verify n_max x trials: the subset-sum check's parity blocks, of orders 1
-# to n, their work the sum of d^3 / 4 over the blocks after item 0
-# (cli.EIGVALSH_WORK_DIVISOR); the whole cli.main, medians of 11.
+# work is (items - 1) n^3 for the sample and profile rows and the sum of
+# d^3 / 4 over the blocks after item 0 (cli.EIGVALSH_WORK_DIVISOR) for the
+# verify rows.  verify n_max x trials: the subset-sum check's parity blocks,
+# of orders 1 to n; the whole cli.main, medians of 11.
 # The n^3 count leaves out the Python cost of an item, most of what a small
 # one costs: 2000 samples at n = 8 stay in one process, though two took 562
 # vs 411 ms (bounded_uniform) and 306 vs 243 ms (gaussian).

@@ -298,8 +298,10 @@ VERIFY_BATCH_LEVELS = 1 << 17
 
 # Work of an order-d eigvalsh in the unit of _blas.WORK_PER_WORKER, where a
 # values-only SVD of order d costs d^3: d^3 // EIGVALSH_WORK_DIVISOR.  Set
-# from the verify rows of _blas's break-even table: two processes start at
-# n_max 9 from 3 trials and at n_max 10 from 1, where they first ran faster.
+# from the verify rows of _blas's break-even table.  It puts the threshold
+# between 8 x 3 and 9 x 1, whose ranges for one and two processes overlap,
+# and below 9 x 3, 10 x 1 and 8 x 17, where two processes clearly won: two
+# start at n_max 9 from 3 trials, at n_max 10 from 1 and at n_max 8 from 17.
 EIGVALSH_WORK_DIVISOR = 4
 
 

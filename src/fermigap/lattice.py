@@ -267,16 +267,21 @@ def _path_minimum(s: np.ndarray, dist: np.ndarray, modulus_max: float, n: int) -
 # of its exact value (the clipped s_k of a segment distance is off by a few
 # ulps, which moves |1 + s_k (sigma_k - 1)| by at most that times |sigma_k - 1|).
 _SLACK_UNITS = 32
-# Largest share of the stored modes a point's pruned route gathers: the
-# crossover with the full pass when the symbol is not in cache.  On the
-# benchmark's 2^20-site torus (532,480 stored modes), ms per point (medians
-# of 15 calls, 2-core x86-64 VM), with the symbol pushed out of cache before
-# each call (cold) or not (warm):
+# Largest share of the stored modes a point's pruned route gathers, below
+# the crossover with the full pass inside structured_gap_profile's own point
+# loop.  A 2^20-site torus (the benchmark's dims, seed 0, couplings halved,
+# on-site term -3; 532,480 stored modes) gathers 20-60% of them at
+# s = 0.81-0.91.  ms per point over 61 consecutive points (medians of 9
+# loops, 2-core x86-64 VM, 300 MiB L3), every point through each route:
 #
-#     share        0.20   0.30   0.35   0.40   0.45   0.50   full pass
-#     gather cold  2.4    3.5    4.3    4.7    5.5    6.0    4.7
-#     gather warm  1.3    2.0    2.4    2.7    3.2    3.7    3.6
-_GATHER_MAX_SHARE = 0.4
+#     share       0.30   0.35   0.40   0.45   0.50   0.55   0.60
+#     gather      2.2    2.5    2.8    3.1    3.5    3.6    4.0
+#     full pass   3.6    3.6    3.7    3.6    3.7    3.6    3.5
+#
+# With the symbol pushed out of cache before each call instead, the gather
+# of 40-50% took 4.7-6.0 ms against 4.7 ms for the full pass; inside the
+# loop the symbol stays in cache.
+_GATHER_MAX_SHARE = 0.5
 # Modes from the head of each sorted key evaluated at every point, with the
 # mode of largest |sigma| and the previous point's least mode, to bound the
 # least modulus from above.
