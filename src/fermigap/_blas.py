@@ -8,10 +8,14 @@ On small matrices OpenBLAS spends more time handing work to its threads than
 the threads save, and a second thread that has to wait for a busy core makes
 the whole call wait.  The cap is scoped to a block, not set for the process:
 the spin oracle's parity blocks above order 512 (n >= 11) run faster on all
-threads.  A library already on one thread is not set at all: after
-os.fork, OpenBLAS's set_num_threads starts the library's thread pool again,
-even to set one thread, and the new thread spins on the other core.  A
-forked chunk inherits its loop's cap, so the capped blocks inside it (the
+threads.  A library already on one thread is not set at all: os.fork shuts
+OpenBLAS's thread pool down, in the parent too, and any set_num_threads
+after it starts the pool again, even to set one thread, with a thread that
+spins on the other core.  So a library goes down to one thread before every
+fork (where the pool is still up, which starts nothing) and stays there: a
+block after it sets nothing, and the count it was taken down from is owed
+until a block above SINGLE_THREAD_MAX_N, whose factorizations use the pool.
+A forked chunk inherits its loop's cap, so the capped blocks inside it (the
 spin oracle's, say) start no thread.
 Only OpenBLAS libraries already loaded into the process are touched; with
 none loaded (not Linux, or MKL/Accelerate) a capped block runs unchanged.
@@ -90,25 +94,45 @@ def loaded_openblas() -> list[OpenBlas]:
     return list(found)
 
 
+# The counts this process took its libraries down from before a fork, by
+# library name: the fork shut their pools down, and only restore_threads
+# starts them again.  And the forks this process has made.
+_owed: dict[str, int] = {}
+_forks = 0
+
+
+def restore_threads() -> None:
+    """Put every library a fork left on one thread back on its own count.
+
+    This starts the library's thread pool again, so call it only before
+    work that uses the pool: factorizations above SINGLE_THREAD_MAX_N.
+    """
+    for lib in loaded_openblas():
+        if lib.name in _owed:
+            lib.set(_owed.pop(lib.name))
+
+
 @contextlib.contextmanager
 def small_matrix_threads(n: int):
     """Run the block with every loaded OpenBLAS on one thread when n is small.
 
     n is the order of the matrices the block factors, one after another.
-    Above SINGLE_THREAD_MAX_N the block runs on the default threads.  A
-    library already on one thread is left alone; each other one's previous
-    count is restored on exit, also when the block raises.
+    Above SINGLE_THREAD_MAX_N the block runs on the default threads, those
+    owed after a fork included.  A library already on one thread is left
+    alone; each other one's previous count is restored on exit, also when
+    the block raises, unless the block forked: then the count is owed.
     The counts are per process, so blocks must not overlap in several threads.
-    Yields the threads each library had before the block and runs it on,
-    [{"library": name, "found": count, "used": count}], or None when no
-    OpenBLAS is loaded.
+    Yields the threads each library had before the block (an owed count
+    counts) and runs it on, [{"library": name, "found": count, "used":
+    count}], or None when no OpenBLAS is loaded.
     """
+    if n > SINGLE_THREAD_MAX_N:
+        restore_threads()
     libs = loaded_openblas()
-    found = [lib.get() for lib in libs]
-    # only the libraries not on one thread already: after a fork, set() starts
-    # the library's thread pool again, even to set one thread
-    capped = ([(lib, f) for lib, f in zip(libs, found) if f != 1]
+    found = [_owed.get(lib.name) or lib.get() for lib in libs]
+    capped = ([(lib, lib.get()) for lib in libs if lib.get() != 1]
               if n <= SINGLE_THREAD_MAX_N else [])
+    forks = _forks
     try:
         for lib, _ in capped:
             lib.set(1)
@@ -116,7 +140,10 @@ def small_matrix_threads(n: int):
                for lib, f in zip(libs, found)] or None
     finally:
         for lib, count in capped:
-            lib.set(count)
+            if _forks == forks:
+                lib.set(count)
+            else:       # set() would start the pool the fork shut down
+                _owed[lib.name] = count
 
 
 # Least work left after item 0, (items - 1) x n^3, that pays for one more
@@ -140,11 +167,21 @@ def small_matrix_threads(n: int):
 #     verify 10 x 3     512    60      2.3e8             214  vs 149
 #     gaussian          128    200     4.2e8             537  vs 290
 #     profile           256    101     1.7e9             918  vs 468
+#     load 0.68 MB      -      3       1.4e7             20.2 vs 16.7
+#     load 1.36 MB      -      3       2.7e7             32.0 vs 28.5
+#     load 2.72 MB      -      3       5.4e7             59.0 vs 45.4
+#     load 5.44 MB      -      3       1.1e8             135  vs 99.5
+#     load 10.5 MB      -      3       2.1e8             396  vs 267
+#     load 43.6 MB      -      3       8.7e8             1252 vs 753
 #
 # work is (items - 1) n^3 for the sample and profile rows and the sum of
 # d^3 / 4 over the blocks after item 0 (cli.EIGVALSH_WORK_DIVISOR) for the
 # verify rows.  verify n_max x trials: the subset-sum check's parity blocks,
-# of orders 1 to n; the whole cli.main, medians of 11.
+# of orders 1 to n; the whole cli.main, medians of 11.  load:
+# io.load_pair_or_structured of a Gaussian pair (the 10.5 MB row: the
+# benchmark's 2^20-site torus spec), medians of 11 (the 0.68 MB row read
+# 16.4 vs 16.6 in another series); its work is the characters of its two
+# lists x io.PARSE_WORK_PER_CHAR (20).
 # The n^3 count leaves out the Python cost of an item, most of what a small
 # one costs: 2000 samples at n = 8 stay in one process, though two took 562
 # vs 411 ms (bounded_uniform) and 306 vs 243 ms (gaussian).
@@ -188,57 +225,12 @@ def forked_chunks(chunk: Callable[[int, int], object], items: int, n: int, what:
     """chunk(lo, hi) over contiguous chunks of range(items), in index order.
 
     The loop runs under small_matrix_threads(n) on loop_workers(items, n,
-    work) processes, and last_loop records what it ran on.  The caller
-    computes item 0, forks one child per chunk after its own, and then
-    computes the rest of its chunk: the children inherit warm LAPACK buffers
-    along with the thread cap and the heap settings.  A chunk whose pipe or
-    fork fails with OSError is computed here in its turn.  Each child sends
-    back its result, or the exception its chunk raised, which is raised
-    again here.  A child that sends neither gives NumericalError "the worker
-    for <what> [lo, hi) died".  Every child is reaped before this returns or
-    raises; on the way out of a failure, the read ends are closed and the
-    children still running are killed first, so none is left blocked on a
-    full pipe.
+    work) processes (split_chunks), and last_loop records what it ran on.
     """
     last_loop.clear()
-    workers = loop_workers(items, n, work)
-    children = []           # (lo, hi, pid, read end); pid None where no child took the chunk
-    live = set()            # the pids not yet reaped
     with small_matrix_threads(n) as threads:
         last_loop.update(blas_threads=threads, workers=1)
-        if workers == 1:
-            return [chunk(0, items)]
-        # item 0 and an even share of the rest here, the other shares in the children
-        bounds = [0, *(1 + k * (items - 1) // workers for k in range(1, workers + 1))]
-        results = [chunk(0, 1)]
-        try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                pid, read_end = _fork(chunk, lo, hi, [c[3] for c in children if c[2]])
-                children.append((lo, hi, pid, read_end))
-                if pid:
-                    live.add(pid)
-            results.append(chunk(1, bounds[1]))
-            for lo, hi, pid, read_end in children:
-                if not pid:
-                    results.append(chunk(lo, hi))
-                    continue
-                with open(read_end, "rb", closefd=False) as fh:
-                    sent = fh.read()
-                status = os.waitpid(pid, 0)[1]
-                live.discard(pid)
-                results.append(_received(sent, status, f"the worker for {what} [{lo}, {hi})"))
-        finally:
-            for _, _, pid, read_end in children:
-                if pid:
-                    os.close(read_end)
-            if live:
-                import signal
-
-                for pid in live:
-                    os.kill(pid, signal.SIGKILL)
-                for pid in live:
-                    os.waitpid(pid, 0)
-    forked = sum(1 for child in children if child[2])
+        results, forked = split_chunks(chunk, items, loop_workers(items, n, work), what)
     if forked:
         import resource
 
@@ -247,18 +239,78 @@ def forked_chunks(chunk: Callable[[int, int], object], items: int, n: int, what:
     return results
 
 
+def split_chunks(chunk: Callable[[int, int], object], items: int, workers: int,
+                 what: str) -> tuple[list, int]:
+    """chunk(lo, hi) over contiguous chunks of range(items) on workers
+    processes, in index order, and the number of children forked.
+
+    The caller computes item 0, forks one child per chunk after its own, and
+    then computes the rest of its chunk: the children inherit warm LAPACK
+    buffers along with any thread cap and the heap settings.  A chunk whose
+    pipe or fork fails with OSError is computed here in its turn.  Each child
+    sends back its result, or the exception its chunk raised, which is
+    raised again here.  A child that sends neither gives NumericalError "the
+    worker for <what> [lo, hi) died".  Every child is reaped before this
+    returns or raises; on the way out of a failure, the read ends are closed
+    and the children still running are killed first, so none is left
+    blocked on a full pipe.
+    """
+    if workers == 1:
+        return [chunk(0, items)], 0
+    children = []           # (lo, hi, pid, read end); pid None where no child took the chunk
+    live = set()            # the pids not yet reaped
+    # item 0 and an even share of the rest here, the other shares in the children
+    bounds = [0, *(1 + k * (items - 1) // workers for k in range(1, workers + 1))]
+    results = [chunk(0, 1)]
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            pid, read_end = _fork(chunk, lo, hi, [c[3] for c in children if c[2]])
+            children.append((lo, hi, pid, read_end))
+            if pid:
+                live.add(pid)
+        results.append(chunk(1, bounds[1]))
+        for lo, hi, pid, read_end in children:
+            if not pid:
+                results.append(chunk(lo, hi))
+                continue
+            with open(read_end, "rb", closefd=False) as fh:
+                sent = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            live.discard(pid)
+            results.append(_received(sent, status, f"the worker for {what} [{lo}, {hi})"))
+    finally:
+        for _, _, pid, read_end in children:
+            if pid:
+                os.close(read_end)
+        if live:
+            import signal
+
+            for pid in live:
+                os.kill(pid, signal.SIGKILL)
+            for pid in live:
+                os.waitpid(pid, 0)
+    return results, sum(1 for child in children if child[2])
+
+
 def _fork(chunk, lo: int, hi: int, inherited: list[int]) -> tuple[int | None, int | None]:
     """Fork a child that pickles (True, chunk(lo, hi)) or (False, its exception) to a pipe.
 
     Returns the child's pid and the pipe's read end, or (None, None), with
-    the pipe closed, when os.pipe or os.fork fails with OSError.  The child
-    closes the read ends it inherits, so each pipe has one reader, and
-    leaves only through os._exit: status 0 once its message is written, 1
-    otherwise.
+    the pipe closed, when os.pipe or os.fork fails with OSError.  Each
+    library still on several threads goes down to one first, its count owed
+    (see small_matrix_threads).  The child closes the read ends it inherits,
+    so each pipe has one reader, and leaves only through os._exit: status 0
+    once its message is written, 1 otherwise.
     """
+    global _forks
     fds = []
     try:
         fds.extend(os.pipe())
+        for lib in loaded_openblas():
+            if lib.get() != 1:  # the pool is up, so this starts no thread
+                _owed[lib.name] = lib.get()
+                lib.set(1)
+        _forks += 1
         pid = os.fork()
     except OSError:
         for fd in fds:

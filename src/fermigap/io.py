@@ -11,6 +11,17 @@ it, so that the list can be freed before the next one is read: a document
 is read once.  load_document also reports whether the file's text holds a
 `true` or `false` literal anywhere; where it does not, no list can hold a
 JSON boolean, and the readers skip the scan of every entry for one.
+
+A file above INPUT_BYTE_CAP is refused before it is read.  Where the text
+holds no boolean literal, a short walk over the top-level object (_walk)
+finds its flat lists under the pair and root keys: each runs from its '['
+to the next ']' with no '[', '{' or '"' between.  Where the worker rule
+gives them two processes (_blas.split_chunks), json's own scanner parses
+the rest of the object before the fork and the two longest lists on either
+side of it, and each list arrives as a float array, bit for bit what its
+list converts to.  Anything else, and any list json would not read or
+array.array would not convert, is parsed by one json.loads of the whole
+text, so that every message stays json's and the readers'.
 """
 
 from __future__ import annotations
@@ -18,11 +29,13 @@ from __future__ import annotations
 import array
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
-from .errors import InputError
+from . import _blas
+from .errors import CapacityError, InputError
 from .lattice import TorusSpec
 from .quadform import CoefficientPair
 from .spinrep import PauliHamiltonian
@@ -39,7 +52,8 @@ def _flat_floats(data, size: int, name: str, booleans: bool) -> np.ndarray:
     needs no scan for one.
     """
     try:
-        arr = np.frombuffer(array.array("d", data))
+        arr = (data.astype(float, copy=False) if isinstance(data, np.ndarray)   # a worker's
+               else np.frombuffer(array.array("d", data)))
     except OverflowError:
         raise InputError(f"{name} holds an integer beyond the float range") from None
     except TypeError:   # an entry that is no number, or no flat list
@@ -143,13 +157,115 @@ def w_from_dict(doc: dict, booleans: bool = True) -> PauliHamiltonian:
     return PauliHamiltonian(*_square_matrices(doc, booleans, "W", "w"))
 
 
+# Largest input file in bytes, 1 GiB.  The largest document another cap
+# admits is lattice expand's output at quadform.MATRIX_SIZE_CAP sites: with
+# every root entry a 24-character repr, 998,076,458 bytes (at most 30 bytes
+# an entry, 1.007e9, on any spec).
+INPUT_BYTE_CAP = 1 << 30
+
+# Work of parsing one character of list text, in the unit of
+# _blas.WORK_PER_WORKER: two processes from 1 MB of list text.  Set from
+# the load rows of the break-even table in _blas.
+PARSE_WORK_PER_CHAR = 20
+
+# The keys whose lists the readers convert to float arrays.
+_NUMBER_LISTS = {"a", "b", "a_root", "b_root"}
+_WS = json.decoder.WHITESPACE.match
+_SCAN = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _walk(text: str):
+    """The top-level object in text with its two longest flat lists of
+    _NUMBER_LISTS left out (None), and the (length, start, key) of each in
+    text order; or None where the text is no object, repeats a key or has
+    trailing data.
+
+    Raises what json's scanner raises on a malformed object.
+    """
+    doc, lists = {}, []
+    i = _WS(text, 0).end()
+    if not text.startswith("{", i):
+        return None
+    i = _WS(text, i + 1).end()
+    while True:
+        if not text.startswith('"', i):
+            return None
+        key, i = json.decoder.scanstring(text, i + 1)
+        i = _WS(text, i).end()
+        if key in doc or not text.startswith(":", i):
+            return None
+        i = _WS(text, i + 1).end()
+        end = text.find("]", i) + 1 if key in _NUMBER_LISTS and text.startswith("[", i) else 0
+        if end and all(text.find(c, i + 1, end) < 0 for c in '[{"'):
+            doc[key] = None
+            lists.append((end - i, i, key))
+            i = end
+        else:
+            doc[key], i = _SCAN(text, i)
+        i = _WS(text, i).end()
+        if not text.startswith(",", i):
+            break
+        i = _WS(text, i + 1).end()
+    if not text.startswith("}", i) or _WS(text, i + 1).end() != len(text):
+        return None
+    lists.sort()
+    for _, start, key in lists[:-2]:
+        doc[key] = _SCAN(text, start)[0]
+    return doc, sorted(lists[-2:], key=lambda item: item[1])
+
+
+def _floats_at(text: str, start: int):
+    """The flat list at text[start] as a float array; None if json or
+    array.array rejects it."""
+    try:
+        return np.frombuffer(array.array("d", _SCAN(text, start)[0]))
+    except (ValueError, TypeError, OverflowError, StopIteration):
+        return None
+
+
+def _split_load(text: str, path) -> dict | None:
+    """The document in text, its two longest flat lists parsed in two
+    processes; None where one json.loads is to parse it (see the module
+    docstring)."""
+    try:
+        walked = _walk(text)
+    except (ValueError, StopIteration, RecursionError):
+        return None
+    if walked is None:
+        return None
+    doc, lists = walked
+    workers = _blas.loop_workers(1 + len(lists), 0,
+                                 sum(length for length, _, _ in lists) * PARSE_WORK_PER_CHAR)
+    if workers == 1:
+        return None
+    parts, _ = _blas.split_chunks(
+        lambda lo, hi: [_floats_at(text, lists[k - 1][1]) if k else doc for k in range(lo, hi)],
+        1 + len(lists), workers, f"the lists of {path}")
+    arrays = [arr for part in parts for arr in part][1:]
+    if any(arr is None for arr in arrays):
+        return None
+    for (_, _, key), arr in zip(lists, arrays):
+        doc[key] = arr
+    return doc
+
+
 def load_document(path) -> tuple[dict, bool]:
     """The top-level JSON object in the file at path, and whether its text
-    holds a boolean literal (a string such as "true" counts too)."""
+    holds a boolean literal (a string such as "true" counts too).
+
+    CapacityError for a file above INPUT_BYTE_CAP bytes, before it is read.
+    """
     try:
         with open(path) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size > INPUT_BYTE_CAP:
+                raise CapacityError(f"{path} holds {size} bytes, above the input cap "
+                                    f"of {INPUT_BYTE_CAP}")
             text = fh.read()
-        doc = json.loads(text)
+        booleans = "true" in text or "false" in text
+        doc = None if booleans else _split_load(text, path)
+        if doc is None:
+            doc = json.loads(text)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read JSON document {path}: {exc}") from exc
     # what else json raises is int()'s refusal of a literal beyond Python's
@@ -159,7 +275,7 @@ def load_document(path) -> tuple[dict, bool]:
                          f"longer than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(doc, dict):
         raise InputError(f"top level of {path} must be a JSON object")
-    return doc, "true" in text or "false" in text
+    return doc, booleans
 
 
 def _load_by_key(path, key: str, with_key, without_key):

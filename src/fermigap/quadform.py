@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from ._blas import forked_chunks
+from ._blas import SINGLE_THREAD_MAX_N, forked_chunks, restore_threads
 from .errors import CapacityError, InputError, NumericalError
 
 # Enumerating all 2^n subset-sum energies beyond this is pointless on a desk
@@ -107,6 +107,8 @@ class CoefficientPair:
 
     def singular_values(self) -> np.ndarray:
         """The singular values Lambda of A + B, descending, by a values-only SVD."""
+        if self.n > SINGLE_THREAD_MAX_N:
+            restore_threads()   # the SVD uses the thread pool a fork may have shut down
         return _singular_values(self.c)
 
     @staticmethod

@@ -1256,6 +1256,93 @@ class TestForkedVerify:
         assert stdout == ""
 
 
+class TestForkedLoad:
+    """profile and gap on a document whose lists were parsed in two processes."""
+
+    @pytest.fixture(params=["torus", "pair"])
+    def document(self, request, tmp_path):
+        if request.param == "torus":
+            spec = lat.stack(lat.stack(lat.build_xy_cycle(8), 8), 4)
+            return write_json(tmp_path / "torus.json", fio.structured_to_dict(spec))
+        pair = qf.symmetrize_split(np.random.default_rng(3).standard_normal((24, 24)))
+        return write_json(tmp_path / "pair.json", pair_doc(pair))
+
+    @staticmethod
+    def run(capsys, monkeypatch, tmp_path, workers, argv):
+        """stdout and the run directory's files, the load's rule (the one
+        call with n = 0) faked to workers and every loop's to one."""
+        monkeypatch.setattr(_blas, "loop_workers",
+                            lambda items, n, work=None: workers if n == 0 else 1)
+        out = tmp_path / f"out{workers}"
+        argv = [str(out) if arg == "OUT" else arg for arg in argv]
+        assert cli.main(argv) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+        return capsys.readouterr().out, files
+
+    @pytest.mark.parametrize("argv", [["profile", "DOC", "--grid", "21", "--out", "OUT"],
+                                      ["profile", "DOC", "--grid", "21"], ["gap", "DOC"]],
+                             ids=["profile-out", "profile-stdout", "gap"])
+    def test_output_equals_one_process(self, capsys, monkeypatch, tmp_path, document, argv):
+        argv = [document if arg == "DOC" else arg for arg in argv]
+        split = []
+        real = _blas.split_chunks
+
+        def spied(chunk, items, workers, what):
+            results, forked = real(chunk, items, workers, what)
+            split.append((what.startswith("the lists of"), forked))
+            return results, forked
+
+        monkeypatch.setattr(_blas, "split_chunks", spied)
+        two = self.run(capsys, monkeypatch, tmp_path, 2, argv)
+        assert split[0] == (True, 1)
+        assert two == self.run(capsys, monkeypatch, tmp_path, 1, argv)
+
+
+# A dense profile whose load forked: the CLI process's tasks at each of its
+# SVDs and after the run, the thread counts found before it and those the
+# manifest records.
+_FORKED_LOAD_PROFILE = """
+import json, os, sys
+import fermigap._blas as blas, fermigap.cli as cli, fermigap.quadform as qf
+
+def tasks():
+    return len(os.listdir("/proc/self/task"))
+
+blas.loop_workers = lambda items, n, work=None: 2
+found = [lib.get() for lib in blas.loaded_openblas()]
+parent, seen, svd = os.getpid(), [], qf._singular_values
+
+def spied(c):
+    if os.getpid() == parent:
+        seen.append(tasks())
+    return svd(c)
+
+qf._singular_values = spied
+code = cli.main(["profile", sys.argv[1], "--grid", "21", "--out", sys.argv[2]])
+manifest = json.load(open(os.path.join(sys.argv[2], "manifest.json")))
+print(json.dumps({"code": code, "found": found, "tasks": seen, "after": tasks(),
+                  "threads": manifest["parameters"]["blas_threads"]}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_profile_after_a_forked_load_starts_no_blas_thread(tmp_path):
+    # the load's fork shut the pool down, and the loop's set(1) started it
+    # again: 2 tasks at the SVDs, and a thread spinning on the other core
+    pair = qf.symmetrize_split(np.random.default_rng(5).standard_normal((64, 64)))
+    path = write_json(tmp_path / "pair.json", pair_doc(pair))
+    proc = subprocess.run([sys.executable, "-c", _FORKED_LOAD_PROFILE, path,
+                           str(tmp_path / "out")], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    if not found["found"]:
+        pytest.skip("no OpenBLAS loaded with NumPy")
+    assert found["code"] == 0
+    assert set(found["tasks"]) == {1}
+    assert found["after"] == 1
+    assert [t["found"] for t in found["threads"]] == found["found"]
+
+
 class TestHostileArguments:
     def test_seed_env_ignored_without_seed_option(self, identity_pair_file, capsys,
                                                   monkeypatch):
@@ -1350,6 +1437,22 @@ class TestHostileArguments:
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
         assert not out.exists()
+
+    def test_input_over_the_byte_cap_exit_2_before_reading(self, tmp_path):
+        # a sparse file one byte over the cap: under a 2 GiB address-space
+        # limit its text (1 GiB of bytes, then 1 GiB of str) cannot be read
+        big = tmp_path / "big.json"
+        with open(big, "wb") as fh:
+            fh.truncate(fio.INPUT_BYTE_CAP + 1)
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                "import fermigap.cli as cli; sys.exit(cli.main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", code, "gap", str(big)], capture_output=True,
+                              text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (f"fermigap: input error: {big} holds {fio.INPUT_BYTE_CAP + 1} "
+                               f"bytes, above the input cap of {fio.INPUT_BYTE_CAP}\n")
+        assert proc.stdout == ""
 
 
 def _buffered_env():

@@ -1,12 +1,16 @@
+import array
+import errno
 import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fermigap import io as fio, lattice as lat, quadform as qf, spinrep as sr
-from fermigap.errors import InputError
+from fermigap import _blas, cli, io as fio, lattice as lat, quadform as qf, spinrep as sr
+from fermigap.errors import FermigapError, InputError, NumericalError
 
 from conftest import structured_specs
 
@@ -180,3 +184,183 @@ def test_load_peak_is_held_to_a_multiple_of_the_file(tmp_path, doc):
     finally:
         tracemalloc.stop()
     assert peak <= LOAD_PEAK_PER_FILE_BYTE * path.stat().st_size
+
+
+def _outcome(path, workers: int):
+    """What load_document and load_pair_or_structured make of path with the
+    worker rule faked to workers: the document's keys, each value's bits
+    (a list converted as the readers convert it) and the arrays read; or
+    the type and text of the error each raised."""
+    found = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_blas, "loop_workers", lambda items, n, work=None: workers)
+        for load in (fio.load_document, fio.load_pair_or_structured):
+            try:
+                found.append(load(path))
+            except FermigapError as exc:
+                found.append((type(exc).__name__, str(exc)))
+    loaded, source = found
+    if isinstance(loaded[0], dict):
+        doc, booleans = loaded
+        loaded = booleans, [(key, _bits(value)) for key, value in doc.items()]
+    if not isinstance(source, tuple):
+        source = [arr.tobytes() for arr in vars(source).values()]
+    return loaded, source
+
+
+def _bits(value):
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    try:
+        return np.frombuffer(array.array("d", value)).tobytes()
+    except (TypeError, OverflowError):
+        return repr(value)
+
+
+def _split(path) -> bool:
+    """Whether load_document, on two processes, hands back its lists as arrays."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_blas, "loop_workers", lambda items, n, work=None: 2)
+        try:
+            doc, _ = fio.load_document(path)
+        except InputError:
+            return False
+    return any(isinstance(value, np.ndarray) for value in doc.values())
+
+
+_PAIR = '{"n": 1, "a": [1.5], "b": [0]}'
+_RING = json.dumps(fio.structured_to_dict(lat.build_xy_cycle(5)))
+
+
+class TestTwoProcessLoad:
+    """load_document's two-process route reads what one json.loads reads."""
+
+    @pytest.mark.parametrize("text, split", [
+        (_PAIR, True),
+        (_RING, True),
+        ('{ "n" : 1 ,\t"a" : [ 1.5 ]\r\n, "b":[\n0\n] }\n', True),
+        ('{"b": [0], "a": [2.5], "n": 1}', True),
+        ('{"n": 1, "a": [1.0], "a": [2.0], "b": [0]}', False),
+        ('{"n": 1, "note": "x]y", "a": [1.0], "b": [0]}', True),
+        ('{"n": 1, "a": [1.0, "]"], "b": [0]}', True),
+        ('{"n": 2, "a": [[1.0, 0.0], [0.0, 1.0]], "b": [0, 0, 0, 0]}', True),
+        ('{"n": 1, "a": [1.0], "b": [0], "meta": {"x": [1]}}', True),
+        ('{"n": 1, "a": [true], "b": [0]}', False),
+        ('{"n": 1, "a": [1.5], "b": [0], "note": "false"}', False),
+        ('{"n": 1, "a": [NaN], "b": [0]}', True),
+        ('{"n": 1, "a": [-Infinity], "b": [0]}', True),
+        ('{"n": 1, "a": [null], "b": [0]}', False),
+        ('{"n": 1, "a": [1%s], "b": [0]}' % ("0" * 400), False),
+        ('{"n": 1, "a": [%s], "b": [0]}' % ("9" * 5000), False),
+        ('{"n": 1, "a": [1.0,], "b": [0]}', False),
+        ('{"n": 1, "a": [1.0, "b": [0]}', False),
+        ('{"n": 0, "a": [], "b": []}', True),
+        ('{"n": 1, "a": [1.0], "b": [0],}', False),
+        ("\ufeff" + _PAIR, False),
+        (_PAIR + " x", False),
+        ("[[1.0], [0]]", False),
+    ], ids=["pair", "ring", "whitespace", "key-order", "duplicate-key", "bracket-in-string",
+            "string-entry", "nested-list", "object-value", "boolean", "boolean-in-string", "nan",
+            "infinity", "null", "int-beyond-float", "int-over-4300-digits", "trailing-comma",
+            "unclosed-list", "empty-lists", "trailing-comma-in-object", "bom", "trailing-data",
+            "top-level-list"])
+    def test_reads_what_one_process_reads(self, tmp_path, text, split):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(path, 2) == _outcome(path, 1)
+        assert _split(path) is split
+
+    @given(text=st.data())
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_drawn_documents_read_alike(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text.draw(_document_texts()), encoding="utf-8")
+        assert _outcome(path, 2) == _outcome(path, 1)
+
+    def test_leaves_the_loop_record_alone(self, tmp_path, monkeypatch):
+        path = tmp_path / "doc.json"
+        path.write_text(_RING)
+        monkeypatch.setattr(_blas, "last_loop", {"workers": 7})
+        assert _split(path)
+        assert _blas.last_loop == {"workers": 7}
+
+    def test_failed_fork_parses_here(self, tmp_path, monkeypatch):
+        path = tmp_path / "doc.json"
+        path.write_text(_RING)
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _split(path)
+        assert _outcome(path, 2) == _outcome(path, 1)
+
+    def test_dead_worker_exit_3_with_one_line(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(_RING)
+        parent, floats_at = os.getpid(), fio._floats_at
+
+        def dying(text, start):
+            if os.getpid() != parent:
+                os._exit(1)
+            return floats_at(text, start)
+
+        monkeypatch.setattr(fio, "_floats_at", dying)
+        monkeypatch.setattr(_blas, "loop_workers", lambda items, n, work=None: 2)
+        with pytest.raises(NumericalError, match=r"the worker for the lists of .* \[2, 3\) died"):
+            fio.load_document(path)
+        assert cli.main(["gap", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"fermigap: numerical error: the worker for the lists of {path} "
+                                "[2, 3) died (exit status 1)\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+_WHITESPACE = st.sampled_from(["", " ", "\n", "\t", " \r\n  "])
+# Entries that are no plain number, each read or refused alike by both routes.
+_ODD_ENTRIES = st.sampled_from(["-0", "1E5", "2.5e-3", "1e400", "NaN", "Infinity", "-Infinity",
+                                "1" + "0" * 400, "9" * 5000, "true", "false", "null", '"]"',
+                                "[1]", "[]", "{}", ""])
+
+
+@st.composite
+def _document_texts(draw):
+    """The text of a valid 2-site pair or ring document in drawn whitespace and
+    key order, now and then with an odd entry, a trailing comma, an empty
+    list, an extra or repeated key, a BOM or trailing data."""
+    number = st.floats(-2.0, 2.0).map(repr) | st.integers(-3, 3).map(str)
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 5))
+        half, w = (draw(st.lists(number, min_size=m, max_size=m)) for _ in range(2))
+        lists = {"a_root": [half[min(k, m - k)] for k in range(m)],
+                 "b_root": [w[k] if k < m - k else "-" + w[m - k] if k > m - k else "0"
+                            for k in range(m)]}
+        fields = {"kind": '"circulant"', "dims": f"[{m}]"}
+    else:
+        x, y, z, w = (draw(number) for _ in range(4))
+        lists = {"a": [x, y, y, z], "b": ["0", w, "-" + w, "0"]}
+        fields = {"n": "2"}
+    lists = {key: [entry.replace("--", "") for entry in entries]
+             for key, entries in lists.items()}
+    if draw(st.integers(0, 3)) == 0:
+        entries = lists[draw(st.sampled_from(sorted(lists)))]
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(_ODD_ENTRIES)
+    for key, entries in lists.items():
+        sep = draw(_WHITESPACE) + "," + draw(_WHITESPACE)
+        tail = "," if draw(st.integers(0, 7)) == 0 else ""
+        body = sep.join(entries) + tail if draw(st.integers(0, 9)) else ""
+        fields[key] = "[" + draw(_WHITESPACE) + body + draw(_WHITESPACE) + "]"
+    items = draw(st.permutations(list(fields.items())))
+    extra = draw(st.sampled_from([None, None, ("note", '"a ] b"'), ("grid", "[[1, 2], [3]]"),
+                                  "repeat"]))
+    if extra == "repeat":
+        items.append(items[0])
+    elif extra:
+        items.insert(draw(st.integers(0, len(items))), extra)
+    ws = draw(_WHITESPACE)
+    text = "{" + ws + ("," + ws).join(f'"{key}"{ws}:{ws}{value}' for key, value in items) + "}"
+    bom = "\ufeff" if draw(st.integers(0, 7)) == 0 else ""
+    return bom + text + draw(st.sampled_from(["", "", "\n", "\n", " x"]))

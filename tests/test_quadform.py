@@ -325,6 +325,7 @@ class TestSingleThreadLoops:
         libs = _blas.loaded_openblas()
         if not libs:
             pytest.skip("no OpenBLAS loaded in this process")
+        _blas.restore_threads()     # the counts an earlier test's fork left owed
         return libs
 
     def test_profile_bit_identical_to_default_threads(self, monkeypatch):
@@ -387,6 +388,7 @@ class TestCapSkipsOneThread:
 
         lib = _blas.OpenBlas("libfake_openblas.so", lambda: count, set_)
         monkeypatch.setattr(_blas, "loaded_openblas", lambda: [lib])
+        monkeypatch.setattr(_blas, "_owed", {})
         return calls
 
     def test_one_thread_is_left_alone(self, monkeypatch):
@@ -402,6 +404,26 @@ class TestCapSkipsOneThread:
             assert calls == [1]
         assert calls == [1, 2]
         assert threads == [{"library": "libfake_openblas.so", "found": 2, "used": 1}]
+
+    @pytest.mark.parametrize("capped", [True, False], ids=["forked-loop", "fork-outside-a-cap"])
+    def test_a_fork_leaves_one_thread_until_a_large_block(self, monkeypatch, capped):
+        # a fork shuts the pool down, and set() would start it again: the
+        # library stays on one thread, found still reads its own count, and
+        # only a block above the cap puts it back
+        calls = self.fake(monkeypatch, 2)
+        if capped:
+            monkeypatch.setattr(_blas, "loop_workers", lambda items, n, work=None: 2)
+            _blas.forked_chunks(lambda lo, hi: hi - lo, 3, 64, "items")
+        else:
+            _blas.split_chunks(lambda lo, hi: hi - lo, 3, 2, "items")
+        assert calls == [1]
+        with _blas.small_matrix_threads(64) as threads:
+            assert calls == [1]
+        assert threads == [{"library": "libfake_openblas.so", "found": 2, "used": 1}]
+        with _blas.small_matrix_threads(_blas.SINGLE_THREAD_MAX_N + 1) as threads:
+            assert calls == [1, 2]
+        assert threads == [{"library": "libfake_openblas.so", "found": 2, "used": 2}]
+        assert calls == [1, 2]
 
 
 # The child of a fork enters the cap block that its parent holds, and sends
@@ -444,6 +466,39 @@ def test_forked_child_starts_no_blas_thread():
     if not found["libraries"]:
         pytest.skip("no OpenBLAS loaded with NumPy")
     assert found["tasks"] == [1, 1, 1]
+
+
+# After a two-process forked_chunks loop: the process's tasks, and the CPU
+# it uses while its one thread sleeps 0.3 s.
+_FORKED_LOOP_SCRIPT = """
+import json, os, time
+import numpy
+from fermigap import _blas
+
+_blas.loop_workers = lambda items, n, work=None: 2
+libs = _blas.loaded_openblas()
+_blas.forked_chunks(lambda lo, hi: hi - lo, 3, 64, "items")
+start = time.process_time()
+time.sleep(0.3)
+print(json.dumps({"libraries": [lib.name for lib in libs], "workers": _blas.last_loop["workers"],
+                  "tasks": len(os.listdir("/proc/self/task")),
+                  "cpu_ms": 1000 * (time.process_time() - start)}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_forked_loop_leaves_no_blas_thread_behind():
+    # restoring the count on the loop's exit started the pool the fork had
+    # shut down: 2 tasks, and about 120 ms of CPU in the sleep
+    proc = subprocess.run([sys.executable, "-c", _FORKED_LOOP_SCRIPT],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    if not found["libraries"]:
+        pytest.skip("no OpenBLAS loaded with NumPy")
+    assert found["workers"] == 2
+    assert found["tasks"] == 1
+    assert found["cpu_ms"] < 20
 
 
 # Run in a fresh interpreter: an audit hook cannot be removed, and this
