@@ -1,31 +1,30 @@
 """How a loop over many small independent matrices uses the machine.
 
 Two rules.  One OpenBLAS thread per process while the matrices are small
-(small_matrix_threads), and one process per CPU once the loop's work pays
-for the forks (loop_workers, forked_chunks).
+(threads_for), and one process per CPU once the loop's work pays for the
+forks (loop_workers, forked_chunks).
 
 On small matrices OpenBLAS spends more time handing work to its threads than
 the threads save, and a second thread that has to wait for a busy core makes
-the whole call wait.  The cap is scoped to a block, not set for the process:
-the spin oracle's parity blocks above order 512 (n >= 11) run faster on all
-threads.  A library already on one thread is not set at all: os.fork shuts
-OpenBLAS's thread pool down, in the parent too, and any set_num_threads
-after it starts the pool again, even to set one thread, with a thread that
-spins on the other core.  So a library goes down to one thread before every
-fork (where the pool is still up, which starts nothing) and stays there: a
-block after it sets nothing, and the count it was taken down from is owed
-until a block above SINGLE_THREAD_MAX_N, whose factorizations use the pool.
-A forked chunk inherits its loop's cap, so the capped blocks inside it (the
-spin oracle's, say) start no thread.
+the whole call wait.  So fermigap's work on matrices of order up to
+SINGLE_THREAD_MAX_N first takes every loaded library down to one thread and
+leaves it there: the count it had is owed, and only work above that order
+(the spin oracle's parity blocks at n >= 11, a large pair's SVD), or a
+caller's restore_threads(), puts it back.  Nothing is set back on the way
+out of the work: os.fork shuts OpenBLAS's thread pool down, in the parent
+too, and any set_num_threads after it starts the pool again, even to set one
+thread, with a thread that spins on the other core.  A library already on
+one thread is never set, and every fork takes the libraries down first,
+while the pool is up, which starts nothing; a forked chunk then starts no
+thread either.
 Only OpenBLAS libraries already loaded into the process are touched; with
-none loaded (not Linux, or MKL/Accelerate) a capped block runs unchanged.
+none loaded (not Linux, or MKL/Accelerate) the work runs unchanged.
 The lookup (loaded_openblas) scans the process's mappings again only after
 an import, which is when a library (SciPy's OpenBLAS, say) can appear.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import pickle
 import sys
@@ -94,15 +93,13 @@ def loaded_openblas() -> list[OpenBlas]:
     return list(found)
 
 
-# The counts this process took its libraries down from before a fork, by
-# library name: the fork shut their pools down, and only restore_threads
-# starts them again.  And the forks this process has made.
+# The counts this process took its libraries down from, by library name:
+# only restore_threads puts them back.
 _owed: dict[str, int] = {}
-_forks = 0
 
 
 def restore_threads() -> None:
-    """Put every library a fork left on one thread back on its own count.
+    """Put every library fermigap left on one thread back on its own count.
 
     This starts the library's thread pool again, so call it only before
     work that uses the pool: factorizations above SINGLE_THREAD_MAX_N.
@@ -112,38 +109,25 @@ def restore_threads() -> None:
             lib.set(_owed.pop(lib.name))
 
 
-@contextlib.contextmanager
-def small_matrix_threads(n: int):
-    """Run the block with every loaded OpenBLAS on one thread when n is small.
+def threads_for(n: int) -> list[dict] | None:
+    """Set every loaded OpenBLAS for work on matrices of order n.
 
-    n is the order of the matrices the block factors, one after another.
-    Above SINGLE_THREAD_MAX_N the block runs on the default threads, those
-    owed after a fork included.  A library already on one thread is left
-    alone; each other one's previous count is restored on exit, also when
-    the block raises, unless the block forked: then the count is owed.
-    The counts are per process, so blocks must not overlap in several threads.
-    Yields the threads each library had before the block (an owed count
-    counts) and runs it on, [{"library": name, "found": count, "used":
-    count}], or None when no OpenBLAS is loaded.
+    Up to SINGLE_THREAD_MAX_N each library not on one thread is set to one,
+    its count owed until restore_threads; above it, restore_threads.  The
+    counts are per process, so the work must not run in several threads.
+    Returns the threads each library had (an owed count counts) and now
+    runs on, [{"library": name, "found": count, "used": count}], or None
+    when no OpenBLAS is loaded.
     """
     if n > SINGLE_THREAD_MAX_N:
         restore_threads()
     libs = loaded_openblas()
-    found = [_owed.get(lib.name) or lib.get() for lib in libs]
-    capped = ([(lib, lib.get()) for lib in libs if lib.get() != 1]
-              if n <= SINGLE_THREAD_MAX_N else [])
-    forks = _forks
-    try:
-        for lib, _ in capped:
+    for lib in libs:
+        if n <= SINGLE_THREAD_MAX_N and lib.get() != 1:
+            _owed[lib.name] = lib.get()
             lib.set(1)
-        yield [{"library": lib.name, "found": f, "used": lib.get()}
-               for lib, f in zip(libs, found)] or None
-    finally:
-        for lib, count in capped:
-            if _forks == forks:
-                lib.set(count)
-            else:       # set() would start the pool the fork shut down
-                _owed[lib.name] = count
+    return [{"library": lib.name, "found": _owed.get(lib.name) or lib.get(),
+             "used": lib.get()} for lib in libs] or None
 
 
 # Least work left after item 0, (items - 1) x n^3, that pays for one more
@@ -214,9 +198,9 @@ def loop_workers(items: int, n: int, work: int | None = None) -> int:
 
 
 # What the last forked_chunks loop of this process ran on: blas_threads, as
-# small_matrix_threads yields them, the processes that ran its chunks
-# (workers) and, once it forked, worker_peak_rss_mb.  Per process, like the
-# RUSAGE_CHILDREN reading behind the latter.
+# threads_for returns them, the processes that ran its chunks (workers) and,
+# once it forked, worker_peak_rss_mb.  Per process, like the RUSAGE_CHILDREN
+# reading behind the latter.
 last_loop: dict = {}
 
 
@@ -224,13 +208,12 @@ def forked_chunks(chunk: Callable[[int, int], object], items: int, n: int, what:
                   work: int | None = None) -> list:
     """chunk(lo, hi) over contiguous chunks of range(items), in index order.
 
-    The loop runs under small_matrix_threads(n) on loop_workers(items, n,
-    work) processes (split_chunks), and last_loop records what it ran on.
+    The loop runs after threads_for(n) on loop_workers(items, n, work)
+    processes (split_chunks), and last_loop records what it ran on.
     """
     last_loop.clear()
-    with small_matrix_threads(n) as threads:
-        last_loop.update(blas_threads=threads, workers=1)
-        results, forked = split_chunks(chunk, items, loop_workers(items, n, work), what)
+    last_loop.update(blas_threads=threads_for(n), workers=1)
+    results, forked = split_chunks(chunk, items, loop_workers(items, n, work), what)
     if forked:
         import resource
 
@@ -246,7 +229,7 @@ def split_chunks(chunk: Callable[[int, int], object], items: int, workers: int,
 
     The caller computes item 0, forks one child per chunk after its own, and
     then computes the rest of its chunk: the children inherit warm LAPACK
-    buffers along with any thread cap and the heap settings.  A chunk whose
+    buffers along with the thread counts and the heap settings.  A chunk whose
     pipe or fork fails with OSError is computed here in its turn.  Each child
     sends back its result, or the exception its chunk raised, which is
     raised again here.  A child that sends neither gives NumericalError "the
@@ -297,20 +280,15 @@ def _fork(chunk, lo: int, hi: int, inherited: list[int]) -> tuple[int | None, in
 
     Returns the child's pid and the pipe's read end, or (None, None), with
     the pipe closed, when os.pipe or os.fork fails with OSError.  Each
-    library still on several threads goes down to one first, its count owed
-    (see small_matrix_threads).  The child closes the read ends it inherits,
+    library still on several threads goes down to one first, threads_for(0),
+    while its pool is up.  The child closes the read ends it inherits,
     so each pipe has one reader, and leaves only through os._exit: status 0
     once its message is written, 1 otherwise.
     """
-    global _forks
     fds = []
     try:
         fds.extend(os.pipe())
-        for lib in loaded_openblas():
-            if lib.get() != 1:  # the pool is up, so this starts no thread
-                _owed[lib.name] = lib.get()
-                lib.set(1)
-        _forks += 1
+        threads_for(0)
         pid = os.fork()
     except OSError:
         for fd in fds:

@@ -12,16 +12,17 @@ is read once.  load_document also reports whether the file's text holds a
 `true` or `false` literal anywhere; where it does not, no list can hold a
 JSON boolean, and the readers skip the scan of every entry for one.
 
-A file above INPUT_BYTE_CAP is refused before it is read.  Where the text
-holds no boolean literal, a short walk over the top-level object (_walk)
-finds its flat lists under the pair and root keys: each runs from its '['
-to the next ']' with no '[', '{' or '"' between.  Where the worker rule
-gives them two processes (_blas.split_chunks), json's own scanner parses
-the rest of the object before the fork and the two longest lists on either
-side of it, and each list arrives as a float array, bit for bit what its
-list converts to.  Anything else, and any list json would not read or
-array.array would not convert, is parsed by one json.loads of the whole
-text, so that every message stays json's and the readers'.
+A file above INPUT_BYTE_CAP is refused before it is read, a stream (a pipe,
+a FIFO) once it yields more.  Where the text holds no boolean literal, a
+short walk over the top-level object (_walk) finds its flat lists under the
+pair and root keys: each runs from its '[' to the next ']' with no '[', '{'
+or '"' between.  Where the worker rule gives them two processes
+(_blas.split_chunks), json's own scanner parses the rest of the object
+before the fork and the two longest lists on either side of it, and each
+list arrives as a float array, bit for bit what its list converts to.
+Anything else, and any list json would not read or array.array would not
+convert, is parsed by one json.loads of the whole text, so that every
+message stays json's and the readers'.
 """
 
 from __future__ import annotations
@@ -249,11 +250,27 @@ def _split_load(text: str, path) -> dict | None:
     return doc
 
 
+def _read_stream(fh, path) -> str:
+    """The text of a file whose size fstat does not know (a pipe, a FIFO),
+    read in pieces; CapacityError once it holds more than INPUT_BYTE_CAP
+    characters, since a character is at least one byte."""
+    pieces, held = [], 0
+    while piece := fh.read(1 << 20):
+        held += len(piece)
+        if held > INPUT_BYTE_CAP:
+            raise CapacityError(f"{path} holds more than the input cap of "
+                                f"{INPUT_BYTE_CAP} bytes")
+        pieces.append(piece)
+    return "".join(pieces)
+
+
 def load_document(path) -> tuple[dict, bool]:
     """The top-level JSON object in the file at path, and whether its text
     holds a boolean literal (a string such as "true" counts too).
 
-    CapacityError for a file above INPUT_BYTE_CAP bytes, before it is read.
+    CapacityError for a file above INPUT_BYTE_CAP bytes, before it is read,
+    and for a stream (a pipe, a FIFO) once it yields more characters than
+    that: a character is at least one byte.
     """
     try:
         with open(path) as fh:
@@ -261,7 +278,7 @@ def load_document(path) -> tuple[dict, bool]:
             if size > INPUT_BYTE_CAP:
                 raise CapacityError(f"{path} holds {size} bytes, above the input cap "
                                     f"of {INPUT_BYTE_CAP}")
-            text = fh.read()
+            text = fh.read() if size else _read_stream(fh, path)
         booleans = "true" in text or "false" in text
         doc = None if booleans else _split_load(text, path)
         if doc is None:

@@ -108,7 +108,7 @@ class CoefficientPair:
     def singular_values(self) -> np.ndarray:
         """The singular values Lambda of A + B, descending, by a values-only SVD."""
         if self.n > SINGLE_THREAD_MAX_N:
-            restore_threads()   # the SVD uses the thread pool a fork may have shut down
+            restore_threads()   # the SVD uses the threads that smaller work took away
         return _singular_values(self.c)
 
     @staticmethod

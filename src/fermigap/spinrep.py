@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import small_matrix_threads
+from ._blas import threads_for
 from .errors import ConformanceError, InputError, NumericalError
 from .quadform import (CoefficientPair, check_s, check_sites, check_square_finite,
                        freeze_fields)
@@ -174,9 +174,9 @@ def sector_spectrum(h: PauliHamiltonian, parity: int) -> np.ndarray:
     if parity not in (0, 1):
         raise InputError(f"parity must be 0 or 1, got {parity!r}")
     states = np.flatnonzero((_parity_signs(n) < 0.0) == parity)
+    threads_for(states.size)
     try:
-        with small_matrix_threads(states.size):
-            return np.linalg.eigvalsh(_block(_term_masks(h.w), n, states))
+        return np.linalg.eigvalsh(_block(_term_masks(h.w), n, states))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
 
@@ -325,7 +325,8 @@ def fcr_check(ops: FermionOperatorSet) -> float:
         anticommutator = _dense_anticommutator
     eye = np.eye(ops.dimension)
     worst = 0.0
-    with small_matrix_threads(ops.dimension), np.errstate(over="ignore", invalid="ignore"):
+    threads_for(ops.dimension)
+    with np.errstate(over="ignore", invalid="ignore"):
         for j, (cj, _) in enumerate(entries):
             for k in range(j, ops.m):
                 ck, ck_adjoint = entries[k]

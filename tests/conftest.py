@@ -3,7 +3,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from fermigap import lattice as lat, spinrep as sr
+from fermigap import _blas, lattice as lat, spinrep as sr
 
 
 @st.composite
@@ -28,3 +28,19 @@ def dense_ground_state(h):
 def with_off_parity_term(term_masks):
     """spinrep._term_masks plus one X_1 term, whose one flipped bit changes the fermion parity."""
     return lambda w: [*term_masks(w), (1.0, 1 << (w.shape[0] - 1), 0)]
+
+
+def fake_openblas(monkeypatch, count):
+    """One fake OpenBLAS on count threads, the only library _blas finds, with
+    no count owed; returns the list of its set() calls."""
+    calls = []
+
+    def set_(k):
+        nonlocal count
+        calls.append(k)
+        count = k
+
+    lib = _blas.OpenBlas("libfake_openblas.so", lambda: count, set_)
+    monkeypatch.setattr(_blas, "loaded_openblas", lambda: [lib])
+    monkeypatch.setattr(_blas, "_owed", {})
+    return calls

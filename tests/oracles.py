@@ -12,7 +12,7 @@ import numpy as np
 from scipy import optimize
 
 from fermigap import spinrep as sr
-from fermigap._blas import small_matrix_threads
+from fermigap._blas import threads_for
 from fermigap.errors import ConformanceError, InputError, NumericalError
 
 # Reference kron-built Paulis for cross-checking the permutation assembly.
@@ -155,7 +155,8 @@ def fcr_check_by_gemm(ops: sr.FermionOperatorSet) -> float:
     one nonzero per row and column, the reference that route must equal.
     """
     worst = 0.0
-    with small_matrix_threads(ops.dimension), np.errstate(over="ignore", invalid="ignore"):
+    threads_for(ops.dimension)
+    with np.errstate(over="ignore", invalid="ignore"):
         for j, k, defect in anticommutator_defects(ops):
             if defect.any():
                 if not np.isfinite(defect).all():

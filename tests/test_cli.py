@@ -18,7 +18,7 @@ from fermigap import _blas, cli, ensembles as ens, io as fio, lattice as lat, qu
     spinrep as sr
 from fermigap.errors import CapacityError
 
-from conftest import with_off_parity_term
+from conftest import fake_openblas, with_off_parity_term
 
 
 def write_json(path, doc):
@@ -1296,6 +1296,37 @@ class TestForkedLoad:
         two = self.run(capsys, monkeypatch, tmp_path, 2, argv)
         assert split[0] == (True, 1)
         assert two == self.run(capsys, monkeypatch, tmp_path, 1, argv)
+
+
+class TestOneThreadRule:
+    """The CLI process sets a library on two threads to one once, and back
+    only for work above order 512, whether its loops fork or not."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        return fake_openblas(monkeypatch, 2)
+
+    @pytest.mark.parametrize("n_max, trials, workers", [(8, 1, 1), (10, 3, 2)])
+    def test_verify_sets_one_thread_once(self, capsys, calls, n_max, trials, workers):
+        assert cli.main(["verify", "--n-max", str(n_max), "--trials", str(trials)]) == 0
+        assert _blas.last_loop["workers"] == workers
+        assert calls == [1]
+
+    def test_figure2_sets_one_thread_once(self, capsys, tmp_path, calls):
+        assert cli.main(["ensemble", "--experiment", "figure2", "--out",
+                         str(tmp_path / "out")]) == 0
+        assert calls == [1]
+
+    def test_large_gap_after_a_forked_load_restores(self, capsys, monkeypatch, tmp_path,
+                                                     calls):
+        # gap runs no work of order <= 512: the set(1) is the load's fork
+        pair = qf.CoefficientPair.identity(_blas.SINGLE_THREAD_MAX_N + 1)
+        path = write_json(tmp_path / "pair.json", pair_doc(pair))
+        monkeypatch.setattr(_blas, "loop_workers",
+                            lambda items, n, work=None: 2 if n == 0 else 1)
+        assert cli.main(["gap", path]) == 0
+        assert calls == [1, 2]
 
 
 # A dense profile whose load forked: the CLI process's tasks at each of its

@@ -2,6 +2,7 @@ import array
 import errno
 import json
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -158,6 +159,47 @@ class TestLoadDispatch:
         spec = fio.load_pair_or_structured(path)
         assert spec.root_a.tolist() == doc["a_root"]
         assert spec.root_b.tolist() == doc["b_root"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestStreamInput:
+    """A FIFO or pipe reads size 0 from fstat: the read itself holds the byte cap."""
+
+    TEXT = json.dumps(fio.pair_to_dict(qf.CoefficientPair.identity(1)))
+
+    @classmethod
+    def fifo(cls, tmp_path):
+        """A FIFO in tmp_path and the thread that writes TEXT into it."""
+        path = tmp_path / "doc.fifo"
+        os.mkfifo(path)
+
+        def write():
+            try:
+                with open(path, "w") as fh:
+                    fh.write(cls.TEXT)
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        return str(path), writer
+
+    @pytest.mark.parametrize("over", [1, 0], ids=["one-byte-over", "at-the-cap"])
+    def test_fifo_over_the_cap_exit_2(self, tmp_path, monkeypatch, capsys, over):
+        monkeypatch.setattr(fio, "INPUT_BYTE_CAP", len(self.TEXT) - over)
+        path, writer = self.fifo(tmp_path)
+        code = cli.main(["gap", path])
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        captured = capsys.readouterr()
+        if over:
+            assert code == 2
+            assert captured.err == (f"fermigap: input error: {path} holds more than the "
+                                    f"input cap of {fio.INPUT_BYTE_CAP} bytes\n")
+            assert captured.out == ""
+        else:
+            assert code == 0
+            assert json.loads(captured.out)["gap"] == 2.0
 
 
 # The loaders' tracemalloc peak over the file size.  Parsed, a JSON number

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fermigap import _blas, quadform as qf
 from fermigap.errors import CapacityError, InputError, NumericalError
 
+from conftest import fake_openblas
 from oracles import lieb_residuals
 
 
@@ -338,35 +339,42 @@ class TestSingleThreadLoops:
             assert np.array_equal(getattr(capped, field), getattr(default, field))
 
     def test_one_thread_inside_and_restored_after(self, libs):
+        # one thread for the work and after it, until restore_threads
         before = thread_counts(libs)
-        with _blas.small_matrix_threads(64):
-            assert thread_counts(libs) == [1] * len(libs)
+        _blas.threads_for(64)
+        assert thread_counts(libs) == [1] * len(libs)
+        _blas.threads_for(64)
+        assert thread_counts(libs) == [1] * len(libs)
+        _blas.restore_threads()
         assert thread_counts(libs) == before
 
     def test_restored_when_block_raises(self, libs):
+        # work that raises leaves one thread too, until work above the cap
         before = thread_counts(libs)
         with pytest.raises(RuntimeError, match="inside"):
-            with _blas.small_matrix_threads(64):
-                raise RuntimeError("raised inside the block")
+            _blas.threads_for(64)
+            raise RuntimeError("raised inside the block")
+        assert thread_counts(libs) == [1] * len(libs)
+        _blas.threads_for(_blas.SINGLE_THREAD_MAX_N + 1)
         assert thread_counts(libs) == before
 
     def test_large_matrices_keep_their_threads(self, libs):
         before = thread_counts(libs)
-        with _blas.small_matrix_threads(_blas.SINGLE_THREAD_MAX_N + 1):
-            assert thread_counts(libs) == before
+        _blas.threads_for(_blas.SINGLE_THREAD_MAX_N + 1)
+        assert thread_counts(libs) == before
 
     def test_no_library_found_is_a_no_op(self, libs, monkeypatch):
         before = thread_counts(libs)
         monkeypatch.setattr(_blas, "loaded_openblas", lambda: [])
-        with _blas.small_matrix_threads(64) as threads:
-            assert thread_counts(libs) == before
+        threads = _blas.threads_for(64)
+        assert thread_counts(libs) == before
         assert threads is None
 
     @pytest.mark.parametrize("n, capped", [(64, True), (_blas.SINGLE_THREAD_MAX_N + 1, False)])
     def test_yields_threads_found_and_used(self, libs, n, capped):
         before = thread_counts(libs)
-        with _blas.small_matrix_threads(n) as threads:
-            assert [t["used"] for t in threads] == thread_counts(libs)
+        threads = _blas.threads_for(n)
+        assert [t["used"] for t in threads] == thread_counts(libs)
         assert [t["library"] for t in threads] == [lib.name for lib in libs]
         assert [t["found"] for t in threads] == before
         assert [t["used"] for t in threads] == ([1] * len(libs) if capped else before)
@@ -376,58 +384,70 @@ class TestCapSkipsOneThread:
     """A library already on one thread is never set: after a fork, a set()
     starts its thread pool again, even to set one thread."""
 
-    @staticmethod
-    def fake(monkeypatch, count):
-        """One fake library on count threads; returns the list of its set() calls."""
-        calls = []
-
-        def set_(k):
-            nonlocal count
-            calls.append(k)
-            count = k
-
-        lib = _blas.OpenBlas("libfake_openblas.so", lambda: count, set_)
-        monkeypatch.setattr(_blas, "loaded_openblas", lambda: [lib])
-        monkeypatch.setattr(_blas, "_owed", {})
-        return calls
-
     def test_one_thread_is_left_alone(self, monkeypatch):
-        calls = self.fake(monkeypatch, 1)
-        with _blas.small_matrix_threads(64) as threads:
-            assert calls == []
+        calls = fake_openblas(monkeypatch, 1)
+        threads = _blas.threads_for(64)
+        assert calls == []
+        _blas.threads_for(_blas.SINGLE_THREAD_MAX_N + 1)
         assert calls == []
         assert threads == [{"library": "libfake_openblas.so", "found": 1, "used": 1}]
 
     def test_two_threads_set_to_one_and_restored(self, monkeypatch):
-        calls = self.fake(monkeypatch, 2)
-        with _blas.small_matrix_threads(64) as threads:
-            assert calls == [1]
+        # set to one once, left there after the work, and put back only by
+        # restore_threads or by work above the cap
+        calls = fake_openblas(monkeypatch, 2)
+        threads = _blas.threads_for(64)
+        assert calls == [1]
+        assert _blas.threads_for(64) == threads
+        assert calls == [1]
+        _blas.restore_threads()
         assert calls == [1, 2]
         assert threads == [{"library": "libfake_openblas.so", "found": 2, "used": 1}]
+        _blas.threads_for(64)
+        assert _blas.threads_for(_blas.SINGLE_THREAD_MAX_N + 1) == \
+            [{"library": "libfake_openblas.so", "found": 2, "used": 2}]
+        assert calls == [1, 2, 1, 2]
 
     @pytest.mark.parametrize("capped", [True, False], ids=["forked-loop", "fork-outside-a-cap"])
     def test_a_fork_leaves_one_thread_until_a_large_block(self, monkeypatch, capped):
         # a fork shuts the pool down, and set() would start it again: the
         # library stays on one thread, found still reads its own count, and
-        # only a block above the cap puts it back
-        calls = self.fake(monkeypatch, 2)
+        # only work above the cap puts it back
+        calls = fake_openblas(monkeypatch, 2)
         if capped:
             monkeypatch.setattr(_blas, "loop_workers", lambda items, n, work=None: 2)
             _blas.forked_chunks(lambda lo, hi: hi - lo, 3, 64, "items")
         else:
             _blas.split_chunks(lambda lo, hi: hi - lo, 3, 2, "items")
         assert calls == [1]
-        with _blas.small_matrix_threads(64) as threads:
-            assert calls == [1]
+        threads = _blas.threads_for(64)
+        assert calls == [1]
         assert threads == [{"library": "libfake_openblas.so", "found": 2, "used": 1}]
-        with _blas.small_matrix_threads(_blas.SINGLE_THREAD_MAX_N + 1) as threads:
-            assert calls == [1, 2]
+        threads = _blas.threads_for(_blas.SINGLE_THREAD_MAX_N + 1)
+        assert calls == [1, 2]
         assert threads == [{"library": "libfake_openblas.so", "found": 2, "used": 2}]
         assert calls == [1, 2]
 
+    def test_library_caller_gets_one_thread_until_large_work(self, monkeypatch):
+        # a caller's own BLAS work after fermigap's small work runs on one
+        # thread, forked or not, until fermigap's work above the cap
+        calls = fake_openblas(monkeypatch, 2)
+        lib = _blas.loaded_openblas()[0]
+        qf.gap_profile(random_pair(8), [0.0, 0.5, 1.0])
+        assert _blas.last_loop["workers"] == 1
+        assert calls == [1] and lib.get() == 1
+        monkeypatch.setattr(_blas, "loop_workers", lambda items, n, work=None: 2)
+        _blas.forked_chunks(lambda lo, hi: hi - lo, 3, 64, "items")
+        assert _blas.last_loop["workers"] == 2
+        assert _blas.last_loop["blas_threads"] == [
+            {"library": "libfake_openblas.so", "found": 2, "used": 1}]
+        assert calls == [1]
+        random_pair(_blas.SINGLE_THREAD_MAX_N + 1).singular_values()
+        assert calls == [1, 2] and lib.get() == 2
 
-# The child of a fork enters the cap block that its parent holds, and sends
-# back its thread count before, inside and after the block.
+
+# The child of a fork sets the one thread that its parent set, and sends back
+# its thread count before that, after it and after an SVD of order 64.
 _FORKED_CAP_SCRIPT = """
 import json, os
 import numpy
@@ -439,20 +459,21 @@ def tasks():
 
 
 libs = _blas.loaded_openblas()
-with _blas.small_matrix_threads(64):
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        counts = [tasks()]
-        with _blas.small_matrix_threads(64):
-            counts.append(tasks())
-        counts.append(tasks())
-        os.write(write_end, json.dumps(counts).encode())
-        os._exit(0)
-    os.close(write_end)
-    with open(read_end, "rb") as fh:
-        counts = json.loads(fh.read())
-    os.waitpid(pid, 0)
+_blas.threads_for(64)
+read_end, write_end = os.pipe()
+pid = os.fork()
+if pid == 0:
+    counts = [tasks()]
+    _blas.threads_for(64)
+    counts.append(tasks())
+    numpy.linalg.svd(numpy.eye(64), compute_uv=False)
+    counts.append(tasks())
+    os.write(write_end, json.dumps(counts).encode())
+    os._exit(0)
+os.close(write_end)
+with open(read_end, "rb") as fh:
+    counts = json.loads(fh.read())
+os.waitpid(pid, 0)
 print(json.dumps({"libraries": [lib.name for lib in libs], "tasks": counts}))
 """
 
@@ -516,8 +537,8 @@ again = _blas.loaded_openblas()
 seen = list(events)
 import scipy.linalg
 later = _blas.loaded_openblas()
-with _blas.small_matrix_threads(64) as threads:
-    used = [lib.get() for lib in later]
+threads = _blas.threads_for(64)
+used = [lib.get() for lib in later]
 
 
 def rescan():

@@ -100,8 +100,8 @@ def parity_block_route(h):
     mat = sr.dense_hamiltonian(h)
     basis = np.arange(1 << h.n)
     even = sr._parity_signs(h.n) > 0.0
-    with _blas.small_matrix_threads(1 << (h.n - 1)):
-        blocks = [np.linalg.eigvalsh(mat[np.ix_(idx, idx)]) for idx in (basis[even], basis[~even])]
+    _blas.threads_for(1 << (h.n - 1))
+    blocks = [np.linalg.eigvalsh(mat[np.ix_(idx, idx)]) for idx in (basis[even], basis[~even])]
     return np.sort(np.concatenate(blocks))
 
 
@@ -128,8 +128,8 @@ class TestParityBlockOracle:
         odd = sr._parity_signs(n) < 0.0
         for parity in (0, 1):
             idx = np.flatnonzero(odd == parity)
-            with _blas.small_matrix_threads(idx.size):
-                expected = np.linalg.eigvalsh(mat[np.ix_(idx, idx)])
+            _blas.threads_for(idx.size)
+            expected = np.linalg.eigvalsh(mat[np.ix_(idx, idx)])
             assert np.array_equal(sr.sector_spectrum(h, parity), expected)
 
     @pytest.mark.parametrize("parity", [2, -1])
@@ -580,6 +580,7 @@ class TestSmallMatrixThreads:
         libs = _blas.loaded_openblas()
         if not libs:
             pytest.skip("no OpenBLAS loaded in this process")
+        _blas.restore_threads()     # the counts earlier work left owed
         return libs
 
     def spy(self, monkeypatch, libs, name):
@@ -604,6 +605,8 @@ class TestSmallMatrixThreads:
         seen = self.spy(monkeypatch, libs, "norm")
         assert sr.fcr_check(etas) <= 1e-12
         assert seen and all(counts == [1] * len(libs) for counts in seen)
+        assert [lib.get() for lib in libs] == [1] * len(libs)
+        _blas.restore_threads()
         assert [lib.get() for lib in libs] == before
 
     def test_oracle_blocks_on_one_thread(self, libs, monkeypatch):
@@ -611,6 +614,8 @@ class TestSmallMatrixThreads:
         seen = self.spy(monkeypatch, libs, "eigvalsh")
         sr.dense_spectrum_oracle(sr.PauliHamiltonian(np.eye(4)))
         assert seen == [[1] * len(libs)] * 2
+        assert [lib.get() for lib in libs] == [1] * len(libs)
+        _blas.restore_threads()
         assert [lib.get() for lib in libs] == before
 
     def test_fcr_bit_identical_to_default_threads(self, monkeypatch):
