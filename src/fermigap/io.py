@@ -250,18 +250,21 @@ def _split_load(text: str, path) -> dict | None:
     return doc
 
 
-def _read_stream(fh, path) -> str:
-    """The text of a file whose size fstat does not know (a pipe, a FIFO),
-    read in pieces; CapacityError once it holds more than INPUT_BYTE_CAP
-    characters, since a character is at least one byte."""
+def _read_text(fh, path) -> str:
+    """The text of the open file fh, read as bytes in 1 MiB pieces and
+    decoded once; CapacityError once it holds more than INPUT_BYTE_CAP
+    bytes, which bounds a stream (a pipe, a FIFO) whose fstat size is 0
+    and a file that grew after its fstat."""
     pieces, held = [], 0
-    while piece := fh.read(1 << 20):
+    while piece := fh.buffer.read(1 << 20):
         held += len(piece)
         if held > INPUT_BYTE_CAP:
             raise CapacityError(f"{path} holds more than the input cap of "
                                 f"{INPUT_BYTE_CAP} bytes")
         pieces.append(piece)
-    return "".join(pieces)
+    data = b"".join(pieces)
+    del pieces
+    return data.decode(fh.encoding)
 
 
 def load_document(path) -> tuple[dict, bool]:
@@ -269,8 +272,7 @@ def load_document(path) -> tuple[dict, bool]:
     holds a boolean literal (a string such as "true" counts too).
 
     CapacityError for a file above INPUT_BYTE_CAP bytes, before it is read,
-    and for a stream (a pipe, a FIFO) once it yields more characters than
-    that: a character is at least one byte.
+    and for a stream (a pipe, a FIFO) once it yields more bytes than that.
     """
     try:
         with open(path) as fh:
@@ -278,7 +280,7 @@ def load_document(path) -> tuple[dict, bool]:
             if size > INPUT_BYTE_CAP:
                 raise CapacityError(f"{path} holds {size} bytes, above the input cap "
                                     f"of {INPUT_BYTE_CAP}")
-            text = fh.read() if size else _read_stream(fh, path)
+            text = _read_text(fh, path)
         booleans = "true" in text or "false" in text
         doc = None if booleans else _split_load(text, path)
         if doc is None:

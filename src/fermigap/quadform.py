@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from ._blas import SINGLE_THREAD_MAX_N, forked_chunks, restore_threads
+from ._blas import forked_chunks, threads_for
 from .errors import CapacityError, InputError, NumericalError
 
 # Enumerating all 2^n subset-sum energies beyond this is pointless on a desk
@@ -107,8 +107,7 @@ class CoefficientPair:
 
     def singular_values(self) -> np.ndarray:
         """The singular values Lambda of A + B, descending, by a values-only SVD."""
-        if self.n > SINGLE_THREAD_MAX_N:
-            restore_threads()   # the SVD uses the threads that smaller work took away
+        threads_for(self.n)
         return _singular_values(self.c)
 
     @staticmethod
@@ -157,6 +156,7 @@ def lieb_decompose(pair: CoefficientPair) -> LiebDecomposition:
     defining equations identically, including for zero singular values.
     """
     c = pair.c
+    threads_for(pair.n)
     try:
         u, s, vh = np.linalg.svd(c)
     except np.linalg.LinAlgError as exc:

@@ -165,18 +165,24 @@ class TestLoadDispatch:
 class TestStreamInput:
     """A FIFO or pipe reads size 0 from fstat: the read itself holds the byte cap."""
 
-    TEXT = json.dumps(fio.pair_to_dict(qf.CoefficientPair.identity(1)))
+    PAIR = fio.pair_to_dict(qf.CoefficientPair.identity(1))
+    # The UTF-8 bytes written: a document read in one piece; one whose note
+    # is 24 bytes but 8 characters, so a count of characters would admit it
+    # under a cap of its bytes less one; one padded to four 1 MiB pieces.
+    DATA = {"ascii": json.dumps(PAIR).encode(),
+            "non-ascii": json.dumps({**PAIR, "note": "\u20ac" * 8}, ensure_ascii=False).encode(),
+            "several-pieces": json.dumps(PAIR).encode() + b" " * (3 << 20)}
 
-    @classmethod
-    def fifo(cls, tmp_path):
-        """A FIFO in tmp_path and the thread that writes TEXT into it."""
+    @staticmethod
+    def fifo(tmp_path, data: bytes):
+        """A FIFO in tmp_path and the thread that writes data into it."""
         path = tmp_path / "doc.fifo"
         os.mkfifo(path)
 
         def write():
             try:
-                with open(path, "w") as fh:
-                    fh.write(cls.TEXT)
+                with open(path, "wb") as fh:
+                    fh.write(data)
             except BrokenPipeError:
                 pass
 
@@ -184,10 +190,12 @@ class TestStreamInput:
         writer.start()
         return str(path), writer
 
+    @pytest.mark.parametrize("kind", list(DATA))
     @pytest.mark.parametrize("over", [1, 0], ids=["one-byte-over", "at-the-cap"])
-    def test_fifo_over_the_cap_exit_2(self, tmp_path, monkeypatch, capsys, over):
-        monkeypatch.setattr(fio, "INPUT_BYTE_CAP", len(self.TEXT) - over)
-        path, writer = self.fifo(tmp_path)
+    def test_fifo_over_the_cap_exit_2(self, tmp_path, monkeypatch, capsys, over, kind):
+        data = self.DATA[kind]
+        monkeypatch.setattr(fio, "INPUT_BYTE_CAP", len(data) - over)
+        path, writer = self.fifo(tmp_path, data)
         code = cli.main(["gap", path])
         writer.join(timeout=10)
         assert not writer.is_alive()

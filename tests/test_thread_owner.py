@@ -4,7 +4,9 @@ Its threads_for and restore_threads are the only code that sets a library's
 thread count (OpenBlas.set) or reads the counts owed (_blas._owed).  A
 module that set a count itself would bypass the rule that a library left on
 one thread stays there until work above order 512, and could start a pool
-that a fork shut down.  Checked on the source, so that a call on a path no
+that a fork shut down.  No other module names the order that splits the
+rule (SINGLE_THREAD_MAX_N) or restore_threads either: work tells
+threads_for its order, and _blas alone decides.  Checked on the source, so that a call on a path no
 test runs is caught too.
 """
 
@@ -38,11 +40,21 @@ def thread_uses(tree):
     return found
 
 
+def names(tree) -> set[str]:
+    """Every name a parsed module uses, reads as an attribute or imports."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names})
+
+
 def test_no_module_but_blas_sets_threads():
     others = [path for path in PACKAGE.glob("*.py") if path.name != "_blas.py"]
     assert len(others) > 1
     for path in others:
-        assert thread_uses(ast.parse(path.read_text())) == [], path.name
+        tree = ast.parse(path.read_text())
+        assert thread_uses(tree) == [], path.name
+        assert not names(tree) & {"SINGLE_THREAD_MAX_N", "restore_threads"}, path.name
 
 
 def test_blas_sets_threads_only_in_its_two_setters():
