@@ -33,14 +33,9 @@ from typing import Callable, NamedTuple
 
 from .errors import NumericalError
 
-# Largest matrix order whose loops run on one thread.  Per call, one thread
-# against two on a 2-core x86-64 VM (numpy 2.4 and scipy 1.17 wheels), ms:
-#
-#     n      QR             values-only SVD
-#     128    1.16 vs 2.53   1.35 vs 2.75
-#     256    4.8  vs 6.3    6.7  vs 8.2
-#     512    26.5 vs 27.5   39.8 vs 41.0
-#     1024   159  vs 145    360  vs 277
+# Largest matrix order whose loops run on one thread: on a 2-core VM one
+# thread beat two on QR and values-only SVD up to order 512, and lost at
+# 1024 (the per-call table is in README "Threads").
 SINGLE_THREAD_MAX_N = 512
 
 # Thread-count entry points, in lookup order: scipy-openblas wheels built
@@ -132,40 +127,8 @@ def threads_for(n: int) -> list[dict] | None:
 
 # Least work left after item 0, (items - 1) x n^3, that pays for one more
 # process: the fork, the copy-on-write faults it causes and the join cost
-# about 5-20 ms.  A loop in a fresh process, one process against two, with
-# forked_chunks's chunks, on a 2-core x86-64 VM, ms (medians of 5):
-#
-#     loop              n      items   work              one vs two
-#     verify 8 x 1      128    16      1.2e6             59.9 vs 64.1
-#     verify 8 x 3      128    48      3.6e6             67.0 vs 60.2
-#     gaussian          64     20      5.0e6             38.4 vs 50.2
-#     bounded_uniform   32     200     6.5e6             140  vs 154
-#     verify 9 x 1      256    18      9.6e6             59.2 vs 65.0
-#     gaussian          128    10      1.9e7             48.2 vs 48.1
-#     profile           128    11      2.1e7             20.1 vs 16.9
-#     profile           64     101     2.6e7             33.2 vs 30.6
-#     verify 9 x 3      256    54      2.9e7             103  vs 86.9
-#     profile           256    3       3.4e7             24.2 vs 22.5
-#     bounded_uniform   64     200     5.2e7             365  vs 237
-#     verify 10 x 1     512    20      7.7e7             102  vs 85.4
-#     verify 10 x 3     512    60      2.3e8             214  vs 149
-#     gaussian          128    200     4.2e8             537  vs 290
-#     profile           256    101     1.7e9             918  vs 468
-#     load 0.68 MB      -      3       1.4e7             20.2 vs 16.7
-#     load 1.36 MB      -      3       2.7e7             32.0 vs 28.5
-#     load 2.72 MB      -      3       5.4e7             59.0 vs 45.4
-#     load 5.44 MB      -      3       1.1e8             135  vs 99.5
-#     load 10.5 MB      -      3       2.1e8             396  vs 267
-#     load 43.6 MB      -      3       8.7e8             1252 vs 753
-#
-# work is (items - 1) n^3 for the sample and profile rows and the sum of
-# d^3 / 4 over the blocks after item 0 (cli.EIGVALSH_WORK_DIVISOR) for the
-# verify rows.  verify n_max x trials: the subset-sum check's parity blocks,
-# of orders 1 to n; the whole cli.main, medians of 11.  load:
-# io.load_pair_or_structured of a Gaussian pair (the 10.5 MB row: the
-# benchmark's 2^20-site torus spec), medians of 11 (the 0.68 MB row read
-# 16.4 vs 16.6 in another series); its work is the characters of its two
-# lists x io.PARSE_WORK_PER_CHAR (20).
+# about 5-20 ms.  Set from the break-even tables in README "Processes", one
+# process against two for loops and loads in fresh processes on a 2-core VM.
 # The n^3 count leaves out the Python cost of an item, most of what a small
 # one costs: 2000 samples at n = 8 stay in one process, though two took 562
 # vs 411 ms (bounded_uniform) and 306 vs 243 ms (gaussian).

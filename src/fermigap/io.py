@@ -15,14 +15,16 @@ JSON boolean, and the readers skip the scan of every entry for one.
 A file above INPUT_BYTE_CAP is refused before it is read, a stream (a pipe,
 a FIFO) once it yields more.  Where the text holds no boolean literal, a
 short walk over the top-level object (_walk) finds its flat lists under the
-pair and root keys: each runs from its '[' to the next ']' with no '[', '{'
-or '"' between.  Where the worker rule gives them two processes
-(_blas.split_chunks), json's own scanner parses the rest of the object
-before the fork and the two longest lists on either side of it, and each
-list arrives as a float array, bit for bit what its list converts to.
-Anything else, and any list json would not read or array.array would not
-convert, is parsed by one json.loads of the whole text, so that every
-message stays json's and the readers'.
+pair, root and W keys: each runs from its '[' to the next ']' with no '[',
+'{' or '"' between.  json's own scanner parses the rest of the object, and
+the two longest lists become float arrays, bit for bit what the readers
+convert the lists to: each is parsed in pieces of about PIECE_CHARS
+characters cut at commas (_floats_at), so that no whole list is ever held
+as Python floats.  The object and the two lists run on one process or two,
+as the worker rule gives them (_blas.split_chunks), by the same code.
+Anything else, and any piece json would not read, array.array would not
+convert or that is blank, is parsed by one json.loads of the whole text, so
+that every message stays json's and the readers'.
 """
 
 from __future__ import annotations
@@ -166,11 +168,17 @@ INPUT_BYTE_CAP = 1 << 30
 
 # Work of parsing one character of list text, in the unit of
 # _blas.WORK_PER_WORKER: two processes from 1 MB of list text.  Set from
-# the load rows of the break-even table in _blas.
+# the load table in README "Processes".
 PARSE_WORK_PER_CHAR = 20
 
+# Characters of list text parsed at a time (_floats_at).  A parsed number
+# costs a 32-byte float object and list slot against about 5 characters of
+# text, so a piece holds about 0.4 MB of Python floats whatever the list's
+# length.
+PIECE_CHARS = 1 << 16
+
 # The keys whose lists the readers convert to float arrays.
-_NUMBER_LISTS = {"a", "b", "a_root", "b_root"}
+_NUMBER_LISTS = {"a", "b", "a_root", "b_root", "w"}
 _WS = json.decoder.WHITESPACE.match
 _SCAN = json.scanner.make_scanner(json.JSONDecoder())
 
@@ -216,18 +224,39 @@ def _walk(text: str):
 
 
 def _floats_at(text: str, start: int):
-    """The flat list at text[start] as a float array; None if json or
-    array.array rejects it."""
+    """The flat list at text[start], which _walk found, as a float array;
+    None if json or array.array rejects a piece of it, or a piece is blank.
+
+    The list is read in pieces of about PIECE_CHARS characters cut at
+    commas, each parsed by json's scanner and converted by array.array into
+    one array sized from the commas, so that only one piece is ever held as
+    Python floats.  A blank piece stands for a comma with no number before
+    or after it (`[1, ]`, `[1, , 2]`), which a cut would hide from json.
+    """
+    end = text.find("]", start)
+    commas = text.count(",", start, end)
+    out = np.empty(commas + 1)
+    i, filled = start + 1, 0
     try:
-        return np.frombuffer(array.array("d", _SCAN(text, start)[0]))
+        while True:
+            cut = text.find(",", i + PIECE_CHARS, end)
+            cut = end if cut < 0 else cut
+            piece = array.array("d", _SCAN("[" + text[i:cut] + "]", 0)[0])
+            if commas and not piece:
+                return None
+            out[filled:filled + len(piece)] = piece
+            filled += len(piece)
+            if cut == end:
+                return out[:filled]
+            i = cut + 1
     except (ValueError, TypeError, OverflowError, StopIteration):
         return None
 
 
 def _split_load(text: str, path) -> dict | None:
-    """The document in text, its two longest flat lists parsed in two
-    processes; None where one json.loads is to parse it (see the module
-    docstring)."""
+    """The document in text with its two longest flat lists as float
+    arrays, parsed on the processes the worker rule gives; None where one
+    json.loads is to parse it (see the module docstring)."""
     try:
         walked = _walk(text)
     except (ValueError, StopIteration, RecursionError):
@@ -237,8 +266,6 @@ def _split_load(text: str, path) -> dict | None:
     doc, lists = walked
     workers = _blas.loop_workers(1 + len(lists), 0,
                                  sum(length for length, _, _ in lists) * PARSE_WORK_PER_CHAR)
-    if workers == 1:
-        return None
     parts, _ = _blas.split_chunks(
         lambda lo, hi: [_floats_at(text, lists[k - 1][1]) if k else doc for k in range(lo, hi)],
         1 + len(lists), workers, f"the lists of {path}")
