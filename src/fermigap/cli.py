@@ -175,6 +175,7 @@ def cmd_gap(args) -> tuple[int, str]:
 
 def cmd_spectrum(args) -> tuple[int, str]:
     source = fio.load_pair_or_structured(args.input)
+    qf.check_modes(source.n)    # before a singular value is computed
     energies = qf.subset_sum_spectrum(source.singular_values())
     return EXIT_OK, _json_text({"n": source.n, "energies": energies.tolist()})
 

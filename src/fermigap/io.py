@@ -8,20 +8,19 @@ W document:           {"n": int, "w": [n*n reals, row-major]}
 
 A reader takes each list out of the document it is given as it converts
 it, so that the list can be freed before the next one is read: a document
-is read once.  load_document also reports whether the file's text holds a
-`true` or `false` literal anywhere; where it does not, no list can hold a
-JSON boolean, and the readers skip the scan of every entry for one.
+is read once.
 
 A file above INPUT_BYTE_CAP is refused before it is read, a stream (a pipe,
-a FIFO) once it yields more.  Where the text holds no boolean literal, a
-short walk over the top-level object (_walk) finds its flat lists under the
-pair, root and W keys: each runs from its '[' to the next ']' with no '[',
-'{' or '"' between.  json's own scanner parses the rest of the object, and
-the two longest lists become float arrays, bit for bit what the readers
-convert the lists to: each is parsed in pieces of about PIECE_CHARS
-characters cut at commas (_floats_at), so that no whole list is ever held
-as Python floats.  The object and the two lists run on one process or two,
-as the worker rule gives them (_blas.split_chunks), by the same code.
+a FIFO) once it yields more.  Where the text holds no `true` or `false`
+(array.array would read a boolean as 1.0), a short walk over the top-level
+object (_walk) finds its flat lists under the pair, root and W keys: each
+runs from its '[' to the next ']' with no '[', '{' or '"' between.  json's
+own scanner parses the rest of the object, and each list becomes a float
+array, bit for bit what the readers convert it to: it is parsed in pieces
+of about PIECE_CHARS characters cut at commas (_floats_at), so that no
+whole list is ever held as Python floats.  The object and the lists run on
+one process or two, as the worker rule gives them (_blas.split_chunks), by
+the same code.
 Anything else, and any piece json would not read, array.array would not
 convert or that is blank, is parsed by one json.loads of the whole text, so
 that every message stays json's and the readers'.
@@ -48,15 +47,13 @@ from .spinrep import PauliHamiltonian
 _NOT_NUMBERS = {str: "a string", type(None): "null", list: "a list", dict: "an object"}
 
 
-def _flat_floats(data, size: int, name: str, booleans: bool) -> np.ndarray:
+def _flat_floats(data, size: int, name: str) -> np.ndarray:
     """A flat list of size numbers as a float array; booleans, strings and null are not numbers.
 
-    booleans is False for a list from a text with no boolean literal, which
-    needs no scan for one.
+    A float array that load_document made of a list is taken as it is.
     """
     try:
-        arr = (data.astype(float, copy=False) if isinstance(data, np.ndarray)   # a worker's
-               else np.frombuffer(array.array("d", data)))
+        arr = data if isinstance(data, np.ndarray) else np.frombuffer(array.array("d", data))
     except OverflowError:
         raise InputError(f"{name} holds an integer beyond the float range") from None
     except TypeError:   # an entry that is no number, or no flat list
@@ -70,7 +67,7 @@ def _flat_floats(data, size: int, name: str, booleans: bool) -> np.ndarray:
             depth, inner = depth + 1, inner[0] if inner else None
         got = f"an array of shape {arr.shape}" if depth <= 2 else f"a list nested {depth} deep"
         raise InputError(f"{name} must hold {size} values in a flat list, got {got}")
-    if booleans and bool in set(map(type, data)):
+    if not isinstance(data, np.ndarray) and bool in set(map(type, data)):
         raise InputError(f"{name} holds a boolean; entries must be numbers")
     return arr
 
@@ -82,7 +79,7 @@ def _count(value, name: str) -> int:
     return value
 
 
-def _square_matrices(doc: dict, booleans: bool, what: str, *names: str) -> list[np.ndarray]:
+def _square_matrices(doc: dict, what: str, *names: str) -> list[np.ndarray]:
     """The n x n matrices `names`, flat row-major lists taken out of a pair or W document."""
     matrices = []
     try:
@@ -91,7 +88,7 @@ def _square_matrices(doc: dict, booleans: bool, what: str, *names: str) -> list[
             data = doc.pop(name)    # a missing first matrix is named before a bad n
             if n < 1:
                 raise InputError(f"n must be positive, got {n}")
-            matrices.append(_flat_floats(data, n * n, name, booleans).reshape(n, n))
+            matrices.append(_flat_floats(data, n * n, name).reshape(n, n))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed {what} document: {exc}") from exc
     return matrices
@@ -101,9 +98,9 @@ def pair_to_dict(pair: CoefficientPair) -> dict:
     return {"n": pair.n, "a": pair.a.ravel().tolist(), "b": pair.b.ravel().tolist()}
 
 
-def pair_from_dict(doc: dict, booleans: bool = True) -> CoefficientPair:
+def pair_from_dict(doc: dict) -> CoefficientPair:
     """The pair of a pair document; takes "a" and "b" out of doc."""
-    return CoefficientPair(*_square_matrices(doc, booleans, "pair", "a", "b"))
+    return CoefficientPair(*_square_matrices(doc, "pair", "a", "b"))
 
 
 # The kind of a structured document names the rank of its roots: rank
@@ -123,7 +120,7 @@ def structured_to_dict(spec: TorusSpec) -> dict:
     }
 
 
-def structured_from_dict(doc: dict, booleans: bool = True) -> TorusSpec:
+def structured_from_dict(doc: dict) -> TorusSpec:
     """The spec of a structured document; takes "a_root" and "b_root" out of doc."""
     try:
         kind = doc["kind"]
@@ -142,8 +139,8 @@ def structured_from_dict(doc: dict, booleans: bool = True) -> TorusSpec:
     size = math.prod(dims)
     try:
         # rebinding each name frees its list before the next is converted
-        a_root = _flat_floats(a_root, size, "a_root", booleans)
-        b_root = _flat_floats(b_root, size, "b_root", booleans)
+        a_root = _flat_floats(a_root, size, "a_root")
+        b_root = _flat_floats(b_root, size, "b_root")
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed structured document: {exc}") from exc
     # dims are listed (p[, q[, r]]); root arrays are stored slowest-axis first.
@@ -155,9 +152,9 @@ def w_to_dict(h: PauliHamiltonian) -> dict:
     return {"n": h.n, "w": h.w.ravel().tolist()}
 
 
-def w_from_dict(doc: dict, booleans: bool = True) -> PauliHamiltonian:
+def w_from_dict(doc: dict) -> PauliHamiltonian:
     """The W matrix of a W document; takes "w" out of doc."""
-    return PauliHamiltonian(*_square_matrices(doc, booleans, "W", "w"))
+    return PauliHamiltonian(*_square_matrices(doc, "W", "w"))
 
 
 # Largest input file in bytes, 1 GiB.  The largest document another cap
@@ -184,31 +181,29 @@ _SCAN = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def _walk(text: str):
-    """The top-level object in text with its two longest flat lists of
-    _NUMBER_LISTS left out (None), and the (length, start, key) of each in
-    text order; or None where the text is no object, repeats a key or has
-    trailing data.
-
-    Raises what json's scanner raises on a malformed object.
-    """
+    """The top-level object in text with its flat lists of _NUMBER_LISTS
+    left out (None), and the (key, start, end) of each in text order, from
+    its '[' to its ']'; ValueError where the text is no object, repeats a
+    key or has trailing data, and what json's scanner raises on a malformed
+    value."""
     doc, lists = {}, []
     i = _WS(text, 0).end()
     if not text.startswith("{", i):
-        return None
+        raise ValueError("no object")
     i = _WS(text, i + 1).end()
     while True:
         if not text.startswith('"', i):
-            return None
+            raise ValueError("no key")
         key, i = json.decoder.scanstring(text, i + 1)
         i = _WS(text, i).end()
         if key in doc or not text.startswith(":", i):
-            return None
+            raise ValueError("a repeated key or no colon")
         i = _WS(text, i + 1).end()
-        end = text.find("]", i) + 1 if key in _NUMBER_LISTS and text.startswith("[", i) else 0
-        if end and all(text.find(c, i + 1, end) < 0 for c in '[{"'):
+        end = text.find("]", i) if key in _NUMBER_LISTS and text.startswith("[", i) else -1
+        if end >= 0 and all(text.find(c, i + 1, end) < 0 for c in '[{"'):
             doc[key] = None
-            lists.append((end - i, i, key))
-            i = end
+            lists.append((key, i, end))
+            i = end + 1
         else:
             doc[key], i = _SCAN(text, i)
         i = _WS(text, i).end()
@@ -216,15 +211,12 @@ def _walk(text: str):
             break
         i = _WS(text, i + 1).end()
     if not text.startswith("}", i) or _WS(text, i + 1).end() != len(text):
-        return None
-    lists.sort()
-    for _, start, key in lists[:-2]:
-        doc[key] = _SCAN(text, start)[0]
-    return doc, sorted(lists[-2:], key=lambda item: item[1])
+        raise ValueError("no closing brace, or trailing data")
+    return doc, lists
 
 
-def _floats_at(text: str, start: int):
-    """The flat list at text[start], which _walk found, as a float array;
+def _floats_at(text: str, start: int, end: int):
+    """The flat list text[start:end + 1] that _walk found, as a float array;
     None if json or array.array rejects a piece of it, or a piece is blank.
 
     The list is read in pieces of about PIECE_CHARS characters cut at
@@ -233,7 +225,6 @@ def _floats_at(text: str, start: int):
     Python floats.  A blank piece stands for a comma with no number before
     or after it (`[1, ]`, `[1, , 2]`), which a cut would hide from json.
     """
-    end = text.find("]", start)
     commas = text.count(",", start, end)
     out = np.empty(commas + 1)
     i, filled = start + 1, 0
@@ -254,25 +245,22 @@ def _floats_at(text: str, start: int):
 
 
 def _split_load(text: str, path) -> dict | None:
-    """The document in text with its two longest flat lists as float
-    arrays, parsed on the processes the worker rule gives; None where one
+    """The document in text with its flat number lists as float arrays,
+    parsed on the processes the worker rule gives; None where one
     json.loads is to parse it (see the module docstring)."""
     try:
-        walked = _walk(text)
+        doc, lists = _walk(text)
     except (ValueError, StopIteration, RecursionError):
         return None
-    if walked is None:
-        return None
-    doc, lists = walked
     workers = _blas.loop_workers(1 + len(lists), 0,
-                                 sum(length for length, _, _ in lists) * PARSE_WORK_PER_CHAR)
+                                 sum(end - start for _, start, end in lists) * PARSE_WORK_PER_CHAR)
     parts, _ = _blas.split_chunks(
-        lambda lo, hi: [_floats_at(text, lists[k - 1][1]) if k else doc for k in range(lo, hi)],
+        lambda lo, hi: [_floats_at(text, *lists[k - 1][1:]) if k else doc for k in range(lo, hi)],
         1 + len(lists), workers, f"the lists of {path}")
     arrays = [arr for part in parts for arr in part][1:]
     if any(arr is None for arr in arrays):
         return None
-    for (_, _, key), arr in zip(lists, arrays):
+    for (key, _, _), arr in zip(lists, arrays):
         doc[key] = arr
     return doc
 
@@ -294,9 +282,8 @@ def _read_text(fh, path) -> str:
     return data.decode(fh.encoding)
 
 
-def load_document(path) -> tuple[dict, bool]:
-    """The top-level JSON object in the file at path, and whether its text
-    holds a boolean literal (a string such as "true" counts too).
+def load_document(path) -> dict:
+    """The top-level JSON object in the file at path.
 
     CapacityError for a file above INPUT_BYTE_CAP bytes, before it is read,
     and for a stream (a pipe, a FIFO) once it yields more bytes than that.
@@ -308,8 +295,8 @@ def load_document(path) -> tuple[dict, bool]:
                 raise CapacityError(f"{path} holds {size} bytes, above the input cap "
                                     f"of {INPUT_BYTE_CAP}")
             text = _read_text(fh, path)
-        booleans = "true" in text or "false" in text
-        doc = None if booleans else _split_load(text, path)
+        # array.array reads a boolean as 1.0: a text naming one goes to json.loads
+        doc = None if "true" in text or "false" in text else _split_load(text, path)
         if doc is None:
             doc = json.loads(text)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
@@ -321,20 +308,16 @@ def load_document(path) -> tuple[dict, bool]:
                          f"longer than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(doc, dict):
         raise InputError(f"top level of {path} must be a JSON object")
-    return doc, booleans
-
-
-def _load_by_key(path, key: str, with_key, without_key):
-    """The document at path, read by with_key if it has the key, else by without_key."""
-    doc, booleans = load_document(path)
-    return (with_key if key in doc else without_key)(doc, booleans)
+    return doc
 
 
 def load_pair_or_structured(path) -> CoefficientPair | TorusSpec:
     """Dispatch on the document shape: structured specs carry a 'kind' key."""
-    return _load_by_key(path, "kind", structured_from_dict, pair_from_dict)
+    doc = load_document(path)
+    return structured_from_dict(doc) if "kind" in doc else pair_from_dict(doc)
 
 
 def load_pair_or_w(path) -> CoefficientPair | PauliHamiltonian:
     """Dispatch on the document shape: W documents carry a 'w' key."""
-    return _load_by_key(path, "w", w_from_dict, pair_from_dict)
+    doc = load_document(path)
+    return w_from_dict(doc) if "w" in doc else pair_from_dict(doc)

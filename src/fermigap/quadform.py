@@ -256,6 +256,13 @@ def ground_gap(source, zero_tolerance: float | None = None) -> GapReport:
     return gap_report_from_singular_values(source.singular_values(), zero_tolerance)
 
 
+def check_modes(n: int) -> None:
+    """CapacityError for n > SPECTRUM_MODE_CAP: 2^n levels are too many to enumerate."""
+    if n > SPECTRUM_MODE_CAP:
+        raise CapacityError(f"n={n} exceeds the spectrum enumeration cap "
+                            f"of {SPECTRUM_MODE_CAP} modes")
+
+
 def subset_sum_spectrum(lam) -> np.ndarray:
     """All 2^n energies {-sum(lam) + sum_{j in S} 2 lam_j}, sorted ascending.
 
@@ -264,9 +271,7 @@ def subset_sum_spectrum(lam) -> np.ndarray:
     RuntimeWarning, unless 2 sum(lam) is finite: every partial sum then is.
     """
     lam = np.asarray(lam, dtype=float)
-    if lam.size > SPECTRUM_MODE_CAP:
-        raise CapacityError(f"n={lam.size} exceeds the spectrum enumeration cap "
-                            f"of {SPECTRUM_MODE_CAP} modes")
+    check_modes(lam.size)
     total = _finite_total(lam)
     if not np.isfinite(2.0 * total):
         raise NumericalError(f"the levels of singular values summing to {total} overflow")

@@ -30,6 +30,15 @@ def pair_doc(pair):
     return fio.pair_to_dict(pair)
 
 
+def no_singular_values(monkeypatch):
+    """Make the dense SVD and the stored half of a symbol fail if called."""
+    def called(*args):
+        raise AssertionError("a singular value was computed")
+
+    monkeypatch.setattr(qf, "_singular_values", called)
+    monkeypatch.setattr(lat, "_half_symbol", called)
+
+
 @pytest.fixture
 def identity_pair_file(tmp_path):
     return write_json(tmp_path / "pair.json", pair_doc(qf.CoefficientPair.identity(4)))
@@ -120,8 +129,9 @@ class TestGapAndSpectrum:
             assert captured.err == ("fermigap: input error: a must hold 4 values in a flat "
                                     "list, got a list nested 900 deep\n")
 
-    def test_spectrum_mode_cap_exit_2(self, tmp_path, capsys):
+    def test_spectrum_mode_cap_exit_2(self, tmp_path, capsys, monkeypatch):
         path = write_json(tmp_path / "p.json", pair_doc(qf.CoefficientPair.identity(23)))
+        no_singular_values(monkeypatch)     # refused from n alone
         assert cli.main(["spectrum", path]) == 2
         captured = capsys.readouterr()
         assert "n=23 exceeds the spectrum enumeration cap of 22 modes" in captured.err
@@ -228,6 +238,7 @@ class TestGapAndSpectrum:
                                                    "a_root": [0.0] * n, "b_root": [0.0] * n})
         if argv[0] == "spectrum":
             monkeypatch.setattr(lat, "expand", no_expansion)
+            no_singular_values(monkeypatch)
         assert cli.main([path if arg == "PATH" else arg for arg in argv]) == 2
         captured = capsys.readouterr()
         assert message in captured.err

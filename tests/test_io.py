@@ -89,9 +89,15 @@ class TestStructuredDocuments:
     (fio.pair_from_dict, {"n": 1, "a": [0.0], "b": [{}]}, "b holds an object"),
     (fio.pair_from_dict, {"n": 2, "a": [[1.0], 0.0, 0.0, 1.0], "b": [0.0] * 4},
      "a holds a list"),
-], ids=["pair-string", "root-string", "w-padded-string", "null", "object", "ragged-list"])
+    (fio.pair_from_dict, {"n": 1, "a": [True], "b": [0.0]}, "a holds a boolean"),
+    (fio.structured_from_dict, {"kind": "circulant", "dims": [3], "a_root": [0.0] * 3,
+                                "b_root": [0.0, False, 0.0]}, "b_root holds a boolean"),
+    (fio.w_from_dict, {"n": 1, "w": [True]}, "w holds a boolean"),
+], ids=["pair-string", "root-string", "w-padded-string", "null", "object", "ragged-list",
+        "pair-boolean", "root-boolean", "w-boolean"])
 def test_entries_that_are_no_numbers_rejected(read, doc, message):
-    # strings such as "2.5" were once parsed as numbers, and null read as NaN
+    # strings such as "2.5" were once parsed as numbers, and null read as NaN;
+    # array.array reads a boolean as 1.0, so a list is scanned for one
     with pytest.raises(InputError, match=f"^{message}; entries must be numbers$"):
         read(doc)
 
@@ -155,7 +161,7 @@ class TestLoadDispatch:
         doc = fio.structured_to_dict(lat.build_xy_cycle(4))
         path = tmp_path / "doc.json"
         path.write_text(json.dumps({**doc, "note": "true"}))
-        assert fio.load_document(path)[1] is True
+        assert fio.load_document(path)["note"] == "true"
         spec = fio.load_pair_or_structured(path)
         assert spec.root_a.tolist() == doc["a_root"]
         assert spec.root_b.tolist() == doc["b_root"]
@@ -270,9 +276,8 @@ def _outcome(path, workers: int | None, read=fio.load_pair_or_structured):
             except FermigapError as exc:
                 found.append((type(exc).__name__, str(exc)))
     loaded, source = found
-    if isinstance(loaded[0], dict):
-        doc, booleans = loaded
-        loaded = booleans, [(key, _bits(value)) for key, value in doc.items()]
+    if isinstance(loaded, dict):
+        loaded = [(key, _bits(value)) for key, value in loaded.items()]
     if not isinstance(source, tuple):
         source = [arr.tobytes() for arr in vars(source).values()]
     return loaded, source
@@ -288,18 +293,23 @@ def _bits(value):
 
 
 def _split(path, workers: int = 2) -> bool:
-    """Whether load_document, on workers processes, hands back its lists as arrays."""
+    """Whether load_document, on workers processes, hands back its lists as
+    arrays: some list, and every list of numbers under a number key."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_blas, "loop_workers", lambda items, n, work=None: workers)
         try:
-            doc, _ = fio.load_document(path)
+            doc = fio.load_document(path)
         except InputError:
             return False
-    return any(isinstance(value, np.ndarray) for value in doc.values())
+    left = [key for key, value in doc.items() if key in fio._NUMBER_LISTS
+            and isinstance(value, list) and all(type(x) in (int, float) for x in value)]
+    return any(isinstance(value, np.ndarray) for value in doc.values()) and not left
 
 
 _PAIR = '{"n": 1, "a": [1.5], "b": [0]}'
 _RING = json.dumps(fio.structured_to_dict(lat.build_xy_cycle(5)))
+# Three number lists, the shortest first: no documented format has more than two.
+_THREE_LISTS = '{"n": 1, "b": [0], "a": [1.5], "w": [2.5]}'
 
 
 class TestTwoProcessLoad:
@@ -309,6 +319,11 @@ class TestTwoProcessLoad:
     @pytest.mark.parametrize("text, split", [
         (_PAIR, True),
         (_RING, True),
+        (_THREE_LISTS, True),
+        (_RING[:-1] + ', "a": [0.5, -0]}', True),
+        (_THREE_LISTS.replace('"n": 1', '"n": 2'), True),
+        (_THREE_LISTS.replace("[0]", "[0, ]"), False),
+        (_THREE_LISTS.replace("[0]", '[0, "x"]'), True),
         ('{ "n" : 1 ,\t"a" : [ 1.5 ]\r\n, "b":[\n0\n] }\n', True),
         ('{"b": [0], "a": [2.5], "n": 1}', True),
         ('{"n": 1, "a": [1.0], "a": [2.0], "b": [0]}', False),
@@ -330,15 +345,18 @@ class TestTwoProcessLoad:
         ("\ufeff" + _PAIR, False),
         (_PAIR + " x", False),
         ("[[1.0], [0]]", False),
-    ], ids=["pair", "ring", "whitespace", "key-order", "duplicate-key", "bracket-in-string",
-            "string-entry", "nested-list", "object-value", "boolean", "boolean-in-string", "nan",
-            "infinity", "null", "int-beyond-float", "int-over-4300-digits", "trailing-comma",
-            "unclosed-list", "empty-lists", "trailing-comma-in-object", "bom", "trailing-data",
-            "top-level-list"])
+    ], ids=["pair", "ring", "three-lists", "ring-with-a", "three-lists-wrong-n",
+            "three-lists-trailing-comma", "three-lists-string-entry", "whitespace", "key-order",
+            "duplicate-key", "bracket-in-string", "string-entry", "nested-list", "object-value",
+            "boolean", "boolean-in-string", "nan", "infinity", "null", "int-beyond-float",
+            "int-over-4300-digits", "trailing-comma", "unclosed-list", "empty-lists",
+            "trailing-comma-in-object", "bom", "trailing-data", "top-level-list"])
     def test_reads_what_one_process_reads(self, tmp_path, text, split):
         path = tmp_path / "doc.json"
         path.write_text(text, encoding="utf-8")
-        assert _outcome(path, 2) == _outcome(path, 1) == _outcome(path, None)
+        for read in (fio.load_pair_or_structured, fio.load_pair_or_w):
+            assert (_outcome(path, 2, read) == _outcome(path, 1, read)
+                    == _outcome(path, None, read))
         assert _split(path) is split
 
     @given(text=st.data())
@@ -365,9 +383,10 @@ class TestTwoProcessLoad:
             ("[NaN]", True), ("[Infinity]", True), ("[1%s]" % ("0" * 400), False),
             ("[true]", False), ("[null]", False)]),
         (json.dumps(fio.pair_to_dict(lat.expand(lat.build_xy_cycle(5))), indent=2), True),
+        (_THREE_LISTS.replace("[2.5]", "[2.5, -0, 1e400]"), True),
     ], ids=["empty", "blank", "trailing-comma", "leading-comma", "doubled-comma",
             "blank-between-commas", "minus-zero", "overflowing-float", "nan", "infinity",
-            "int-beyond-float", "boolean", "null", "indent-2"])
+            "int-beyond-float", "boolean", "null", "indent-2", "three-lists"])
     def test_piece_cuts_change_nothing(self, tmp_path, monkeypatch, piece, text, split):
         path = tmp_path / "doc.json"
         path.write_text(text)
@@ -398,10 +417,10 @@ class TestTwoProcessLoad:
         path.write_text(_RING)
         parent, floats_at = os.getpid(), fio._floats_at
 
-        def dying(text, start):
+        def dying(text, start, end):
             if os.getpid() != parent:
                 os._exit(1)
-            return floats_at(text, start)
+            return floats_at(text, start, end)
 
         monkeypatch.setattr(fio, "_floats_at", dying)
         monkeypatch.setattr(_blas, "loop_workers", lambda items, n, work=None: 2)
