@@ -11,19 +11,20 @@ it, so that the list can be freed before the next one is read: a document
 is read once.
 
 A file above INPUT_BYTE_CAP is refused before it is read, a stream (a pipe,
-a FIFO) once it yields more.  Where the text holds no `true` or `false`
-(array.array would read a boolean as 1.0), a short walk over the top-level
-object (_walk) finds its flat lists under the pair, root and W keys: each
-runs from its '[' to the next ']' with no '[', '{' or '"' between.  json's
-own scanner parses the rest of the object, and each list becomes a float
-array, bit for bit what the readers convert it to: it is parsed in pieces
-of about PIECE_CHARS characters cut at commas (_floats_at), so that no
-whole list is ever held as Python floats.  The object and the lists run on
-one process or two, as the worker rule gives them (_blas.split_chunks), by
-the same code.
-Anything else, and any piece json would not read, array.array would not
-convert or that is blank, is parsed by one json.loads of the whole text, so
-that every message stays json's and the readers'.
+a FIFO) once it yields more; its bytes are decoded as UTF-8 (RFC 8259).  A
+short walk over the top-level object (_walk) finds the flat lists under the
+pair, root and W keys: each runs from its '[' to the next ']' and holds no
+nesting, string or literal, none of '[', '{', '"', 'r' or 'l' (true, false
+and null hold 'r' or 'l'; numbers, NaN and Infinity neither).  json's own
+scanner parses the rest of the object, so a list holding a literal stays
+the Python list the readers reject.  Each flat list becomes a float array,
+bit for bit what the readers convert it to: it is parsed in pieces of about
+PIECE_CHARS characters cut at commas (_floats_at), so that no whole list is
+ever held as Python floats, and a list whose pieces are refused is re-read
+alone by json's scanner.  The object and the lists run on one process or
+two, as the worker rule gives them (_blas.split_chunks), by the same code.
+One json.loads of the whole text runs only where the walk or a re-read
+raises, so that every message stays json's and the readers'.
 """
 
 from __future__ import annotations
@@ -182,10 +183,10 @@ _SCAN = json.scanner.make_scanner(json.JSONDecoder())
 
 def _walk(text: str):
     """The top-level object in text with its flat lists of _NUMBER_LISTS
-    left out (None), and the (key, start, end) of each in text order, from
-    its '[' to its ']'; ValueError where the text is no object, repeats a
-    key or has trailing data, and what json's scanner raises on a malformed
-    value."""
+    (no nesting, string or literal; see the module docstring) left out
+    (None), and the (key, start, end) of each in text order, from its '['
+    to its ']'; ValueError where the text is no object, repeats a key or has
+    trailing data, and what json's scanner raises on a malformed value."""
     doc, lists = {}, []
     i = _WS(text, 0).end()
     if not text.startswith("{", i):
@@ -200,7 +201,7 @@ def _walk(text: str):
             raise ValueError("a repeated key or no colon")
         i = _WS(text, i + 1).end()
         end = text.find("]", i) if key in _NUMBER_LISTS and text.startswith("[", i) else -1
-        if end >= 0 and all(text.find(c, i + 1, end) < 0 for c in '[{"'):
+        if end >= 0 and all(text.find(c, i + 1, end) < 0 for c in '[{"rl'):
             doc[key] = None
             lists.append((key, i, end))
             i = end + 1
@@ -217,7 +218,8 @@ def _walk(text: str):
 
 def _floats_at(text: str, start: int, end: int):
     """The flat list text[start:end + 1] that _walk found, as a float array;
-    None if json or array.array rejects a piece of it, or a piece is blank.
+    None if a piece is blank or json or array.array rejects it (malformed
+    text, an integer beyond the float range), and _split_load re-reads it.
 
     The list is read in pieces of about PIECE_CHARS characters cut at
     commas, each parsed by json's scanner and converted by array.array into
@@ -240,38 +242,34 @@ def _floats_at(text: str, start: int, end: int):
             if cut == end:
                 return out[:filled]
             i = cut + 1
-    except (ValueError, TypeError, OverflowError, StopIteration):
+    except (ValueError, OverflowError):
         return None
 
 
-def _split_load(text: str, path) -> dict | None:
+def _split_load(text: str, path) -> dict:
     """The document in text with its flat number lists as float arrays,
-    parsed on the processes the worker rule gives; None where one
-    json.loads is to parse it (see the module docstring)."""
-    try:
-        doc, lists = _walk(text)
-    except (ValueError, StopIteration, RecursionError):
-        return None
+    parsed on the processes the worker rule gives; a list that _floats_at
+    refuses is re-read alone by json's scanner.  What the walk or a re-read
+    raises goes to load_document, whose json.loads then parses the text."""
+    doc, lists = _walk(text)
     workers = _blas.loop_workers(1 + len(lists), 0,
                                  sum(end - start for _, start, end in lists) * PARSE_WORK_PER_CHAR)
     parts, _ = _blas.split_chunks(
         lambda lo, hi: [_floats_at(text, *lists[k - 1][1:]) if k else doc for k in range(lo, hi)],
         1 + len(lists), workers, f"the lists of {path}")
     arrays = [arr for part in parts for arr in part][1:]
-    if any(arr is None for arr in arrays):
-        return None
-    for (key, _, _), arr in zip(lists, arrays):
-        doc[key] = arr
+    for (key, start, _), arr in zip(lists, arrays):
+        doc[key] = _SCAN(text, start)[0] if arr is None else arr
     return doc
 
 
 def _read_text(fh, path) -> str:
-    """The text of the open file fh, read as bytes in 1 MiB pieces and
-    decoded once; CapacityError once it holds more than INPUT_BYTE_CAP
+    """The text of the binary file fh, read in 1 MiB pieces and decoded
+    once as UTF-8; CapacityError once it holds more than INPUT_BYTE_CAP
     bytes, which bounds a stream (a pipe, a FIFO) whose fstat size is 0
     and a file that grew after its fstat."""
     pieces, held = [], 0
-    while piece := fh.buffer.read(1 << 20):
+    while piece := fh.read(1 << 20):
         held += len(piece)
         if held > INPUT_BYTE_CAP:
             raise CapacityError(f"{path} holds more than the input cap of "
@@ -279,7 +277,7 @@ def _read_text(fh, path) -> str:
         pieces.append(piece)
     data = b"".join(pieces)
     del pieces
-    return data.decode(fh.encoding)
+    return data.decode("utf-8")
 
 
 def load_document(path) -> dict:
@@ -289,15 +287,15 @@ def load_document(path) -> dict:
     and for a stream (a pipe, a FIFO) once it yields more bytes than that.
     """
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size > INPUT_BYTE_CAP:
                 raise CapacityError(f"{path} holds {size} bytes, above the input cap "
                                     f"of {INPUT_BYTE_CAP}")
             text = _read_text(fh, path)
-        # array.array reads a boolean as 1.0: a text naming one goes to json.loads
-        doc = None if "true" in text or "false" in text else _split_load(text, path)
-        if doc is None:
+        try:
+            doc = _split_load(text, path)
+        except (ValueError, StopIteration, RecursionError):
             doc = json.loads(text)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read JSON document {path}: {exc}") from exc

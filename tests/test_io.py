@@ -2,6 +2,8 @@ import array
 import errno
 import json
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -157,6 +159,28 @@ class TestLoadDispatch:
         with pytest.raises(InputError, match=f"cannot read JSON document .*{cause}"):
             fio.load_document(path)
 
+    @pytest.mark.parametrize("data, code, err", [
+        ('{"n": 1, "a": [1.5], "b": [0], "note": "caf\u00e9"}'.encode(), 0, ""),
+        (b'\xef\xbb\xbf{"n": 1, "a": [1.5], "b": [0]}', 2,
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ], ids=["non-ascii-note", "bom"])
+    @pytest.mark.parametrize("env", [{}, {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+                                          "LC_ALL": "C"}], ids=["default", "c-locale"])
+    def test_documents_are_utf8_whatever_the_locale(self, tmp_path, data, code, err, env):
+        # RFC 8259 8.1: JSON text is UTF-8.  The C locale once decoded it as
+        # ASCII, so a non-ASCII note exited 2
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        proc = subprocess.run([sys.executable, "-m", "fermigap.cli", "gap", str(path)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, **env})
+        assert proc.returncode == code
+        if code:
+            assert proc.stderr == f"fermigap: input error: cannot read JSON document {path}: {err}\n"
+            assert proc.stdout == ""
+        else:
+            assert proc.stderr == "" and json.loads(proc.stdout)["gap"] == 3.0
+
     def test_true_inside_a_string_still_loads(self, tmp_path):
         doc = fio.structured_to_dict(lat.build_xy_cycle(4))
         path = tmp_path / "doc.json"
@@ -221,17 +245,28 @@ class TestStreamInput:
 # float64 arrays take 8 bytes an entry of about 5 characters of "0.0, ", so
 # the text and both arrays make 2.6 times the file; one piece of Python
 # floats (io.PIECE_CHARS characters at 32 bytes a number, 0.4 MB) adds the
-# rest.  Measured 3.57 times the file for both documents in one process and
-# 3.42 on two (7.5 and 5.1 when each list was parsed whole into Python
-# floats); the bound leaves 12% above the larger.
+# rest.  Measured 3.57 times the file in one process and 3.42 on two, with
+# or without a literal beside the lists (7.5 on one or two when such a
+# literal, or each list parsed whole into Python floats, sent the text to
+# json.loads); the bound leaves 12% above the larger.
 LOAD_PEAK_PER_FILE_BYTE = 4.0
 
 
-_PEAK_DOCS = pytest.mark.parametrize("doc", [
-    lambda: fio.structured_to_dict(
-        lat.stack(lat.stack(lat.build_xy_cycle(64), 32), 32)),
-    lambda: fio.pair_to_dict(lat.expand(lat.stack(lat.build_xy_cycle(16), 16))),
-], ids=["torus-2^16-sites", "pair-256-sites"])
+def _torus_2_16():
+    return fio.structured_to_dict(lat.stack(lat.stack(lat.build_xy_cycle(64), 32), 32))
+
+
+def _pair_256():
+    return fio.pair_to_dict(lat.expand(lat.stack(lat.build_xy_cycle(16), 16)))
+
+
+# Each document alone and with a literal beside its lists, which once sent
+# the whole text to json.loads (a true or false anywhere in it).
+_PEAK_DOCS = pytest.mark.parametrize("doc, extra", [
+    (doc, extra) for extra in ({}, {"note": "true"}, {"checked": False}, {"comment": None})
+    for doc in (_torus_2_16, _pair_256)], ids=[
+    name + tag for tag in ("", "-note-true", "-checked-false", "-comment-null")
+    for name in ("torus-2^16-sites", "pair-256-sites")])
 
 
 def _load_peak(path) -> int:
@@ -244,19 +279,30 @@ def _load_peak(path) -> int:
 
 
 @_PEAK_DOCS
-def test_load_peak_is_held_to_a_multiple_of_the_file(tmp_path, doc):
+def test_load_peak_is_held_to_a_multiple_of_the_file(tmp_path, doc, extra):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc()))
+    path.write_text(json.dumps({**extra, **doc()}))
     assert _load_peak(path) <= LOAD_PEAK_PER_FILE_BYTE * path.stat().st_size
 
 
 @_PEAK_DOCS
-def test_two_process_load_peak_is_held_to_a_multiple_of_the_file(tmp_path, monkeypatch, doc):
+def test_two_process_load_peak_is_held_to_a_multiple_of_the_file(tmp_path, monkeypatch, doc,
+                                                                 extra):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc()))
+    path.write_text(json.dumps({**extra, **doc()}))
     monkeypatch.setattr(_blas, "loop_workers", lambda items, n, work=None: 2)
     assert _split(path)
     assert _load_peak(path) <= LOAD_PEAK_PER_FILE_BYTE * path.stat().st_size
+
+
+@_PEAK_DOCS
+def test_no_whole_text_parse_of_a_readable_document(tmp_path, monkeypatch, doc, extra):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**extra, **doc()}))
+    parsed, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
+    fio.load_pair_or_structured(path)
+    assert parsed == []
 
 
 def _outcome(path, workers: int | None, read=fio.load_pair_or_structured):
@@ -269,7 +315,7 @@ def _outcome(path, workers: int | None, read=fio.load_pair_or_structured):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_blas, "loop_workers", lambda items, n, work=None: workers)
         if workers is None:
-            mp.setattr(fio, "_split_load", lambda text, path: None)
+            mp.setattr(fio, "_split_load", _refuse)
         for load in (fio.load_document, read):
             try:
                 found.append(load(path))
@@ -281,6 +327,10 @@ def _outcome(path, workers: int | None, read=fio.load_pair_or_structured):
     if not isinstance(source, tuple):
         source = [arr.tobytes() for arr in vars(source).values()]
     return loaded, source
+
+
+def _refuse(text, path):
+    raise ValueError("parsed by json.loads alone")
 
 
 def _bits(value):
@@ -331,11 +381,11 @@ class TestTwoProcessLoad:
         ('{"n": 1, "a": [1.0, "]"], "b": [0]}', True),
         ('{"n": 2, "a": [[1.0, 0.0], [0.0, 1.0]], "b": [0, 0, 0, 0]}', True),
         ('{"n": 1, "a": [1.0], "b": [0], "meta": {"x": [1]}}', True),
-        ('{"n": 1, "a": [true], "b": [0]}', False),
-        ('{"n": 1, "a": [1.5], "b": [0], "note": "false"}', False),
+        ('{"n": 1, "a": [true], "b": [0]}', True),
+        ('{"n": 1, "a": [1.5], "b": [0], "note": "false"}', True),
         ('{"n": 1, "a": [NaN], "b": [0]}', True),
         ('{"n": 1, "a": [-Infinity], "b": [0]}', True),
-        ('{"n": 1, "a": [null], "b": [0]}', False),
+        ('{"n": 1, "a": [null], "b": [0]}', True),
         ('{"n": 1, "a": [1%s], "b": [0]}' % ("0" * 400), False),
         ('{"n": 1, "a": [%s], "b": [0]}' % ("9" * 5000), False),
         ('{"n": 1, "a": [1.0,], "b": [0]}', False),
@@ -381,7 +431,7 @@ class TestTwoProcessLoad:
             ("[]", True), ("[ ]", True), ("[1, ]", False), ("[, 1]", False),
             ("[1,,2]", False), ("[1, , 2]", False), ("[-0]", True), ("[1e400]", True),
             ("[NaN]", True), ("[Infinity]", True), ("[1%s]" % ("0" * 400), False),
-            ("[true]", False), ("[null]", False)]),
+            ("[true]", True), ("[null]", True)]),
         (json.dumps(fio.pair_to_dict(lat.expand(lat.build_xy_cycle(5))), indent=2), True),
         (_THREE_LISTS.replace("[2.5]", "[2.5, -0, 1e400]"), True),
     ], ids=["empty", "blank", "trailing-comma", "leading-comma", "doubled-comma",
@@ -393,6 +443,19 @@ class TestTwoProcessLoad:
         monkeypatch.setattr(fio, "PIECE_CHARS", piece)
         assert _outcome(path, 1) == _outcome(path, None)
         assert _split(path, 1) is split
+
+    @pytest.mark.parametrize("refused", ["[0, true]", "[1%s]" % ("0" * 400)],
+                             ids=["boolean", "int-beyond-float"])
+    def test_a_refused_list_leaves_the_others_arrays(self, tmp_path, refused):
+        # the refused list alone is json's list; the long one is parsed in pieces
+        long = np.random.default_rng(0).standard_normal(20_000).tolist()
+        path = tmp_path / "doc.json"
+        path.write_text('{"kind": "circulant", "dims": [20000], "a_root": %s, "b_root": %s}'
+                        % (json.dumps(long), refused))
+        doc = fio.load_document(path)
+        assert isinstance(doc["a_root"], np.ndarray) and doc["a_root"].tolist() == long
+        assert doc["b_root"] == json.loads(refused)
+        assert _outcome(path, 2) == _outcome(path, 1) == _outcome(path, None)
 
     def test_leaves_the_loop_record_alone(self, tmp_path, monkeypatch):
         path = tmp_path / "doc.json"
@@ -446,7 +509,8 @@ _ODD_ENTRIES = st.sampled_from(["-0", "1E5", "2.5e-3", "1e400", "NaN", "Infinity
 def _document_texts(draw):
     """The text of a valid 2-site pair or ring document in drawn whitespace and
     key order, now and then with an odd entry, a trailing comma, an empty
-    list, an extra or repeated key, a BOM or trailing data."""
+    list, an extra key (a literal, a string with a literal or ']', a nested
+    list) or a repeated one, a BOM or trailing data."""
     number = st.floats(-2.0, 2.0).map(repr) | st.integers(-3, 3).map(str)
     if draw(st.booleans()):
         m = draw(st.integers(1, 5))
@@ -471,7 +535,8 @@ def _document_texts(draw):
         fields[key] = "[" + draw(_WHITESPACE) + body + draw(_WHITESPACE) + "]"
     items = draw(st.permutations(list(fields.items())))
     extra = draw(st.sampled_from([None, None, ("note", '"a ] b"'), ("grid", "[[1, 2], [3]]"),
-                                  "repeat"]))
+                                  ("checked", "true"), ("checked", "false"), ("comment", "null"),
+                                  ("note", '"true ] false"'), "repeat"]))
     if extra == "repeat":
         items.append(items[0])
     elif extra:
