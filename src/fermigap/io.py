@@ -18,9 +18,13 @@ nesting, string or literal, none of '[', '{', '"', 'r' or 'l' (true, false
 and null hold 'r' or 'l'; numbers, NaN and Infinity neither).  json's own
 scanner parses the rest of the object, so a list holding a literal stays
 the Python list the readers reject.  Each flat list becomes a float array,
-bit for bit what the readers convert it to: it is parsed in pieces of about
+bit for bit what the readers convert it to: it is read in pieces of about
 PIECE_CHARS characters cut at commas (_floats_at), so that no whole list is
-ever held as Python floats, and a list whose pieces are refused is re-read
+ever held as Python floats.  A NumPy scan of each piece's bytes finds its
+tokens; one that is exactly 0 or 0.0 stays the +0.0 of a zeroed array, so
+the zeros of a sparse list (a lattice's roots, an expanded pair) reach no
+parser, and json's scanner parses the others.  A list that is refused (a
+token json rejects, a blank token, whitespace inside a token) is re-read
 alone by json's scanner.  The object and the lists run on one process or
 two, as the worker rule gives them (_blas.split_chunks), by the same code.
 One json.loads of the whole text runs only where the walk or a re-read
@@ -218,32 +222,77 @@ def _walk(text: str):
 
 def _floats_at(text: str, start: int, end: int):
     """The flat list text[start:end + 1] that _walk found, as a float array;
-    None if a piece is blank or json or array.array rejects it (malformed
-    text, an integer beyond the float range), and _split_load re-reads it.
+    None where a piece is refused (_nonzero_runs) or json or array.array
+    rejects its other tokens (malformed text, an integer beyond the float
+    range), and _split_load re-reads it.
 
     The list is read in pieces of about PIECE_CHARS characters cut at
-    commas, each parsed by json's scanner and converted by array.array into
-    one array sized from the commas, so that only one piece is ever held as
-    Python floats.  A blank piece stands for a comma with no number before
-    or after it (`[1, ]`, `[1, , 2]`), which a cut would hide from json.
+    commas.  A token that is exactly 0 or 0.0 stays the +0.0 of the zeroed
+    output; json's scanner parses the other tokens of a piece as one list,
+    so that only one piece is ever held as Python floats, and array.array
+    converts them for the scatter to their places.  So every value is what
+    json and array.array make of its token, `-0`, `-0.0` and `0e0` included.
     """
     commas = text.count(",", start, end)
-    out = np.empty(commas + 1)
+    if not commas and not text[start + 1:end].strip(" \t\n\r"):
+        return np.zeros(0)      # `[]`, the one list whose blank token is no refusal
+    out = np.zeros(commas + 1)
     i, filled = start + 1, 0
     try:
         while True:
             cut = text.find(",", i + PIECE_CHARS, end)
             cut = end if cut < 0 else cut
-            piece = array.array("d", _SCAN("[" + text[i:cut] + "]", 0)[0])
-            if commas and not piece:
-                return None
-            out[filled:filled + len(piece)] = piece
-            filled += len(piece)
+            tokens, nonzero, runs = _nonzero_runs(text[i:cut])
+            if len(nonzero):
+                out[filled + nonzero] = array.array("d", _SCAN("[" + runs + "]", 0)[0])
+            filled += tokens
             if cut == end:
-                return out[:filled]
+                return out
             i = cut + 1
-    except (ValueError, OverflowError):
+    # a character beyond ASCII raises UnicodeEncodeError, a ValueError;
+    # json's scanner raises StopIteration where a value is missing
+    except (ValueError, OverflowError, StopIteration):
         return None
+
+
+def _nonzero_runs(piece: str):
+    """The tokens of piece, list text cut at commas: their count, the
+    indices of those that are not exactly 0 or 0.0 between JSON whitespace,
+    and the text of these, each run of consecutive ones with its commas,
+    joined by commas.  ValueError for a character beyond ASCII, which no
+    number holds; and, where a zero token may stand in the piece, unless
+    each token holds one stretch of bytes that are neither whitespace nor
+    commas (a blank token holds none, one with whitespace inside it two or
+    more), since a zero token never reaches json to be refused."""
+    data = ("," + piece + ",  ").encode("ascii")    # two bytes past the last comma
+    byte = np.frombuffer(data, np.uint8)
+    if not ((byte[:-1] == 48) & (byte[1:] <= 44)).any():
+        # no 0 before whitespace or a comma (all at most 44), so no token is 0
+        # or 0.0: the piece is one run, and json checks every token of it
+        tokens = np.count_nonzero(byte == 44) - 1
+        return tokens, np.arange(tokens), piece
+    inner = byte != 44      # in place below, as zero is, to hold two byte masks at a time
+    for space in b" \t\n\r":
+        inner &= byte != space
+    commas = np.flatnonzero(byte == 44)     # token k lies between commas k and k + 1
+    starts = np.flatnonzero(inner[1:] > inner[:-1])
+    starts += 1     # the first byte of each stretch
+    if len(starts) != len(commas) - 1 or not (
+            (commas[:-1] < starts) & (starts < commas[1:])).all():
+        raise ValueError("a blank token, or whitespace inside one")
+    # zero[p]: the stretch from byte p is 0 or 0.0
+    zero = byte[1:-2] == 46
+    zero &= byte[2:-1] == 48
+    zero &= ~inner[3:]
+    zero |= ~inner[1:-2]
+    zero &= byte[:-3] == 48
+    zero = zero[starts]
+    # run j of the other tokens is tokens edge[2j] to edge[2j + 1] - 1
+    edge = np.flatnonzero(np.diff(~zero, prepend=False, append=False))
+    # piece[k] is data[k + 1]
+    runs = ",".join([piece[lo:hi] for lo, hi in zip((starts[edge[::2]] - 1).tolist(),
+                                                    (commas[edge[1::2]] - 1).tolist())])
+    return len(starts), np.flatnonzero(~zero), runs
 
 
 def _split_load(text: str, path) -> dict:

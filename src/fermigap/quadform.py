@@ -51,11 +51,10 @@ def check_square_finite(m, name: str) -> np.ndarray:
 
 def first_symmetry_violation(m: np.ndarray, anti: bool = False):
     """Index pair (j, k) of the first exact (anti)symmetry violation, or None."""
-    sign = -1.0 if anti else 1.0
-    bad = np.argwhere(m != sign * m.T)
-    if bad.size == 0:
+    mirror = -m.T if anti else m.T
+    if (m == mirror).all():     # one pass; the search below runs only on a violation
         return None
-    j, k = bad[0]
+    j, k = np.argwhere(m != mirror)[0]
     return int(j), int(k)
 
 

@@ -243,12 +243,14 @@ class TestStreamInput:
 # The loaders' tracemalloc peak over the file size, in the process that
 # reads the file.  The text stays held while its lists are parsed, and the
 # float64 arrays take 8 bytes an entry of about 5 characters of "0.0, ", so
-# the text and both arrays make 2.6 times the file; one piece of Python
-# floats (io.PIECE_CHARS characters at 32 bytes a number, 0.4 MB) adds the
-# rest.  Measured 3.57 times the file in one process and 3.42 on two, with
-# or without a literal beside the lists (7.5 on one or two when such a
-# literal, or each list parsed whole into Python floats, sent the text to
-# json.loads); the bound leaves 12% above the larger.
+# the text and both arrays make 2.6 times the file; the scan of one piece
+# (io.PIECE_CHARS characters: its text, bytes, byte masks and token
+# positions, about 0.5 MB) adds the rest, as its zeros become no Python
+# floats.  Measured 3.43 times the file in one process and 3.41 on two,
+# with or without a literal beside the lists (3.57 and 3.42 when every
+# token was parsed into a Python float, 0.4 MB a piece; 7.5 on one or two
+# when such a literal, or each list parsed whole into Python floats, sent
+# the text to json.loads); the bound leaves 17% above the larger.
 LOAD_PEAK_PER_FILE_BYTE = 4.0
 
 
@@ -303,6 +305,30 @@ def test_no_whole_text_parse_of_a_readable_document(tmp_path, monkeypatch, doc, 
     monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
     fio.load_pair_or_structured(path)
     assert parsed == []
+
+
+def test_zero_tokens_reach_no_parser(tmp_path, monkeypatch):
+    # json's scanner costs about 100 ns a number, and a lattice's lists are
+    # nearly all zeros: those must stay the zeros of the output array
+    doc = _torus_2_16()
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    received, scan = [], fio._SCAN
+
+    def spy(s, i):
+        if i == 0:      # a list piece; the walk scans the document's other values at i > 0
+            received.append(s)
+        return scan(s, i)
+
+    monkeypatch.setattr(fio, "_SCAN", spy)
+    monkeypatch.setattr(_blas, "loop_workers", lambda items, n, work=None: 1)
+    spec = fio.load_pair_or_structured(path)
+    assert spec.root_a.tobytes() == np.array(doc["a_root"]).tobytes()
+    assert spec.root_b.tobytes() == np.array(doc["b_root"]).tobytes()
+    tokens = [t.strip() for s in received for t in s[1:-1].split(",")]
+    nonzero = [repr(x) for key in ("a_root", "b_root") for x in doc[key] if x != 0]
+    assert sorted(tokens) == sorted(nonzero)
+    assert sum(map(len, received)) <= sum(len(t) + 2 for t in nonzero) + 2 * len(received)
 
 
 def _outcome(path, workers: int | None, read=fio.load_pair_or_structured):
@@ -431,12 +457,20 @@ class TestTwoProcessLoad:
             ("[]", True), ("[ ]", True), ("[1, ]", False), ("[, 1]", False),
             ("[1,,2]", False), ("[1, , 2]", False), ("[-0]", True), ("[1e400]", True),
             ("[NaN]", True), ("[Infinity]", True), ("[1%s]" % ("0" * 400), False),
-            ("[true]", True), ("[null]", True)]),
+            ("[true]", True), ("[null]", True), ("[0]", True), ("[0.0]", True),
+            ("[-0.0]", True), ("[00]", False), ("[0.00]", True), ("[0e0]", True),
+            ("[0 .0]", False), ("[0.0.0]", False), ("[0.0 1]", False), ("[0, ]", False),
+            ("[, 0.0]", False), ("[0,0.0, 0 ,\n 0.0]", True),
+            ("[%s]" % ", ".join(["0", "0.0"] * 20), True)]),
         (json.dumps(fio.pair_to_dict(lat.expand(lat.build_xy_cycle(5))), indent=2), True),
         (_THREE_LISTS.replace("[2.5]", "[2.5, -0, 1e400]"), True),
     ], ids=["empty", "blank", "trailing-comma", "leading-comma", "doubled-comma",
             "blank-between-commas", "minus-zero", "overflowing-float", "nan", "infinity",
-            "int-beyond-float", "boolean", "null", "indent-2", "three-lists"])
+            "int-beyond-float", "boolean", "null", "zero", "zero-point-zero",
+            "minus-zero-point-zero", "double-zero", "zero-point-double-zero", "zero-exponent",
+            "space-inside-zero", "two-points", "zero-then-number", "zero-trailing-comma",
+            "leading-comma-zero", "zeros-in-whitespace", "zeros-alone", "indent-2",
+            "three-lists"])
     def test_piece_cuts_change_nothing(self, tmp_path, monkeypatch, piece, text, split):
         path = tmp_path / "doc.json"
         path.write_text(text)
@@ -499,8 +533,10 @@ class TestTwoProcessLoad:
 
 
 _WHITESPACE = st.sampled_from(["", " ", "\n", "\t", " \r\n  "])
-# Entries that are no plain number, each read or refused alike by both routes.
-_ODD_ENTRIES = st.sampled_from(["-0", "1E5", "2.5e-3", "1e400", "NaN", "Infinity", "-Infinity",
+# Zero lookalikes and entries that are no plain number, each read or refused
+# alike by both routes.
+_ODD_ENTRIES = st.sampled_from(["0", "0.0", "-0", "-0.0", "00", "0.00", "0e0", "0 .0", "0.0.0",
+                                "0.0 1", "1E5", "2.5e-3", "1e400", "NaN", "Infinity", "-Infinity",
                                 "1" + "0" * 400, "9" * 5000, "true", "false", "null", '"]"',
                                 "[1]", "[]", "{}", ""])
 

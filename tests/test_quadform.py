@@ -93,6 +93,21 @@ class TestCoefficientPair:
         with pytest.raises(InputError, match=r"\(0, 1\)"):
             qf.CoefficientPair(a, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("anti, entries, first", [
+        (False, {(2, 1): 1.0, (3, 0): 5.0, (1, 3): 2.0}, (0, 3)),
+        (True, {(3, 2): 1.0, (1, 1): 4.0, (2, 0): 3.0}, (0, 2)),
+    ], ids=["a", "b"])
+    def test_reports_the_first_violation_in_row_major_order(self, anti, entries, first):
+        m = np.zeros((4, 4))
+        for index, value in entries.items():
+            m[index] = value
+        assert qf.first_symmetry_violation(m, anti) == first
+        assert qf.first_symmetry_violation(m - m.T if anti else m + m.T, anti) is None
+        with pytest.raises(InputError) as caught:
+            qf.CoefficientPair(np.eye(4), m) if anti else qf.CoefficientPair(m, 0 * m)
+        name = "b is not anti-symmetric" if anti else "a is not symmetric"
+        assert str(caught.value) == f"{name} at index pair {first}"
+
     def test_rejects_nonzero_b_diagonal(self):
         with pytest.raises(InputError):
             qf.CoefficientPair(np.eye(2), np.eye(2))
