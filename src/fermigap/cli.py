@@ -509,6 +509,13 @@ def main(argv=None) -> int:
     except ConformanceError as exc:
         print(f"fermigap: conformance error: {exc}", file=sys.stderr)
         return EXIT_CONFORMANCE
+    except MemoryError as exc:
+        # the caps bound what a request may ask for, not what the machine has;
+        # a forked worker's MemoryError is raised again here (_blas._received)
+        command = " ".join(filter(None, (args.command, getattr(args, "lattice_command", None))))
+        detail = f": {exc}" if str(exc) else ""
+        print(f"fermigap: out of memory in {command}{detail}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

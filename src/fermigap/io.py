@@ -232,6 +232,10 @@ def _floats_at(text: str, start: int, end: int):
     so that only one piece is ever held as Python floats, and array.array
     converts them for the scatter to their places.  So every value is what
     json and array.array make of its token, `-0`, `-0.0` and `0e0` included.
+    A piece longer than 2 * PIECE_CHARS, which only a token longer than
+    PIECE_CHARS can make, goes to json's scanner whole, without the scan,
+    whose bytes and byte masks of the piece's length would hold 5 times
+    the file for a list of one such token.
     """
     commas = text.count(",", start, end)
     if not commas and not text[start + 1:end].strip(" \t\n\r"):
@@ -242,10 +246,15 @@ def _floats_at(text: str, start: int, end: int):
         while True:
             cut = text.find(",", i + PIECE_CHARS, end)
             cut = end if cut < 0 else cut
-            tokens, nonzero, runs = _nonzero_runs(text[i:cut])
-            if len(nonzero):
-                out[filled + nonzero] = array.array("d", _SCAN("[" + runs + "]", 0)[0])
-            filled += tokens
+            if cut - i > 2 * PIECE_CHARS:
+                values = array.array("d", _SCAN("[" + text[i:cut] + "]", 0)[0])
+                out[filled:filled + len(values)] = values
+                filled += len(values)
+            else:
+                tokens, nonzero, runs = _nonzero_runs(text[i:cut])
+                if len(nonzero):
+                    out[filled + nonzero] = array.array("d", _SCAN("[" + runs + "]", 0)[0])
+                filled += tokens
             if cut == end:
                 return out
             i = cut + 1

@@ -18,9 +18,11 @@ The interpolated matrix C(s) = (1-s) I + s (A+B) is a nested circulant too,
 with symbol (1-s) + s*sigma where sigma = DFT(root of A+B).  Mode k traces
 the segment from 1 to sigma_k, so the exact minimum of the lowest mode over
 all s in [0, 1] follows from sigma without a grid.  A gap profile takes
-one real FFT and two sorts of the stored modes per spec; each grid point
-then evaluates only the few modes that can hold its gap, bit-identical to
-the pass over every stored modulus (structured_gap_profile).  The dense
+one real FFT per spec, and orders the stored modes by two keys only as far
+as its grid reads them (a selection, then a sort of what was selected);
+each grid point then evaluates only the few modes that can hold its gap,
+bit-identical to the pass over every stored modulus
+(structured_gap_profile).  The dense
 matrices themselves are built only for cross-checks, up to
 quadform.MATRIX_SIZE_CAP sites.
 """
@@ -47,8 +49,12 @@ from .quadform import (
 
 
 def _reflect(root: np.ndarray) -> np.ndarray:
-    """root[-m mod n] along every axis."""
-    return root[np.ix_(*(-np.arange(m) % m for m in root.shape))]
+    """root[-m mod n] along every axis, a new array: the flip of every axis
+    rolled one place along each, one copy and no index arrays.  A 0-d
+    array (the plane of a ring's symbol) is its own reflection."""
+    if not root.ndim:
+        return root.copy()
+    return np.roll(np.flip(root), 1, axis=tuple(range(root.ndim)))
 
 
 def _check_roots(a_root: np.ndarray, b_root: np.ndarray):
@@ -224,22 +230,23 @@ def _segments(symbol: np.ndarray):
     """
     step = symbol - 1.0
     with np.errstate(over="ignore"):
-        norm2 = step.real ** 2
-        norm2 += step.imag ** 2
+        norm2 = np.square(step.real)
+        dist = np.square(step.imag)
+        norm2 += dist
     if not np.isfinite(norm2).all():
         raise NumericalError("the DFT of the root of A + B is too large: "
                              "|sigma_k - 1|^2 overflows")
     # a mode with sigma_k == 1 stays at 1 for every s; take s = 0 for it.
-    # In place where the arithmetic allows, to keep few n-sized temporaries.
+    # In place, to keep few n-sized temporaries: norm2's buffer becomes
+    # r_k's, step's the point of each segment nearest 0, and dist is written
+    # over the square it held.
     s = np.negative(step.real)
-    s /= np.where(norm2 > 0.0, norm2, 1.0)
-    del norm2
+    np.divide(s, norm2, out=s, where=norm2 > 0.0)
     np.clip(s, 0.0, 1.0, out=s)
-    point = s * step
+    radius = np.abs(step, out=norm2)
+    point = np.multiply(s, step, out=step)
     point += 1.0
-    dist = np.abs(point)
-    del point
-    return np.abs(step), s, dist
+    return radius, s, np.abs(point, out=dist)
 
 
 def _path_minimum(s: np.ndarray, dist: np.ndarray, modulus_max: float, n: int) -> tuple:
@@ -282,10 +289,60 @@ _SLACK_UNITS = 32
 # of 40-50% took 4.7-6.0 ms against 4.7 ms for the full pass; inside the
 # loop the symbol stays in cache.
 _GATHER_MAX_SHARE = 0.5
-# Modes from the head of each sorted key evaluated at every point, with the
-# mode of largest |sigma| and the previous point's least mode, to bound the
-# least modulus from above.
+# Modes from the head of each key's order evaluated at every point, with
+# the mode of largest |sigma| and the previous point's least mode, to bound
+# the least modulus from above; also the size of each first selection.
 _SEED_HEAD = 4
+
+
+class _Least:
+    """The modes of the least values of key, in ascending order, and those values.
+
+    Only a head of the order is held: argpartition selects it and a sort of
+    the head orders it, so a grid that reads a small share of the modes
+    pays for no full sort.  A head holds no more than .cap = most + 1
+    values, so a run that fills a head at the cap is known to hold more
+    than most modes without a count; so is one whose threshold is at least
+    .over, the least threshold known to reach the cap (inf at first).
+    """
+
+    def __init__(self, key: np.ndarray, size: int, most: int):
+        self.key = key
+        self.cap = min(most + 1, key.size)
+        self.over = np.inf
+        self._select(min(size, self.cap))
+
+    def _select(self, size: int):
+        head = np.argpartition(self.key, size - 1)[:size]
+        self.modes = head[np.argsort(self.key[head])]
+        self.values = self.key[self.modes]
+
+    def grow(self, need: int):
+        """Hold twice need values where fewer than need are held, but no more than the cap."""
+        if need > self.values.size:
+            self._select(min(2 * need, self.cap))
+
+    def count(self, t: float) -> tuple[int, bool]:
+        """The number of values at most t, and whether it is exact: it is
+        wherever it is below the size held or every mode is held; otherwise
+        the true count is at least the size held."""
+        k = int(np.searchsorted(self.values, t, side="right"))
+        return k, k < self.values.size or self.values.size == self.key.size
+
+    def capped_count(self, t: float) -> int:
+        """The number of values at most t, or the cap where it is more;
+        counted over every mode only where neither the head held nor
+        .over can tell."""
+        k, exact = self.count(t)
+        if exact or self.values.size == self.cap:
+            return k
+        if t >= self.over:
+            return self.cap
+        k = int(np.count_nonzero(self.key <= t))
+        if k < self.cap:
+            return k
+        self.over = t
+        return self.cap
 
 
 class _CandidateGaps:
@@ -296,18 +353,27 @@ class _CandidateGaps:
     multiplicities (a conjugate mode's modulus is bitwise its stored mode's).
     Mode k's modulus at s is at least max(d_k, 1 - s r_k): d_k is the
     distance from 0 to its segment and r_k = |sigma_k - 1| (the triangle
-    inequality).  The modes are sorted by each key once.  At each point the
-    seed modes give an upper bound B on the least modulus above the zero
-    tolerance; a mode whose lower bound exceeds B plus rounding slack is
-    neither that least mode nor a zero mode.  Only the shorter of the two
-    sorted runs that pass the bound is evaluated, with the full pass's
-    arithmetic, so each value is bit-for-bit the full pass's.  The default
-    tolerance n eps max_k lam_k is bracketed below by the largest value
-    evaluated and above by (1 - s) + s max|sigma| plus slack.  A point whose
-    candidates include a value inside that bracket, or where pruning would
-    keep more than _GATHER_MAX_SHARE of the stored modes (s = 0 keeps all),
-    takes the full pass over the stored modes.  The grid-free minimum over
-    the path is .minimum.
+    inequality).  At each point the seed modes give an upper bound B on the
+    least modulus above the zero tolerance; a mode whose lower bound exceeds
+    B plus rounding slack is neither that least mode nor a zero mode.  The
+    modes that pass form a run at the head of the ascending order of d_k
+    and one at the head of the descending order of r_k; only the shorter
+    run is evaluated (d_k on a tie), with the full pass's arithmetic, so
+    each value is bit-for-bit the full pass's.  Each order is held only as
+    far as the grid reads it (_Least), from _SEED_HEAD modes on.  A point
+    whose runs the heads cannot compare counts each run that outgrows its
+    head over every mode, up to one past _GATHER_MAX_SHARE of the stored
+    modes, so that its run and route are those of a full sort; a run known
+    to pass the share needs no count, since it takes no gather.  Such a
+    point grows each head that holds no more than its longer run (where
+    that fits in the share, else its shorter) to twice that run, and no
+    head holds more than one past the share.  The default tolerance
+    n eps max_k lam_k is bracketed below by the largest value evaluated and
+    above by (1 - s) + s max|sigma| plus slack.  A point whose candidates
+    include a value inside that bracket, or whose shorter run holds more
+    than _GATHER_MAX_SHARE of the stored modes (s = 0 holds all), takes the
+    full pass over the stored modes.  The grid-free minimum over the path is
+    .minimum.
     """
 
     def __init__(self, spec: TorusSpec, zero_tolerance: float | None):
@@ -316,28 +382,49 @@ class _CandidateGaps:
         self.weight = weight.ravel()
         self.n = spec.n
         self.zero_tolerance = zero_tolerance
-        radius, s, dist = _segments(symbol)
         modulus = np.abs(symbol)
         widest = int(np.argmax(modulus))
         self.modulus_max = float(modulus[widest])
-        del modulus
+        del modulus     # before _segments, which can take its memory
+        radius, s, dist = _segments(symbol)
         self.minimum = _path_minimum(s, dist, self.modulus_max, self.n)
         del s
-        index = np.int32 if symbol.size <= np.iinfo(np.int32).max else np.intp
         # a Python float, so the bounds below overflow to inf without a warning
         self.slack = float(_SLACK_UNITS * np.finfo(float).eps * (1.0 + self.modulus_max))
-        self.by_dist = np.argsort(dist).astype(index)
-        self.dist = dist[self.by_dist]
-        self.by_radius = np.argsort(radius).astype(index)
-        self.radius = radius[self.by_radius]
+        self.most = int(_GATHER_MAX_SHARE * symbol.size)
+        self.by_dist = _Least(dist, _SEED_HEAD, self.most)
+        # the largest radii are the least of their negatives
+        self.by_radius = _Least(np.negative(radius, out=radius), _SEED_HEAD, self.most)
         # sorted without duplicates; np.unique would import numpy.ma
-        self.seeds = np.array(sorted({*self.by_dist[:_SEED_HEAD].tolist(),
-                                      *self.by_radius[-_SEED_HEAD:].tolist(), widest}),
-                              dtype=index)
+        self.seeds = np.array(sorted({*self.by_dist.modes[:_SEED_HEAD].tolist(),
+                                      *self.by_radius.modes[:_SEED_HEAD].tolist(), widest}))
         self.previous = self.seeds[:1]
 
+    def _candidates(self, bound: float, reach: float):
+        """The shorter of the runs of modes with d_k <= bound and with
+        -r_k <= reach (d_k on a tie), or None where it holds more than
+        _GATHER_MAX_SHARE of the stored modes."""
+        dist, radius = self.by_dist, self.by_radius
+        (count, count_exact), (size, size_exact) = dist.count(bound), radius.count(reach)
+        # an inexact count is the size held, and the true one is at least that
+        if not (count_exact and count <= size or size_exact and size < count):
+            # capped at most + 1, a count above most can only be the longer
+            # run's or both runs', so the route and the shorter run stay those
+            # of the counts over every mode
+            count, size = dist.capped_count(bound), radius.capped_count(reach)
+            shorter, longer = sorted((count, size))
+            if shorter <= self.most:
+                # both heads past the longer run where it fits in the share,
+                # else past the shorter: the next points compare exact counts
+                # until a run outgrows them
+                need = (longer if longer <= self.most else shorter) + 1
+                dist.grow(need)
+                radius.grow(need)
+        if min(count, size) > self.most:
+            return None
+        return dist.modes[:count] if count <= size else radius.modes[:size]
+
     def __call__(self, s: float) -> tuple[float, int]:
-        stored = self.symbol.size
         tol_hi = tol_lo = self.zero_tolerance
         if tol_hi is None:
             tol_hi = zero_tolerance_for(self.n, (1.0 - s) + s * self.modulus_max + self.slack)
@@ -345,12 +432,10 @@ class _CandidateGaps:
         above = seen[seen > tol_hi]
         if above.size:
             bound = float(above.min()) + self.slack
-            count = int(np.searchsorted(self.dist, bound, side="right"))
-            # at s = 0 the radius key bounds nothing
-            first = (int(np.searchsorted(self.radius, (1.0 - bound - self.slack) / s))
-                     if s > 0.0 else 0)
-            modes = self.by_dist[:count] if count <= stored - first else self.by_radius[first:]
-            if modes.size <= _GATHER_MAX_SHARE * stored:
+            # 1 - s r_k <= bound + slack; at s = 0 the radius key bounds nothing
+            reach = (bound - 1.0 + self.slack) / s if s > 0.0 else np.inf
+            modes = self._candidates(bound, reach)
+            if modes is not None:
                 lam = _moduli(self.symbol, s, modes)
                 if tol_lo is None:
                     tol_lo = zero_tolerance_for(

@@ -96,6 +96,11 @@ def reflect_by_roll(root: np.ndarray) -> np.ndarray:
     return out
 
 
+def reflect_by_gather(root: np.ndarray) -> np.ndarray:
+    """root[-m mod n] along every axis, by one gather through np.ix_ index arrays."""
+    return root[np.ix_(*(-np.arange(m) % m for m in root.shape))]
+
+
 def expand_root_by_blocks(root: np.ndarray) -> np.ndarray:
     """Dense nested circulant of a root, built block by block from its slices."""
     if root.ndim == 1:

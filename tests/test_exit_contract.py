@@ -23,10 +23,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fermigap import cli, ensembles as ens
+from fermigap import _blas, cli, ensembles as ens
 
 HUGE = 10 ** 400
 
@@ -313,3 +314,42 @@ def test_option_exit_code_contract(case):
             if argv[0] == "ensemble":
                 for name in ("summary.json", "manifest.json"):
                     strict_json((out_dir / name).read_text())
+
+
+# Memory can run out below every cap: the caps bound what a request may ask
+# for, not what the machine has.  No RLIMIT_AS is needed to reach the handler.
+@pytest.mark.parametrize("argv, command, name", [
+    (["gap", "pair.json"], "cmd_gap", "gap"),
+    (["lattice", "expand", "spec.json"], "cmd_lattice", "lattice expand"),
+])
+def test_memory_error_exit_2_with_one_line(monkeypatch, capsys, argv, command, name):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, command, exhausted)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fermigap: out of memory in {name}\n"
+
+
+def test_memory_error_of_a_forked_chunk_exit_2_with_one_line(monkeypatch, capsys):
+    parent = os.getpid()
+
+    def chunk(lo, hi):
+        if os.getpid() != parent:
+            np.empty(1 << 58)   # 2 EiB: refused at once, nothing is touched
+        return list(range(lo, hi))
+
+    def gap_in_chunks(args):
+        _blas.split_chunks(chunk, 3, 2, "the test chunks")
+        return cli.EXIT_OK, "{}\n"
+
+    monkeypatch.setattr(cli, "cmd_gap", gap_in_chunks)
+    assert cli.main(["gap", "pair.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("fermigap: out of memory in gap: Unable to allocate 2.00 EiB for an "
+                            "array with shape (288230376151711744,) and data type float64\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -250,7 +250,10 @@ class TestStreamInput:
 # with or without a literal beside the lists (3.57 and 3.42 when every
 # token was parsed into a Python float, 0.4 MB a piece; 7.5 on one or two
 # when such a literal, or each list parsed whole into Python floats, sent
-# the text to json.loads); the bound leaves 17% above the larger.
+# the text to json.loads); the bound leaves 17% above the larger.  A
+# document whose one number is 4,000,000 characters long peaks at 3.00
+# times the file in one process and on two, as json's scanner reads its
+# piece whole (5.00 when the scan held that piece's bytes and byte masks).
 LOAD_PEAK_PER_FILE_BYTE = 4.0
 
 
@@ -262,13 +265,27 @@ def _pair_256():
     return fio.pair_to_dict(lat.expand(lat.stack(lat.build_xy_cycle(16), 16)))
 
 
+# valid JSON: a number may have any number of digits
+_LONG_TOKEN = "0." + "1" * 3_999_998
+
+
+def _one_long_token():
+    """A pair of n = 1 whose "a" holds one number of 4,000,000 characters
+    (_peak_text writes it in place of the string)."""
+    return {"n": 1, "a": ["a long token"], "b": [0]}
+
+
+def _peak_text(doc, extra) -> str:
+    return json.dumps({**extra, **doc()}).replace('"a long token"', _LONG_TOKEN)
+
+
 # Each document alone and with a literal beside its lists, which once sent
 # the whole text to json.loads (a true or false anywhere in it).
 _PEAK_DOCS = pytest.mark.parametrize("doc, extra", [
     (doc, extra) for extra in ({}, {"note": "true"}, {"checked": False}, {"comment": None})
-    for doc in (_torus_2_16, _pair_256)], ids=[
+    for doc in (_torus_2_16, _pair_256, _one_long_token)], ids=[
     name + tag for tag in ("", "-note-true", "-checked-false", "-comment-null")
-    for name in ("torus-2^16-sites", "pair-256-sites")])
+    for name in ("torus-2^16-sites", "pair-256-sites", "one-long-token")])
 
 
 def _load_peak(path) -> int:
@@ -283,7 +300,7 @@ def _load_peak(path) -> int:
 @_PEAK_DOCS
 def test_load_peak_is_held_to_a_multiple_of_the_file(tmp_path, doc, extra):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps({**extra, **doc()}))
+    path.write_text(_peak_text(doc, extra))
     assert _load_peak(path) <= LOAD_PEAK_PER_FILE_BYTE * path.stat().st_size
 
 
@@ -291,7 +308,7 @@ def test_load_peak_is_held_to_a_multiple_of_the_file(tmp_path, doc, extra):
 def test_two_process_load_peak_is_held_to_a_multiple_of_the_file(tmp_path, monkeypatch, doc,
                                                                  extra):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps({**extra, **doc()}))
+    path.write_text(_peak_text(doc, extra))
     monkeypatch.setattr(_blas, "loop_workers", lambda items, n, work=None: 2)
     assert _split(path)
     assert _load_peak(path) <= LOAD_PEAK_PER_FILE_BYTE * path.stat().st_size
@@ -300,7 +317,7 @@ def test_two_process_load_peak_is_held_to_a_multiple_of_the_file(tmp_path, monke
 @_PEAK_DOCS
 def test_no_whole_text_parse_of_a_readable_document(tmp_path, monkeypatch, doc, extra):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps({**extra, **doc()}))
+    path.write_text(_peak_text(doc, extra))
     parsed, loads = [], json.loads
     monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
     fio.load_pair_or_structured(path)
@@ -451,7 +468,7 @@ class TestTwoProcessLoad:
         assert (_outcome(path, 2, fio.load_pair_or_w) == _outcome(path, 1, fio.load_pair_or_w)
                 == _outcome(path, None, fio.load_pair_or_w))
 
-    @pytest.mark.parametrize("piece", [1, 2, 3, 7])
+    @pytest.mark.parametrize("piece", [1, 2, 3, 5, 7])
     @pytest.mark.parametrize("text, split", [
         *(('{"n": 1, "a": %s, "b": [0]}' % entries, split) for entries, split in [
             ("[]", True), ("[ ]", True), ("[1, ]", False), ("[, 1]", False),
@@ -477,6 +494,26 @@ class TestTwoProcessLoad:
         monkeypatch.setattr(fio, "PIECE_CHARS", piece)
         assert _outcome(path, 1) == _outcome(path, None)
         assert _split(path, 1) is split
+
+    def test_zero_lookalikes_reach_the_scan_at_small_pieces(self, tmp_path, monkeypatch):
+        # at 5 characters a piece no piece of these short tokens is longer
+        # than 2 * 5, so each takes the byte scan, not json's scanner whole
+        entries = "0,0.0, 0 ,\n 0.0,-0,-0.0,0.00,0e0,1.5,0"
+        path = tmp_path / "doc.json"
+        path.write_text('{"n": 1, "a": [%s], "b": [0]}' % entries)
+        monkeypatch.setattr(fio, "PIECE_CHARS", 5)
+        scanned, scan = [], fio._nonzero_runs
+
+        def spying(piece):
+            scanned.append(piece)
+            return scan(piece)
+
+        monkeypatch.setattr(fio, "_nonzero_runs", spying)
+        assert _outcome(path, 1) == _outcome(path, None)
+        # each of the two readers scans a's pieces, cut at commas, then b's "0"
+        half = len(scanned) // 2
+        assert scanned[:half] == scanned[half:] and len(scanned) == 2 * half
+        assert ",".join(scanned[:half - 1]) == entries and scanned[half - 1] == "0"
 
     @pytest.mark.parametrize("refused", ["[0, true]", "[1%s]" % ("0" * 400)],
                              ids=["boolean", "int-beyond-float"])

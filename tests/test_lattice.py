@@ -142,6 +142,7 @@ def test_index_maps_bit_identical_to_roll_and_block_references(shape):
     reflected = lat._reflect(root)
     assert reflected.shape == shape
     assert reflected.tobytes() == oracles.reflect_by_roll(root).tobytes()
+    assert reflected.tobytes() == oracles.reflect_by_gather(root).tobytes()
     dense = lat._expand_root(root)
     assert dense.shape == (root.size, root.size)
     assert dense.tobytes() == oracles.expand_root_by_blocks(root).tobytes()
@@ -540,6 +541,34 @@ def counting_full_passes(monkeypatch):
     return calls
 
 
+def capturing_candidates(monkeypatch):
+    """Every _CandidateGaps as it is made, and each point's candidate run
+    checked against the runs counted over every stored mode: the run of
+    d_k <= B where it is no longer than that of -r_k <= reach, else the
+    latter, and None where the shorter holds more than the share."""
+    made = []
+    init, candidates = lat._CandidateGaps.__init__, lat._CandidateGaps._candidates
+
+    def capturing(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    def checked(self, bound, reach):
+        modes = candidates(self, bound, reach)
+        runs = [np.flatnonzero(self.by_dist.key <= bound),
+                np.flatnonzero(self.by_radius.key <= reach)]
+        shorter = runs[len(runs[1]) < len(runs[0])]
+        if len(shorter) > lat._GATHER_MAX_SHARE * self.symbol.size:
+            assert modes is None
+        else:
+            assert np.sort(modes).tolist() == shorter.tolist()
+        return modes
+
+    monkeypatch.setattr(lat._CandidateGaps, "__init__", capturing)
+    monkeypatch.setattr(lat._CandidateGaps, "_candidates", checked)
+    return made
+
+
 EPS = np.finfo(float).eps
 # 5e-324 once made the radius threshold (1 - B) / s overflow with a RuntimeWarning
 grid_points = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1.0 / 3.0, 5e-324]),
@@ -609,6 +638,98 @@ class TestCandidateModes:
         calls = counting_full_passes(monkeypatch)
         assert_equals_full_pass(spec, np.linspace(0.0, 1.0, 101))
         assert calls == [0.0]
+
+    @given(spec=structured_specs(), points=st.lists(grid_points, min_size=1, max_size=8),
+           tol=st.one_of(st.none(), st.floats(0.0, 2.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_each_run_is_the_one_counted_over_every_mode(self, spec, points, tol):
+        with pytest.MonkeyPatch.context() as mp:
+            capturing_candidates(mp)
+            assert_equals_full_pass(spec, [*points, 1.0, 0.0, points[0]], tol)
+
+    @pytest.mark.parametrize("spec", [
+        random_circulant(4096, seed=31),
+        random_bc2cb(10, 12, 14, seed=33),
+        nearest_neighbour_torus((16, 12, 10), seed=34),
+    ], ids=["ring", "torus-3d", "nn-torus"])
+    def test_selection_grows_past_the_first(self, monkeypatch, spec):
+        # the first selection holds _SEED_HEAD modes of each key; these
+        # grids read more, and each point's run is the one counted over
+        # every mode, as with a full sort of each key
+        made = capturing_candidates(monkeypatch)
+        grid = [*np.linspace(0.0, 1.0, 101), *np.random.default_rng(37).uniform(0.0, 1.0, 40)]
+        assert_equals_full_pass(spec, grid)
+        gaps, = made
+        for least in (gaps.by_dist, gaps.by_radius):
+            assert lat._SEED_HEAD < least.values.size <= gaps.most + 1
+            assert least.values.tolist() == np.sort(least.key)[:least.values.size].tolist()
+            assert least.key[least.modes].tolist() == least.values.tolist()
+
+    def test_nearest_neighbour_torus_selects_under_half_of_each_key(self, monkeypatch):
+        # a full sort of each key holds every stored mode
+        made = capturing_candidates(monkeypatch)
+        lat.structured_gap_profile(nearest_neighbour_torus((32, 32, 16), seed=1201),
+                                   np.linspace(0.0, 1.0, 101))
+        gaps, = made
+        for least in (gaps.by_dist, gaps.by_radius):
+            assert least.modes.size < gaps.symbol.size / 2
+
+    @given(key=st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]), min_size=1,
+                        max_size=40),
+           size=st.integers(1, 8), share=st.floats(0.0, 1.0),
+           steps=st.lists(st.tuples(st.sampled_from([-3.0, -2.0, -0.5, 0.0, 0.1, 1.0, 3.0,
+                                                     np.inf]),
+                                    st.integers(0, 50)), max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_least_counts_up_to_the_cap(self, key, size, share, steps):
+        # ties included: a head is the least values in order, whichever tied
+        # modes it holds, and each count is the true one or the cap below it
+        key = np.array(key)
+        least = lat._Least(key, size, int(share * key.size))
+        for t, need in steps:
+            true = int(np.count_nonzero(key <= t))
+            k, exact = least.count(t)
+            assert k == true if exact else k == least.values.size <= true
+            assert least.capped_count(t) == min(true, least.cap)
+            least.grow(need)
+            held = least.values.size
+            assert held <= least.cap and least.key[least.modes].tolist() == least.values.tolist()
+            assert least.values.tolist() == np.sort(key)[:held].tolist()
+
+    def test_a_run_past_the_cap_is_counted_once(self, monkeypatch):
+        least = lat._Least(np.arange(100.0), 4, 50)
+        counts = []
+        count_nonzero = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero", lambda *a: counts.append(a) or count_nonzero(*a))
+        # the radius threshold at s = 0
+        assert least.capped_count(np.inf) == least.cap == 51 and not counts
+        assert least.capped_count(70.0) == 51 and least.over == 70.0 and len(counts) == 1
+        assert least.capped_count(80.0) == 51 and len(counts) == 1
+        assert least.capped_count(20.0) == 21
+
+    def test_points_past_the_share_count_each_key_rarely(self, monkeypatch):
+        # a grid in random order whose small s take the full pass: a count
+        # over every mode comes with a head's growth or a new least threshold
+        # past the cap, not with each full-pass point
+        compares = []
+
+        class Counted(np.ndarray):
+            def __le__(self, t):
+                compares.append(t)
+                return np.asarray(self) <= t
+
+        init = lat._CandidateGaps.__init__
+
+        def counted(self, *args):
+            init(self, *args)
+            for least in (self.by_dist, self.by_radius):
+                least.key = least.key.view(Counted)
+
+        monkeypatch.setattr(lat._CandidateGaps, "__init__", counted)
+        calls = counting_full_passes(monkeypatch)
+        grid = [*np.linspace(0.0, 1.0, 101), *np.random.default_rng(5).uniform(0.0, 1.0, 60)]
+        assert_equals_full_pass(nearest_neighbour_torus((24, 20, 18), seed=1), grid)
+        assert len(calls) > 20 and len(compares) < len(calls)
 
     @pytest.mark.parametrize("top, value_eps, zero", [
         (2.9, 96, True),     # tol = 64 eps * 1.95: the value is a zero mode
