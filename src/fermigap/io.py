@@ -368,12 +368,22 @@ def load_document(path) -> dict:
 
 
 def load_pair_or_structured(path) -> CoefficientPair | TorusSpec:
-    """Dispatch on the document shape: structured specs carry a 'kind' key."""
+    """Dispatch on the document shape: a structured spec has a 'kind' key; W is refused."""
     doc = load_document(path)
-    return structured_from_dict(doc) if "kind" in doc else pair_from_dict(doc)
+    if "kind" in doc:
+        return structured_from_dict(doc)
+    if "w" in doc:
+        raise InputError(f"{path} is a W document (with a 'w' key), not a pair or a "
+                         "structured spec: `fermigap jw` converts it to a pair")
+    return pair_from_dict(doc)
 
 
 def load_pair_or_w(path) -> CoefficientPair | PauliHamiltonian:
-    """Dispatch on the document shape: W documents carry a 'w' key."""
+    """Dispatch on the document shape: a W document has a 'w' key; a spec is refused."""
     doc = load_document(path)
-    return w_from_dict(doc) if "w" in doc else pair_from_dict(doc)
+    if "w" in doc:
+        return w_from_dict(doc)
+    if "kind" in doc:
+        raise InputError(f"{path} is a structured spec (with a 'kind' key), not a pair or a "
+                         "W document: `fermigap lattice expand` converts it to a pair")
+    return pair_from_dict(doc)

@@ -19,10 +19,12 @@ with symbol (1-s) + s*sigma where sigma = DFT(root of A+B).  Mode k traces
 the segment from 1 to sigma_k, so the exact minimum of the lowest mode over
 all s in [0, 1] follows from sigma without a grid.  A gap profile takes
 one real FFT per spec, and orders the stored modes by two keys only as far
-as its grid reads them (a selection, then a sort of what was selected);
-each grid point then evaluates only the few modes that can hold its gap,
-bit-identical to the pass over every stored modulus
-(structured_gap_profile).  The dense
+as its grid reads them (a selection, then a sort of what was selected).
+At each grid point the run of either key up to its bound holds every mode
+that can decide the gap, so the point evaluates the shorter run that a
+held head holds whole, and counts the keys over every mode only where
+neither does; each gap is bit-identical to the pass over every stored
+modulus (structured_gap_profile).  The dense
 matrices themselves are built only for cross-checks, up to
 quadform.MATRIX_SIZE_CAP sites.
 """
@@ -300,49 +302,41 @@ class _Least:
 
     Only a head of the order is held: argpartition selects it and a sort of
     the head orders it, so a grid that reads a small share of the modes
-    pays for no full sort.  A head holds no more than .cap = most + 1
-    values, so a run that fills a head at the cap is known to hold more
-    than most modes without a count; so is one whose threshold is at least
-    .over, the least threshold known to reach the cap (inf at first).
+    pays for no full sort.  A head holds no more than most + 1 values.
+    .over is the least threshold known to pass more than most modes (inf
+    at first), so that a count at or above it needs no pass over the key.
     """
 
     def __init__(self, key: np.ndarray, size: int, most: int):
         self.key = key
-        self.cap = min(most + 1, key.size)
+        self.most = most
         self.over = np.inf
-        self._select(min(size, self.cap))
+        self._select(min(size, most + 1))
 
     def _select(self, size: int):
         head = np.argpartition(self.key, size - 1)[:size]
         self.modes = head[np.argsort(self.key[head])]
         self.values = self.key[self.modes]
 
-    def grow(self, need: int):
-        """Hold twice need values where fewer than need are held, but no more than the cap."""
-        if need > self.values.size:
-            self._select(min(2 * need, self.cap))
-
-    def count(self, t: float) -> tuple[int, bool]:
-        """The number of values at most t, and whether it is exact: it is
-        wherever it is below the size held or every mode is held; otherwise
-        the true count is at least the size held."""
+    def run(self, t: float):
+        """The modes of the values at most t, in ascending order, where the
+        head holds them whole (a value above t is held); else None."""
         k = int(np.searchsorted(self.values, t, side="right"))
-        return k, k < self.values.size or self.values.size == self.key.size
+        return self.modes[:k] if k < self.values.size else None
 
-    def capped_count(self, t: float) -> int:
-        """The number of values at most t, or the cap where it is more;
-        counted over every mode only where neither the head held nor
-        .over can tell."""
-        k, exact = self.count(t)
-        if exact or self.values.size == self.cap:
-            return k
+    def count(self, t: float) -> int:
+        """The number of values at most t over every mode, or most + 1 where it is more."""
         if t >= self.over:
-            return self.cap
+            return self.most + 1
         k = int(np.count_nonzero(self.key <= t))
-        if k < self.cap:
-            return k
-        self.over = t
-        return self.cap
+        if k > self.most:
+            self.over = t
+        return min(k, self.most + 1)
+
+    def hold(self, k: int):
+        """Hold the least 2k + 1 values, but no more than most + 1: a run of
+        k <= most modes is then held whole."""
+        self._select(min(2 * k + 1, self.most + 1))
 
 
 class _CandidateGaps:
@@ -354,25 +348,23 @@ class _CandidateGaps:
     Mode k's modulus at s is at least max(d_k, 1 - s r_k): d_k is the
     distance from 0 to its segment and r_k = |sigma_k - 1| (the triangle
     inequality).  At each point the seed modes give an upper bound B on the
-    least modulus above the zero tolerance; a mode whose lower bound exceeds
-    B plus rounding slack is neither that least mode nor a zero mode.  The
-    modes that pass form a run at the head of the ascending order of d_k
-    and one at the head of the descending order of r_k; only the shorter
-    run is evaluated (d_k on a tie), with the full pass's arithmetic, so
-    each value is bit-for-bit the full pass's.  Each order is held only as
-    far as the grid reads it (_Least), from _SEED_HEAD modes on.  A point
-    whose runs the heads cannot compare counts each run that outgrows its
-    head over every mode, up to one past _GATHER_MAX_SHARE of the stored
-    modes, so that its run and route are those of a full sort; a run known
-    to pass the share needs no count, since it takes no gather.  Such a
-    point grows each head that holds no more than its longer run (where
-    that fits in the share, else its shorter) to twice that run, and no
-    head holds more than one past the share.  The default tolerance
+    least modulus above the zero tolerance, rounding slack included; a mode
+    whose lower bound exceeds B is neither that least mode nor a zero mode.
+    So each of two runs holds every mode that can decide the point: the
+    head of the ascending order of d_k up to B, and the head of the
+    descending order of r_k down to (1 - B) / s.  Each order is held only
+    as far as the grid reads it (_Least), from _SEED_HEAD modes on.  A point
+    evaluates the shorter of the runs its heads hold whole (d_k on a tie),
+    with the full pass's arithmetic, so each value is bit-for-bit the full
+    pass's.  Only where neither head holds its run are both keys counted
+    over every mode; the shorter run is then read, and its key's head is
+    re-selected to hold twice that run, but no more than one past
+    _GATHER_MAX_SHARE of the stored modes.  The default tolerance
     n eps max_k lam_k is bracketed below by the largest value evaluated and
     above by (1 - s) + s max|sigma| plus slack.  A point whose candidates
-    include a value inside that bracket, or whose shorter run holds more
-    than _GATHER_MAX_SHARE of the stored modes (s = 0 holds all), takes the
-    full pass over the stored modes.  The grid-free minimum over the path is
+    include a value inside that bracket, or whose runs both hold more than
+    _GATHER_MAX_SHARE of the stored modes (s = 0 holds all), takes the full
+    pass over the stored modes.  The grid-free minimum over the path is
     .minimum.
     """
 
@@ -401,28 +393,20 @@ class _CandidateGaps:
         self.previous = self.seeds[:1]
 
     def _candidates(self, bound: float, reach: float):
-        """The shorter of the runs of modes with d_k <= bound and with
-        -r_k <= reach (d_k on a tie), or None where it holds more than
-        _GATHER_MAX_SHARE of the stored modes."""
-        dist, radius = self.by_dist, self.by_radius
-        (count, count_exact), (size, size_exact) = dist.count(bound), radius.count(reach)
-        # an inexact count is the size held, and the true one is at least that
-        if not (count_exact and count <= size or size_exact and size < count):
-            # capped at most + 1, a count above most can only be the longer
-            # run's or both runs', so the route and the shorter run stay those
-            # of the counts over every mode
-            count, size = dist.capped_count(bound), radius.capped_count(reach)
-            shorter, longer = sorted((count, size))
-            if shorter <= self.most:
-                # both heads past the longer run where it fits in the share,
-                # else past the shorter: the next points compare exact counts
-                # until a run outgrows them
-                need = (longer if longer <= self.most else shorter) + 1
-                dist.grow(need)
-                radius.grow(need)
-        if min(count, size) > self.most:
+        """The modes with d_k <= bound or those with -r_k <= reach: the
+        shorter of the runs the heads hold whole (d_k on a tie), else the
+        shorter run counted over every mode, or None where both hold more
+        than _GATHER_MAX_SHARE of the stored modes."""
+        held = [run for run in (self.by_dist.run(bound), self.by_radius.run(reach))
+                if run is not None]
+        if held:
+            return min(held, key=len)
+        count, size = self.by_dist.count(bound), self.by_radius.count(reach)
+        least, k = (self.by_dist, count) if count <= size else (self.by_radius, size)
+        if k > self.most:
             return None
-        return dist.modes[:count] if count <= size else radius.modes[:size]
+        least.hold(k)
+        return least.modes[:k]
 
     def __call__(self, s: float) -> tuple[float, int]:
         tol_hi = tol_lo = self.zero_tolerance
@@ -432,8 +416,9 @@ class _CandidateGaps:
         above = seen[seen > tol_hi]
         if above.size:
             bound = float(above.min()) + self.slack
-            # 1 - s r_k <= bound + slack; at s = 0 the radius key bounds nothing
-            reach = (bound - 1.0 + self.slack) / s if s > 0.0 else np.inf
+            # 1 - s r_k <= bound; bound holds the rounding slack of both
+            # keys, and at s = 0 the radius key bounds nothing
+            reach = (bound - 1.0) / s if s > 0.0 else np.inf
             modes = self._candidates(bound, reach)
             if modes is not None:
                 lam = _moduli(self.symbol, s, modes)

@@ -85,6 +85,24 @@ class TestGapAndSpectrum:
     def test_missing_file_exit_2(self, capsys):
         assert cli.main(["gap", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("command", ["gap", "spectrum", "profile"])
+    def test_w_document_exit_2_names_jw(self, tmp_path, capsys, command):
+        path = write_json(tmp_path / "w.json", fio.w_to_dict(sr.build_cluster_w(4)))
+        assert cli.main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"fermigap: input error: {path} is a W document (with a 'w' "
+                                "key), not a pair or a structured spec: `fermigap jw` "
+                                "converts it to a pair\n")
+
+    def test_jw_on_structured_spec_exit_2_names_lattice_expand(self, xy_spec_file, capsys):
+        assert cli.main(["jw", xy_spec_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"fermigap: input error: {xy_spec_file} is a structured spec "
+                                "(with a 'kind' key), not a pair or a W document: `fermigap "
+                                "lattice expand` converts it to a pair\n")
+
     @pytest.mark.parametrize("command", ["gap", "profile"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
     def test_bad_tolerance_exit_2(self, identity_pair_file, xy_spec_file, capsys,

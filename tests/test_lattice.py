@@ -542,29 +542,39 @@ def counting_full_passes(monkeypatch):
 
 
 def capturing_candidates(monkeypatch):
-    """Every _CandidateGaps as it is made, and each point's candidate run
-    checked against the runs counted over every stored mode: the run of
-    d_k <= B where it is no longer than that of -r_k <= reach, else the
-    latter, and None where the shorter holds more than the share."""
-    made = []
-    init, candidates = lat._CandidateGaps.__init__, lat._CandidateGaps._candidates
+    """Every _CandidateGaps as it is made, and at each point its candidates
+    checked for what makes the point exact: None only where both runs,
+    counted over every stored mode, hold more than the share; otherwise one
+    key's whole run, in that key's ascending order, which holds every stored
+    mode whose modulus at s is at most bound - slack (the least modulus
+    above the tolerance and every zero mode are such modes)."""
+    made, points = [], []
+    init, call = lat._CandidateGaps.__init__, lat._CandidateGaps.__call__
+    candidates = lat._CandidateGaps._candidates
 
     def capturing(self, *args):
         init(self, *args)
         made.append(self)
 
+    def at(self, s):
+        points.append(s)
+        return call(self, s)
+
     def checked(self, bound, reach):
         modes = candidates(self, bound, reach)
-        runs = [np.flatnonzero(self.by_dist.key <= bound),
-                np.flatnonzero(self.by_radius.key <= reach)]
-        shorter = runs[len(runs[1]) < len(runs[0])]
-        if len(shorter) > lat._GATHER_MAX_SHARE * self.symbol.size:
-            assert modes is None
-        else:
-            assert np.sort(modes).tolist() == shorter.tolist()
+        keys = [(self.by_dist.key, bound), (self.by_radius.key, reach)]
+        runs = [np.flatnonzero(key <= t) for key, t in keys]
+        if modes is None:
+            assert min(map(len, runs)) > lat._GATHER_MAX_SHARE * self.symbol.size
+            return modes
+        assert any(np.sort(modes).tolist() == run.tolist() and (np.diff(key[modes]) >= 0).all()
+                   for (key, _), run in zip(keys, runs))
+        lam = lat._moduli(self.symbol, points[-1])
+        assert np.isin(np.flatnonzero(lam <= bound - self.slack), modes).all()
         return modes
 
     monkeypatch.setattr(lat._CandidateGaps, "__init__", capturing)
+    monkeypatch.setattr(lat._CandidateGaps, "__call__", at)
     monkeypatch.setattr(lat._CandidateGaps, "_candidates", checked)
     return made
 
@@ -642,7 +652,7 @@ class TestCandidateModes:
     @given(spec=structured_specs(), points=st.lists(grid_points, min_size=1, max_size=8),
            tol=st.one_of(st.none(), st.floats(0.0, 2.0)))
     @settings(max_examples=200, deadline=None)
-    def test_each_run_is_the_one_counted_over_every_mode(self, spec, points, tol):
+    def test_each_run_holds_every_mode_that_decides_its_point(self, spec, points, tol):
         with pytest.MonkeyPatch.context() as mp:
             capturing_candidates(mp)
             assert_equals_full_pass(spec, [*points, 1.0, 0.0, points[0]], tol)
@@ -654,14 +664,15 @@ class TestCandidateModes:
     ], ids=["ring", "torus-3d", "nn-torus"])
     def test_selection_grows_past_the_first(self, monkeypatch, spec):
         # the first selection holds _SEED_HEAD modes of each key; these
-        # grids read more, and each point's run is the one counted over
-        # every mode, as with a full sort of each key
+        # grids read more, and a head grows where neither holds its run
         made = capturing_candidates(monkeypatch)
         grid = [*np.linspace(0.0, 1.0, 101), *np.random.default_rng(37).uniform(0.0, 1.0, 40)]
         assert_equals_full_pass(spec, grid)
         gaps, = made
-        for least in (gaps.by_dist, gaps.by_radius):
-            assert lat._SEED_HEAD < least.values.size <= gaps.most + 1
+        heads = (gaps.by_dist, gaps.by_radius)
+        assert max(least.values.size for least in heads) > lat._SEED_HEAD
+        for least in heads:
+            assert least.values.size <= gaps.most + 1
             assert least.values.tolist() == np.sort(least.key)[:least.values.size].tolist()
             assert least.key[least.modes].tolist() == least.values.tolist()
 
@@ -676,24 +687,32 @@ class TestCandidateModes:
 
     @given(key=st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]), min_size=1,
                         max_size=40),
-           size=st.integers(1, 8), share=st.floats(0.0, 1.0),
-           steps=st.lists(st.tuples(st.sampled_from([-3.0, -2.0, -0.5, 0.0, 0.1, 1.0, 3.0,
-                                                     np.inf]),
-                                    st.integers(0, 50)), max_size=10))
+           size=st.integers(1, 8), share=st.floats(0.0, lat._GATHER_MAX_SHARE),
+           steps=st.lists(st.sampled_from([-3.0, -2.0, -0.5, 0.0, 0.1, 1.0, 3.0, np.inf]),
+                          max_size=10))
     @settings(max_examples=300, deadline=None)
-    def test_least_counts_up_to_the_cap(self, key, size, share, steps):
+    def test_least_runs_counts_and_holds(self, key, size, share, steps):
         # ties included: a head is the least values in order, whichever tied
-        # modes it holds, and each count is the true one or the cap below it
+        # modes it holds; a run is read only where a value above t is held,
+        # a count is the true one or most + 1 below it, and holding a count
+        # of at most most holds its run whole
         key = np.array(key)
         least = lat._Least(key, size, int(share * key.size))
-        for t, need in steps:
-            true = int(np.count_nonzero(key <= t))
-            k, exact = least.count(t)
-            assert k == true if exact else k == least.values.size <= true
-            assert least.capped_count(t) == min(true, least.cap)
-            least.grow(need)
+        for t in steps:
+            true = np.flatnonzero(key <= t)
+            run = least.run(t)
+            if run is None:
+                assert least.values[-1] <= t
+            else:
+                assert np.sort(run).tolist() == true.tolist()
+                assert run.tolist() == least.modes[:run.size].tolist()
+            k = least.count(t)
+            assert k == min(true.size, least.most + 1)
+            if k <= least.most:
+                least.hold(k)
+                assert np.sort(least.run(t)).tolist() == true.tolist()
             held = least.values.size
-            assert held <= least.cap and least.key[least.modes].tolist() == least.values.tolist()
+            assert held <= least.most + 1 and key[least.modes].tolist() == least.values.tolist()
             assert least.values.tolist() == np.sort(key)[:held].tolist()
 
     def test_a_run_past_the_cap_is_counted_once(self, monkeypatch):
@@ -702,10 +721,10 @@ class TestCandidateModes:
         count_nonzero = np.count_nonzero
         monkeypatch.setattr(np, "count_nonzero", lambda *a: counts.append(a) or count_nonzero(*a))
         # the radius threshold at s = 0
-        assert least.capped_count(np.inf) == least.cap == 51 and not counts
-        assert least.capped_count(70.0) == 51 and least.over == 70.0 and len(counts) == 1
-        assert least.capped_count(80.0) == 51 and len(counts) == 1
-        assert least.capped_count(20.0) == 21
+        assert least.count(np.inf) == least.most + 1 == 51 and not counts
+        assert least.count(70.0) == 51 and least.over == 70.0 and len(counts) == 1
+        assert least.count(80.0) == 51 and len(counts) == 1
+        assert least.count(20.0) == 21
 
     def test_points_past_the_share_count_each_key_rarely(self, monkeypatch):
         # a grid in random order whose small s take the full pass: a count
