@@ -21,6 +21,14 @@ Only OpenBLAS libraries already loaded into the process are touched; with
 none loaded (not Linux, or MKL/Accelerate) the work runs unchanged.
 The lookup (loaded_openblas) scans the process's mappings again only after
 an import, which is when a library (SciPy's OpenBLAS, say) can appear.
+
+A forked chunk pickles its result down a pipe (split_chunks).  A float64
+array that holds a +0.0 entry crosses as its shape, a packed mask of the
+entries whose bits are not those of +0.0 and the bits of those entries,
+and the parent rebuilds it bit for bit in a zeroed array (_Pickler): a
+lattice root of 2^20 sites and a few couplings crosses in 128 KiB, not
+8 MiB, and the parent holds no pickled copy of it.  Every other object is
+pickled as pickle pickles it.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ import pickle
 import sys
 import threading
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import NumericalError
 
@@ -270,10 +280,31 @@ def _fork(chunk, lo: int, hi: int, inherited: list[int]) -> tuple[int | None, in
         except Exception as exc:
             message = (False, exc)
         with open(write_end, "wb") as fh:
-            pickle.dump(message, fh, pickle.HIGHEST_PROTOCOL)
+            _Pickler(fh, pickle.HIGHEST_PROTOCOL).dump(message)
         status = 0
     finally:
         os._exit(status)
+
+
+class _Pickler(pickle.Pickler):
+    """A pickler that sends a float64 array holding a +0.0 entry by its other entries."""
+
+    def reducer_override(self, obj):
+        if type(obj) is not np.ndarray or obj.dtype != np.float64:
+            return NotImplemented
+        bits = obj.reshape(-1).view(np.uint64)      # C order, a copy only if not contiguous
+        kept = bits != 0
+        if kept.all():
+            return NotImplemented
+        return _unpacked, (obj.shape, np.packbits(kept), bits[kept])
+
+
+def _unpacked(shape: tuple, mask: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The float64 array of the given shape whose entries flagged in the
+    packed mask hold bits, in C order, and whose others are +0.0."""
+    out = np.zeros(shape)
+    out.reshape(-1).view(np.uint64)[np.unpackbits(mask, count=out.size).view(bool)] = bits
+    return out
 
 
 def _received(sent: bytes, status: int, worker: str):

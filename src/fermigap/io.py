@@ -126,7 +126,10 @@ def structured_to_dict(spec: TorusSpec) -> dict:
 
 
 def structured_from_dict(doc: dict) -> TorusSpec:
-    """The spec of a structured document; takes "a_root" and "b_root" out of doc."""
+    """The spec of a structured document; takes "a_root" and "b_root" out of doc.
+
+    A float array there (load_document's) becomes the spec's own root,
+    reshaped in place and set read-only."""
     try:
         kind = doc["kind"]
         dims = [_count(d, "dims entry") for d in doc["dims"]]
@@ -149,8 +152,12 @@ def structured_from_dict(doc: dict) -> TorusSpec:
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed structured document: {exc}") from exc
     # dims are listed (p[, q[, r]]); root arrays are stored slowest-axis first.
-    shape = tuple(reversed(dims))
-    return TorusSpec(a_root.reshape(shape), b_root.reshape(shape))
+    # Each array is reshaped in place (resize to its own size moves no
+    # entry) and set read-only, so that TorusSpec keeps it and copies nothing.
+    for root in (a_root, b_root):
+        root.resize(tuple(reversed(dims)))
+        root.flags.writeable = False
+    return TorusSpec(a_root, b_root)
 
 
 def w_to_dict(h: PauliHamiltonian) -> dict:

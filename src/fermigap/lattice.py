@@ -73,6 +73,8 @@ class TorusSpec:
     The root rank is the lattice rank: shape (p,) is a ring of p sites,
     (q, p) a q x p torus, (r, q, p) an r x q x p torus.  Roots are stored
     slowest axis first; dims lists the axis lengths fastest first, (p, q, r).
+    Each root is held read-only.  A read-only float root that owns its memory
+    is taken over, not copied (see quadform.freeze_fields); any other is copied.
     """
 
     root_a: np.ndarray

@@ -59,10 +59,16 @@ def first_symmetry_violation(m: np.ndarray, anti: bool = False):
 
 
 def freeze_fields(obj, **arrays: np.ndarray) -> None:
-    """Set each field of the frozen dataclass obj to a read-only copy of its array."""
+    """Set each field of the frozen dataclass obj to a read-only array.
+
+    An array that is read-only and owns its memory is taken over, not
+    copied: its caller must not set it writable again, nor write through a
+    view made before it was set read-only.  Every other array, a read-only
+    view included, is copied, and the copy is set read-only."""
     for name, array in arrays.items():
-        array = array.copy()
-        array.flags.writeable = False
+        if array.flags.writeable or not array.flags.owndata:
+            array = array.copy()
+            array.flags.writeable = False
         object.__setattr__(obj, name, array)
 
 
@@ -76,6 +82,9 @@ class CoefficientPair:
         n x n real symmetric matrix (exactly: a[j, k] == a[k, j]).
     b : np.ndarray
         n x n real anti-symmetric matrix (exactly: b[j, k] == -b[k, j]).
+
+    Each matrix is held read-only.  A read-only matrix that owns its memory
+    is taken over, not copied (see freeze_fields); any other is copied.
     """
 
     a: np.ndarray

@@ -72,7 +72,10 @@ def ab_to_w(pair: CoefficientPair) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PauliHamiltonian:
-    """Pauli-string Hamiltonian encoded by its real coefficient matrix W."""
+    """Pauli-string Hamiltonian encoded by its real coefficient matrix W.
+
+    W is held read-only.  A read-only W that owns its memory is taken over,
+    not copied (see quadform.freeze_fields); any other is copied."""
 
     w: np.ndarray
 

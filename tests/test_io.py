@@ -247,7 +247,9 @@ class TestStreamInput:
 # (io.PIECE_CHARS characters: its text, bytes, byte masks and token
 # positions, about 0.5 MB) adds the rest, as its zeros become no Python
 # floats.  Measured 3.43 times the file in one process and 3.41 on two,
-# with or without a literal beside the lists (3.57 and 3.42 when every
+# with or without a literal beside the lists; on two, 3.30 (the torus) and
+# 3.20 (the pair) since the child sends a list by its nonzeros, not as a
+# pickled array the parent then unpickles (3.57 and 3.42 when every
 # token was parsed into a Python float, 0.4 MB a piece; 7.5 on one or two
 # when such a literal, or each list parsed whole into Python floats, sent
 # the text to json.loads); the bound leaves 17% above the larger.  A
@@ -322,6 +324,47 @@ def test_no_whole_text_parse_of_a_readable_document(tmp_path, monkeypatch, doc, 
     monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
     fio.load_pair_or_structured(path)
     assert parsed == []
+
+
+def test_two_process_load_sends_a_sparse_root_by_its_nonzeros(tmp_path, monkeypatch):
+    # a 2^17-site torus: 1 MB a root, and a few nonzeros
+    spec = lat.stack(lat.stack(lat.build_xy_cycle(64), 64), 32)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(fio.structured_to_dict(spec)))
+    sent, received = [], _blas._received
+    monkeypatch.setattr(_blas, "_received",
+                        lambda message, *rest: sent.append(len(message)) or received(message,
+                                                                                      *rest))
+    monkeypatch.setattr(_blas, "loop_workers", lambda items, n, work=None: 2)
+    loaded = fio.load_pair_or_structured(path)
+    assert len(sent) == 1 and sent[0] < spec.root_b.nbytes / 8
+    assert loaded.root_a.tobytes() == spec.root_a.tobytes()
+    assert loaded.root_b.tobytes() == spec.root_b.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_loaded_roots_are_kept_and_written_by_no_array(tmp_path, monkeypatch, workers):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_torus_2_16()))
+    made, load = [], fio.load_document
+
+    def spy(path):
+        doc = load(path)
+        made.extend(value for value in doc.values() if isinstance(value, np.ndarray))
+        return doc
+
+    monkeypatch.setattr(fio, "load_document", spy)
+    monkeypatch.setattr(_blas, "loop_workers", lambda items, n, work=None: workers)
+    spec = fio.load_pair_or_structured(path)
+    # the parsed arrays themselves, reshaped in place: nothing was copied
+    assert len(made) == 2 and spec.root_a is made[0] and spec.root_b is made[1]
+    for root in (spec.root_a, spec.root_b):
+        base = root
+        while isinstance(base, np.ndarray):
+            assert not base.flags.writeable
+            base = base.base
+        assert not any(np.shares_memory(root, array) for array in made
+                       if array.flags.writeable)
 
 
 def test_zero_tokens_reach_no_parser(tmp_path, monkeypatch):

@@ -92,6 +92,27 @@ class TestSpecs:
         with pytest.raises(InputError, match="equal shape"):
             lat.TorusSpec(np.zeros(4), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_caller_roots_are_copied(self, read_only_view):
+        # a writable array, or a read-only view of one, is the caller's to write
+        spec = lat.build_xy_cycle(6)
+        a, b = spec.root_a.copy(), spec.root_b.copy()
+        given = [a.view(), b.view()] if read_only_view else [a, b]
+        for root in given:
+            root.flags.writeable = not read_only_view
+        copied = lat.TorusSpec(*given)
+        a[0] = b[0] = 7.0
+        assert copied.root_a.tobytes() == spec.root_a.tobytes()
+        assert copied.root_b.tobytes() == spec.root_b.tobytes()
+        assert not (np.shares_memory(copied.root_a, a) or np.shares_memory(copied.root_b, b))
+
+    def test_read_only_owner_is_kept(self):
+        spec = lat.build_xy_cycle(6)
+        a, b = spec.root_a.copy(), spec.root_b.copy()
+        a.flags.writeable = b.flags.writeable = False
+        kept = lat.TorusSpec(a, b)
+        assert kept.root_a is a and kept.root_b is b
+
 
 class TestExpand:
     def test_circulant_rows_are_shifts(self):

@@ -1,6 +1,8 @@
 import errno
+import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -116,6 +118,24 @@ class TestCoefficientPair:
         pair = qf.CoefficientPair.identity(3)
         with pytest.raises(ValueError):
             pair.a[0, 0] = 2.0
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_caller_arrays_are_copied(self, read_only_view):
+        # a writable array, or a read-only view of one, is the caller's to write
+        a, b = np.eye(3), np.zeros((3, 3))
+        given = [a.view(), b.view()] if read_only_view else [a, b]
+        for array in given:
+            array.flags.writeable = not read_only_view
+        pair = qf.CoefficientPair(*given)
+        a[0, 0] = b[0, 1] = 7.0
+        assert np.array_equal(pair.a, np.eye(3)) and not pair.b.any()
+        assert not (np.shares_memory(pair.a, a) or np.shares_memory(pair.b, b))
+
+    def test_read_only_owner_is_kept(self):
+        a, b = np.eye(3), np.zeros((3, 3))
+        a.flags.writeable = b.flags.writeable = False
+        pair = qf.CoefficientPair(a, b)
+        assert pair.a is a and pair.b is b
 
 
 class TestLiebDecompose:
@@ -638,6 +658,115 @@ class TestForkedChunks:
         with pytest.raises(NumericalError, match=r"^the worker for items \[4, 7\) died "
                                                  r"\(exit status 7\)$"):
             _blas.forked_chunks(chunk, 10, 4, "items")
+
+
+def _floats(*words: int) -> np.ndarray:
+    """The float64 array whose entries have the given bit patterns."""
+    return np.array(words, dtype=np.uint64).view(np.float64)
+
+
+def _pickled(value) -> bytes:
+    """value as a forked chunk pickles it."""
+    sent = io.BytesIO()
+    _blas._Pickler(sent, pickle.HIGHEST_PROTOCOL).dump(value)
+    return sent.getvalue()
+
+
+def _same_bits(got, want) -> bool:
+    """Whether got is want, with every array of the same type, dtype, shape and bytes."""
+    if isinstance(want, (tuple, list)):
+        return type(got) is type(want) and len(got) == len(want) and all(
+            _same_bits(g, w) for g, w in zip(got, want))
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_same_bits(got[k], want[k]) for k in want)
+    if not isinstance(want, (np.ndarray, np.generic)):
+        return type(got) is type(want) and got == want
+    return (type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+_GRID = np.arange(-6.0, 6.0).reshape(3, 4) * np.array([0.0, 1.0, 0.0, 2.0])
+
+# Float64 arrays, each with the +0.0 entries that send it by its other
+# entries, but for the ones marked none
+_CROSSING = {
+    "negative-zero": np.array([-0.0, 0.0, 1.0, -0.0]),
+    "all-zero": np.zeros(1000),
+    "no-zero": np.arange(1.0, 6.0),                                     # none
+    "only-negative-zero": np.full(3, -0.0),                             # none
+    "empty": np.zeros(0),                                               # none
+    "empty-2d": np.zeros((0, 3)),                                       # none
+    "subnormal": np.array([5e-324, 0.0, -5e-324, 2.2e-308, 0.0]),
+    # quiet and signalling NaNs with payloads, either sign, beside +-inf
+    "nan-payload": np.concatenate([_floats(0x7FF8000000000123, 0x7FF0000000000001,
+                                           0xFFF4000000000ABC, 0), [np.inf, -np.inf, 0.0]]),
+    "2d": _GRID,
+    "fortran": _GRID.T,
+    "strided": _GRID[:, ::2],
+    "3d-slice": np.zeros((4, 3, 5))[1:3, :, ::-2],
+    "0d": np.array(0.0),
+}
+
+
+class TestChunkArraysCrossThePipe:
+    """A chunk's float64 arrays come back from a child bit for bit as the
+    chunk made them, sent by their nonzeros where they hold a +0.0."""
+
+    @staticmethod
+    def two_ways(value):
+        """What split_chunks returns for a chunk that returns value, on one
+        process and on two (the child computing item 2)."""
+        def chunk(lo, hi):
+            return [(os.getpid(), value if k == 2 else None) for k in range(lo, hi)]
+
+        here = _blas.split_chunks(chunk, 3, 1, "values")[0][0][2][1]
+        (pid, forked), = _blas.split_chunks(chunk, 3, 2, "values")[0][2]
+        assert pid != os.getpid()
+        return here, forked
+
+    @pytest.mark.parametrize("name", _CROSSING)
+    def test_array_crosses_bit_for_bit(self, name):
+        here, forked = self.two_ways(_CROSSING[name])
+        assert _same_bits(forked, here)
+        assert forked.flags.c_contiguous and forked.flags.writeable
+
+    def test_nested_arrays_cross_bit_for_bit(self):
+        value = (_CROSSING["negative-zero"], [_GRID, {"k": _CROSSING["nan-payload"],
+                                                      "j": (_CROSSING["empty"], 1.5)}])
+        here, forked = self.two_ways(value)
+        assert _same_bits(forked, here)
+
+    @pytest.mark.parametrize("array", [np.zeros(5, np.float32), np.arange(-3, 3),
+                                       np.zeros(4, np.dtype(float).newbyteorder()),
+                                       np.float64(0.0)],
+                             ids=["float32", "int", "non-native-order", "scalar"])
+    def test_other_values_pickled_untouched(self, array):
+        assert _pickled(array) == pickle.dumps(array, pickle.HIGHEST_PROTOCOL)
+        here, forked = self.two_ways(array)
+        assert _same_bits(forked, here)
+
+    @pytest.mark.parametrize("name", _CROSSING)
+    def test_only_arrays_with_a_positive_zero_go_by_mask(self, name):
+        array = _CROSSING[name]
+        by_mask = _pickled(array) != pickle.dumps(array, pickle.HIGHEST_PROTOCOL)
+        assert by_mask == (array.reshape(-1).view(np.uint64) == 0).any()
+
+    def test_chunk_exception_raised_again(self):
+        def chunk(lo, hi):
+            if lo == 2:
+                raise InputError("bad chunk", np.zeros(3))
+            return [np.zeros(3)] * (hi - lo)
+
+        with pytest.raises(InputError, match=r"^\('bad chunk', array\(\[0\., 0\., 0\.\]\)\)$"):
+            _blas.split_chunks(chunk, 3, 2, "values")
+
+    @given(words=st.lists(st.sampled_from([0, 0, 0, 1 << 63, 1, 0x7FF0000000000001])
+                          | st.integers(0, 2 ** 64 - 1), max_size=40),
+           shape=st.sampled_from([(-1,), (-1, 1), (1, -1, 1)]))
+    @settings(max_examples=200, deadline=None)
+    def test_any_bits_rebuilt_by_the_parent(self, words, shape):
+        array = _floats(*words).reshape(shape)
+        assert _same_bits(pickle.loads(_pickled(array)), array)
 
 
 class TestForkGuard:
